@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterator
 
 from . import colors
 from .colors import Palette
@@ -59,10 +58,6 @@ class MinimapShapes:
 
     fills: list[Shape] = field(default_factory=list)
     strokes: list[Shape] = field(default_factory=list)
-
-    def all(self) -> Iterator[Shape]:
-        yield from self.fills
-        yield from self.strokes
 
 
 def _parse_ring(raw: object, code: str) -> Ring:
@@ -164,8 +159,9 @@ def load_default_atlas() -> Atlas:
     return load_atlas(document)
 
 
-def _fit_transform(atlas: Atlas, frame: PanelFrame,
-                   pad_fraction: float = 0.04):
+def _fit_transform(atlas: Atlas, frame: PanelFrame, pad_fraction: float = 0.04,
+                   ) -> tuple[float, float, float, float, float]:
+    """(ox, oy, s, xmin, ymin) that put (x, y) at ox + s*(x - xmin), oy + s*(y - ymin)."""
     xmin, ymin, xmax, ymax = atlas.bounds
     pad_x = frame.width * pad_fraction
     pad_y = frame.height * pad_fraction
@@ -174,11 +170,7 @@ def _fit_transform(atlas: Atlas, frame: PanelFrame,
     s = min(avail_w / (xmax - xmin), avail_h / (ymax - ymin))
     ox = frame.x + (frame.width - s * (xmax - xmin)) / 2.0
     oy = frame.y + (frame.height - s * (ymax - ymin)) / 2.0
-
-    def transform(pt: tuple[float, float]) -> tuple[float, float]:
-        return (ox + s * (pt[0] - xmin), oy + s * (pt[1] - ymin))
-
-    return transform
+    return ox, oy, s, xmin, ymin
 
 
 def _fill_for(code: str, layout: LinkedLayout, group_index: int,
@@ -215,13 +207,15 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
     if group_index != NO_DATA_PANEL and not (
             0 <= group_index < len(layout.plan.sizes)):
         raise ValueError(f"bad group index {group_index}")
-    transform = _fit_transform(atlas, frame)
+    ox, oy, s, xmin, ymin = _fit_transform(atlas, frame)
     out = MinimapShapes()
     stroke = Style(fill="none", stroke=style.stroke, stroke_width=style.stroke_width)
     for code in sorted(atlas.regions):
-        fill = _fill_for(code, layout, group_index, style)
+        fill = Style(fill=_fill_for(code, layout, group_index, style))
+        region, border = f"region:{code}", f"border:{code}"
         for ring in atlas.regions[code]:
-            points = tuple(transform(pt) for pt in ring)
-            out.fills.append(Polygon(points, Style(fill=fill), tag=f"region:{code}"))
-            out.strokes.append(Polygon(points, stroke, tag=f"border:{code}"))
+            points = tuple([(ox + s * (x - xmin), oy + s * (y - ymin))
+                            for x, y in ring])
+            out.fills.append(Polygon(points, fill, tag=region))
+            out.strokes.append(Polygon(points, stroke, tag=border))
     return out

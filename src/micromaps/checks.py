@@ -4,8 +4,9 @@ These run as a gate before any demo chart is written and back the
 acceptance suite: panel grids must be complete, every panel of a glyph
 column must share one tick list, and each region must use one and only one
 color across the legend, its own map panel, and every glyph mark. The
-checks work on the emitted shapes (via their region tags), not on the
-inputs that produced them.
+checks work on the emitted shapes, not on the inputs that produced them:
+the color check indexes shapes by their region tags once, then finds each
+panel's marks among its member regions' shapes by position.
 """
 
 from __future__ import annotations
@@ -59,16 +60,13 @@ def check_shared_scales(scene: Scene) -> None:
 
 
 def _in_panel(shape: Shape, panel: PanelInfo, slack: float = 1.5) -> bool:
-    xs: list[float] = []
-    ys: list[float] = []
     if isinstance(shape, Rect):
-        xs = [shape.x, shape.x + shape.width]
-        ys = [shape.y, shape.y + shape.height]
+        xs = (shape.x, shape.x + shape.width)
+        ys = (shape.y, shape.y + shape.height)
     elif isinstance(shape, Circle):
-        xs, ys = [shape.cx], [shape.cy]
+        xs, ys = (shape.cx,), (shape.cy,)
     elif isinstance(shape, (Polygon, Polyline)):
-        xs = [p[0] for p in shape.points]
-        ys = [p[1] for p in shape.points]
+        xs, ys = zip(*shape.points)
     else:
         return False
     return (min(xs) >= panel.x - slack and max(xs) <= panel.x + panel.width + slack
@@ -76,43 +74,49 @@ def _in_panel(shape: Shape, panel: PanelInfo, slack: float = 1.5) -> bool:
             and max(ys) <= panel.y + panel.height + slack)
 
 
-def region_colors_in_panel(scene: Scene, panel: PanelInfo) -> dict[str, str]:
-    """The linked color each region shows inside one panel's marks."""
+def _shapes_by_region(scene: Scene) -> dict[str, list[Shape]]:
+    """Region-tagged shapes by region code, in paint order."""
+    index: dict[str, list[Shape]] = defaultdict(list)
+    for shape in scene.shapes:
+        if shape.tag and shape.tag.startswith("region:"):
+            index[shape.tag[len("region:"):]].append(shape)
+    return index
+
+
+def _panel_colors(index: dict[str, list[Shape]],
+                  panel: PanelInfo) -> dict[str, str]:
     rule = _COLOR_RULES.get(panel.kind)
     if rule is None:
         return {}
     shape_type, attr = rule
-    members = {code for code, _ in panel.rows}
     colors: dict[str, str] = {}
-    for shape in scene.shapes:
-        if not isinstance(shape, shape_type):
-            continue
-        tag = shape.tag or ""
-        if not tag.startswith("region:"):
-            continue
-        code = tag.split(":", 1)[1]
-        if code not in members or not _in_panel(shape, panel):
-            continue
-        color = getattr(shape.style, attr)
-        if color is None:
-            continue
-        previous = colors.get(code)
-        if previous is not None and previous != color:
-            raise MicromapError(
-                f"panel ({panel.kind}, group {panel.group_index}): "
-                f"{code} drawn in both {previous} and {color}")
-        colors[code] = color
-    # Time-series singleton runs fall back to dots; accept circles too.
-    if panel.kind == "timeseries":
-        for shape in scene.shapes:
-            if (isinstance(shape, Circle) and shape.tag
-                    and shape.tag.startswith("region:")):
-                code = shape.tag.split(":", 1)[1]
-                if code in members and code not in colors \
-                        and _in_panel(shape, panel) \
-                        and shape.style.fill is not None:
+    for code, _ in panel.rows:
+        shapes = index.get(code, ())
+        for shape in shapes:
+            if not isinstance(shape, shape_type) or not _in_panel(shape, panel):
+                continue
+            color = getattr(shape.style, attr)
+            if color is None:
+                continue
+            previous = colors.get(code)
+            if previous is not None and previous != color:
+                raise MicromapError(
+                    f"panel ({panel.kind}, group {panel.group_index}): "
+                    f"{code} drawn in both {previous} and {color}")
+            colors[code] = color
+        # Time-series singleton runs fall back to dots; accept circles too.
+        if panel.kind == "timeseries" and code not in colors:
+            for shape in shapes:
+                if (isinstance(shape, Circle) and shape.style.fill is not None
+                        and _in_panel(shape, panel)):
                     colors[code] = shape.style.fill
+                    break
     return colors
+
+
+def region_colors_in_panel(scene: Scene, panel: PanelInfo) -> dict[str, str]:
+    """The linked color each region shows inside one panel's marks."""
+    return _panel_colors(_shapes_by_region(scene), panel)
 
 
 def check_color_linkage(scene: Scene) -> dict[str, str]:
@@ -121,9 +125,10 @@ def check_color_linkage(scene: Scene) -> dict[str, str]:
     Returns the region -> color mapping. Regions that never produced a
     colored mark (all values missing) are simply absent.
     """
+    index = _shapes_by_region(scene)
     linked: dict[str, str] = {}
     for panel in scene.panels:
-        for code, color in region_colors_in_panel(scene, panel).items():
+        for code, color in _panel_colors(index, panel).items():
             previous = linked.get(code)
             if previous is not None and previous != color:
                 raise MicromapError(

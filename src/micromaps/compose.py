@@ -111,11 +111,6 @@ class ChartSpec:
     palette: Palette = DEFAULT_PALETTE
 
 
-def _scalar_ref_ok(table: RegionTable, ref: str) -> bool:
-    r = resolve_ref(table, ref)
-    return r.column.kind != SERIES or r.period_index is not None
-
-
 def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
     """Check chart anatomy, and bindings against the table when given.
 
@@ -126,6 +121,9 @@ def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
         raise SpecError("columns", "chart needs at least one column")
     if spec.group_size < 1:
         raise SpecError("group_size", "must be >= 1")
+    if spec.group_size > len(spec.palette.slots):
+        raise SpecError("group_size", f"must be <= {len(spec.palette.slots)}, "
+                                      "the number of palette slot colors")
     if spec.map_mode not in (GROUP_ONLY, CUMULATIVE):
         raise SpecError("map_mode", f"bad mode {spec.map_mode!r}")
     kinds = [c.kind for c in spec.columns]
@@ -257,16 +255,12 @@ def _with_colors(band: _Band, layout: LinkedLayout, palette: Palette,
     return PanelFrame(x, band.y, width, band.height, rows, row_h)
 
 
-def render_legend_column(layout: LinkedLayout, group_index: int,
-                         table: RegionTable, name_style: str,
-                         frame: PanelFrame) -> GlyphShapes:
-    """Color swatch plus region name, one row per region.
+def render_legend_column(name_style: str, frame: PanelFrame) -> GlyphShapes:
+    """Color swatch plus region name, one row per row of the frame.
 
     name_style "full" uses the registry's full names, "abbrev" the USPS
     codes. The median row renders in the dedicated median color.
     """
-    del table  # names come from the region registry; kept for parity
-    del group_index  # the frame already carries this group's rows
     out = GlyphShapes()
     size = min(9.0, frame.row_height * 0.5)
     font = min(10.5, frame.row_height * 0.52)
@@ -542,8 +536,7 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
                                                    for r in frame.rows)))
             elif plan.spec.kind == LEGEND:
                 name_style = str(plan.spec.options.get("name_style", "full"))
-                shapes = render_legend_column(layout, band.group_index, table,
-                                              name_style, frame)
+                shapes = render_legend_column(name_style, frame)
                 layers.add_glyph(shapes)
                 panels.append(PanelInfo(plan.index, LEGEND, band.group_index,
                                         frame.x, frame.y, frame.width,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import colors
 from .errors import EmptySamples, SeriesMismatch
@@ -62,11 +62,6 @@ class GlyphShapes:
     marks: list[Shape] = field(default_factory=list)
     labels: list[Shape] = field(default_factory=list)
 
-    def all(self) -> Iterator[Shape]:
-        yield from self.guides
-        yield from self.marks
-        yield from self.labels
-
 
 @dataclass(frozen=True)
 class BoxStats:
@@ -85,8 +80,12 @@ def _quantile(ordered: Sequence[float], p: float) -> float:
     hi = math.ceil(pos)
     if lo == hi:
         return ordered[lo]
+    a, b = ordered[lo], ordered[hi]
+    if a == b:
+        return a
+    # Rounding (of subnormals especially) can carry the blend outside [a, b].
     frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    return min(max(a * (1.0 - frac) + b * frac, a), b)
 
 
 def compute_box_stats(samples: Sequence[float]) -> BoxStats:

@@ -9,9 +9,8 @@ shape by shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Union
+from typing import Union
 
 
 @dataclass(frozen=True)
@@ -116,29 +115,6 @@ class Scene:
     panels: tuple[PanelInfo, ...] = ()
 
 
-def shape_coordinates(shape: Shape) -> Iterator[float]:
-    if isinstance(shape, Rect):
-        yield from (shape.x, shape.y, shape.width, shape.height)
-    elif isinstance(shape, Circle):
-        yield from (shape.cx, shape.cy, shape.r)
-    elif isinstance(shape, Line):
-        yield from (shape.x1, shape.y1, shape.x2, shape.y2)
-    elif isinstance(shape, (Polyline, Polygon)):
-        for x, y in shape.points:
-            yield x
-            yield y
-    elif isinstance(shape, Path):
-        for cmd in shape.commands:
-            yield from cmd[1:]
-    elif isinstance(shape, Text):
-        yield shape.x
-        yield shape.y
-
-
-def all_finite(shape: Shape) -> bool:
-    return all(math.isfinite(v) for v in shape_coordinates(shape))
-
-
 def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
 
@@ -175,6 +151,45 @@ def clamp_shape(shape: Shape, width: float, height: float) -> Shape:
     raise TypeError(f"not a shape: {shape!r}")
 
 
+def _inside(shape: Shape, width: float, height: float) -> bool:
+    """Whether clamp_shape would leave every coordinate as it is."""
+    if isinstance(shape, (Polyline, Polygon)):
+        if not shape.points:
+            return True
+        xs, ys = zip(*shape.points)
+        return (0.0 <= min(xs) and max(xs) <= width
+                and 0.0 <= min(ys) and max(ys) <= height)
+    if isinstance(shape, (Rect, Text)):
+        return 0.0 <= shape.x <= width and 0.0 <= shape.y <= height
+    if isinstance(shape, Circle):
+        return 0.0 <= shape.cx <= width and 0.0 <= shape.cy <= height
+    if isinstance(shape, Line):
+        return (0.0 <= shape.x1 <= width and 0.0 <= shape.x2 <= width
+                and 0.0 <= shape.y1 <= height and 0.0 <= shape.y2 <= height)
+    if isinstance(shape, Path):
+        return all(0.0 <= v <= (height if i % 2 else width)
+                   for c in shape.commands for i, v in enumerate(c[1:]))
+    return False  # not a shape: clamp_shape raises
+
+
 def clamp_scene(scene: Scene) -> Scene:
-    shapes = tuple(clamp_shape(s, scene.width, scene.height) for s in scene.shapes)
-    return replace(scene, shapes=shapes)
+    """Clamp every shape into the canvas with clamp_shape, rebuilding only
+    shapes that cross an edge; the scene itself is returned when none does.
+    A points tuple shared by shapes (a map ring's fill and border) is tested
+    once.
+    """
+    w, h = scene.width, scene.height
+    rings: dict[int, bool] = {}  # id(points) -> inside
+    clamped: list[Shape] | None = None
+    for i, shape in enumerate(scene.shapes):
+        if isinstance(shape, (Polyline, Polygon)):
+            inside = rings.get(id(shape.points))
+            if inside is None:
+                inside = rings[id(shape.points)] = _inside(shape, w, h)
+        else:
+            inside = _inside(shape, w, h)
+        if not inside:
+            if clamped is None:
+                clamped = list(scene.shapes)
+            clamped[i] = clamp_shape(shape, w, h)
+    return scene if clamped is None else replace(scene, shapes=tuple(clamped))

@@ -5,12 +5,17 @@ order, every coordinate is printed with a fixed number of decimals
 (round-half-to-even, never scientific notation), lines end with LF, and
 each element sits on its own line. Styling uses presentation attributes
 only and fonts are referenced by generic family, so the document is fully
-self-contained.
+self-contained. Each shape type has its own writer, which rejects
+non-finite coordinates; one call formats each Style and each shared points
+tuple (a map ring's fill and border) once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache, partial
+from itertools import starmap
 from xml.sax.saxutils import escape
 
 from .errors import BadGeometry
@@ -25,11 +30,12 @@ from .scene import (
     Shape,
     Style,
     Text,
-    all_finite,
 )
 
 SVG_NS = "http://www.w3.org/2000/svg"
 FONT_FAMILY = "sans-serif"
+_QUOTE = {'"': "&quot;"}
+_NO_FILL = ' fill="none"'  # a polyline's default
 
 
 @dataclass(frozen=True)
@@ -47,98 +53,116 @@ def _fmt(value: float, dp: int) -> str:
     return s
 
 
-def _fmt_attr(value: object, dp: int) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, float)):
-        return _fmt(float(value), dp)
-    return escape(str(value), {'"': "&quot;"})
-
-
-def _style_attrs(style: Style) -> dict[str, object]:
-    attrs: dict[str, object] = {}
-    if style.fill is not None:
-        attrs["fill"] = style.fill
-    if style.stroke is not None:
-        attrs["stroke"] = style.stroke
+def _style_attrs(style: Style, dp: int) -> tuple[str, str, str, str]:
+    """A Style's attributes, cut where writers interleave geometry: fill,
+    opacity, stroke + stroke-width, and <text>'s fill..text-anchor run."""
+    fill = "" if style.fill is None else f' fill="{escape(style.fill, _QUOTE)}"'
+    opacity = ("" if style.opacity is None
+               else f' opacity="{_fmt(style.opacity, dp)}"')
+    stroke = ("" if style.stroke is None
+              else f' stroke="{escape(style.stroke, _QUOTE)}"')
     if style.stroke_width is not None:
-        attrs["stroke-width"] = style.stroke_width
-    if style.opacity is not None:
-        attrs["opacity"] = style.opacity
-    return attrs
+        stroke += f' stroke-width="{_fmt(style.stroke_width, dp)}"'
+    text = f'{fill} font-family="{FONT_FAMILY}"'
+    if style.font_size is not None:
+        text += f' font-size="{_fmt(style.font_size, dp)}"'
+    text += opacity + stroke
+    if style.anchor is not None:
+        text += f' text-anchor="{escape(style.anchor, _QUOTE)}"'
+    return fill, opacity, stroke, text
 
 
-def _element(tag: str, attrs: dict[str, object], dp: int,
-             content: str | None = None) -> str:
-    parts = [f'{k}="{_fmt_attr(v, dp)}"' for k, v in sorted(attrs.items())]
-    open_tag = f"<{tag} {' '.join(parts)}" if parts else f"<{tag}"
-    if content is None:
-        return f"{open_tag}/>"
-    return f"{open_tag}>{escape(content)}</{tag}>"
+class _Writer:
+    """Element strings for one emit_svg call, one method per shape type."""
 
+    def __init__(self, dp: int) -> None:
+        self.dp = dp
+        self.pair = f"{{:.{dp}f}},{{:.{dp}f}}".format
+        self.negative_zero = "-" + _fmt(0.0, dp)
+        self.style = cache(partial(_style_attrs, dp=dp))
+        self.rings: dict[int, str] = {}  # id(points) -> points attribute
+        self.by_type = {Rect: self.rect, Circle: self.circle, Line: self.line,
+                        Polyline: self.polyline, Polygon: self.polygon,
+                        Path: self.path, Text: self.text}
 
-def _points_attr(points: tuple[tuple[float, float], ...], dp: int) -> str:
-    return " ".join(f"{_fmt(x, dp)},{_fmt(y, dp)}" for x, y in points)
+    def num(self, value: float) -> str:
+        if not math.isfinite(value):
+            raise BadGeometry("non-finite coordinate")
+        return _fmt(value, self.dp)
 
+    def points(self, points: tuple[tuple[float, float], ...]) -> str:
+        text = self.rings.get(id(points))
+        if text is None:
+            text = " ".join(starmap(self.pair, points))
+            # With fixed decimals "-0.00" is a whole number wherever it
+            # occurs, and only "nan" and "inf" contain an "n".
+            if "n" in text:
+                raise BadGeometry("non-finite coordinate")
+            text = text.replace(self.negative_zero, self.negative_zero[1:])
+            self.rings[id(points)] = text
+        return text
 
-def _shape_element(shape: Shape, dp: int) -> str:
-    attrs = _style_attrs(shape.style)
-    if isinstance(shape, Rect):
-        attrs.update(x=shape.x, y=shape.y, width=shape.width, height=shape.height)
-        return _element("rect", attrs, dp)
-    if isinstance(shape, Circle):
-        attrs.update(cx=shape.cx, cy=shape.cy, r=shape.r)
-        return _element("circle", attrs, dp)
-    if isinstance(shape, Line):
-        attrs.update(x1=shape.x1, y1=shape.y1, x2=shape.x2, y2=shape.y2)
-        return _element("line", attrs, dp)
-    if isinstance(shape, Polyline):
-        attrs.setdefault("fill", "none")
-        attrs["points"] = _points_attr(shape.points, dp)
-        return _element("polyline", attrs, dp)
-    if isinstance(shape, Polygon):
-        attrs["points"] = _points_attr(shape.points, dp)
-        return _element("polygon", attrs, dp)
-    if isinstance(shape, Path):
-        cmds = []
-        for cmd in shape.commands:
-            coords = " ".join(_fmt(v, dp) for v in cmd[1:])
-            cmds.append(cmd[0] + (" " + coords if coords else ""))
-        attrs["d"] = " ".join(cmds)
-        return _element("path", attrs, dp)
-    if isinstance(shape, Text):
-        attrs.update(x=shape.x, y=shape.y)
-        attrs["font-family"] = FONT_FAMILY
-        if shape.style.font_size is not None:
-            attrs["font-size"] = shape.style.font_size
-        if shape.style.anchor is not None:
-            attrs["text-anchor"] = shape.style.anchor
-        return _element("text", attrs, dp, content=shape.content)
-    raise TypeError(f"not a shape: {shape!r}")
+    def rect(self, s: Rect) -> str:
+        fill, opacity, stroke, _ = self.style(s.style)
+        return (f'<rect{fill} height="{self.num(s.height)}"{opacity}{stroke}'
+                f' width="{self.num(s.width)}" x="{self.num(s.x)}"'
+                f' y="{self.num(s.y)}"/>')
+
+    def circle(self, s: Circle) -> str:
+        fill, opacity, stroke, _ = self.style(s.style)
+        return (f'<circle cx="{self.num(s.cx)}" cy="{self.num(s.cy)}"{fill}'
+                f'{opacity} r="{self.num(s.r)}"{stroke}/>')
+
+    def line(self, s: Line) -> str:
+        fill, opacity, stroke, _ = self.style(s.style)
+        return (f'<line{fill}{opacity}{stroke} x1="{self.num(s.x1)}"'
+                f' x2="{self.num(s.x2)}" y1="{self.num(s.y1)}"'
+                f' y2="{self.num(s.y2)}"/>')
+
+    def polyline(self, s: Polyline) -> str:
+        fill, opacity, stroke, _ = self.style(s.style)
+        return (f'<polyline{fill or _NO_FILL}{opacity}'
+                f' points="{self.points(s.points)}"{stroke}/>')
+
+    def polygon(self, s: Polygon) -> str:
+        fill, opacity, stroke, _ = self.style(s.style)
+        return (f'<polygon{fill}{opacity} points="{self.points(s.points)}"'
+                f'{stroke}/>')
+
+    def path(self, s: Path) -> str:
+        fill, opacity, stroke, _ = self.style(s.style)
+        d = " ".join(" ".join((cmd[0], *map(self.num, cmd[1:])))
+                     for cmd in s.commands)
+        return f'<path d="{d}"{fill}{opacity}{stroke}/>'
+
+    def text(self, s: Text) -> str:
+        text = self.style(s.style)[3]
+        return (f'<text{text} x="{self.num(s.x)}" y="{self.num(s.y)}">'
+                f'{escape(s.content)}</text>')
+
+    def element(self, shape: Shape) -> str:
+        write = self.by_type.get(type(shape))
+        if write is None:
+            raise TypeError(f"not a shape: {shape!r}")
+        try:
+            return write(shape)
+        except BadGeometry:
+            raise BadGeometry("non-finite coordinate in "
+                              f"{type(shape).__name__}") from None
 
 
 def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
     """Serialize a scene to a self-contained SVG document."""
     if not 0 <= options.decimal_places <= 6:
         raise ValueError("decimal_places must be in 0..6")
-    dp = options.decimal_places
-    for shape in scene.shapes:
-        if not all_finite(shape):
-            raise BadGeometry(f"non-finite coordinate in {type(shape).__name__}")
-    root_attrs = {
-        "height": scene.height,
-        "width": scene.width,
-        "xmlns": SVG_NS,
-    }
-    parts = [f'{k}="{_fmt_attr(v, dp)}"' for k, v in sorted(root_attrs.items())]
-    lines = [f"<svg {' '.join(parts)}>"]
+    writer = _Writer(options.decimal_places)
+    lines = [f'<svg height="{writer.num(scene.height)}" '
+             f'width="{writer.num(scene.width)}" xmlns="{SVG_NS}">']
     if options.embed_title and options.title:
         lines.append(f"<title>{escape(options.title)}</title>")
     if options.background is not None:
-        bg = Rect(0.0, 0.0, scene.width, scene.height,
-                  Style(fill=options.background))
-        lines.append(_shape_element(bg, dp))
-    for shape in scene.shapes:
-        lines.append(_shape_element(shape, dp))
+        lines.append(writer.rect(Rect(0.0, 0.0, scene.width, scene.height,
+                                      Style(fill=options.background))))
+    lines.extend(map(writer.element, scene.shapes))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

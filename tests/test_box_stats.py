@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from micromaps.errors import EmptySamples
@@ -90,6 +90,9 @@ def test_oracle_equivalence_on_seeded_random_samples():
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80))
+# Interpolating between equal subnormals rounded below them.
+@example([5e-324, 5e-324])
+@example([0.0, 5e-324, 5e-324])
 def test_box_stats_invariants(samples):
     stats = compute_box_stats(samples)
     assert stats.whisker_lo <= stats.q1 <= stats.median

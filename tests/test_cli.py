@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from micromaps.cli import run
+from micromaps.cli import EXIT_VALIDATION, run
 from micromaps.regions import ALL_CODES
 
 CONFIG = {
@@ -69,6 +69,18 @@ def test_render_unknown_key_is_validation_error(workspace, capsys):
 def test_render_quiet_suppresses_stdout(workspace, capsys):
     assert run(["render", "--config", "chart.json", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_group_size_beyond_palette_is_validation_error(workspace, capsys,
+                                                       command):
+    (workspace / "big.json").write_text(json.dumps({**CONFIG,
+                                                    "group_size": 13}))
+    assert run([command, "--config", "big.json"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "group_size" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (workspace / "big.svg").exists()
 
 
 def test_validate_ok_writes_nothing(workspace, capsys):

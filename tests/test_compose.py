@@ -235,6 +235,17 @@ def test_spec_bad_group_size():
         validate_spec(minimal_spec(group_size=0))
 
 
+def test_spec_group_size_beyond_palette_slots(square_atlas, table51):
+    slots = len(DEFAULT_PALETTE.slots)
+    validate_spec(minimal_spec(group_size=slots))
+    for size in (slots + 1, 13):
+        with pytest.raises(SpecError) as info:
+            validate_spec(minimal_spec(group_size=size))
+        assert info.value.path == "group_size"
+        with pytest.raises(SpecError):
+            compose(minimal_spec(group_size=size), table51, square_atlas)
+
+
 def test_spec_bad_map_mode():
     with pytest.raises(SpecError):
         validate_spec(minimal_spec(map_mode="rainbow"))

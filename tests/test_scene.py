@@ -1,0 +1,89 @@
+from __future__ import annotations
+
+import math
+import warnings
+
+from micromaps.atlas import load_default_atlas
+from micromaps.compose import compose
+from micromaps.demos import build_demo
+from micromaps.scene import (
+    Circle,
+    Line,
+    Path,
+    Polygon,
+    Polyline,
+    Rect,
+    Scene,
+    Style,
+    Text,
+    clamp_scene,
+)
+
+INK = Style(fill="#000000")
+
+
+def test_clamp_scene_returns_on_canvas_scene_itself():
+    points = ((0.0, 0.0), (10.0, 5.0), (-0.0, 5.0))
+    scene = Scene(10.0, 5.0, (
+        Rect(0.0, 5.0, 30.0, 30.0, INK),  # sizes may overhang
+        Circle(10.0, 0.0, 4.0),
+        Line(0.0, 0.0, 10.0, 5.0),
+        Polyline(points),
+        Polygon(points, INK),
+        Polygon(points),
+        Path((("M", 0.0, 0.0), ("L", 10.0, 5.0), ("Z",))),
+        Text(5.0, 2.5, "x"),
+        Polygon(()),
+    ))
+    assert clamp_scene(scene) is scene
+
+
+def test_clamp_scene_returns_demo_scene_itself():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec, table = build_demo("acs-dot")
+        scene = compose(spec, table, load_default_atlas())
+    assert clamp_scene(scene) is scene
+
+
+def test_off_canvas_shapes_are_clamped():
+    shared = ((-1.0, 2.0), (12.0, 3.0), (4.0, 7.5))
+    on_canvas = Rect(1.0, 1.0, 2.0, 2.0, INK)
+    scene = Scene(10.0, 5.0, (
+        Rect(-2.0, 6.0, 3.0, 3.0, INK, tag="region:UT"),
+        on_canvas,
+        Circle(11.0, -1.0, 2.0),
+        Line(-3.0, 1.0, 13.0, 9.0),
+        Polygon(shared, INK),
+        Polygon(shared, Style(fill="none", stroke="#808080")),
+        Polyline(((5.0, -0.5), (5.0, 2.0))),
+        Path((("M", -1.0, 6.0), ("L", 11.0, -2.0), ("Z",))),
+        Text(20.0, 2.0, "label"),
+    ), panels=())
+    clamped = clamp_scene(scene)
+    expected_points = ((0.0, 2.0), (10.0, 3.0), (4.0, 5.0))
+    assert clamped.shapes == (
+        Rect(0.0, 5.0, 3.0, 3.0, INK, tag="region:UT"),
+        on_canvas,
+        Circle(10.0, 0.0, 2.0),
+        Line(0.0, 1.0, 10.0, 5.0),
+        Polygon(expected_points, INK),
+        Polygon(expected_points, Style(fill="none", stroke="#808080")),
+        Polyline(((5.0, 0.0), (5.0, 2.0))),
+        Path((("M", 0.0, 5.0), ("L", 10.0, 0.0), ("Z",))),
+        Text(10.0, 2.0, "label"),
+    )
+    assert clamped.shapes[1] is on_canvas
+    assert (clamped.width, clamped.height, clamped.panels) == (10.0, 5.0, ())
+    assert scene.shapes[4].points is shared  # the input is left alone
+
+
+def test_non_finite_coordinates_pass_through_clamping():
+    scene = Scene(10.0, 5.0, (Circle(math.nan, 1.0, 1.0),
+                              Polygon(((1.0, math.nan), (-1.0, 2.0))),
+                              Line(math.inf, 0.0, 1.0, -math.inf)))
+    circle, polygon, line = clamp_scene(scene).shapes
+    assert math.isnan(circle.cx) and circle.cy == 1.0
+    assert math.isnan(polygon.points[0][1])
+    assert polygon.points[1] == (0.0, 2.0)
+    assert (line.x1, line.y2) == (10.0, 0.0)

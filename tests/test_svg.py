@@ -144,6 +144,48 @@ def test_non_finite_coordinate_rejected():
         emit_svg(scene)
 
 
+@pytest.mark.parametrize("bad", [
+    Rect(float("nan"), 0, 1, 1),
+    Rect(0, 0, float("inf"), 1),
+    Line(0, 0, 1, float("-inf")),
+    Polygon(((0, 0), (1, float("nan")), (2, 0))),
+    Path((("M", 0, 0), ("L", float("inf"), 1), ("Z",))),
+    Text(float("nan"), 1, "x"),
+    Circle(1, 1, float("nan")),
+], ids=lambda shape: type(shape).__name__)
+def test_non_finite_coordinate_rejected_for_every_shape_type(bad):
+    good = Circle(1, 1, 1)
+    with pytest.raises(BadGeometry, match=type(bad).__name__):
+        emit_svg(Scene(10.0, 10.0, (good, bad, good)))
+
+
+def test_non_finite_canvas_size_rejected():
+    for scene in (Scene(float("nan"), 10.0, ()), Scene(10.0, float("inf"), ())):
+        with pytest.raises(BadGeometry):
+            emit_svg(scene)
+
+
+def test_shared_points_are_written_for_each_shape():
+    points = ((0.0, 0.0), (4.0, 0.0), (2.0, 3.0))
+    scene = Scene(10.0, 10.0, (Polygon(points, Style(fill="#000000")),
+                               Polygon(points, Style(fill="none",
+                                                     stroke="#808080"))))
+    lines = emit_svg(scene).splitlines()
+    assert lines[1] == ('<polygon fill="#000000" '
+                        'points="0.00,0.00 4.00,0.00 2.00,3.00"/>')
+    assert lines[2] == ('<polygon fill="none" '
+                        'points="0.00,0.00 4.00,0.00 2.00,3.00" '
+                        'stroke="#808080"/>')
+
+
+def test_negative_zero_normalized_in_points():
+    ring = ((-0.001, -10.0), (-0.0, 5.004), (-1.5, -0.4))
+    scene = Scene(10.0, 10.0, (Polyline(ring),))
+    assert 'points="0.00,-10.00 0.00,5.00 -1.50,-0.40"' in emit_svg(scene)
+    zero_dp = emit_svg(scene, SvgOptions(decimal_places=0))
+    assert 'points="0,-10 0,5 -2,0"' in zero_dp
+
+
 def test_determinism_byte_for_byte():
     shapes = (Rect(0.1, 0.2, 3.3, 4.4, Style(fill="#ABCDEF")),
               Circle(5, 6, 7, Style(stroke="#000000", stroke_width=0.5)),
