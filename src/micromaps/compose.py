@@ -13,6 +13,7 @@ minimap strokes, glyph marks, axes, text.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ from .atlas import (
     render_minimap,
 )
 from .colors import DEFAULT_PALETTE, Palette
-from .errors import SpecError
+from .errors import DomainOverflow, SpecError
 from .glyphs import (
     GlyphShapes,
     PanelFrame,
@@ -111,11 +112,23 @@ class ChartSpec:
     palette: Palette = DEFAULT_PALETTE
 
 
+def _number_option(column: ColumnSpec, key: str, path: str) -> float | None:
+    """A numeric column option, or None when it is absent."""
+    value = column.options.get(key)
+    if value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise SpecError(f"{path}.options.{key}",
+                        f"must be a finite number, got {value!r}")
+    return float(value)
+
+
 def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
     """Check chart anatomy, and bindings against the table when given.
 
-    Raises SpecError with the path of the offending column; a sort column
-    that is not displayed by any glyph is only a warning.
+    Raises SpecError with the path of the offending column or option; a sort
+    column that is not displayed by any glyph is only a warning.
     """
     if not spec.columns:
         raise SpecError("columns", "chart needs at least one column")
@@ -140,6 +153,10 @@ def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
         for key in column.bindings:
             if key not in required:
                 raise SpecError(f"{path}.bindings", f"unexpected binding {key!r}")
+        weight = _number_option(column, "weight", path)
+        if weight is not None and weight <= 0:
+            raise SpecError(f"{path}.options.weight", "must be positive")
+        _number_option(column, "reference_line", path)
     if kinds.count(MAP) != 1:
         raise SpecError("columns", "chart needs exactly one map column")
     if kinds.count(LEGEND) != 1:
@@ -354,8 +371,18 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
         extent = column_extent(table, column.bindings["value"])
         if column.kind == BAR:
             extent = (min(0.0, extent[0]), max(0.0, extent[1]))
-    return _ColumnPlan(column, index, x, width,
-                       linear_scale(extent, x_range, target_ticks=ticks))
+    x_scale = linear_scale(extent, x_range, target_ticks=ticks)
+    ref = column.options.get("reference_line")
+    if column.kind == DOT and ref is not None:
+        line = float(ref)
+        try:
+            x_scale.check(line)
+        except DomainOverflow:
+            # Only a line outside the data's scale widens it, so a chart
+            # whose line lies inside keeps its scale and its bytes.
+            extent = (min(extent[0], line), max(extent[1], line))
+            x_scale = linear_scale(extent, x_range, target_ticks=ticks)
+    return _ColumnPlan(column, index, x, width, x_scale)
 
 
 def _band_y_scale(plan: _ColumnPlan, band: _Band) -> Scale:

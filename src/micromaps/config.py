@@ -104,11 +104,8 @@ def _parse_options(value: object, path: str) -> dict[str, object]:
     obj = _as_object(value, path)
     _check_keys(obj, _OPTION_KEYS, path)
     options: dict[str, object] = {}
-    if "weight" in obj:
-        weight = _as_number(obj["weight"], f"{path}.weight")
-        if weight <= 0:
-            raise BadValue(f"{path}.weight", "must be positive")
-        options["weight"] = weight
+    if "weight" in obj:  # its range is checked by validate_spec
+        options["weight"] = _as_number(obj["weight"], f"{path}.weight")
     if "reference_line" in obj:
         options["reference_line"] = _as_number(obj["reference_line"],
                                                f"{path}.reference_line")

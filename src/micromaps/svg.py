@@ -7,16 +7,18 @@ each element sits on its own line. Styling uses presentation attributes
 only and fonts are referenced by generic family, so the document is fully
 self-contained. Each shape type has its own writer, which rejects
 non-finite coordinates; one call formats each Style and each shared points
-tuple (a map ring's fill and border) once.
+tuple (a map ring's fill and border) once. Text and attribute values are
+escaped here and lose the characters XML 1.0 forbids, so any string makes a
+well-formed document.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import starmap
-from xml.sax.saxutils import escape
 
 from .errors import BadGeometry
 from .scene import (
@@ -34,7 +36,9 @@ from .scene import (
 
 SVG_NS = "http://www.w3.org/2000/svg"
 FONT_FAMILY = "sans-serif"
-_QUOTE = {'"': "&quot;"}
+# Control characters other than tab, LF and CR, lone surrogates, U+FFFE and
+# U+FFFF: XML 1.0 has no way to write them, not even as a character reference.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _NO_FILL = ' fill="none"'  # a polyline's default
 
 
@@ -53,14 +57,25 @@ def _fmt(value: float, dp: int) -> str:
     return s
 
 
+def _escape(text: str) -> str:
+    """Character data: drop what XML forbids, then escape &, > and <."""
+    text = _NOT_XML.sub("", text)
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _escape_attr(text: str) -> str:
+    """A double-quoted attribute value."""
+    return _escape(text).replace('"', "&quot;")
+
+
 def _style_attrs(style: Style, dp: int) -> tuple[str, str, str, str]:
     """A Style's attributes, cut where writers interleave geometry: fill,
     opacity, stroke + stroke-width, and <text>'s fill..text-anchor run."""
-    fill = "" if style.fill is None else f' fill="{escape(style.fill, _QUOTE)}"'
+    fill = "" if style.fill is None else f' fill="{_escape_attr(style.fill)}"'
     opacity = ("" if style.opacity is None
                else f' opacity="{_fmt(style.opacity, dp)}"')
     stroke = ("" if style.stroke is None
-              else f' stroke="{escape(style.stroke, _QUOTE)}"')
+              else f' stroke="{_escape_attr(style.stroke)}"')
     if style.stroke_width is not None:
         stroke += f' stroke-width="{_fmt(style.stroke_width, dp)}"'
     text = f'{fill} font-family="{FONT_FAMILY}"'
@@ -68,7 +83,7 @@ def _style_attrs(style: Style, dp: int) -> tuple[str, str, str, str]:
         text += f' font-size="{_fmt(style.font_size, dp)}"'
     text += opacity + stroke
     if style.anchor is not None:
-        text += f' text-anchor="{escape(style.anchor, _QUOTE)}"'
+        text += f' text-anchor="{_escape_attr(style.anchor)}"'
     return fill, opacity, stroke, text
 
 
@@ -138,7 +153,7 @@ class _Writer:
     def text(self, s: Text) -> str:
         text = self.style(s.style)[3]
         return (f'<text{text} x="{self.num(s.x)}" y="{self.num(s.y)}">'
-                f'{escape(s.content)}</text>')
+                f'{_escape(s.content)}</text>')
 
     def element(self, shape: Shape) -> str:
         write = self.by_type.get(type(shape))
@@ -159,7 +174,7 @@ def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
     lines = [f'<svg height="{writer.num(scene.height)}" '
              f'width="{writer.num(scene.width)}" xmlns="{SVG_NS}">']
     if options.embed_title and options.title:
-        lines.append(f"<title>{escape(options.title)}</title>")
+        lines.append(f"<title>{_escape(options.title)}</title>")
     if options.background is not None:
         lines.append(writer.rect(Rect(0.0, 0.0, scene.width, scene.height,
                                       Style(fill=options.background))))

@@ -3,7 +3,8 @@
 A RegionTable maps each region to one row of named columns. Columns are
 either scalar (one number per region) or series (one number per period
 label per region). Cells may be explicitly missing (None); renderers decide
-how missing data is presented.
+how missing data is presented. Every present cell is a finite number: NaN
+and infinities are rejected when a table is made.
 
 All values are immutable after construction and every operation returns a
 new table, so tables can be shared freely across render jobs.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -46,6 +48,19 @@ class RegionTable:
 
     columns: tuple[Column, ...]
     rows: dict[str, dict[str, object]]
+
+    def __post_init__(self) -> None:
+        for code, row in self.rows.items():
+            for name, value in row.items():
+                if value.__class__ is tuple:
+                    for v in value:  # type: ignore[attr-defined]
+                        if v is not None and not math.isfinite(v):
+                            i = value.index(v)  # type: ignore[attr-defined]
+                            period = self.column(name).periods[i]
+                            raise CellParse(code, f"{name}:{period}",
+                                            f"non-finite value {v!r}")
+                elif value is not None and not math.isfinite(value):  # type: ignore[arg-type]
+                    raise CellParse(code, name, f"non-finite value {value!r}")
 
     def codes(self) -> tuple[str, ...]:
         return tuple(sorted(self.rows))
@@ -100,7 +115,8 @@ _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
 
 def parse_number(text: str) -> float | None:
     """Parse one CSV cell: empty or "NA" is missing; "%" and thousands
-    separators are stripped. Raises ValueError on anything else non-numeric.
+    separators are stripped. Raises ValueError on anything else non-numeric
+    and on a number too large for a float.
     """
     t = text.strip()
     if t == "" or t == "NA":
@@ -113,7 +129,10 @@ def parse_number(text: str) -> float | None:
         t = t.replace(",", "")
     if not _NUMBER.match(t):
         raise ValueError(f"not a number: {text!r}")
-    return float(t)
+    value = float(t)
+    if math.isinf(value):
+        raise ValueError(f"number out of range: {text!r}")
+    return value
 
 
 def parse_table(csv_text: str, region_column: str) -> RegionTable:

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from micromaps.adapters import snapshot_text
 from micromaps.cli import EXIT_VALIDATION, run
 from micromaps.regions import ALL_CODES
+from micromaps.table import parse_table
 
 CONFIG = {
     "title": "Rates",
@@ -163,3 +166,59 @@ def test_all_bundled_demos_render(tmp_path, monkeypatch, name):
     assert run(["demo", name, "--quiet"]) == 0
     text = (tmp_path / f"{name}.svg").read_text()
     ET.fromstring(text)
+
+
+def test_overflowing_cell_is_validation_error_naming_cell(workspace, capsys):
+    rows = [f"{code},{50 + i}" for i, code in enumerate(ALL_CODES)]
+    rows[3] = f"{ALL_CODES[3]},{'9' * 400}"
+    (workspace / "rates.csv").write_text("state,rate\n" + "\n".join(rows))
+    assert run(["render", "--config", "chart.json"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"row '{ALL_CODES[3]}', column 'rate'" in err
+    assert "non-finite extent" not in err
+    assert not (workspace / "chart.svg").exists()
+
+
+@pytest.mark.parametrize("weight", [-1, 0])
+def test_bad_weight_message_and_exit_code(workspace, capsys, weight):
+    bad = dict(CONFIG, columns=CONFIG["columns"][:2] + [
+        {**CONFIG["columns"][2], "options": {"weight": weight}}])
+    (workspace / "bad.json").write_text(json.dumps(bad))
+    assert run(["render", "--config", "bad.json"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "micromaps: error: columns[2].options.weight: must be positive\n")
+
+
+def test_control_characters_give_well_formed_svg(workspace):
+    odd = dict(CONFIG, title="Rates\x01 2022\x0b",
+               columns=CONFIG["columns"][:2] + [
+                   {**CONFIG["columns"][2], "header": ["Rate\x1f", "(%)"]}])
+    (workspace / "odd.json").write_text(json.dumps(odd))
+    assert run(["render", "--config", "odd.json", "--quiet"]) == 0
+    root = ET.fromstring((workspace / "odd.svg").read_text("utf-8"))
+    texts = [el.text for el in root.iter() if el.text]
+    assert "Rates 2022" in texts and "Rate" in texts
+
+
+def _readme_config() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Chart config", 1)[1].split("```json\n", 1)[1]
+    return json.loads(block.split("```", 1)[0])
+
+
+def test_readme_config_example_renders(tmp_path, monkeypatch):
+    """The README example draws a reference line at 0 on rates of 76-89%."""
+    monkeypatch.chdir(tmp_path)
+    config = _readme_config()
+    assert config["columns"][2]["options"] == {"reference_line": 0}
+    table = parse_table(snapshot_text("acs_response_rates.csv"), "state")
+    years = ("2010", "2011", "2012")
+    lines = ["state," + ",".join(years) + ",rate_2022"]
+    for code in ALL_CODES:
+        cells = [table.scalar(code, year) for year in years + ("2022",)]
+        lines.append(code + "," + ",".join(map(str, cells)))
+    (tmp_path / "rates.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "readme.json").write_text(json.dumps(config))
+    assert run(["render", "--config", "readme.json", "--quiet"]) == 0
+    root = ET.fromstring((tmp_path / "chart.svg").read_text("utf-8"))
+    assert root.find("{http://www.w3.org/2000/svg}title").text == config["title"]

@@ -255,3 +255,53 @@ def test_compose_suppresses_no_warnings(square_atlas, table51):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compose(minimal_spec(), table51, square_atlas)
+
+
+def _with_dot_options(**options) -> ChartSpec:
+    columns = minimal_spec().columns
+    return minimal_spec(columns=columns[:2] + (
+        ColumnSpec("dot", header=("Value",), bindings={"value": "v"},
+                   options=options),))
+
+
+@pytest.mark.parametrize("weight", [-1, 0, float("nan"), float("inf"), "abc",
+                                    True])
+def test_spec_rejects_bad_weight(square_atlas, table51, weight):
+    spec = _with_dot_options(weight=weight)
+    with pytest.raises(SpecError) as info:
+        validate_spec(spec)
+    assert info.value.path == "columns[2].options.weight"
+    with pytest.raises(SpecError):
+        compose(spec, table51, square_atlas)
+
+
+def test_spec_rejects_non_finite_reference_line():
+    with pytest.raises(SpecError) as info:
+        validate_spec(_with_dot_options(reference_line=float("nan")))
+    assert info.value.path == "columns[2].options.reference_line"
+
+
+def _dot_panels(scene):
+    return [p for p in scene.panels if p.kind == "dot"]
+
+
+def test_reference_line_outside_data_widens_dot_scale(square_atlas, table51):
+    lo, hi = 200 - 3 * 50, 200  # table51's values
+    scene = compose(_with_dot_options(reference_line=-100), table51,
+                    square_atlas)
+    domain = _dot_panels(scene)[0].x_domain
+    assert domain[0] <= -100 and domain[1] >= hi
+    check_shared_scales(scene)
+    high = compose(_with_dot_options(reference_line=1e4), table51,
+                   square_atlas)
+    assert _dot_panels(high)[0].x_domain[0] <= lo
+    assert _dot_panels(high)[0].x_domain[1] >= 1e4
+
+
+def test_reference_line_inside_data_keeps_scale(square_atlas, table51):
+    plain = compose(minimal_spec(), table51, square_atlas)
+    inside = compose(_with_dot_options(reference_line=100), table51,
+                     square_atlas)
+    assert _dot_panels(inside)[0].x_domain == _dot_panels(plain)[0].x_domain
+    assert _dot_panels(inside)[0].x_ticks == _dot_panels(plain)[0].x_ticks
+

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from micromaps.errors import BadGeometry
 from micromaps.scene import (
@@ -17,7 +20,7 @@ from micromaps.scene import (
     Style,
     Text,
 )
-from micromaps.svg import SvgOptions, emit_svg
+from micromaps.svg import SvgOptions, _escape, _escape_attr, emit_svg
 
 ATTR = re.compile(r'([a-zA-Z-]+)="')
 
@@ -194,3 +197,54 @@ def test_determinism_byte_for_byte():
     b = emit_svg(Scene(50.0, 50.0, shapes))
     assert a == b
     assert a.encode() == b.encode()
+
+
+# Every character XML 1.0 cannot hold, one of each kind, next to the ones it
+# can hold but that need escaping or that parsers normalize.
+FORBIDDEN = "\x00\x01\x08\x0b\x0c\x0e\x1f\ud800\udfff\ufffe\uffff"
+TRICKY = FORBIDDEN + "&<>\"'\t\n\r]]>"
+_text = st.text(st.one_of(st.characters(), st.sampled_from(TRICKY)))
+
+
+def xml_chars(text: str) -> str:
+    """The characters of ``text`` that the XML 1.0 Char production allows."""
+    return "".join(c for c in text if ord(c) in (0x9, 0xA, 0xD)
+                   or 0x20 <= ord(c) <= 0xD7FF or 0xE000 <= ord(c) <= 0xFFFD
+                   or ord(c) >= 0x10000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_text)
+@example("a\x01b\x0bc & <d> \"e\"")
+@example("\ud83d")  # a lone high surrogate
+def test_escape_matches_saxutils_on_xml_characters(text):
+    kept = xml_chars(text)
+    assert _escape(text) == escape(kept)
+    assert _escape_attr(text) == escape(kept, {'"': "&quot;"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_text)
+@example(FORBIDDEN)
+def test_any_text_content_parses_back(text):
+    svg = emit_svg(Scene(10.0, 10.0, (Text(1, 2, text),)),
+                   SvgOptions(embed_title=True, title=text))
+    root = ET.fromstring(svg)
+    # A parser reads CR and CRLF as LF; nothing else may change.
+    expected = xml_chars(text).replace("\r\n", "\n").replace("\r", "\n")
+    for element in root:
+        assert (element.text or "") == expected
+
+
+def test_forbidden_characters_dropped_from_title_and_style():
+    style = Style(fill="#AB\x01CDEF", stroke="\x0b#000000\udc80",
+                  anchor="mid\x1fdle")
+    scene = Scene(10.0, 10.0, (Rect(0, 0, 1, 1, style), Text(1, 2, "t", style)))
+    svg = emit_svg(scene, SvgOptions(embed_title=True,
+                                     title="Rates\x01 \x0b2022\uffff"))
+    root = ET.fromstring(svg)
+    title, rect, text = root
+    assert title.text == "Rates 2022"
+    assert rect.get("fill") == "#ABCDEF" and rect.get("stroke") == "#000000"
+    assert text.get("text-anchor") == "middle"
+    assert svg.encode("utf-8")  # no lone surrogate is left to encode

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from micromaps.table import (
     scalar_values,
     validate_regions,
     with_scalar_column,
+    with_series_column,
     write_table,
 )
 
@@ -75,9 +78,30 @@ def test_parse_number_forms():
     assert parse_number("") is None
     assert parse_number("NA") is None
     assert parse_number(" 12 ") == 12.0
-    for bad in ("abc", "1,23", "1.2.3", "12e3", "--4"):
+    assert parse_number("9" * 300) == float("9" * 300)
+    for bad in ("abc", "1,23", "1.2.3", "12e3", "--4", "9" * 400,
+                "-" + "9" * 400):
         with pytest.raises(ValueError):
             parse_number(bad)
+
+
+def test_parse_table_names_overflowing_cell():
+    with pytest.raises(CellParse) as info:
+        parse_table("state,a,b\nUT,1,2\nID,3," + "9" * 400 + "\n", "state")
+    assert (info.value.row, info.value.column) == ("ID", "b")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_rejects_non_finite_cells(bad):
+    with pytest.raises(CellParse) as info:
+        make_table({"UT": 1.0, "ID": bad})
+    assert (info.value.row, info.value.column) == ("ID", "v")
+    with pytest.raises(CellParse):
+        with_scalar_column(make_table({"UT": 1.0}), "w", {"UT": bad})
+    with pytest.raises(CellParse) as info:
+        with_series_column(make_table({"UT": 1.0}), "s", ["2020", "2021"],
+                           {"UT": [None, bad]})
+    assert (info.value.row, info.value.column) == ("UT", "s:2021")
 
 
 def test_parse_quoted_fields_and_crlf():
