@@ -13,9 +13,10 @@ minimap strokes, glyph marks, axes, text.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
 from dataclasses import dataclass, field
+from typing import Any
 
 from . import colors
 from .atlas import (
@@ -27,7 +28,7 @@ from .atlas import (
     render_minimap,
 )
 from .colors import DEFAULT_PALETTE, Palette
-from .errors import DomainOverflow, SpecError
+from .errors import DomainOverflow, SpecError, UnknownKey
 from .glyphs import (
     GlyphShapes,
     PanelFrame,
@@ -39,7 +40,7 @@ from .glyphs import (
     render_scatter,
     render_timeseries,
 )
-from .layout import LinkedLayout, SortSpec, build_layout
+from .layout import ASCENDING, DESCENDING, LinkedLayout, SortSpec, build_layout
 from .regions import BY_CODE
 from .scale import Scale, format_tick, linear_scale, thin_labels
 from .scene import Line, PanelInfo, Rect, Scene, Shape, Style, Text, clamp_scene
@@ -112,40 +113,95 @@ class ChartSpec:
     palette: Palette = DEFAULT_PALETTE
 
 
-def _number_option(column: ColumnSpec, key: str, path: str) -> float | None:
-    """A numeric column option, or None when it is absent."""
-    value = column.options.get(key)
-    if value is None:
-        return None
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise SpecError(f"{path}.options.{key}",
-                        f"must be a finite number, got {value!r}")
-    return float(value)
+_NOUNS = {str: "a string", int: "an integer", float: "a number",
+          tuple: "a tuple", dict: "an object", list: "an array"}
+_OPTION_KEYS = ("weight", "reference_line", "name_style", "target_ticks")
+
+
+def expect(value: Any, kind: type, path: str) -> Any:
+    """Return ``value`` if it is a ``kind``, else raise SpecError at ``path``.
+
+    A bool is never accepted; for ``float`` an int is accepted too.
+    """
+    types = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SpecError(path, f"expected {_NOUNS[kind]}, "
+                              f"got {type(value).__name__}")
+    return value
+
+
+def _one_of(value: object, choices: tuple[str, ...], path: str) -> None:
+    if expect(value, str, path) not in choices:
+        raise SpecError(path, f"must be one of {', '.join(choices)}; "
+                              f"got {value!r}")
+
+
+def _finite(value: object, path: str) -> float:
+    number = expect(value, float, path)
+    # Also false for NaN and for an int too large to become a float.
+    if not abs(number) <= sys.float_info.max:
+        raise SpecError(path, f"must be a finite number, got {value!r}")
+    return number
+
+
+def _validate_options(value: object, path: str) -> None:
+    options = expect(value, dict, path)
+    for key in options:
+        if key not in _OPTION_KEYS:
+            raise UnknownKey(f"{path}.{key}")
+    if "weight" in options:
+        if _finite(options["weight"], f"{path}.weight") <= 0:
+            raise SpecError(f"{path}.weight", "must be positive")
+    if "reference_line" in options:
+        _finite(options["reference_line"], f"{path}.reference_line")
+    if "name_style" in options:
+        _one_of(options["name_style"], ("full", "abbrev"), f"{path}.name_style")
+    if "target_ticks" in options:
+        ticks = expect(options["target_ticks"], int, f"{path}.target_ticks")
+        if not 1 <= ticks <= 12:
+            raise SpecError(f"{path}.target_ticks", "must be in 1..12")
 
 
 def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
-    """Check chart anatomy, and bindings against the table when given.
+    """Check every field of the spec, and bindings against the table when given.
 
-    Raises SpecError with the path of the offending column or option; a sort
-    column that is not displayed by any glyph is only a warning.
+    This is the one place chart specs are checked: parse_config maps JSON
+    onto a ChartSpec and calls it too. Raises SpecError (UnknownKey for an
+    option key) with the config path of the offending value; a sort column
+    that is not displayed by any glyph is only a warning.
     """
+    expect(spec.title, str, "title")
+    expect(spec.sort.column, str, "sort.column")
+    _one_of(spec.sort.direction, (ASCENDING, DESCENDING), "sort.direction")
+    slots = expect(spec.palette.slots, tuple, "palette.slots")
+    if len(slots) != 5:
+        raise SpecError("palette.slots", "exactly five slot colors")
+    for i, color in enumerate(slots):
+        expect(color, str, f"palette.slots[{i}]")
+    expect(spec.palette.median, str, "palette.median")
+    expect(spec.palette.no_data, str, "palette.no_data")
+    if expect(spec.group_size, int, "group_size") < 1:
+        raise SpecError("group_size", "must be >= 1")
+    if spec.group_size > len(slots):
+        raise SpecError("group_size", f"must be <= {len(slots)}, "
+                                      "the number of palette slot colors")
+    _one_of(spec.map_mode, (GROUP_ONLY, CUMULATIVE), "map_mode")
+    for name in ("width", "height"):
+        if _finite(getattr(spec, name), f"output.{name}") <= 0:
+            raise SpecError(f"output.{name}", "must be positive")
     if not spec.columns:
         raise SpecError("columns", "chart needs at least one column")
-    if spec.group_size < 1:
-        raise SpecError("group_size", "must be >= 1")
-    if spec.group_size > len(spec.palette.slots):
-        raise SpecError("group_size", f"must be <= {len(spec.palette.slots)}, "
-                                      "the number of palette slot colors")
-    if spec.map_mode not in (GROUP_ONLY, CUMULATIVE):
-        raise SpecError("map_mode", f"bad mode {spec.map_mode!r}")
     kinds = [c.kind for c in spec.columns]
     for i, column in enumerate(spec.columns):
         path = f"columns[{i}]"
         if column.kind not in COLUMN_KINDS:
             raise SpecError(path, f"unknown column kind {column.kind!r}")
-        if len(column.header) > 2:
+        if len(expect(column.header, tuple, f"{path}.header")) > 2:
             raise SpecError(f"{path}.header", "at most two header lines")
+        for j, line in enumerate(column.header):
+            expect(line, str, f"{path}.header[{j}]")
+        for key, ref in expect(column.bindings, dict, f"{path}.bindings").items():
+            expect(ref, str, f"{path}.bindings.{key}")
         required = REQUIRED_BINDINGS[column.kind]
         for key in required:
             if key not in column.bindings:
@@ -153,10 +209,7 @@ def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
         for key in column.bindings:
             if key not in required:
                 raise SpecError(f"{path}.bindings", f"unexpected binding {key!r}")
-        weight = _number_option(column, "weight", path)
-        if weight is not None and weight <= 0:
-            raise SpecError(f"{path}.options.weight", "must be positive")
-        _number_option(column, "reference_line", path)
+        _validate_options(column.options, f"{path}.options")
     if kinds.count(MAP) != 1:
         raise SpecError("columns", "chart needs exactly one map column")
     if kinds.count(LEGEND) != 1:
@@ -346,7 +399,7 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
         return _ColumnPlan(column, index, x, width)
     pad = width * SCALE_PAD_F
     x_range = (x + pad, x + width - pad)
-    ticks = int(column.options.get("target_ticks", 5))
+    ticks = column.options.get("target_ticks", 5)
     if column.kind == TIMESERIES:
         series_col = resolve_ref(table, column.bindings["series"]).column
         n = len(series_col.periods)
@@ -562,7 +615,7 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
                                         rows=tuple((r.region, r.y)
                                                    for r in frame.rows)))
             elif plan.spec.kind == LEGEND:
-                name_style = str(plan.spec.options.get("name_style", "full"))
+                name_style = plan.spec.options.get("name_style", "full")
                 shapes = render_legend_column(name_style, frame)
                 layers.add_glyph(shapes)
                 panels.append(PanelInfo(plan.index, LEGEND, band.group_index,

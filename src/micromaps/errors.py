@@ -83,7 +83,11 @@ class SeriesMismatch(MicromapError):
 # --- chart assembly ----------------------------------------------------------
 
 class SpecError(MicromapError):
-    """A chart spec does not match the table it was applied to."""
+    """A chart spec or config value is invalid, or does not match the table.
+
+    ``path`` is the config path of the offending value, for specs built
+    through the Python API too.
+    """
 
     def __init__(self, path: str, detail: str):
         self.path = path
@@ -117,12 +121,8 @@ class UnknownKey(MicromapError):
         super().__init__(f"unknown key: {path}")
 
 
-class BadValue(MicromapError):
-    """A config value has the wrong type or is outside its enum."""
-
-    def __init__(self, path: str, detail: str):
-        self.path = path
-        super().__init__(f"{path}: {detail}")
+# A config value with the wrong type, range or enum value is a SpecError.
+BadValue = SpecError
 
 
 class SnapshotError(MicromapError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptySort
+from .errors import EmptySort, SpecError
 from .table import RegionTable, scalar_values
 
 ASCENDING = "ascending"
@@ -73,7 +73,8 @@ def order_regions(table: RegionTable, spec: SortSpec) -> tuple[list[str], list[s
     returned separately in code order.
     """
     if spec.direction not in (ASCENDING, DESCENDING):
-        raise ValueError(f"bad direction {spec.direction!r}")
+        raise SpecError("sort.direction", f"must be one of {ASCENDING}, "
+                                          f"{DESCENDING}; got {spec.direction!r}")
     values = scalar_values(table, spec.column)
     ranked_codes = [c for c in sorted(values) if values[c] is not None]
     unranked = [c for c in sorted(values) if values[c] is None]

@@ -64,8 +64,10 @@ def nice_step(raw: float) -> float:
 
 def _ticks_within(lo: float, hi: float, step: float) -> tuple[float, ...]:
     # The index tolerance keeps endpoints that sit on the grid despite float
-    # noise; clamping then pins such ticks exactly onto the domain bound.
-    eps = step * 1e-9
+    # noise; clamping then pins such ticks exactly onto the domain bound. On
+    # a domain far from zero, step*1e-9 is below one ulp, so a few ulps of
+    # the domain's magnitude set the floor.
+    eps = max(step * 1e-9, 4 * math.ulp(max(abs(lo), abs(hi))))
     i0 = math.ceil((lo - eps) / step)
     i1 = math.floor((hi + eps) / step)
     return tuple(min(max(i * step, lo), hi) for i in range(i0, i1 + 1))

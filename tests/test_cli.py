@@ -189,6 +189,21 @@ def test_bad_weight_message_and_exit_code(workspace, capsys, weight):
         "micromaps: error: columns[2].options.weight: must be positive\n")
 
 
+@pytest.mark.parametrize("column,message", [
+    ({"options": {"target_ticks": 0}},
+     "columns[2].options.target_ticks: must be in 1..12"),
+    ({"kind": "pie"}, "columns[2]: unknown column kind 'pie'"),
+])
+def test_spec_rule_message_and_exit_code(workspace, capsys, column, message):
+    """Rules on the spec come from validate_spec, with the config's path."""
+    bad = dict(CONFIG, columns=CONFIG["columns"][:2] + [
+        {**CONFIG["columns"][2], **column}])
+    (workspace / "bad.json").write_text(json.dumps(bad))
+    assert run(["render", "--config", "bad.json"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"micromaps: error: {message}\n"
+    assert not (workspace / "chart.svg").exists()
+
+
 def test_control_characters_give_well_formed_svg(workspace):
     odd = dict(CONFIG, title="Rates\x01 2022\x0b",
                columns=CONFIG["columns"][:2] + [

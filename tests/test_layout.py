@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micromaps.errors import EmptySort, MissingColumn
+from micromaps.errors import EmptySort, MissingColumn, SpecError
 from micromaps.layout import (
     ASCENDING,
     DESCENDING,
@@ -64,6 +64,13 @@ def test_order_all_missing():
 def test_order_missing_column():
     with pytest.raises(MissingColumn):
         order_regions(make_table({"UT": 1.0}), SortSpec("nope"))
+
+
+def test_bad_direction_is_spec_error(table51):
+    for direction in ("sideways", 7):
+        with pytest.raises(SpecError) as err:
+            build_layout(table51, SortSpec("v", direction))
+        assert err.value.path == "sort.direction"
 
 
 def test_partition_51_regions():

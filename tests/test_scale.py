@@ -141,6 +141,23 @@ def test_ticks_match_grid_oracle(lo, span):
     assert set(required) <= set(scale.ticks) <= set(required) | set(optional)
 
 
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(-10**7, 10**7), exp=st.integers(-3, 3),
+       mantissa=st.sampled_from((1.0, 2.0, 5.0)), steps=st.integers(1, 12))
+# step*1e-9 is below one ulp of 66647.9: a tolerance of step*1e-9 alone
+# dropped the start tick -66647.9 = -13329580 * 0.005.
+@example(index=-13329580, exp=-3, mantissa=5.0, steps=6)
+def test_on_grid_endpoints_are_ticks(index, exp, mantissa, steps):
+    grid = mantissa * 10.0 ** exp
+    lo, hi = index * grid, (index + steps) * grid
+    assume(lo < hi)
+    scale = linear_scale((lo, hi), (0.0, 1.0))
+    step = nice_step((hi - lo) / 5)
+    for end in (lo, hi):
+        if round(end / step) * step == end:
+            assert end in scale.ticks
+
+
 def test_format_tick():
     assert format_tick(0.0) == "0"
     assert format_tick(-0.0) == "0"
