@@ -4,7 +4,6 @@ The pipeline: CSV -> RegionTable -> LinkedLayout -> Scene -> SVG. See the
 README for the chart anatomy and the CLI entry points.
 """
 
-from .altcharts import ClassBreaks, render_barchart_alpha, render_choropleth
 from .atlas import Atlas, MiniMapStyle, load_atlas, load_default_atlas, render_minimap
 from .colors import DEFAULT_PALETTE, Palette
 from .compose import ChartSpec, ColumnSpec, compose, render_legend_column
@@ -72,3 +71,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    # The comparison baselines load on first use; a chart render needs none.
+    if name in ("ClassBreaks", "render_barchart_alpha", "render_choropleth"):
+        from . import altcharts
+        return getattr(altcharts, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,8 +7,6 @@ fetched at runtime: the source pages serve interactive tables whose formats
 drift, and reproducible figures need frozen inputs.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import os

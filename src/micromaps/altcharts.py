@@ -6,10 +6,8 @@ spreadsheet default drops half the labels); the choropleth gets an explicit
 interval legend because color alone does not communicate values.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import colors
 from .atlas import Atlas
@@ -17,24 +15,35 @@ from .errors import BadBreaks
 from .scale import format_tick, linear_scale
 from .scene import Line, Polygon, Rect, Scene, Shape, Style, Text, clamp_scene
 from .table import RegionTable, column_extent, scalar_values
+from .values import value_type
 
 
-@dataclass(frozen=True)
-class ClassBreaks:
+class _BreaksFields(NamedTuple):
+    boundaries: tuple[float, ...]
+    colors: tuple[str, ...]
+
+
+@value_type
+class ClassBreaks(_BreaksFields):
     """K classes over the data extent: k-1 boundaries, k colors.
 
     Intervals are half-open [lo, hi): a value exactly on a boundary belongs
     to the upper class.
     """
 
-    boundaries: tuple[float, ...]
-    colors: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.colors) != len(self.boundaries) + 1:
+    def __new__(cls, boundaries: tuple[float, ...],
+                colors: tuple[str, ...]) -> "ClassBreaks":
+        if len(colors) != len(boundaries) + 1:
             raise BadBreaks("need exactly one more color than boundaries")
-        if any(b2 <= b1 for b1, b2 in zip(self.boundaries, self.boundaries[1:])):
-            raise BadBreaks(f"boundaries not increasing: {self.boundaries}")
+        if any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
+            raise BadBreaks(f"boundaries not increasing: {boundaries}")
+        return super().__new__(cls, boundaries, colors)
+
+    @classmethod
+    def _make(cls, fields) -> "ClassBreaks":  # _replace checks them too
+        return cls(*fields)
 
     def class_index(self, value: float) -> int:
         return bisect_right(self.boundaries, value)

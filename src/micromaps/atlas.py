@@ -13,11 +13,9 @@ conventional Alaska/Hawaii insets and an enlarged offshore square for
 Washington, DC, which is invisible at true scale.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from . import colors
 from .colors import Palette
@@ -26,6 +24,7 @@ from .glyphs import PanelFrame
 from .layout import LinkedLayout
 from .regions import ALL_CODES, region_lookup
 from .scene import Polygon, Shape, Style
+from .values import value_type
 
 Ring = tuple[tuple[float, float], ...]
 
@@ -36,14 +35,14 @@ CUMULATIVE = "cumulative"
 NO_DATA_PANEL = -1
 
 
-@dataclass(frozen=True)
-class Atlas:
+@value_type
+class Atlas(NamedTuple):
     regions: dict[str, tuple[Ring, ...]]
     bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
 
-@dataclass(frozen=True)
-class MiniMapStyle:
+@value_type
+class MiniMapStyle(NamedTuple):
     mode: str = GROUP_ONLY
     palette: Palette = colors.DEFAULT_PALETTE
     context_fill: str = colors.CONTEXT_FILL
@@ -52,12 +51,14 @@ class MiniMapStyle:
     stroke_width: float = 0.4
 
 
-@dataclass
 class MinimapShapes:
     """Fill polygons and border strokes, kept apart for paint ordering."""
 
-    fills: list[Shape] = field(default_factory=list)
-    strokes: list[Shape] = field(default_factory=list)
+    __slots__ = ("fills", "strokes")
+
+    def __init__(self) -> None:
+        self.fills: list[Shape] = []
+        self.strokes: list[Shape] = []
 
 
 def _parse_ring(raw: object, code: str) -> Ring:

@@ -9,8 +9,6 @@ the color check indexes shapes by their region tags once, then finds each
 panel's marks among its member regions' shapes by position.
 """
 
-from __future__ import annotations
-
 from collections import defaultdict
 
 from .errors import MicromapError

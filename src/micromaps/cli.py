@@ -9,8 +9,6 @@ Exit codes: 0 success, 1 validation error, 2 I/O error. Diagnostics go to
 stderr; stdout carries only progress lines (suppressed by --quiet).
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from pathlib import Path
@@ -69,14 +67,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _read_text(path: Path) -> str:
-    return path.read_text("utf-8")
-
-
-def _load_config(config_path: str) -> RenderConfig:
-    return parse_config(_read_text(Path(config_path)))
-
-
 def _load_table(config: RenderConfig, config_path: str,
                 data_override: str | None) -> RegionTable:
     if data_override is not None:
@@ -85,10 +75,26 @@ def _load_table(config: RenderConfig, config_path: str,
         data_path = Path(config.data_path)
         if not data_path.is_absolute():
             data_path = Path(config_path).resolve().parent / data_path
-    table = parse_table(_read_text(data_path), config.region_column)
+    table = parse_table(data_path.read_text("utf-8"), config.region_column)
     for binding in config.series:
         table = bind_series(table, list(binding.columns), binding.name)
     return table
+
+
+def _load(args: argparse.Namespace) -> tuple[RenderConfig, RegionTable] | int:
+    """The config and its data table, or an exit code once reported."""
+    try:
+        config = parse_config(Path(args.config).read_text("utf-8"))
+    except OSError as exc:
+        return _fail(f"cannot read config: {exc}", EXIT_IO)
+    except MicromapError as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
+    try:
+        return config, _load_table(config, args.config, args.data)
+    except OSError as exc:
+        return _fail(f"cannot read data: {exc}", EXIT_IO)
+    except MicromapError as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
 
 
 def _write_svg(text: str, out_path: Path, quiet: bool) -> None:
@@ -98,18 +104,10 @@ def _write_svg(text: str, out_path: Path, quiet: bool) -> None:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-    except OSError as exc:
-        return _fail(f"cannot read config: {exc}", EXIT_IO)
-    except MicromapError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    try:
-        table = _load_table(config, args.config, args.data)
-    except OSError as exc:
-        return _fail(f"cannot read data: {exc}", EXIT_IO)
-    except MicromapError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    loaded = _load(args)
+    if isinstance(loaded, int):
+        return loaded
+    config, table = loaded
     try:
         scene = compose(config.spec, table, load_default_atlas())
         text = emit_svg(scene, SvgOptions(decimal_places=config.decimal_places,
@@ -150,18 +148,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-    except OSError as exc:
-        return _fail(f"cannot read config: {exc}", EXIT_IO)
-    except MicromapError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    try:
-        table = _load_table(config, args.config, args.data)
-    except OSError as exc:
-        return _fail(f"cannot read data: {exc}", EXIT_IO)
-    except MicromapError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    loaded = _load(args)
+    if isinstance(loaded, int):
+        return loaded
+    config, table = loaded
     try:
         validate_spec(config.spec, table)
         build_layout(table, config.spec.sort, config.spec.group_size)

@@ -4,11 +4,10 @@ Slot colors follow the Okabe-Ito colorblind-safe set; the median region is
 always drawn in black so it reads as the pivot of the sort.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .layout import MEDIAN_SLOT
+from .values import value_type
 
 SLOT_COLORS = ("#D55E00", "#0072B2", "#009E73", "#CC79A7", "#E69F00")
 MEDIAN_COLOR = "#000000"
@@ -28,8 +27,8 @@ SEQUENTIAL_RAMP = (
 )
 
 
-@dataclass(frozen=True)
-class Palette:
+@value_type
+class Palette(NamedTuple):
     """The five linked slot colors plus the median and no-data colors."""
 
     slots: tuple[str, str, str, str, str] = SLOT_COLORS

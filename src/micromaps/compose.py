@@ -7,16 +7,13 @@ math, so a region's row lines up exactly across the whole chart, and every
 glyph column builds a single scale reused by all of its panels, so axes are
 identical top to bottom.
 
-Paint order is fixed for stable output: background, guides, minimap fills,
-minimap strokes, glyph marks, axes, text.
+Paint order is fixed for stable output: guides, minimap fills, minimap
+strokes, glyph marks, axes, text.
 """
-
-from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import colors
 from .atlas import (
@@ -51,6 +48,7 @@ from .table import (
     resolve_ref,
     scalar_values,
 )
+from .values import value_type
 
 MAP = "map"
 LEGEND = "legend"
@@ -93,16 +91,30 @@ MEDIAN_BAND_ROWS = 1.6
 NO_DATA_GAP_GUTTERS = 2.5
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
+class _ColumnFields(NamedTuple):
     kind: str
-    header: tuple[str, ...] = ()
-    bindings: dict[str, str] = field(default_factory=dict)
-    options: dict[str, object] = field(default_factory=dict)
+    header: tuple[str, ...]
+    bindings: dict[str, str]
+    options: dict[str, object]
 
 
-@dataclass(frozen=True)
-class ChartSpec:
+_NEW_DICT: Any = object()  # default: a new dict per ColumnSpec
+
+
+@value_type
+class ColumnSpec(_ColumnFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, header: tuple[str, ...] = (),
+                bindings: dict[str, str] = _NEW_DICT,
+                options: dict[str, object] = _NEW_DICT) -> "ColumnSpec":
+        return super().__new__(cls, kind, header,
+                               {} if bindings is _NEW_DICT else bindings,
+                               {} if options is _NEW_DICT else options)
+
+
+@value_type
+class ChartSpec(NamedTuple):
     title: str
     sort: SortSpec
     columns: tuple[ColumnSpec, ...]
@@ -114,17 +126,21 @@ class ChartSpec:
 
 
 _NOUNS = {str: "a string", int: "an integer", float: "a number",
-          tuple: "a tuple", dict: "an object", list: "an array"}
+          tuple: "a tuple", dict: "an object", list: "an array",
+          SortSpec: "a SortSpec", Palette: "a Palette",
+          ColumnSpec: "a ColumnSpec"}
 _OPTION_KEYS = ("weight", "reference_line", "name_style", "target_ticks")
 
 
 def expect(value: Any, kind: type, path: str) -> Any:
     """Return ``value`` if it is a ``kind``, else raise SpecError at ``path``.
 
-    A bool is never accepted; for ``float`` an int is accepted too.
+    A bool is never accepted; for ``float`` an int is accepted too. A
+    ``tuple`` must be a plain tuple, not a value type such as SortSpec.
     """
     types = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, types):
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or kind is tuple and type(value) is not tuple):
         raise SpecError(path, f"expected {_NOUNS[kind]}, "
                               f"got {type(value).__name__}")
     return value
@@ -171,8 +187,10 @@ def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
     that is not displayed by any glyph is only a warning.
     """
     expect(spec.title, str, "title")
+    expect(spec.sort, SortSpec, "sort")
     expect(spec.sort.column, str, "sort.column")
     _one_of(spec.sort.direction, (ASCENDING, DESCENDING), "sort.direction")
+    expect(spec.palette, Palette, "palette")
     slots = expect(spec.palette.slots, tuple, "palette.slots")
     if len(slots) != 5:
         raise SpecError("palette.slots", "exactly five slot colors")
@@ -191,10 +209,9 @@ def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
             raise SpecError(f"output.{name}", "must be positive")
     if not spec.columns:
         raise SpecError("columns", "chart needs at least one column")
-    kinds = [c.kind for c in spec.columns]
     for i, column in enumerate(spec.columns):
         path = f"columns[{i}]"
-        if column.kind not in COLUMN_KINDS:
+        if expect(column, ColumnSpec, path).kind not in COLUMN_KINDS:
             raise SpecError(path, f"unknown column kind {column.kind!r}")
         if len(expect(column.header, tuple, f"{path}.header")) > 2:
             raise SpecError(f"{path}.header", "at most two header lines")
@@ -210,6 +227,7 @@ def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
             if key not in required:
                 raise SpecError(f"{path}.bindings", f"unexpected binding {key!r}")
         _validate_options(column.options, f"{path}.options")
+    kinds = [c.kind for c in spec.columns]
     if kinds.count(MAP) != 1:
         raise SpecError("columns", "chart needs exactly one map column")
     if kinds.count(LEGEND) != 1:
@@ -247,8 +265,7 @@ def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
                       "glyph column", stacklevel=2)
 
 
-@dataclass(frozen=True)
-class _Band:
+class _Band(NamedTuple):
     group_index: int  # NO_DATA_PANEL for the trailing block
     is_median: bool
     y: float
@@ -256,18 +273,19 @@ class _Band:
     rows: tuple[RowBand, ...]
 
 
-@dataclass
 class _Layers:
-    background: list[Shape] = field(default_factory=list)
-    guides: list[Shape] = field(default_factory=list)
-    map_fills: list[Shape] = field(default_factory=list)
-    map_strokes: list[Shape] = field(default_factory=list)
-    marks: list[Shape] = field(default_factory=list)
-    axes: list[Shape] = field(default_factory=list)
-    text: list[Shape] = field(default_factory=list)
+    __slots__ = ("guides", "map_fills", "map_strokes", "marks", "axes", "text")
+
+    def __init__(self) -> None:
+        self.guides: list[Shape] = []
+        self.map_fills: list[Shape] = []
+        self.map_strokes: list[Shape] = []
+        self.marks: list[Shape] = []
+        self.axes: list[Shape] = []
+        self.text: list[Shape] = []
 
     def flatten(self) -> tuple[Shape, ...]:
-        return tuple(self.background + self.guides + self.map_fills
+        return tuple(self.guides + self.map_fills
                      + self.map_strokes + self.marks + self.axes + self.text)
 
     def add_glyph(self, shapes: GlyphShapes) -> None:
@@ -345,8 +363,7 @@ def render_legend_column(name_style: str, frame: PanelFrame) -> GlyphShapes:
     return out
 
 
-@dataclass(frozen=True)
-class _ColumnPlan:
+class _ColumnPlan(NamedTuple):
     spec: ColumnSpec
     index: int
     x: float
@@ -455,12 +472,12 @@ def _samples_by_region(table: RegionTable, series_name: str,
 
 def _render_glyph_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
                         table: RegionTable, layout: LinkedLayout,
-                        ) -> tuple[GlyphShapes, PanelInfo]:
+                        ) -> tuple[GlyphShapes, dict[str, object]]:
+    """The panel's shapes and its PanelInfo axis fields."""
     column = plan.spec
-    info_kwargs: dict[str, object] = {}
     assert plan.x_scale is not None
-    info_kwargs["x_domain"] = plan.x_scale.domain
-    info_kwargs["x_ticks"] = plan.x_scale.ticks
+    axes: dict[str, object] = {"x_domain": plan.x_scale.domain,
+                               "x_ticks": plan.x_scale.ticks}
 
     if column.kind == DOT:
         ref = column.options.get("reference_line")
@@ -482,10 +499,10 @@ def _render_glyph_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
                   for row in frame.rows}
         shapes = render_timeseries(series, plan.periods, plan.x_scale, y_scale,
                                    frame)
-        info_kwargs["x_ticks"] = tuple(float(i) for i in
-                                       thin_labels(len(plan.periods)))
-        info_kwargs["y_domain"] = y_scale.domain
-        info_kwargs["y_ticks"] = y_scale.ticks
+        axes["x_ticks"] = tuple(float(i) for i in
+                                thin_labels(len(plan.periods)))
+        axes["y_domain"] = y_scale.domain
+        axes["y_ticks"] = y_scale.ticks
     elif column.kind == SCATTER:
         y_scale = _band_y_scale(plan, band)
         xs = scalar_values(table, column.bindings["x"])
@@ -493,20 +510,15 @@ def _render_glyph_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
         points = {code: (xs.get(code), ys.get(code)) for code in table.rows}
         shapes = render_scatter(points, plan.x_scale, y_scale, frame,
                                 context=layout.ranked)
-        info_kwargs["y_domain"] = y_scale.domain
-        info_kwargs["y_ticks"] = y_scale.ticks
+        axes["y_domain"] = y_scale.domain
+        axes["y_ticks"] = y_scale.ticks
     elif column.kind == BOXPLOT:
         series_name = resolve_ref(table, column.bindings["samples"]).column.name
         shapes = render_boxplot(_samples_by_region(table, series_name),
                                 plan.x_scale, frame)
     else:  # pragma: no cover - guarded by validate_spec
         raise SpecError(f"columns[{plan.index}]", f"bad kind {column.kind!r}")
-
-    info = PanelInfo(plan.index, column.kind, band.group_index, frame.x,
-                     frame.y, frame.width, frame.height, band.is_median,
-                     rows=tuple((r.region, r.y) for r in frame.rows),
-                     **info_kwargs)  # type: ignore[arg-type]
-    return shapes, info
+    return shapes, axes
 
 
 def _axis_shapes(plan: _ColumnPlan, y: float, above: bool,
@@ -604,30 +616,24 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
         for band in bands:
             frame = _with_colors(band, layout, palette, plan.x, plan.width,
                                  row_h)
+            info = PanelInfo(plan.index, plan.spec.kind, band.group_index,
+                             frame.x, frame.y, frame.width, frame.height,
+                             band.is_median,
+                             tuple((r.region, r.y) for r in frame.rows))
             if plan.spec.kind == MAP:
                 shapes = render_minimap(atlas, layout, band.group_index,
                                         map_style, frame)
                 layers.map_fills.extend(shapes.fills)
                 layers.map_strokes.extend(shapes.strokes)
-                panels.append(PanelInfo(plan.index, MAP, band.group_index,
-                                        frame.x, frame.y, frame.width,
-                                        frame.height, band.is_median,
-                                        rows=tuple((r.region, r.y)
-                                                   for r in frame.rows)))
             elif plan.spec.kind == LEGEND:
                 name_style = plan.spec.options.get("name_style", "full")
-                shapes = render_legend_column(name_style, frame)
-                layers.add_glyph(shapes)
-                panels.append(PanelInfo(plan.index, LEGEND, band.group_index,
-                                        frame.x, frame.y, frame.width,
-                                        frame.height, band.is_median,
-                                        rows=tuple((r.region, r.y)
-                                                   for r in frame.rows)))
+                layers.add_glyph(render_legend_column(name_style, frame))
             else:
-                shapes, info = _render_glyph_panel(plan, band, frame, table,
+                shapes, axes = _render_glyph_panel(plan, band, frame, table,
                                                    layout)
                 layers.add_glyph(shapes)
-                panels.append(info)
+                info = info._replace(**axes)
+            panels.append(info)
 
         if plan.spec.kind in GLYPH_KINDS:
             top_y = content_top - 4.0

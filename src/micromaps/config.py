@@ -9,15 +9,14 @@ produce evidence-grade figures, so typos must fail loudly rather than be
 silently ignored.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .colors import Palette
 from .compose import ChartSpec, ColumnSpec, expect, validate_spec
-from .errors import BadValue, ConfigSyntax, UnknownKey
+from .errors import BadValue, ConfigError, ConfigSyntax, UnknownKey
 from .layout import SortSpec
+from .values import value_type
 
 _TOP_KEYS = {"title", "data", "sort", "group_size", "map_mode", "columns",
              "output", "palette"}
@@ -28,14 +27,14 @@ _OUTPUT_KEYS = {"path", "width", "height", "decimal_places"}
 _PALETTE_KEYS = {"slots", "median", "no_data"}
 
 
-@dataclass(frozen=True)
-class SeriesBinding:
+@value_type
+class SeriesBinding(NamedTuple):
     name: str
     columns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RenderConfig:
+@value_type
+class RenderConfig(NamedTuple):
     spec: ChartSpec
     data_path: str
     region_column: str
@@ -86,6 +85,11 @@ def parse_config(document: str) -> RenderConfig:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ConfigSyntax(exc.lineno, exc.colno, exc.msg) from None
+    except ValueError as exc:  # an integer literal past the digit limit
+        detail = str(exc).split(";")[0]  # drop the hint about sys settings
+        raise ConfigError(f"cannot decode config: {detail}") from None
+    except RecursionError:
+        raise ConfigError("cannot decode config: nested too deeply") from None
     root = _object(raw, "", _TOP_KEYS)
     _require(root, "title", "")
 

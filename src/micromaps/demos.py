@@ -6,8 +6,6 @@ config-driven charts, and every demo scene must pass the structural
 invariant gate before it is written.
 """
 
-from __future__ import annotations
-
 from pathlib import Path
 
 from .adapters import (

@@ -5,8 +5,6 @@ can catch one base type. Errors that carry structured context expose it as
 attributes in addition to the message.
 """
 
-from __future__ import annotations
-
 
 class MicromapError(Exception):
     """Base class for all errors raised by this package."""
@@ -104,7 +102,11 @@ class BadBreaks(MicromapError):
 
 # --- configuration and data loading ------------------------------------------
 
-class ConfigSyntax(MicromapError):
+class ConfigError(MicromapError):
+    """The config document cannot be decoded."""
+
+
+class ConfigSyntax(ConfigError):
     """The config document is not valid JSON."""
 
     def __init__(self, line: int, col: int, detail: str):

@@ -10,16 +10,14 @@ Renderers never jitter and never invent data: a missing value produces no
 mark and a small "n/a" note where the row-glyph layout allows one.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import colors
 from .errors import EmptySamples, SeriesMismatch
 from .scale import Scale, thin_labels
 from .scene import Circle, Line, Polygon, Polyline, Rect, Shape, Style, Text
+from .values import value_type
 
 ARROW_HEAD_LENGTH = 7.0
 ARROW_HEAD_HALF_WIDTH = 2.8
@@ -31,15 +29,15 @@ TICK_MARK = 3.0
 NA_FONT = 7.5
 
 
-@dataclass(frozen=True)
-class RowBand:
+@value_type
+class RowBand(NamedTuple):
     region: str
     y: float
     color: str
 
 
-@dataclass(frozen=True)
-class PanelFrame:
+@value_type
+class PanelFrame(NamedTuple):
     x: float
     y: float
     width: float
@@ -56,15 +54,17 @@ class PanelFrame:
         return self.y + self.height
 
 
-@dataclass
 class GlyphShapes:
-    guides: list[Shape] = field(default_factory=list)
-    marks: list[Shape] = field(default_factory=list)
-    labels: list[Shape] = field(default_factory=list)
+    __slots__ = ("guides", "marks", "labels")
+
+    def __init__(self, guides: list[Shape] | None = None) -> None:
+        self.guides: list[Shape] = [] if guides is None else guides
+        self.marks: list[Shape] = []
+        self.labels: list[Shape] = []
 
 
-@dataclass(frozen=True)
-class BoxStats:
+@value_type
+class BoxStats(NamedTuple):
     q1: float
     median: float
     q3: float

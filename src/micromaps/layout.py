@@ -8,12 +8,11 @@ slot colors repeat in every group, which is what links a region's map
 shape, legend swatch, and glyph marks across the chart.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptySort, SpecError
 from .table import RegionTable, scalar_values
+from .values import value_type
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
@@ -25,28 +24,25 @@ MEDIAN_SLOT = -1
 NO_DATA_GROUP = -1
 
 
-@dataclass(frozen=True)
-class SortSpec:
+@value_type
+class SortSpec(NamedTuple):
     column: str
     direction: str = DESCENDING
 
 
-@dataclass(frozen=True)
-class GroupPlan:
+@value_type
+class GroupPlan(NamedTuple):
     sizes: tuple[int, ...]
     median_group_index: int | None
 
 
-@dataclass(frozen=True)
-class LinkedLayout:
+@value_type
+class LinkedLayout(NamedTuple):
     ranked: tuple[str, ...]
     unranked: tuple[str, ...]
     plan: GroupPlan
     group_of: dict[str, int]
     slot_of: dict[str, int]
-
-    def n_groups(self) -> int:
-        return len(self.plan.sizes)
 
     def group_members(self, group_index: int) -> tuple[str, ...]:
         start = sum(self.plan.sizes[:group_index])
@@ -108,7 +104,7 @@ def partition_groups(n: int, group_size: int = 5) -> GroupPlan:
     if n <= 0:
         raise EmptySort("cannot partition zero regions")
     if group_size < 1:
-        raise ValueError("group_size must be >= 1")
+        raise SpecError("group_size", "must be >= 1")
     if n % 2 == 1:
         upper = _split_half((n - 1) // 2, group_size)
         sizes = upper + [1] + list(reversed(upper))

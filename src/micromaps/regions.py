@@ -4,15 +4,14 @@ Codes are USPS abbreviations, FIPS codes are the 2-digit Census state codes.
 Lookup is case-insensitive and accepts codes, full names, or FIPS strings.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnknownRegion
+from .values import value_type
 
 
-@dataclass(frozen=True)
-class RegionMeta:
+@value_type
+class RegionMeta(NamedTuple):
     code: str
     name: str
     fips: str

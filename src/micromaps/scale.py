@@ -5,16 +5,15 @@ for all of its panels, so axis ticks and positions are identical down the
 whole chart.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadExtent, DomainOverflow
+from .values import value_type
 
 
-@dataclass(frozen=True)
-class Scale:
+@value_type
+class Scale(NamedTuple):
     domain: tuple[float, float]
     range: tuple[float, float]
     ticks: tuple[float, ...]

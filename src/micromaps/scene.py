@@ -7,14 +7,13 @@ it; tags never reach the output document but let tests trace color linkage
 shape by shape.
 """
 
-from __future__ import annotations
+from typing import NamedTuple, Union
 
-from dataclasses import dataclass, replace
-from typing import Union
+from .values import value_type
 
 
-@dataclass(frozen=True)
-class Style:
+@value_type
+class Style(NamedTuple):
     fill: str | None = None
     stroke: str | None = None
     stroke_width: float | None = None
@@ -23,8 +22,8 @@ class Style:
     anchor: str | None = None
 
 
-@dataclass(frozen=True)
-class Rect:
+@value_type
+class Rect(NamedTuple):
     x: float
     y: float
     width: float
@@ -33,8 +32,8 @@ class Rect:
     tag: str | None = None
 
 
-@dataclass(frozen=True)
-class Circle:
+@value_type
+class Circle(NamedTuple):
     cx: float
     cy: float
     r: float
@@ -42,8 +41,8 @@ class Circle:
     tag: str | None = None
 
 
-@dataclass(frozen=True)
-class Line:
+@value_type
+class Line(NamedTuple):
     x1: float
     y1: float
     x2: float
@@ -52,30 +51,30 @@ class Line:
     tag: str | None = None
 
 
-@dataclass(frozen=True)
-class Polyline:
+@value_type
+class Polyline(NamedTuple):
     points: tuple[tuple[float, float], ...]
     style: Style = Style()
     tag: str | None = None
 
 
-@dataclass(frozen=True)
-class Polygon:
+@value_type
+class Polygon(NamedTuple):
     points: tuple[tuple[float, float], ...]
     style: Style = Style()
     tag: str | None = None
 
 
-@dataclass(frozen=True)
-class Path:
+@value_type
+class Path(NamedTuple):
     # Commands like ("M", x, y), ("L", x, y), ("Z",).
     commands: tuple[tuple, ...]
     style: Style = Style()
     tag: str | None = None
 
 
-@dataclass(frozen=True)
-class Text:
+@value_type
+class Text(NamedTuple):
     x: float
     y: float
     content: str
@@ -86,8 +85,8 @@ class Text:
 Shape = Union[Rect, Circle, Line, Polyline, Polygon, Path, Text]
 
 
-@dataclass(frozen=True)
-class PanelInfo:
+@value_type
+class PanelInfo(NamedTuple):
     """Where one group's panel of one column landed, plus its shared-axis
     record (domains and tick lists in data units) for invariant checks.
     """
@@ -107,8 +106,8 @@ class PanelInfo:
     y_ticks: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class Scene:
+@value_type
+class Scene(NamedTuple):
     width: float
     height: float
     shapes: tuple[Shape, ...]
@@ -132,22 +131,22 @@ def clamp_shape(shape: Shape, width: float, height: float) -> Shape:
         return _clamp(v, 0.0, height)
 
     if isinstance(shape, Rect):
-        return replace(shape, x=cx(shape.x), y=cy(shape.y))
+        return shape._replace(x=cx(shape.x), y=cy(shape.y))
     if isinstance(shape, Circle):
-        return replace(shape, cx=cx(shape.cx), cy=cy(shape.cy))
+        return shape._replace(cx=cx(shape.cx), cy=cy(shape.cy))
     if isinstance(shape, Line):
-        return replace(shape, x1=cx(shape.x1), y1=cy(shape.y1),
-                       x2=cx(shape.x2), y2=cy(shape.y2))
+        return shape._replace(x1=cx(shape.x1), y1=cy(shape.y1),
+                              x2=cx(shape.x2), y2=cy(shape.y2))
     if isinstance(shape, (Polyline, Polygon)):
         pts = tuple((cx(x), cy(y)) for x, y in shape.points)
-        return replace(shape, points=pts)
+        return shape._replace(points=pts)
     if isinstance(shape, Path):
         cmds = tuple((c[0],) + tuple(cx(v) if i % 2 == 0 else cy(v)
                                      for i, v in enumerate(c[1:]))
                      for c in shape.commands)
-        return replace(shape, commands=cmds)
+        return shape._replace(commands=cmds)
     if isinstance(shape, Text):
-        return replace(shape, x=cx(shape.x), y=cy(shape.y))
+        return shape._replace(x=cx(shape.x), y=cy(shape.y))
     raise TypeError(f"not a shape: {shape!r}")
 
 
@@ -192,4 +191,4 @@ def clamp_scene(scene: Scene) -> Scene:
             if clamped is None:
                 clamped = list(scene.shapes)
             clamped[i] = clamp_shape(shape, w, h)
-    return scene if clamped is None else replace(scene, shapes=tuple(clamped))
+    return scene if clamped is None else scene._replace(shapes=tuple(clamped))

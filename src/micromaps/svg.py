@@ -12,13 +12,11 @@ escaped here and lose the characters XML 1.0 forbids, so any string makes a
 well-formed document.
 """
 
-from __future__ import annotations
-
 import math
 import re
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import starmap
+from typing import NamedTuple
 
 from .errors import BadGeometry
 from .scene import (
@@ -33,6 +31,7 @@ from .scene import (
     Style,
     Text,
 )
+from .values import value_type
 
 SVG_NS = "http://www.w3.org/2000/svg"
 FONT_FAMILY = "sans-serif"
@@ -42,8 +41,8 @@ _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _NO_FILL = ' fill="none"'  # a polyline's default
 
 
-@dataclass(frozen=True)
-class SvgOptions:
+@value_type
+class SvgOptions(NamedTuple):
     decimal_places: int = 2
     embed_title: bool = False
     background: str | None = None

@@ -10,15 +10,12 @@ All values are immutable after construction and every operation returns a
 new table, so tables can be shared freely across render jobs.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     CellParse,
@@ -30,27 +27,34 @@ from .errors import (
     SeriesMismatch,
 )
 from .regions import ALL_CODES, region_lookup
+from .values import value_type
 
 SCALAR = "scalar"
 SERIES = "series"
 
 
-@dataclass(frozen=True)
-class Column:
+@value_type
+class Column(NamedTuple):
     name: str
     kind: str = SCALAR
     periods: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RegionTable:
-    """Immutable region-keyed table of scalar and series columns."""
-
+class _TableFields(NamedTuple):
     columns: tuple[Column, ...]
     rows: dict[str, dict[str, object]]
 
-    def __post_init__(self) -> None:
-        for code, row in self.rows.items():
+
+@value_type
+class RegionTable(_TableFields):
+    """Immutable region-keyed table of scalar and series columns."""
+
+    __slots__ = ()
+
+    def __new__(cls, columns: tuple[Column, ...],
+                rows: dict[str, dict[str, object]]) -> "RegionTable":
+        self = super().__new__(cls, columns, rows)
+        for code, row in rows.items():
             for name, value in row.items():
                 if value.__class__ is tuple:
                     for v in value:  # type: ignore[attr-defined]
@@ -61,6 +65,11 @@ class RegionTable:
                                             f"non-finite value {v!r}")
                 elif value is not None and not math.isfinite(value):  # type: ignore[arg-type]
                     raise CellParse(code, name, f"non-finite value {value!r}")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "RegionTable":  # _replace checks cells too
+        return cls(*fields)
 
     def codes(self) -> tuple[str, ...]:
         return tuple(sorted(self.rows))
@@ -87,8 +96,8 @@ class RegionTable:
         return self.rows[code][name]  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+@value_type
+class ValidationReport(NamedTuple):
     missing_regions: tuple[str, ...]
     unknown_keys: tuple[str, ...]
     missing_cells: tuple[tuple[str, str], ...]
@@ -97,8 +106,8 @@ class ValidationReport:
         return not (self.missing_regions or self.unknown_keys or self.missing_cells)
 
 
-@dataclass(frozen=True)
-class ColumnRef:
+@value_type
+class ColumnRef(NamedTuple):
     """A resolved column reference.
 
     References are either a plain column name or "<series>:<period>" naming

@@ -237,3 +237,20 @@ def test_readme_config_example_renders(tmp_path, monkeypatch):
     assert run(["render", "--config", "readme.json", "--quiet"]) == 0
     root = ET.fromstring((tmp_path / "chart.svg").read_text("utf-8"))
     assert root.find("{http://www.w3.org/2000/svg}title").text == config["title"]
+
+
+@pytest.mark.parametrize("value,detail", [
+    pytest.param("1" * 5000, "Exceeds the limit", id="5000-digit-integer"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply",
+                 id="100k-deep-array"),
+])
+def test_undecodable_config_is_validation_error(workspace, capsys, value,
+                                                detail):
+    """Valid JSON syntax that json cannot decode still gets one error line."""
+    document = json.dumps(CONFIG)[:-1] + f', "group_size": {value}}}'
+    (workspace / "bad.json").write_text(document)
+    assert run(["render", "--config", "bad.json"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("micromaps: error: cannot decode config: ")
+    assert detail in err and err.count("\n") == 1
+    assert not (workspace / "bad.svg").exists()

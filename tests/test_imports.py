@@ -2,7 +2,9 @@
 
 The package needs none of the network or e-mail stack, and importing it
 costs tens of milliseconds per run (`xml.sax.saxutils` alone pulls in
-`urllib.request`, `http.client`, `ssl`, `socket` and `email`).
+`urllib.request`, `http.client`, `ssl`, `socket` and `email`). Its value
+types are NamedTuples, so `dataclasses` (which loads `inspect`) is not
+needed either, and the comparison baselines in `altcharts` load on first use.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 UNWANTED = ("xml.sax", "urllib.request", "http.client", "ssl", "email",
-            "socket")
+            "socket", "dataclasses", "inspect", "micromaps.altcharts")
 
 
 def test_cli_import_loads_no_network_or_email_modules():
@@ -23,6 +25,24 @@ def test_cli_import_loads_no_network_or_email_modules():
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     code = ("import sys, micromaps.cli\n"
             f"print(' '.join(m for m in {UNWANTED!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+def test_exports_resolve_after_cli_import():
+    """`compose` stays the function, and the lazily loaded names resolve."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = ("import inspect, micromaps.cli, micromaps\n"
+            "from micromaps import compose, ClassBreaks, render_choropleth\n"
+            "assert inspect.isfunction(compose), compose\n"
+            "assert isinstance(ClassBreaks, type), ClassBreaks\n"
+            "assert inspect.isfunction(render_choropleth)\n"
+            "print(' '.join(n for n in micromaps.__all__\n"
+            "               if not hasattr(micromaps, n)))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

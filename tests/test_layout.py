@@ -73,6 +73,13 @@ def test_bad_direction_is_spec_error(table51):
         assert err.value.path == "sort.direction"
 
 
+def test_group_size_below_one_is_spec_error(table51):
+    for size in (0, -3):
+        with pytest.raises(SpecError) as err:
+            build_layout(table51, SortSpec("v"), size)
+        assert err.value.path == "group_size"
+
+
 def test_partition_51_regions():
     plan = partition_groups(51, 5)
     assert plan.sizes == (5, 5, 5, 5, 5, 1, 5, 5, 5, 5, 5)

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import replace
 
 import pytest
 
-from micromaps.colors import DEFAULT_PALETTE
+from micromaps.colors import DEFAULT_PALETTE, SLOT_COLORS
 from micromaps.compose import ChartSpec, ColumnSpec, compose, validate_spec
 from micromaps.config import parse_config
 from micromaps.errors import BadValue, MicromapError, SpecError, UnknownKey
 from micromaps.layout import SortSpec
+from micromaps.scene import Circle, Style
 
 BASE = {
     "title": "Chart",
@@ -111,6 +111,23 @@ CASES = [
          "columns[1].options.name_style"),
     case(("options", 2), "target_ticks", True, SpecError,
          "columns[2].options.target_ticks"),
+    # A part of the wrong type raised AttributeError in the API.
+    case("top", "sort", "v", SpecError, "sort"),
+    case("top", "palette", "#000", SpecError, "palette",
+         api={"slots": SLOT_COLORS}),
+    case("top", "columns", [{"kind": "map"}, {"kind": "legend"}, "dot"],
+         SpecError, "columns[2]",
+         api=(ColumnSpec("map"), ColumnSpec("legend"),
+              {"kind": "dot", "bindings": {"value": "v"}})),
+    # Value types are tuples, but none is a header or a palette's slots.
+    case(("column", 2), "header", {"column": "v"}, SpecError,
+         "columns[2].header", api=SortSpec("v")),
+    case(("column", 2), "header", {"fill": "#000"}, SpecError,
+         "columns[2].header", api=Style()),
+    case("palette", "slots", {"fill": "#000"}, SpecError, "palette.slots",
+         api=Style()),
+    case("palette", "slots", {"cx": "#1"}, SpecError, "palette.slots",
+         api=Circle(*SLOT_COLORS)),
 ]
 
 
@@ -129,17 +146,17 @@ def json_form(where, key, value) -> str:
 
 def api_form(where, key, value) -> ChartSpec:
     if where in ("top", "output"):
-        return replace(BASE_SPEC, **{key: value})
+        return BASE_SPEC._replace(**{key: value})
     if where == "sort":
-        return replace(BASE_SPEC, sort=replace(BASE_SPEC.sort, **{key: value}))
+        return BASE_SPEC._replace(sort=BASE_SPEC.sort._replace(**{key: value}))
     if where == "palette":
-        return replace(BASE_SPEC,
-                       palette=replace(DEFAULT_PALETTE, **{key: value}))
+        return BASE_SPEC._replace(
+            palette=DEFAULT_PALETTE._replace(**{key: value}))
     columns = list(BASE_SPEC.columns)
     i = where[1]
     change = {key: value} if where[0] == "column" else {"options": {key: value}}
-    columns[i] = replace(columns[i], **change)
-    return replace(BASE_SPEC, columns=tuple(columns))
+    columns[i] = columns[i]._replace(**change)
+    return BASE_SPEC._replace(columns=tuple(columns))
 
 
 def test_base_forms_are_valid(table51, square_atlas):
