@@ -50,6 +50,8 @@ def snapshot_text(name: str, snapshot_dir: Path | str | None = None) -> str:
         raise SnapshotError(name, f"not found in {directory}", missing=True) from None
     except OSError as exc:
         raise SnapshotError(name, str(exc), missing=True) from None
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(name, f"cannot decode: {exc}") from None
 
 
 def _snapshot_table(name: str, snapshot_dir, region_column: str = "state",

@@ -10,7 +10,7 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from . import colors
-from .atlas import Atlas
+from .atlas import Atlas, _place
 from .errors import BadBreaks
 from .scale import format_tick, linear_scale
 from .scene import Line, Polygon, Rect, Scene, Shape, Style, Text, clamp_scene
@@ -152,8 +152,7 @@ def render_choropleth(atlas: Atlas, table: RegionTable, column: str,
         else:
             fill = breaks.colors[breaks.class_index(v)]
         for ring in atlas.regions[code]:
-            pts = tuple((ox + s * (x - xmin), oy + s * (y - ymin))
-                        for x, y in ring)
+            pts = _place(ring, ox, oy, s, xmin, ymin)
             shapes.append(Polygon(pts, Style(fill=fill), tag=f"region:{code}"))
             strokes.append(Polygon(pts, stroke, tag=f"border:{code}"))
     shapes.extend(strokes)

@@ -160,18 +160,38 @@ def load_default_atlas() -> Atlas:
     return load_atlas(document)
 
 
-def _fit_transform(atlas: Atlas, frame: PanelFrame, pad_fraction: float = 0.04,
+def _fit_transform(atlas: Atlas, frame: PanelFrame,
                    ) -> tuple[float, float, float, float, float]:
     """(ox, oy, s, xmin, ymin) that put (x, y) at ox + s*(x - xmin), oy + s*(y - ymin)."""
     xmin, ymin, xmax, ymax = atlas.bounds
-    pad_x = frame.width * pad_fraction
-    pad_y = frame.height * pad_fraction
+    pad_x = frame.width * 0.04
+    pad_y = frame.height * 0.04
     avail_w = frame.width - 2 * pad_x
     avail_h = frame.height - 2 * pad_y
     s = min(avail_w / (xmax - xmin), avail_h / (ymax - ymin))
     ox = frame.x + (frame.width - s * (xmax - xmin)) / 2.0
     oy = frame.y + (frame.height - s * (ymax - ymin)) / 2.0
     return ox, oy, s, xmin, ymin
+
+
+# Placed rings, kept across charts: (id(ring), ox, oy, s, xmin, ymin) ->
+# (ring, placed). Each entry holds its ring, so no other object has that id.
+_PLACED: dict[tuple, tuple[Ring, Ring]] = {}
+_PLACED_CAPACITY = 4096
+
+
+def _place(ring: Ring, ox: float, oy: float, s: float, xmin: float,
+           ymin: float) -> Ring:
+    """The ring at ox + s*(x - xmin), oy + s*(y - ymin); one tuple per fit."""
+    key = (id(ring), ox, oy, s, xmin, ymin)
+    entry = _PLACED.get(key)
+    if entry is None or entry[0] is not ring:
+        placed = tuple([(ox + s * (x - xmin), oy + s * (y - ymin))
+                        for x, y in ring])
+        if len(_PLACED) >= _PLACED_CAPACITY:
+            _PLACED.clear()
+        entry = _PLACED[key] = (ring, placed)
+    return entry[1]
 
 
 def _fill_for(code: str, layout: LinkedLayout, group_index: int,
@@ -215,8 +235,7 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
         fill = Style(fill=_fill_for(code, layout, group_index, style))
         region, border = f"region:{code}", f"border:{code}"
         for ring in atlas.regions[code]:
-            points = tuple([(ox + s * (x - xmin), oy + s * (y - ymin))
-                            for x, y in ring])
+            points = _place(ring, ox, oy, s, xmin, ymin)
             out.fills.append(Polygon(points, fill, tag=region))
             out.strokes.append(Polygon(points, stroke, tag=border))
     return out

@@ -87,12 +87,16 @@ def _load(args: argparse.Namespace) -> tuple[RenderConfig, RegionTable] | int:
         config = parse_config(Path(args.config).read_text("utf-8"))
     except OSError as exc:
         return _fail(f"cannot read config: {exc}", EXIT_IO)
+    except UnicodeDecodeError as exc:
+        return _fail(f"cannot decode config: {exc}", EXIT_VALIDATION)
     except MicromapError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     try:
         return config, _load_table(config, args.config, args.data)
     except OSError as exc:
         return _fail(f"cannot read data: {exc}", EXIT_IO)
+    except UnicodeDecodeError as exc:
+        return _fail(f"cannot decode data: {exc}", EXIT_VALIDATION)
     except MicromapError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
 

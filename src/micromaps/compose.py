@@ -299,8 +299,8 @@ def _region_color(code: str, layout: LinkedLayout, palette: Palette) -> str:
     return palette.no_data if slot is None else palette.for_slot(slot)
 
 
-def _build_bands(layout: LinkedLayout, top: float, bottom: float,
-                 gutter: float) -> tuple[list[_Band], float]:
+def _build_bands(layout: LinkedLayout, palette: Palette, top: float,
+                 bottom: float, gutter: float) -> tuple[list[_Band], float]:
     plan = layout.plan
     groups: list[tuple[int, tuple[str, ...]]] = [
         (gi, layout.group_members(gi)) for gi in range(len(plan.sizes))]
@@ -330,17 +330,11 @@ def _build_bands(layout: LinkedLayout, top: float, bottom: float,
             centers = [y + height / 2.0]
         else:
             centers = [y + (i + 0.5) * row_h for i in range(len(members))]
-        rows = tuple(RowBand(code, cy, "") for code, cy in zip(members, centers))
+        rows = tuple(RowBand(code, cy, _region_color(code, layout, palette))
+                     for code, cy in zip(members, centers))
         bands.append(_Band(gi, is_median, y, height, rows))
         y += height
     return bands, row_h
-
-
-def _with_colors(band: _Band, layout: LinkedLayout, palette: Palette,
-                 x: float, width: float, row_h: float) -> PanelFrame:
-    rows = tuple(RowBand(r.region, r.y, _region_color(r.region, layout, palette))
-                 for r in band.rows)
-    return PanelFrame(x, band.y, width, band.height, rows, row_h)
 
 
 def render_legend_column(name_style: str, frame: PanelFrame) -> GlyphShapes:
@@ -371,6 +365,7 @@ class _ColumnPlan(NamedTuple):
     x_scale: Scale | None = None
     y_base: Scale | None = None  # unit-range scale, re-ranged per band
     periods: tuple[str, ...] = ()
+    data: dict[str, Any] | None = None  # the renderer's input, per region
 
 
 def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
@@ -403,42 +398,39 @@ def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
     return out
 
 
-def _arrow_extent(table: RegionTable, start_ref: str,
-                  end_ref: str) -> tuple[float, float]:
-    lo1, hi1 = column_extent(table, start_ref)
-    lo2, hi2 = column_extent(table, end_ref)
-    return (min(lo1, lo2), max(hi1, hi2))
-
-
 def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
                  table: RegionTable) -> _ColumnPlan:
+    """The column's scales, and the data its renderer reads in every band."""
     if column.kind in (MAP, LEGEND):
         return _ColumnPlan(column, index, x, width)
     pad = width * SCALE_PAD_F
     x_range = (x + pad, x + width - pad)
     ticks = column.options.get("target_ticks", 5)
-    if column.kind == TIMESERIES:
-        series_col = resolve_ref(table, column.bindings["series"]).column
-        n = len(series_col.periods)
-        x_scale = linear_scale((0.0, float(max(n - 1, 0))), x_range,
-                               target_ticks=ticks)
-        y_base = linear_scale(column_extent(table, series_col.name), (0.0, 1.0),
-                              target_ticks=4)
-        return _ColumnPlan(column, index, x, width, x_scale, y_base,
-                           series_col.periods)
-    if column.kind == SCATTER:
-        x_scale = linear_scale(column_extent(table, column.bindings["x"]),
-                               x_range, target_ticks=ticks)
-        y_base = linear_scale(column_extent(table, column.bindings["y"]),
-                              (0.0, 1.0), target_ticks=4)
-        return _ColumnPlan(column, index, x, width, x_scale, y_base)
-    if column.kind == ARROW:
-        extent = _arrow_extent(table, column.bindings["start"],
-                               column.bindings["end"])
-    elif column.kind == BOXPLOT:
-        extent = column_extent(table, column.bindings["samples"])
+    refs = [column.bindings[key] for key in REQUIRED_BINDINGS[column.kind]]
+    y_base = None
+    periods: tuple[str, ...] = ()
+    if column.kind in (TIMESERIES, BOXPLOT):
+        series_col = resolve_ref(table, refs[0]).column
+        data: dict[str, Any] = {code: table.series(code, series_col.name)
+                                for code in table.rows}
+        extent = column_extent(table, series_col.name)
+        if column.kind == TIMESERIES:
+            periods = series_col.periods
+            y_base = linear_scale(extent, (0.0, 1.0), target_ticks=4)
+            extent = (0.0, float(max(len(periods) - 1, 0)))
+    elif column.kind in (ARROW, SCATTER):
+        firsts, seconds = (scalar_values(table, ref) for ref in refs)
+        data = {code: (firsts.get(code), seconds.get(code))
+                for code in table.rows}
+        (lo1, hi1), (lo2, hi2) = (column_extent(table, ref) for ref in refs)
+        if column.kind == ARROW:
+            extent = (min(lo1, lo2), max(hi1, hi2))
+        else:
+            extent = (lo1, hi1)
+            y_base = linear_scale((lo2, hi2), (0.0, 1.0), target_ticks=4)
     else:
-        extent = column_extent(table, column.bindings["value"])
+        data = scalar_values(table, refs[0])
+        extent = column_extent(table, refs[0])
         if column.kind == BAR:
             extent = (min(0.0, extent[0]), max(0.0, extent[1]))
     x_scale = linear_scale(extent, x_range, target_ticks=ticks)
@@ -452,7 +444,7 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
             # whose line lies inside keeps its scale and its bytes.
             extent = (min(extent[0], line), max(extent[1], line))
             x_scale = linear_scale(extent, x_range, target_ticks=ticks)
-    return _ColumnPlan(column, index, x, width, x_scale)
+    return _ColumnPlan(column, index, x, width, x_scale, y_base, periods, data)
 
 
 def _band_y_scale(plan: _ColumnPlan, band: _Band) -> Scale:
@@ -461,61 +453,37 @@ def _band_y_scale(plan: _ColumnPlan, band: _Band) -> Scale:
     return plan.y_base.with_range((band.y + band.height - vpad, band.y + vpad))
 
 
-def _samples_by_region(table: RegionTable, series_name: str,
-                       ) -> dict[str, list[float]]:
-    out: dict[str, list[float]] = {}
-    for code in table.rows:
-        cells = table.series(code, series_name)
-        out[code] = [v for v in cells if v is not None]
-    return out
-
-
 def _render_glyph_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
-                        table: RegionTable, layout: LinkedLayout,
+                        layout: LinkedLayout,
                         ) -> tuple[GlyphShapes, dict[str, object]]:
     """The panel's shapes and its PanelInfo axis fields."""
     column = plan.spec
-    assert plan.x_scale is not None
+    assert plan.x_scale is not None and plan.data is not None
     axes: dict[str, object] = {"x_domain": plan.x_scale.domain,
                                "x_ticks": plan.x_scale.ticks}
+    if plan.y_base is not None:  # timeseries and scatter
+        y_scale = _band_y_scale(plan, band)
+        axes["y_domain"] = y_scale.domain
+        axes["y_ticks"] = y_scale.ticks
 
     if column.kind == DOT:
         ref = column.options.get("reference_line")
-        shapes = render_dot(scalar_values(table, column.bindings["value"]),
-                            plan.x_scale, frame,
+        shapes = render_dot(plan.data, plan.x_scale, frame,
                             reference_line=None if ref is None else float(ref))
     elif column.kind == BAR:
-        shapes = render_bar(scalar_values(table, column.bindings["value"]),
-                            plan.x_scale, frame)
+        shapes = render_bar(plan.data, plan.x_scale, frame)
     elif column.kind == ARROW:
-        starts = scalar_values(table, column.bindings["start"])
-        ends = scalar_values(table, column.bindings["end"])
-        pairs = {code: (starts.get(code), ends.get(code)) for code in table.rows}
-        shapes = render_arrow(pairs, plan.x_scale, frame)
+        shapes = render_arrow(plan.data, plan.x_scale, frame)
     elif column.kind == TIMESERIES:
-        y_scale = _band_y_scale(plan, band)
-        series_name = resolve_ref(table, column.bindings["series"]).column.name
-        series = {row.region: table.series(row.region, series_name)
-                  for row in frame.rows}
-        shapes = render_timeseries(series, plan.periods, plan.x_scale, y_scale,
-                                   frame)
+        shapes = render_timeseries(plan.data, plan.periods, plan.x_scale,
+                                   y_scale, frame)
         axes["x_ticks"] = tuple(float(i) for i in
                                 thin_labels(len(plan.periods)))
-        axes["y_domain"] = y_scale.domain
-        axes["y_ticks"] = y_scale.ticks
     elif column.kind == SCATTER:
-        y_scale = _band_y_scale(plan, band)
-        xs = scalar_values(table, column.bindings["x"])
-        ys = scalar_values(table, column.bindings["y"])
-        points = {code: (xs.get(code), ys.get(code)) for code in table.rows}
-        shapes = render_scatter(points, plan.x_scale, y_scale, frame,
+        shapes = render_scatter(plan.data, plan.x_scale, y_scale, frame,
                                 context=layout.ranked)
-        axes["y_domain"] = y_scale.domain
-        axes["y_ticks"] = y_scale.ticks
     elif column.kind == BOXPLOT:
-        series_name = resolve_ref(table, column.bindings["samples"]).column.name
-        shapes = render_boxplot(_samples_by_region(table, series_name),
-                                plan.x_scale, frame)
+        shapes = render_boxplot(plan.data, plan.x_scale, frame)
     else:  # pragma: no cover - guarded by validate_spec
         raise SpecError(f"columns[{plan.index}]", f"bad kind {column.kind!r}")
     return shapes, axes
@@ -564,7 +532,8 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
     content_top = h * MARGIN_TOP_F + title_h + header_h + axis_top_h
     content_bottom = h - h * MARGIN_BOT_F - axis_bot_h
 
-    bands, row_h = _build_bands(layout, content_top, content_bottom, gutter)
+    bands, row_h = _build_bands(layout, palette, content_top, content_bottom,
+                                gutter)
     columns = _column_x_layout(spec)
     plans = [_plan_column(column, i, x, width, table)
              for i, (column, x, width) in enumerate(columns)]
@@ -614,8 +583,8 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
 
     for plan in plans:
         for band in bands:
-            frame = _with_colors(band, layout, palette, plan.x, plan.width,
-                                 row_h)
+            frame = PanelFrame(plan.x, band.y, plan.width, band.height,
+                               band.rows, row_h)
             info = PanelInfo(plan.index, plan.spec.kind, band.group_index,
                              frame.x, frame.y, frame.width, frame.height,
                              band.is_median,
@@ -629,8 +598,7 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
                 name_style = plan.spec.options.get("name_style", "full")
                 layers.add_glyph(render_legend_column(name_style, frame))
             else:
-                shapes, axes = _render_glyph_panel(plan, band, frame, table,
-                                                   layout)
+                shapes, axes = _render_glyph_panel(plan, band, frame, layout)
                 layers.add_glyph(shapes)
                 info = info._replace(**axes)
             panels.append(info)

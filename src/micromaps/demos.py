@@ -15,6 +15,7 @@ from .adapters import (
     ers_adapter,
     join_scalar_csv,
     qcew_adapter,
+    snapshot_text,
 )
 from .atlas import CUMULATIVE
 from .compose import ChartSpec, ColumnSpec
@@ -87,8 +88,7 @@ def acs_timeseries(snapshot_dir: Path | None = None,
 
 def acs_pew(snapshot_dir: Path | None = None) -> tuple[ChartSpec, RegionTable]:
     table = acs_adapter(snapshot_dir)
-    directory = Path(snapshot_dir) if snapshot_dir is not None else default_data_dir()
-    pew_text = (directory / PEW_FILE).read_text("utf-8")
+    pew_text = snapshot_text(PEW_FILE, snapshot_dir)
     table = join_scalar_csv(table, pew_text, "state", "pro_small_government")
     spec = ChartSpec(
         title="ACS Response Rates and Attitudes Toward Government",

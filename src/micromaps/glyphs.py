@@ -123,14 +123,14 @@ def _row_guides(frame: PanelFrame) -> list[Shape]:
 
 def render_dot(values: Mapping[str, float | None], scale: Scale,
                frame: PanelFrame, reference_line: float | None = None,
-               dot_radius: float | None = None) -> GlyphShapes:
+               ) -> GlyphShapes:
     """One filled circle per region at the scaled value."""
     out = GlyphShapes(guides=_row_guides(frame))
     if reference_line is not None:
         x = scale.map(scale.check(reference_line))
         out.guides.append(Line(x, frame.y, x, frame.bottom,
                                Style(stroke=colors.AXIS_COLOR, stroke_width=0.7)))
-    r = dot_radius if dot_radius is not None else min(4.2, frame.row_height * 0.24)
+    r = min(4.2, frame.row_height * 0.24)
     for row in frame.rows:
         v = values.get(row.region)
         if v is None:
@@ -143,13 +143,13 @@ def render_dot(values: Mapping[str, float | None], scale: Scale,
 
 
 def render_bar(values: Mapping[str, float | None], scale: Scale,
-               frame: PanelFrame, bar_fraction: float = 0.55) -> GlyphShapes:
+               frame: PanelFrame) -> GlyphShapes:
     """Horizontal bars anchored at zero; negatives extend left."""
     x0 = scale.map(scale.check(0.0))
     out = GlyphShapes()
     out.guides.append(Line(x0, frame.y, x0, frame.bottom,
                            Style(stroke=colors.AXIS_COLOR, stroke_width=0.7)))
-    h = frame.row_height * bar_fraction
+    h = frame.row_height * 0.55
     for row in frame.rows:
         v = values.get(row.region)
         if v is None:
@@ -250,8 +250,7 @@ def _flush_run(out: GlyphShapes, run: list[tuple[float, float]], style: Style,
 
 def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
                    x_scale: Scale, y_scale: Scale, frame: PanelFrame,
-                   context: Sequence[str],
-                   context_color: str = colors.CONTEXT_POINT) -> GlyphShapes:
+                   context: Sequence[str]) -> GlyphShapes:
     """All ranked regions as gray context points, the group enlarged on top."""
     x_ticks = [x_scale.map(t) for t in x_scale.ticks]
     y_ticks = [y_scale.map(t) for t in y_scale.ticks]
@@ -272,7 +271,8 @@ def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
         if pos is None:
             continue
         out.marks.append(Circle(pos[0], pos[1], CONTEXT_RADIUS,
-                                Style(fill=context_color), tag=f"context:{code}"))
+                                Style(fill=colors.CONTEXT_POINT),
+                                tag=f"context:{code}"))
     for row in frame.rows:
         pos = position(row.region)
         if pos is None:
@@ -283,13 +283,13 @@ def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
     return out
 
 
-def render_boxplot(samples: Mapping[str, Sequence[float] | None], scale: Scale,
-                   frame: PanelFrame, box_fraction: float = 0.6) -> GlyphShapes:
+def render_boxplot(samples: Mapping[str, Sequence[float | None] | None],
+                   scale: Scale, frame: PanelFrame) -> GlyphShapes:
     """Whisker line, slot-colored IQR box, median tick, outlier dots."""
     out = GlyphShapes(guides=_row_guides(frame))
-    h = frame.row_height * box_fraction
+    h = frame.row_height * 0.6
     for row in frame.rows:
-        data = samples.get(row.region)
+        data = [v for v in samples.get(row.region) or () if v is not None]
         if not data:
             out.labels.append(_na_label(frame, row))
             continue

@@ -6,8 +6,8 @@ order, every coordinate is printed with a fixed number of decimals
 each element sits on its own line. Styling uses presentation attributes
 only and fonts are referenced by generic family, so the document is fully
 self-contained. Each shape type has its own writer, which rejects
-non-finite coordinates; one call formats each Style and each shared points
-tuple (a map ring's fill and border) once. Text and attribute values are
+non-finite coordinates; one call formats each Style once, and a polygon's
+points text is kept across calls (_RINGS). Text and attribute values are
 escaped here and lose the characters XML 1.0 forbids, so any string makes a
 well-formed document.
 """
@@ -39,6 +39,13 @@ FONT_FAMILY = "sans-serif"
 # U+FFFF: XML 1.0 has no way to write them, not even as a character reference.
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _NO_FILL = ' fill="none"'  # a polyline's default
+
+# Polygon points text for every emit_svg: (id(points), dp) -> (points, text).
+# A map ring placed once per process (atlas._place) is formatted once. An
+# entry holds its points, so that id names no other object while it lives.
+# Polylines are left out: no later chart draws a data series again.
+_RINGS: dict[tuple[int, int], tuple[tuple, str]] = {}
+_RINGS_CAPACITY = 4096
 
 
 @value_type
@@ -94,7 +101,6 @@ class _Writer:
         self.pair = f"{{:.{dp}f}},{{:.{dp}f}}".format
         self.negative_zero = "-" + _fmt(0.0, dp)
         self.style = cache(partial(_style_attrs, dp=dp))
-        self.rings: dict[int, str] = {}  # id(points) -> points attribute
         self.by_type = {Rect: self.rect, Circle: self.circle, Line: self.line,
                         Polyline: self.polyline, Polygon: self.polygon,
                         Path: self.path, Text: self.text}
@@ -105,16 +111,12 @@ class _Writer:
         return _fmt(value, self.dp)
 
     def points(self, points: tuple[tuple[float, float], ...]) -> str:
-        text = self.rings.get(id(points))
-        if text is None:
-            text = " ".join(starmap(self.pair, points))
-            # With fixed decimals "-0.00" is a whole number wherever it
-            # occurs, and only "nan" and "inf" contain an "n".
-            if "n" in text:
-                raise BadGeometry("non-finite coordinate")
-            text = text.replace(self.negative_zero, self.negative_zero[1:])
-            self.rings[id(points)] = text
-        return text
+        text = " ".join(starmap(self.pair, points))
+        # With fixed decimals "-0.00" is a whole number wherever it
+        # occurs, and only "nan" and "inf" contain an "n".
+        if "n" in text:
+            raise BadGeometry("non-finite coordinate")
+        return text.replace(self.negative_zero, self.negative_zero[1:])
 
     def rect(self, s: Rect) -> str:
         fill, opacity, stroke, _ = self.style(s.style)
@@ -140,8 +142,14 @@ class _Writer:
 
     def polygon(self, s: Polygon) -> str:
         fill, opacity, stroke, _ = self.style(s.style)
-        return (f'<polygon{fill}{opacity} points="{self.points(s.points)}"'
-                f'{stroke}/>')
+        key = (id(s.points), self.dp)
+        ring = _RINGS.get(key)
+        if ring is None or ring[0] is not s.points:
+            ring = (s.points, self.points(s.points))  # raises, never kept
+            if len(_RINGS) >= _RINGS_CAPACITY:
+                _RINGS.clear()
+            _RINGS[key] = ring
+        return f'<polygon{fill}{opacity} points="{ring[1]}"{stroke}/>'
 
     def path(self, s: Path) -> str:
         fill, opacity, stroke, _ = self.style(s.style)

@@ -254,3 +254,31 @@ def test_undecodable_config_is_validation_error(workspace, capsys, value,
     assert err.startswith("micromaps: error: cannot decode config: ")
     assert detail in err and err.count("\n") == 1
     assert not (workspace / "bad.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["render", "validate"])
+@pytest.mark.parametrize("which, name, text, latin1", [
+    ("config", "chart.json", b'"Rates"', b'"Caf\xe9"'),
+    ("data", "rates.csv", b"state,rate", b"state,rate\xe9"),
+])
+def test_file_not_utf8_is_one_line_validation_error(workspace, capsys, command,
+                                                     which, name, text, latin1):
+    path = workspace / name
+    path.write_bytes(path.read_bytes().replace(text, latin1))
+    assert run([command, "--config", "chart.json"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"micromaps: error: cannot decode {which}: ")
+    assert "0xe9" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (workspace / "chart.svg").exists()
+
+
+def test_demo_snapshot_not_utf8_is_validation_error(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    name = "acs_response_rates.csv"
+    (tmp_path / name).write_bytes(snapshot_text(name).encode() + b"\xe9")
+    assert run(["demo", "acs-dot", "--data", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"micromaps: error: snapshot {name}: cannot decode: ")
+    assert err.count("\n") == 1
