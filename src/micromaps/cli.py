@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .atlas import load_default_atlas
 from .checks import check_chart
-from .compose import compose, validate_spec
+from .compose import ChartSpec, compose, validate_spec
 from .config import RenderConfig, parse_config
 from .demos import DEMO_NAMES, PEW_INSTRUCTIONS, build_demo, pew_available
 from .errors import MicromapError, SnapshotError
@@ -101,6 +101,16 @@ def _load(args: argparse.Namespace) -> tuple[RenderConfig, RegionTable] | int:
         return _fail(str(exc), EXIT_VALIDATION)
 
 
+def _chart_svg(spec: ChartSpec, table: RegionTable,
+               decimal_places: int = 2) -> str:
+    """Compose the chart, pass it through the check gate, and emit its SVG."""
+    scene = compose(spec, table, load_default_atlas())
+    check_chart(scene)
+    return emit_svg(scene, SvgOptions(decimal_places=decimal_places,
+                                      embed_title=bool(spec.title),
+                                      title=spec.title))
+
+
 def _write_svg(text: str, out_path: Path, quiet: bool) -> None:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(text, encoding="utf-8", newline="")
@@ -113,10 +123,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         return loaded
     config, table = loaded
     try:
-        scene = compose(config.spec, table, load_default_atlas())
-        text = emit_svg(scene, SvgOptions(decimal_places=config.decimal_places,
-                                          embed_title=bool(config.spec.title),
-                                          title=config.spec.title))
+        text = _chart_svg(config.spec, table, config.decimal_places)
     except MicromapError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     out = args.out or config.output_path or (Path(args.config).stem + ".svg")
@@ -133,10 +140,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(PEW_INSTRUCTIONS)
         return EXIT_OK
     try:
-        spec, table = build_demo(args.name, data_dir)
-        scene = compose(spec, table, load_default_atlas())
-        check_chart(scene)
-        text = emit_svg(scene, SvgOptions(embed_title=True, title=spec.title))
+        text = _chart_svg(*build_demo(args.name, data_dir))
     except SnapshotError as exc:
         return _fail(str(exc), EXIT_IO if exc.missing else EXIT_VALIDATION)
     except OSError as exc:

@@ -232,6 +232,7 @@ def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
         raise SpecError("columns", "chart needs exactly one map column")
     if kinds.count(LEGEND) != 1:
         raise SpecError("columns", "chart needs exactly one legend column")
+    _column_x_layout(spec)
 
     if table is None:
         return
@@ -288,10 +289,13 @@ class _Layers:
         return tuple(self.guides + self.map_fills
                      + self.map_strokes + self.marks + self.axes + self.text)
 
-    def add_glyph(self, shapes: GlyphShapes) -> None:
+    def add_glyph(self, shapes: GlyphShapes) -> range:
+        """Add one panel's shapes; returns where its marks sit in ``marks``."""
+        start = len(self.marks)
         self.guides.extend(shapes.guides)
         self.marks.extend(shapes.marks)
         self.text.extend(shapes.labels)
+        return range(start, len(self.marks))
 
 
 def _region_color(code: str, layout: LinkedLayout, palette: Palette) -> str:
@@ -385,7 +389,7 @@ def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
     out: list[tuple[ColumnSpec, float, float]] = []
     x = margin
     wi = 0
-    for column in spec.columns:
+    for i, column in enumerate(spec.columns):
         if column.kind == MAP:
             width = map_w
         elif column.kind == LEGEND:
@@ -393,6 +397,10 @@ def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
         else:
             width = glyph_space * weights[wi] / total_weight
             wi += 1
+            # False for NaN, overflow, and a width too small to add to x.
+            if not x < x + width <= w:
+                raise SpecError(f"columns[{i}].options.weight",
+                                f"leaves the column no room (width {width:g})")
         out.append((column, x, width))
         x += width + gap
     return out
@@ -592,16 +600,19 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
             if plan.spec.kind == MAP:
                 shapes = render_minimap(atlas, layout, band.group_index,
                                         map_style, frame)
+                start = len(layers.map_fills)
                 layers.map_fills.extend(shapes.fills)
                 layers.map_strokes.extend(shapes.strokes)
+                marks = range(start, len(layers.map_fills))
             elif plan.spec.kind == LEGEND:
                 name_style = plan.spec.options.get("name_style", "full")
-                layers.add_glyph(render_legend_column(name_style, frame))
+                marks = layers.add_glyph(render_legend_column(name_style,
+                                                              frame))
             else:
                 shapes, axes = _render_glyph_panel(plan, band, frame, layout)
-                layers.add_glyph(shapes)
+                marks = layers.add_glyph(shapes)
                 info = info._replace(**axes)
-            panels.append(info)
+            panels.append(info._replace(marks=marks))
 
         if plan.spec.kind in GLYPH_KINDS:
             top_y = content_top - 4.0
@@ -611,6 +622,12 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
                 layers.axes.extend(lines)
                 layers.text.extend(texts)
 
-    scene = Scene(w, h, layers.flatten(), tuple(panels))
-    return clamp_scene(scene)
+    # Shift each panel's marks from its layer to the flattened shapes.
+    fills_at = len(layers.guides)
+    marks_at = fills_at + len(layers.map_fills) + len(layers.map_strokes)
+    for i, info in enumerate(panels):
+        at = fills_at if info.kind == MAP else marks_at
+        panels[i] = info._replace(marks=range(info.marks.start + at,
+                                              info.marks.stop + at))
+    return clamp_scene(Scene(w, h, layers.flatten(), tuple(panels)))
 

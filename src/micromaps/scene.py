@@ -89,6 +89,8 @@ Shape = Union[Rect, Circle, Line, Polyline, Polygon, Path, Text]
 class PanelInfo(NamedTuple):
     """Where one group's panel of one column landed, plus its shared-axis
     record (domains and tick lists in data units) for invariant checks.
+    ``marks`` indexes the shapes in ``Scene.shapes`` that carry the panel's
+    linked colors: a map panel's fills, a legend or glyph panel's marks.
     """
 
     column_index: int
@@ -104,6 +106,7 @@ class PanelInfo(NamedTuple):
     x_ticks: tuple[float, ...] | None = None
     y_domain: tuple[float, float] | None = None
     y_ticks: tuple[float, ...] | None = None
+    marks: range = range(0)
 
 
 @value_type

@@ -9,6 +9,7 @@ import pytest
 from micromaps.adapters import snapshot_text
 from micromaps.cli import EXIT_VALIDATION, run
 from micromaps.regions import ALL_CODES
+from micromaps.scene import Circle, Style
 from micromaps.table import parse_table
 
 CONFIG = {
@@ -282,3 +283,30 @@ def test_demo_snapshot_not_utf8_is_validation_error(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"micromaps: error: snapshot {name}: cannot decode: ")
     assert err.count("\n") == 1
+
+
+def test_render_runs_the_check_gate(workspace, capsys, monkeypatch):
+    import micromaps.cli
+    compose = micromaps.cli.compose
+
+    def recolored(*args):
+        scene = compose(*args)
+        i = next(i for i, shape in enumerate(scene.shapes)
+                 if isinstance(shape, Circle) and shape.tag)
+        shapes = list(scene.shapes)
+        shapes[i] = shapes[i]._replace(style=Style(fill="#123456"))
+        return scene._replace(shapes=tuple(shapes))
+
+    monkeypatch.setattr(micromaps.cli, "compose", recolored)
+    assert run(["render", "--config", "chart.json"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("micromaps: error: ") and "#123456" in err
+    assert err.count("\n") == 1
+    assert not (workspace / "chart.svg").exists()
+
+
+def test_render_short_canvas_passes_the_gate(workspace):
+    (workspace / "short.json").write_text(
+        json.dumps({**CONFIG, "output": {"height": 100}}))
+    assert run(["render", "--config", "short.json", "--quiet"]) == 0
+    ET.fromstring((workspace / "short.svg").read_text())

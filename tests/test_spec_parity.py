@@ -111,6 +111,24 @@ CASES = [
          "columns[1].options.name_style"),
     case(("options", 2), "target_ticks", True, SpecError,
          "columns[2].options.target_ticks"),
+    # Rendering failed with a "bad range" error that named no path, while
+    # validate said the config checked out.
+    case("top", "columns", [{"kind": "map"}, {"kind": "legend"},
+                            {"kind": "dot", "bindings": {"value": "v"},
+                             "options": {"weight": 5e-324}},
+                            {"kind": "dot", "bindings": {"value": "v"}}],
+         SpecError, "columns[2].options.weight",
+         api=(ColumnSpec("map"), ColumnSpec("legend"),
+              ColumnSpec("dot", bindings={"value": "v"},
+                         options={"weight": 5e-324}),
+              ColumnSpec("dot", bindings={"value": "v"}))),
+    case("top", "columns", [{"kind": "map"}, {"kind": "legend"}]
+         + [{"kind": "dot", "bindings": {"value": "v"},
+             "options": {"weight": 1e308}}] * 2,
+         SpecError, "columns[2].options.weight",
+         api=(ColumnSpec("map"), ColumnSpec("legend"))
+         + (ColumnSpec("dot", bindings={"value": "v"},
+                       options={"weight": 1e308}),) * 2),
     # A part of the wrong type raised AttributeError in the API.
     case("top", "sort", "v", SpecError, "sort"),
     case("top", "palette", "#000", SpecError, "palette",
