@@ -10,10 +10,11 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from . import colors
-from .atlas import Atlas, _place
+from .atlas import Atlas, _draw_map, _fit_transform
 from .errors import BadBreaks
+from .glyphs import PanelFrame
 from .scale import format_tick, linear_scale
-from .scene import Line, Polygon, Rect, Scene, Shape, Style, Text, clamp_scene
+from .scene import Line, Rect, Scene, Shape, Style, Text, clamp_scene
 from .table import RegionTable, column_extent, scalar_values
 from .values import value_type
 
@@ -133,29 +134,15 @@ def render_choropleth(atlas: Atlas, table: RegionTable, column: str,
 
     top = 40.0 if title else 12.0
     legend_w = 150.0
-    map_w = width - legend_w - 24.0
-    map_h = height - top - 12.0
-    xmin, ymin, xmax, ymax = atlas.bounds
-    s = min(map_w / (xmax - xmin), map_h / (ymax - ymin))
-    ox = 12.0 + (map_w - s * (xmax - xmin)) / 2.0
-    oy = top + (map_h - s * (ymax - ymin)) / 2.0
-
-    shapes: list[Shape] = []
-    strokes: list[Shape] = []
+    frame = PanelFrame(12.0, top, width - legend_w - 24.0, height - top - 12.0,
+                       (), 0.0)
+    missing = {code for code in atlas.regions if values.get(code) is None}
+    fills = {code: colors.NO_DATA_COLOR if code in missing
+             else breaks.colors[breaks.class_index(values[code])]
+             for code in atlas.regions}
     stroke = Style(fill="none", stroke="#FFFFFF", stroke_width=0.5)
-    missing_any = False
-    for code in sorted(atlas.regions):
-        v = values.get(code)
-        if v is None:
-            fill = colors.NO_DATA_COLOR
-            missing_any = True
-        else:
-            fill = breaks.colors[breaks.class_index(v)]
-        for ring in atlas.regions[code]:
-            pts = _place(ring, ox, oy, s, xmin, ymin)
-            shapes.append(Polygon(pts, Style(fill=fill), tag=f"region:{code}"))
-            strokes.append(Polygon(pts, stroke, tag=f"border:{code}"))
-    shapes.extend(strokes)
+    regions = _draw_map(atlas, fills, stroke, _fit_transform(atlas, frame, 0.0))
+    shapes: list[Shape] = regions.fills + regions.strokes
 
     lx = width - legend_w
     ly = top + 8.0
@@ -167,7 +154,7 @@ def render_choropleth(atlas: Atlas, table: RegionTable, column: str,
                            Style(fill=color, stroke="#808080", stroke_width=0.4)))
         shapes.append(Text(lx + swatch + 6.0, y + swatch - 2.5,
                            _legend_label(breaks, i, extent), text_style))
-    if missing_any:
+    if missing:
         y = ly + len(breaks.colors) * (swatch + 6.0)
         shapes.append(Rect(lx, y, swatch, swatch, Style(fill=colors.NO_DATA_COLOR)))
         shapes.append(Text(lx + swatch + 6.0, y + swatch - 2.5, "no data",

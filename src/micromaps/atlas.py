@@ -45,10 +45,6 @@ class Atlas(NamedTuple):
 class MiniMapStyle(NamedTuple):
     mode: str = GROUP_ONLY
     palette: Palette = colors.DEFAULT_PALETTE
-    context_fill: str = colors.CONTEXT_FILL
-    cumulative_tint: str = colors.CUMULATIVE_TINT
-    stroke: str = "#808080"
-    stroke_width: float = 0.4
 
 
 class MinimapShapes:
@@ -160,12 +156,15 @@ def load_default_atlas() -> Atlas:
     return load_atlas(document)
 
 
-def _fit_transform(atlas: Atlas, frame: PanelFrame,
+def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,
                    ) -> tuple[float, float, float, float, float]:
-    """(ox, oy, s, xmin, ymin) that put (x, y) at ox + s*(x - xmin), oy + s*(y - ymin)."""
+    """(ox, oy, s, xmin, ymin) that put (x, y) at ox + s*(x - xmin), oy + s*(y - ymin).
+
+    ``pad`` is the margin on each side as a fraction of the frame.
+    """
     xmin, ymin, xmax, ymax = atlas.bounds
-    pad_x = frame.width * 0.04
-    pad_y = frame.height * 0.04
+    pad_x = frame.width * pad
+    pad_y = frame.height * pad
     avail_w = frame.width - 2 * pad_x
     avail_h = frame.height - 2 * pad_y
     s = min(avail_w / (xmax - xmin), avail_h / (ymax - ymin))
@@ -198,7 +197,7 @@ def _fill_for(code: str, layout: LinkedLayout, group_index: int,
               style: MiniMapStyle) -> str:
     group = layout.group_of.get(code)
     if group_index == NO_DATA_PANEL:
-        return style.palette.no_data if code in layout.unranked else style.context_fill
+        return style.palette.no_data if code in layout.unranked else colors.CONTEXT_FILL
     if group == group_index:
         return style.palette.for_slot(layout.slot_of[code])
     if style.mode == CUMULATIVE and group is not None:
@@ -208,10 +207,10 @@ def _fill_for(code: str, layout: LinkedLayout, group_index: int,
         boundary = float(median) if median is not None \
             else (len(layout.plan.sizes) - 1) / 2.0
         if group_index < boundary and group < group_index:
-            return style.cumulative_tint
+            return colors.CUMULATIVE_TINT
         if group_index > boundary and group > group_index:
-            return style.cumulative_tint
-    return style.context_fill
+            return colors.CUMULATIVE_TINT
+    return colors.CONTEXT_FILL
 
 
 def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
@@ -228,11 +227,19 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
     if group_index != NO_DATA_PANEL and not (
             0 <= group_index < len(layout.plan.sizes)):
         raise ValueError(f"bad group index {group_index}")
-    ox, oy, s, xmin, ymin = _fit_transform(atlas, frame)
+    fills = {code: _fill_for(code, layout, group_index, style)
+             for code in atlas.regions}
+    border = Style(fill="none", stroke="#808080", stroke_width=0.4)
+    return _draw_map(atlas, fills, border, _fit_transform(atlas, frame))
+
+
+def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
+              fit: tuple[float, float, float, float, float]) -> MinimapShapes:
+    """Every region placed by ``fit`` (from _fit_transform): fills, borders."""
+    ox, oy, s, xmin, ymin = fit
     out = MinimapShapes()
-    stroke = Style(fill="none", stroke=style.stroke, stroke_width=style.stroke_width)
     for code in sorted(atlas.regions):
-        fill = Style(fill=_fill_for(code, layout, group_index, style))
+        fill = Style(fill=fills[code])
         region, border = f"region:{code}", f"border:{code}"
         for ring in atlas.regions[code]:
             points = _place(ring, ox, oy, s, xmin, ymin)

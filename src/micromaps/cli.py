@@ -3,7 +3,7 @@
 Subcommands:
   render    render a chart from a JSON config + CSV data
   demo      regenerate one of the six bundled demo charts
-  validate  dry-run a config against its data, writing nothing
+  validate  run everything render runs except the write
 
 Exit codes: 0 success, 1 validation error, 2 I/O error. Diagnostics go to
 stderr; stdout carries only progress lines (suppressed by --quiet).
@@ -11,15 +11,15 @@ stderr; stdout carries only progress lines (suppressed by --quiet).
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .atlas import load_default_atlas
 from .checks import check_chart
-from .compose import ChartSpec, compose, validate_spec
+from .compose import ChartSpec, compose
 from .config import RenderConfig, parse_config
 from .demos import DEMO_NAMES, PEW_INSTRUCTIONS, build_demo, pew_available
 from .errors import MicromapError, SnapshotError
-from .layout import build_layout
 from .svg import SvgOptions, emit_svg
 from .table import RegionTable, bind_series, parse_table
 
@@ -81,26 +81,6 @@ def _load_table(config: RenderConfig, config_path: str,
     return table
 
 
-def _load(args: argparse.Namespace) -> tuple[RenderConfig, RegionTable] | int:
-    """The config and its data table, or an exit code once reported."""
-    try:
-        config = parse_config(Path(args.config).read_text("utf-8"))
-    except OSError as exc:
-        return _fail(f"cannot read config: {exc}", EXIT_IO)
-    except UnicodeDecodeError as exc:
-        return _fail(f"cannot decode config: {exc}", EXIT_VALIDATION)
-    except MicromapError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    try:
-        return config, _load_table(config, args.config, args.data)
-    except OSError as exc:
-        return _fail(f"cannot read data: {exc}", EXIT_IO)
-    except UnicodeDecodeError as exc:
-        return _fail(f"cannot decode data: {exc}", EXIT_VALIDATION)
-    except MicromapError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-
-
 def _chart_svg(spec: ChartSpec, table: RegionTable,
                decimal_places: int = 2) -> str:
     """Compose the chart, pass it through the check gate, and emit its SVG."""
@@ -111,27 +91,38 @@ def _chart_svg(spec: ChartSpec, table: RegionTable,
                                       title=spec.title))
 
 
-def _write_svg(text: str, out_path: Path, quiet: bool) -> None:
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(text, encoding="utf-8", newline="")
+def _write_svg(text: str, out_path: Path, quiet: bool) -> int:
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}", EXIT_IO)
     _say(f"wrote {out_path}", quiet)
+    return EXIT_OK
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    loaded = _load(args)
-    if isinstance(loaded, int):
-        return loaded
-    config, table = loaded
+    """``render``, and ``validate``, which is render without the write."""
+    what = "config"
+    try:
+        config = parse_config(Path(args.config).read_text("utf-8"))
+        what = "data"
+        table = _load_table(config, args.config, args.data)
+    except OSError as exc:
+        return _fail(f"cannot read {what}: {exc}", EXIT_IO)
+    except UnicodeDecodeError as exc:
+        return _fail(f"cannot decode {what}: {exc}", EXIT_VALIDATION)
+    except MicromapError as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
     try:
         text = _chart_svg(config.spec, table, config.decimal_places)
     except MicromapError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
+    if args.command == "validate":
+        _say(f"{args.config}: config and data check out", args.quiet)
+        return EXIT_OK
     out = args.out or config.output_path or (Path(args.config).stem + ".svg")
-    try:
-        _write_svg(text, Path(out), args.quiet)
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}", EXIT_IO)
-    return EXIT_OK
+    return _write_svg(text, Path(out), args.quiet)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -147,38 +138,20 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_IO)
     except MicromapError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
-    out = Path(args.out) if args.out else Path(f"{args.name}.svg")
-    try:
-        _write_svg(text, out, args.quiet)
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}", EXIT_IO)
-    return EXIT_OK
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    loaded = _load(args)
-    if isinstance(loaded, int):
-        return loaded
-    config, table = loaded
-    try:
-        validate_spec(config.spec, table)
-        build_layout(table, config.spec.sort, config.spec.group_size)
-    except MicromapError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    _say(f"{args.config}: config and data check out", args.quiet)
-    return EXIT_OK
+    return _write_svg(text, Path(args.out or f"{args.name}.svg"), args.quiet)
 
 
 def run(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "render":
-        return _cmd_render(args)
     if args.command == "demo":
         return _cmd_demo(args)
-    return _cmd_validate(args)
+    return _cmd_render(args)
 
 
 def main() -> None:
+    # Set here, not in run(), so callers that record warnings still do.
+    warnings.formatwarning = (
+        lambda message, *_: f"micromaps: warning: {message}\n")
     sys.exit(run(sys.argv[1:]))
 
 

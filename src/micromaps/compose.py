@@ -25,7 +25,15 @@ from .atlas import (
     render_minimap,
 )
 from .colors import DEFAULT_PALETTE, Palette
-from .errors import DomainOverflow, SpecError, UnknownKey
+from .errors import (
+    BadExtent,
+    DomainOverflow,
+    EmptyColumn,
+    EmptySort,
+    MissingColumn,
+    SpecError,
+    UnknownKey,
+)
 from .glyphs import (
     GlyphShapes,
     PanelFrame,
@@ -178,13 +186,13 @@ def _validate_options(value: object, path: str) -> None:
             raise SpecError(f"{path}.target_ticks", "must be in 1..12")
 
 
-def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
-    """Check every field of the spec, and bindings against the table when given.
+def validate_spec(spec: ChartSpec) -> None:
+    """Check every field of the spec that does not depend on the table.
 
-    This is the one place chart specs are checked: parse_config maps JSON
-    onto a ChartSpec and calls it too. Raises SpecError (UnknownKey for an
-    option key) with the config path of the offending value; a sort column
-    that is not displayed by any glyph is only a warning.
+    parse_config maps JSON onto a ChartSpec and calls it; compose calls it
+    too, then checks each binding against the table where its column is
+    planned. Raises SpecError (UnknownKey for an option key) with the
+    config path of the offending value.
     """
     expect(spec.title, str, "title")
     expect(spec.sort, SortSpec, "sort")
@@ -233,37 +241,6 @@ def validate_spec(spec: ChartSpec, table: RegionTable | None = None) -> None:
     if kinds.count(LEGEND) != 1:
         raise SpecError("columns", "chart needs exactly one legend column")
     _column_x_layout(spec)
-
-    if table is None:
-        return
-    bound_refs: set[str] = set()
-    for i, column in enumerate(spec.columns):
-        for key, ref in column.bindings.items():
-            path = f"columns[{i}].bindings.{key}"
-            try:
-                resolved = resolve_ref(table, ref)
-            except Exception as exc:
-                raise SpecError(path, str(exc)) from None
-            bound_refs.add(ref)
-            whole_series = (resolved.column.kind == SERIES
-                            and resolved.period_index is None)
-            if column.kind in (TIMESERIES, BOXPLOT):
-                if not whole_series:
-                    raise SpecError(path, f"{ref!r} must name a series column")
-            elif whole_series:
-                raise SpecError(path, f"{ref!r} names a whole series; "
-                                      "use <series>:<period>")
-    try:
-        resolve_ref(table, spec.sort.column)
-    except Exception as exc:
-        raise SpecError("sort.column", str(exc)) from None
-    shown = spec.sort.column in bound_refs
-    if not shown and ":" in spec.sort.column:
-        # A period of a displayed series is shown by that series column.
-        shown = spec.sort.column.rpartition(":")[0] in bound_refs
-    if not shown:
-        warnings.warn(f"sort column {spec.sort.column!r} is not shown by any "
-                      "glyph column", stacklevel=2)
 
 
 class _Band(NamedTuple):
@@ -406,42 +383,70 @@ def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
     return out
 
 
+def _scale(extent: tuple[float, float], range_: tuple[float, float],
+           ticks: int, path: str) -> Scale:
+    """linear_scale, with an extent it cannot hold reported at ``path``."""
+    try:
+        return linear_scale(extent, range_, target_ticks=ticks)
+    except BadExtent as exc:
+        raise SpecError(path, str(exc)) from None
+
+
 def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
                  table: RegionTable) -> _ColumnPlan:
-    """The column's scales, and the data its renderer reads in every band."""
+    """The column's scales, and the data its renderer reads in every band.
+
+    This is where each binding meets the table: an unknown ref, a series
+    or value mismatch, no values, or a span no float holds raise SpecError
+    at ``columns[i].bindings.<key>`` (or at the reference line's path).
+    """
     if column.kind in (MAP, LEGEND):
         return _ColumnPlan(column, index, x, width)
+    wants_series = column.kind in (TIMESERIES, BOXPLOT)
+    keys = REQUIRED_BINDINGS[column.kind]
+    refs = [column.bindings[key] for key in keys]
+    paths = [f"columns[{index}].bindings.{key}" for key in keys]
+    extents: list[tuple[float, float]] = []
+    for ref, path in zip(refs, paths):
+        try:
+            resolved = resolve_ref(table, ref)
+            extents.append(column_extent(table, ref))
+        except (MissingColumn, EmptyColumn) as exc:
+            raise SpecError(path, str(exc)) from None
+        whole_series = (resolved.column.kind == SERIES
+                        and resolved.period_index is None)
+        if wants_series and not whole_series:
+            raise SpecError(path, f"{ref!r} must name a series column")
+        if whole_series and not wants_series:
+            raise SpecError(path, f"{ref!r} names a whole series; "
+                                  "use <series>:<period>")
     pad = width * SCALE_PAD_F
     x_range = (x + pad, x + width - pad)
     ticks = column.options.get("target_ticks", 5)
-    refs = [column.bindings[key] for key in REQUIRED_BINDINGS[column.kind]]
     y_base = None
     periods: tuple[str, ...] = ()
-    if column.kind in (TIMESERIES, BOXPLOT):
-        series_col = resolve_ref(table, refs[0]).column
-        data: dict[str, Any] = {code: table.series(code, series_col.name)
+    extent = extents[0]
+    if wants_series:  # one binding, so ``resolved`` is its series
+        data: dict[str, Any] = {code: table.series(code, resolved.column.name)
                                 for code in table.rows}
-        extent = column_extent(table, series_col.name)
         if column.kind == TIMESERIES:
-            periods = series_col.periods
-            y_base = linear_scale(extent, (0.0, 1.0), target_ticks=4)
+            periods = resolved.column.periods
+            y_base = _scale(extent, (0.0, 1.0), 4, paths[0])
             extent = (0.0, float(max(len(periods) - 1, 0)))
     elif column.kind in (ARROW, SCATTER):
         firsts, seconds = (scalar_values(table, ref) for ref in refs)
         data = {code: (firsts.get(code), seconds.get(code))
                 for code in table.rows}
-        (lo1, hi1), (lo2, hi2) = (column_extent(table, ref) for ref in refs)
         if column.kind == ARROW:
-            extent = (min(lo1, lo2), max(hi1, hi2))
+            extent = (min(e[0] for e in extents), max(e[1] for e in extents))
         else:
-            extent = (lo1, hi1)
-            y_base = linear_scale((lo2, hi2), (0.0, 1.0), target_ticks=4)
+            y_base = _scale(extents[1], (0.0, 1.0), 4, paths[1])
     else:
         data = scalar_values(table, refs[0])
-        extent = column_extent(table, refs[0])
         if column.kind == BAR:
             extent = (min(0.0, extent[0]), max(0.0, extent[1]))
-    x_scale = linear_scale(extent, x_range, target_ticks=ticks)
+    x_path = f"columns[{index}].bindings" if column.kind == ARROW else paths[0]
+    x_scale = _scale(extent, x_range, ticks, x_path)
     ref = column.options.get("reference_line")
     if column.kind == DOT and ref is not None:
         line = float(ref)
@@ -451,7 +456,8 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
             # Only a line outside the data's scale widens it, so a chart
             # whose line lies inside keeps its scale and its bytes.
             extent = (min(extent[0], line), max(extent[1], line))
-            x_scale = linear_scale(extent, x_range, target_ticks=ticks)
+            x_scale = _scale(extent, x_range, ticks,
+                             f"columns[{index}].options.reference_line")
     return _ColumnPlan(column, index, x, width, x_scale, y_base, periods, data)
 
 
@@ -490,10 +496,8 @@ def _render_glyph_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
     elif column.kind == SCATTER:
         shapes = render_scatter(plan.data, plan.x_scale, y_scale, frame,
                                 context=layout.ranked)
-    elif column.kind == BOXPLOT:
+    else:  # BOXPLOT
         shapes = render_boxplot(plan.data, plan.x_scale, frame)
-    else:  # pragma: no cover - guarded by validate_spec
-        raise SpecError(f"columns[{plan.index}]", f"bad kind {column.kind!r}")
     return shapes, axes
 
 
@@ -526,9 +530,28 @@ def _axis_shapes(plan: _ColumnPlan, y: float, above: bool,
 
 
 def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
-    """Build the complete chart scene for a validated spec and table."""
-    validate_spec(spec, table)
-    layout = build_layout(table, spec.sort, spec.group_size)
+    """Build the complete chart scene for a spec and table.
+
+    Every rule runs before any panel is drawn: validate_spec for the spec,
+    then each binding where its column is planned, then the sort column
+    where the regions are ranked. A sort column that no glyph column shows
+    is only a warning.
+    """
+    validate_spec(spec)
+    columns = _column_x_layout(spec)
+    plans = [_plan_column(column, i, x, width, table)
+             for i, (column, x, width) in enumerate(columns)]
+    try:
+        layout = build_layout(table, spec.sort, spec.group_size)
+    except (MissingColumn, EmptySort) as exc:
+        raise SpecError("sort.column", str(exc)) from None
+    sort = spec.sort.column
+    shown = {ref for column in spec.columns for ref in column.bindings.values()}
+    # A period of a displayed series is shown by that series column.
+    if sort not in shown and not (":" in sort
+                                  and sort.rpartition(":")[0] in shown):
+        warnings.warn(f"sort column {sort!r} is not shown by any glyph "
+                      "column", stacklevel=2)
     palette = spec.palette
     w, h = spec.width, spec.height
 
@@ -542,9 +565,6 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
 
     bands, row_h = _build_bands(layout, palette, content_top, content_bottom,
                                 gutter)
-    columns = _column_x_layout(spec)
-    plans = [_plan_column(column, i, x, width, table)
-             for i, (column, x, width) in enumerate(columns)]
 
     layers = _Layers()
     panels: list[PanelInfo] = []

@@ -51,7 +51,7 @@ def nice_step(raw: float) -> float:
         raise BadExtent(f"bad raw step {raw}")
     exp = math.floor(math.log10(raw))
     best = None
-    for k in (exp - 1, exp, exp + 1):
+    for k in (exp - 1, exp, min(exp + 1, 308)):  # 10.0 ** 309 overflows
         for m in (1.0, 2.0, 5.0):
             candidate = m * 10.0 ** k
             key = (abs(candidate - raw), candidate)
@@ -90,6 +90,8 @@ def linear_scale(extent: tuple[float, float], range_: tuple[float, float],
     if lo == hi:
         pad = max(1.0, abs(lo) * 0.05)
         lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise BadExtent(f"extent {extent} is wider than a float can hold")
     step = nice_step((hi - lo) / max(1, target_ticks))
     return Scale((lo, hi), (r0, r1), _ticks_within(lo, hi, step))
 

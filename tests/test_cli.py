@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -310,3 +313,55 @@ def test_render_short_canvas_passes_the_gate(workspace):
         json.dumps({**CONFIG, "output": {"height": 100}}))
     assert run(["render", "--config", "short.json", "--quiet"]) == 0
     ET.fromstring((workspace / "short.svg").read_text())
+
+
+def _write_fault_data(workspace: Path) -> dict:
+    """A CSV with an all-empty column and two bound series, one all empty."""
+    rows = [f"{code},{50 + i},,{i},{2 * i},," for i, code in enumerate(ALL_CODES)]
+    (workspace / "faults.csv").write_text("state,rate,empty,a,b,e1,e2\n"
+                                          + "\n".join(rows))
+    return {"path": "faults.csv", "region_column": "state",
+            "series": [{"name": "ss", "columns": ["a", "b"]},
+                       {"name": "es", "columns": ["e1", "e2"]}]}
+
+
+@pytest.mark.parametrize("change,line", [
+    pytest.param({"columns": CONFIG["columns"][:2] + [
+        {"kind": "dot", "bindings": {"value": "empty"}}]},
+        "columns[2].bindings.value: column 'empty' has no values",
+        id="empty-dot"),
+    pytest.param({"columns": CONFIG["columns"][:2] + [
+        {"kind": "timeseries", "bindings": {"series": "es"}}]},
+        "columns[2].bindings.series: column 'es' has no values",
+        id="empty-timeseries"),
+    pytest.param({"sort": {"column": "ss"}},
+                 "sort.column: 'ss' names a whole series, not a value",
+                 id="series-sort"),
+])
+def test_data_fault_is_one_line_at_its_path_in_validate_and_render(
+        workspace, capsys, change, line):
+    """validate runs what render runs, so both report the same line."""
+    config = {**CONFIG, "data": _write_fault_data(workspace), **change}
+    (workspace / "fault.json").write_text(json.dumps(config))
+    for command in ("validate", "render"):
+        assert run([command, "--config", "fault.json"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"micromaps: error: {line}\n"
+        assert captured.out == ""
+    assert not (workspace / "fault.svg").exists()
+
+
+def test_warning_is_one_line_on_stderr(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "micromaps.cli", "demo", "ers-boxscatter",
+         "--out", str(tmp_path / "ers.svg"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ("micromaps: warning: sort column "
+                           "'insecurity_change' is not shown by any glyph "
+                           "column\n")

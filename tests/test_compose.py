@@ -200,12 +200,12 @@ def test_spec_rejects_unknown_binding_key():
         validate_spec(spec)
 
 
-def test_spec_path_points_at_bad_reference(table51):
+def test_spec_path_points_at_bad_reference(square_atlas, table51):
     spec = minimal_spec(columns=(
         ColumnSpec("map"), ColumnSpec("legend"),
         ColumnSpec("dot", bindings={"value": "nope"})))
     with pytest.raises(SpecError) as err:
-        validate_spec(spec, table51)
+        compose(spec, table51, square_atlas)
     assert err.value.path == "columns[2].bindings.value"
 
 
@@ -217,17 +217,17 @@ def test_spec_rejects_whole_series_for_dot(square_atlas):
         columns=(ColumnSpec("map"), ColumnSpec("legend"),
                  ColumnSpec("dot", bindings={"value": "s"})))
     with pytest.raises(SpecError) as err:
-        validate_spec(spec, table)
+        compose(spec, table, square_atlas)
     assert "series" in str(err.value)
 
 
-def test_spec_warns_when_sort_column_not_shown(table51):
+def test_spec_warns_when_sort_column_not_shown(square_atlas, table51):
     extended = parse_table(
         "state,v,w\n" + "\n".join(f"{c},{i},{i}" for i, c in
                                   enumerate(sorted(table51.rows))), "state")
     spec = minimal_spec(sort=SortSpec("w"))
     with pytest.warns(UserWarning):
-        validate_spec(spec, extended)
+        compose(spec, extended, square_atlas)
 
 
 def test_spec_bad_group_size():
