@@ -10,7 +10,6 @@ drift, and reproducible figures need frozen inputs.
 import csv
 import io
 import os
-from importlib import resources
 from pathlib import Path
 
 from .errors import MicromapError, SnapshotError
@@ -38,7 +37,7 @@ def default_data_dir() -> Path:
     env = os.environ.get("MICROMAP_DATA_DIR")
     if env:
         return Path(env)
-    return Path(str(resources.files("micromaps") / "data"))
+    return Path(__file__).parent / "data"
 
 
 def snapshot_text(name: str, snapshot_dir: Path | str | None = None) -> str:

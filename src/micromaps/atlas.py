@@ -14,11 +14,10 @@ Washington, DC, which is invisible at true scale.
 """
 
 import json
-from importlib import resources
+from pathlib import Path
 from typing import NamedTuple
 
 from . import colors
-from .colors import Palette
 from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
 from .glyphs import PanelFrame
 from .layout import LinkedLayout
@@ -44,7 +43,6 @@ class Atlas(NamedTuple):
 @value_type
 class MiniMapStyle(NamedTuple):
     mode: str = GROUP_ONLY
-    palette: Palette = colors.DEFAULT_PALETTE
 
 
 class MinimapShapes:
@@ -152,8 +150,8 @@ def load_atlas(document: str) -> Atlas:
 
 
 def load_default_atlas() -> Atlas:
-    document = (resources.files("micromaps") / "data" / "us_atlas.json").read_text("utf-8")
-    return load_atlas(document)
+    path = Path(__file__).parent / "data" / "us_atlas.json"
+    return load_atlas(path.read_text("utf-8"))
 
 
 def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,
@@ -195,11 +193,8 @@ def _place(ring: Ring, ox: float, oy: float, s: float, xmin: float,
 
 def _fill_for(code: str, layout: LinkedLayout, group_index: int,
               style: MiniMapStyle) -> str:
+    """A region's fill when the panel's rows do not name it."""
     group = layout.group_of.get(code)
-    if group_index == NO_DATA_PANEL:
-        return style.palette.no_data if code in layout.unranked else colors.CONTEXT_FILL
-    if group == group_index:
-        return style.palette.for_slot(layout.slot_of[code])
     if style.mode == CUMULATIVE and group is not None:
         median = layout.plan.median_group_index
         # With no median group the halves split between the two middle
@@ -217,10 +212,11 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
                    style: MiniMapStyle, frame: PanelFrame) -> MinimapShapes:
     """Draw one small-map panel.
 
-    group_only mode fills the current group's regions with their slot colors
-    over a neutral context. cumulative mode additionally tints the regions
-    of groups already shown between this panel and its side's extreme (above
-    the median: all smaller group indices; below: all larger), so shading
+    group_only mode fills each row's region of the frame in the row's
+    color, the one its legend swatch and glyphs use, over a neutral
+    context. cumulative mode additionally tints the regions of groups
+    already shown between this panel and its side's extreme (above the
+    median: all smaller group indices; below: all larger), so shading
     accumulates toward the median; the median panel tints nothing. All fills
     are emitted before any stroke, keeping shared borders crisp.
     """
@@ -229,6 +225,8 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
         raise ValueError(f"bad group index {group_index}")
     fills = {code: _fill_for(code, layout, group_index, style)
              for code in atlas.regions}
+    for row in frame.rows:
+        fills[row.region] = row.color
     border = Style(fill="none", stroke="#808080", stroke_width=0.4)
     return _draw_map(atlas, fills, border, _fit_transform(atlas, frame))
 
@@ -240,9 +238,9 @@ def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
     out = MinimapShapes()
     for code in sorted(atlas.regions):
         fill = Style(fill=fills[code])
-        region, border = f"region:{code}", f"border:{code}"
+        region = f"region:{code}"
         for ring in atlas.regions[code]:
             points = _place(ring, ox, oy, s, xmin, ymin)
             out.fills.append(Polygon(points, fill, tag=region))
-            out.strokes.append(Polygon(points, stroke, tag=border))
+            out.strokes.append(Polygon(points, stroke))
     return out

@@ -138,6 +138,14 @@ _NOUNS = {str: "a string", int: "an integer", float: "a number",
           SortSpec: "a SortSpec", Palette: "a Palette",
           ColumnSpec: "a ColumnSpec"}
 _OPTION_KEYS = ("weight", "reference_line", "name_style", "target_ticks")
+# The options each column kind reads; a known option it ignores is an error.
+_KIND_OPTIONS: dict[str, tuple[str, ...]] = {
+    MAP: (), LEGEND: ("name_style",),
+    DOT: ("weight", "reference_line", "target_ticks"),
+    BAR: ("weight", "target_ticks"), ARROW: ("weight", "target_ticks"),
+    TIMESERIES: ("weight",),
+    BOXPLOT: ("weight", "target_ticks"), SCATTER: ("weight", "target_ticks"),
+}
 
 
 def expect(value: Any, kind: type, path: str) -> Any:
@@ -168,11 +176,13 @@ def _finite(value: object, path: str) -> float:
     return number
 
 
-def _validate_options(value: object, path: str) -> None:
+def _validate_options(value: object, kind: str, path: str) -> None:
     options = expect(value, dict, path)
     for key in options:
         if key not in _OPTION_KEYS:
             raise UnknownKey(f"{path}.{key}")
+        if key not in _KIND_OPTIONS[kind]:
+            raise SpecError(f"{path}.{key}", f"not used by a {kind} column")
     if "weight" in options:
         if _finite(options["weight"], f"{path}.weight") <= 0:
             raise SpecError(f"{path}.weight", "must be positive")
@@ -186,13 +196,14 @@ def _validate_options(value: object, path: str) -> None:
             raise SpecError(f"{path}.target_ticks", "must be in 1..12")
 
 
-def validate_spec(spec: ChartSpec) -> None:
+def validate_spec(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
     """Check every field of the spec that does not depend on the table.
 
     parse_config maps JSON onto a ChartSpec and calls it; compose calls it
     too, then checks each binding against the table where its column is
     planned. Raises SpecError (UnknownKey for an option key) with the
-    config path of the offending value.
+    config path of the offending value. Returns each column's
+    ``(column, x, width)`` on the canvas, which the width rules compute.
     """
     expect(spec.title, str, "title")
     expect(spec.sort, SortSpec, "sort")
@@ -234,13 +245,13 @@ def validate_spec(spec: ChartSpec) -> None:
         for key in column.bindings:
             if key not in required:
                 raise SpecError(f"{path}.bindings", f"unexpected binding {key!r}")
-        _validate_options(column.options, f"{path}.options")
+        _validate_options(column.options, column.kind, f"{path}.options")
     kinds = [c.kind for c in spec.columns]
     if kinds.count(MAP) != 1:
         raise SpecError("columns", "chart needs exactly one map column")
     if kinds.count(LEGEND) != 1:
         raise SpecError("columns", "chart needs exactly one legend column")
-    _column_x_layout(spec)
+    return _column_x_layout(spec)
 
 
 class _Band(NamedTuple):
@@ -249,6 +260,7 @@ class _Band(NamedTuple):
     y: float
     height: float
     rows: tuple[RowBand, ...]
+    regions: tuple[tuple[str, float], ...]  # PanelInfo.rows
 
 
 class _Layers:
@@ -311,9 +323,10 @@ def _build_bands(layout: LinkedLayout, palette: Palette, top: float,
             centers = [y + height / 2.0]
         else:
             centers = [y + (i + 0.5) * row_h for i in range(len(members))]
+        regions = tuple(zip(members, centers))
         rows = tuple(RowBand(code, cy, _region_color(code, layout, palette))
-                     for code, cy in zip(members, centers))
-        bands.append(_Band(gi, is_median, y, height, rows))
+                     for code, cy in regions)
+        bands.append(_Band(gi, is_median, y, height, rows, regions))
         y += height
     return bands, row_h
 
@@ -343,10 +356,12 @@ class _ColumnPlan(NamedTuple):
     index: int
     x: float
     width: float
-    x_scale: Scale | None = None
+    x_scale: Scale | None = None  # a time series' ticks are period indices
     y_base: Scale | None = None  # unit-range scale, re-ranged per band
     periods: tuple[str, ...] = ()
     data: dict[str, Any] | None = None  # the renderer's input, per region
+    labels: tuple[str, ...] = ()  # one per x tick
+    axes: tuple[Any, ...] = (None,) * 4  # PanelInfo x/y domains and ticks
 
 
 def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
@@ -458,47 +473,42 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
             extent = (min(extent[0], line), max(extent[1], line))
             x_scale = _scale(extent, x_range, ticks,
                              f"columns[{index}].options.reference_line")
-    return _ColumnPlan(column, index, x, width, x_scale, y_base, periods, data)
-
-
-def _band_y_scale(plan: _ColumnPlan, band: _Band) -> Scale:
-    vpad = band.height * 0.10 + 2.0
-    assert plan.y_base is not None
-    return plan.y_base.with_range((band.y + band.height - vpad, band.y + vpad))
+    if column.kind == TIMESERIES:
+        shown = thin_labels(len(periods))
+        x_scale = x_scale._replace(ticks=tuple(float(i) for i in shown))
+        labels = tuple(periods[i] for i in shown)
+    else:
+        labels = tuple(format_tick(t) for t in x_scale.ticks)
+    y_axis = (None, None) if y_base is None else (y_base.domain, y_base.ticks)
+    return _ColumnPlan(column, index, x, width, x_scale, y_base, periods, data,
+                       labels, (x_scale.domain, x_scale.ticks, *y_axis))
 
 
 def _render_glyph_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
-                        layout: LinkedLayout,
-                        ) -> tuple[GlyphShapes, dict[str, object]]:
-    """The panel's shapes and its PanelInfo axis fields."""
+                        layout: LinkedLayout) -> GlyphShapes:
+    """The panel's shapes, from its column kind's renderer."""
     column = plan.spec
     assert plan.x_scale is not None and plan.data is not None
-    axes: dict[str, object] = {"x_domain": plan.x_scale.domain,
-                               "x_ticks": plan.x_scale.ticks}
     if plan.y_base is not None:  # timeseries and scatter
-        y_scale = _band_y_scale(plan, band)
-        axes["y_domain"] = y_scale.domain
-        axes["y_ticks"] = y_scale.ticks
+        vpad = band.height * 0.10 + 2.0
+        y_scale = plan.y_base.with_range((band.y + band.height - vpad,
+                                          band.y + vpad))
 
     if column.kind == DOT:
         ref = column.options.get("reference_line")
-        shapes = render_dot(plan.data, plan.x_scale, frame,
-                            reference_line=None if ref is None else float(ref))
-    elif column.kind == BAR:
-        shapes = render_bar(plan.data, plan.x_scale, frame)
-    elif column.kind == ARROW:
-        shapes = render_arrow(plan.data, plan.x_scale, frame)
-    elif column.kind == TIMESERIES:
-        shapes = render_timeseries(plan.data, plan.periods, plan.x_scale,
-                                   y_scale, frame)
-        axes["x_ticks"] = tuple(float(i) for i in
-                                thin_labels(len(plan.periods)))
-    elif column.kind == SCATTER:
-        shapes = render_scatter(plan.data, plan.x_scale, y_scale, frame,
-                                context=layout.ranked)
-    else:  # BOXPLOT
-        shapes = render_boxplot(plan.data, plan.x_scale, frame)
-    return shapes, axes
+        return render_dot(plan.data, plan.x_scale, frame,
+                          reference_line=None if ref is None else float(ref))
+    if column.kind == BAR:
+        return render_bar(plan.data, plan.x_scale, frame)
+    if column.kind == ARROW:
+        return render_arrow(plan.data, plan.x_scale, frame)
+    if column.kind == TIMESERIES:
+        return render_timeseries(plan.data, plan.periods, plan.x_scale,
+                                 y_scale, frame)
+    if column.kind == SCATTER:
+        return render_scatter(plan.data, plan.x_scale, y_scale, frame,
+                              context=layout.ranked)
+    return render_boxplot(plan.data, plan.x_scale, frame)
 
 
 def _axis_shapes(plan: _ColumnPlan, y: float, above: bool,
@@ -511,19 +521,11 @@ def _axis_shapes(plan: _ColumnPlan, y: float, above: bool,
     label_style = Style(fill=colors.TEXT_COLOR, font_size=8.5, anchor="middle")
     tick_len = 3.5
     direction = -1.0 if above else 1.0
-
-    if plan.spec.kind == TIMESERIES:
-        positions = [float(i) for i in thin_labels(len(plan.periods))]
-        labels = [plan.periods[int(i)] for i in positions]
-    else:
-        positions = list(scale.ticks)
-        labels = [format_tick(t) for t in scale.ticks]
-
     lines: list[Shape] = [Line(scale.range[0], y, scale.range[1], y, line_style)]
     texts: list[Shape] = []
     label_y = y + direction * (tick_len + 3.0) + (0.0 if above else 6.5)
-    for pos, label in zip(positions, labels):
-        x = scale.map(pos)
+    for tick, label in zip(scale.ticks, plan.labels):
+        x = scale.map(tick)
         lines.append(Line(x, y, x, y + direction * tick_len, tick_style))
         texts.append(Text(x, label_y, label, label_style))
     return lines, texts
@@ -537,8 +539,7 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
     where the regions are ranked. A sort column that no glyph column shows
     is only a warning.
     """
-    validate_spec(spec)
-    columns = _column_x_layout(spec)
+    columns = validate_spec(spec)
     plans = [_plan_column(column, i, x, width, table)
              for i, (column, x, width) in enumerate(columns)]
     try:
@@ -567,8 +568,8 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
                                 gutter)
 
     layers = _Layers()
-    panels: list[PanelInfo] = []
-    map_style = MiniMapStyle(mode=spec.map_mode, palette=palette)
+    placed: list[tuple[_ColumnPlan, _Band, range]] = []  # range: its marks
+    map_style = MiniMapStyle(mode=spec.map_mode)
     content_left = columns[0][1]
     content_right = columns[-1][1] + columns[-1][2]
 
@@ -613,10 +614,6 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
         for band in bands:
             frame = PanelFrame(plan.x, band.y, plan.width, band.height,
                                band.rows, row_h)
-            info = PanelInfo(plan.index, plan.spec.kind, band.group_index,
-                             frame.x, frame.y, frame.width, frame.height,
-                             band.is_median,
-                             tuple((r.region, r.y) for r in frame.rows))
             if plan.spec.kind == MAP:
                 shapes = render_minimap(atlas, layout, band.group_index,
                                         map_style, frame)
@@ -629,10 +626,9 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
                 marks = layers.add_glyph(render_legend_column(name_style,
                                                               frame))
             else:
-                shapes, axes = _render_glyph_panel(plan, band, frame, layout)
-                marks = layers.add_glyph(shapes)
-                info = info._replace(**axes)
-            panels.append(info._replace(marks=marks))
+                marks = layers.add_glyph(_render_glyph_panel(plan, band, frame,
+                                                             layout))
+            placed.append((plan, band, marks))
 
         if plan.spec.kind in GLYPH_KINDS:
             top_y = content_top - 4.0
@@ -645,9 +641,12 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
     # Shift each panel's marks from its layer to the flattened shapes.
     fills_at = len(layers.guides)
     marks_at = fills_at + len(layers.map_fills) + len(layers.map_strokes)
-    for i, info in enumerate(panels):
-        at = fills_at if info.kind == MAP else marks_at
-        panels[i] = info._replace(marks=range(info.marks.start + at,
-                                              info.marks.stop + at))
+    panels: list[PanelInfo] = []
+    for plan, band, marks in placed:
+        at = fills_at if plan.spec.kind == MAP else marks_at
+        panels.append(PanelInfo(plan.index, plan.spec.kind, band.group_index,
+                                plan.x, band.y, plan.width, band.height,
+                                band.is_median, band.regions, *plan.axes,
+                                range(marks.start + at, marks.stop + at)))
     return clamp_scene(Scene(w, h, layers.flatten(), tuple(panels)))
 

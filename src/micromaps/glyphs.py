@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import colors
 from .errors import EmptySamples, SeriesMismatch
-from .scale import Scale, thin_labels
+from .scale import Scale
 from .scene import Circle, Line, Polygon, Polyline, Rect, Shape, Style, Text
 from .values import value_type
 
@@ -199,15 +199,18 @@ def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
     return out
 
 
-def _panel_frame_guides(frame: PanelFrame, x_tick_pos: Sequence[float],
-                        y_tick_pos: Sequence[float]) -> list[Shape]:
+def _panel_frame_guides(frame: PanelFrame, x_scale: Scale,
+                        y_scale: Scale) -> list[Shape]:
+    """The panel's border, with a tick mark at each tick of both scales."""
     border = Rect(frame.x, frame.y, frame.width, frame.height,
                   Style(fill="none", stroke=colors.GUIDE_COLOR, stroke_width=0.7))
     tick_style = Style(stroke=colors.AXIS_COLOR, stroke_width=0.6)
     shapes: list[Shape] = [border]
-    for x in x_tick_pos:
+    for t in x_scale.ticks:
+        x = x_scale.map(t)
         shapes.append(Line(x, frame.bottom, x, frame.bottom - TICK_MARK, tick_style))
-    for y in y_tick_pos:
+    for t in y_scale.ticks:
+        y = y_scale.map(t)
         shapes.append(Line(frame.x, y, frame.x + TICK_MARK, y, tick_style))
     return shapes
 
@@ -215,11 +218,12 @@ def _panel_frame_guides(frame: PanelFrame, x_tick_pos: Sequence[float],
 def render_timeseries(series: Mapping[str, Sequence[float | None]],
                       periods: Sequence[str], x_scale: Scale, y_scale: Scale,
                       frame: PanelFrame) -> GlyphShapes:
-    """One polyline per region; missing periods break the line."""
+    """One polyline per region; missing periods break the line.
+
+    The x scale's domain and ticks are period indices.
+    """
     n = len(periods)
-    x_ticks = [x_scale.map(float(i)) for i in thin_labels(n)]
-    y_ticks = [y_scale.map(t) for t in y_scale.ticks]
-    out = GlyphShapes(guides=_panel_frame_guides(frame, x_ticks, y_ticks))
+    out = GlyphShapes(guides=_panel_frame_guides(frame, x_scale, y_scale))
     for row in frame.rows:
         cells = series.get(row.region)
         if cells is None:
@@ -252,10 +256,7 @@ def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
                    x_scale: Scale, y_scale: Scale, frame: PanelFrame,
                    context: Sequence[str]) -> GlyphShapes:
     """All ranked regions as gray context points, the group enlarged on top."""
-    x_ticks = [x_scale.map(t) for t in x_scale.ticks]
-    y_ticks = [y_scale.map(t) for t in y_scale.ticks]
-    out = GlyphShapes(guides=_panel_frame_guides(frame, x_ticks, y_ticks))
-    highlighted = {row.region for row in frame.rows}
+    out = GlyphShapes(guides=_panel_frame_guides(frame, x_scale, y_scale))
 
     def position(code: str) -> tuple[float, float] | None:
         pair = points.get(code)

@@ -20,9 +20,6 @@ DESCENDING = "descending"
 # Slot index reserved for the median region; plain slots are 0..4.
 MEDIAN_SLOT = -1
 
-# Group index used in the canonical serialization for unranked regions.
-NO_DATA_GROUP = -1
-
 
 @value_type
 class SortSpec(NamedTuple):
@@ -47,19 +44,6 @@ class LinkedLayout(NamedTuple):
     def group_members(self, group_index: int) -> tuple[str, ...]:
         start = sum(self.plan.sizes[:group_index])
         return self.ranked[start:start + self.plan.sizes[group_index]]
-
-    def serialize(self) -> str:
-        """Canonical text form: one "rank,code,group,slot" line per region,
-        unranked regions last with group -1 and slot "-".
-        """
-        lines = []
-        for rank, code in enumerate(self.ranked):
-            slot = self.slot_of[code]
-            slot_text = "M" if slot == MEDIAN_SLOT else str(slot)
-            lines.append(f"{rank},{code},{self.group_of[code]},{slot_text}")
-        for code in self.unranked:
-            lines.append(f"-1,{code},{NO_DATA_GROUP},-")
-        return "\n".join(lines) + "\n"
 
 
 def order_regions(table: RegionTable, spec: SortSpec) -> tuple[list[str], list[str]]:

@@ -14,15 +14,26 @@ from micromaps.atlas import (
 )
 from micromaps.colors import CONTEXT_FILL, CUMULATIVE_TINT, DEFAULT_PALETTE
 from micromaps.errors import AtlasParse, IncompleteAtlas, UnknownRegion
-from micromaps.glyphs import PanelFrame
+from micromaps.glyphs import PanelFrame, RowBand
 from micromaps.layout import SortSpec, build_layout
 from micromaps.regions import ALL_CODES, region_lookup
 
 from conftest import full_table, square_atlas_document
 
 
-def frame(x=0.0, y=0.0, w=150.0, h=100.0) -> PanelFrame:
-    return PanelFrame(x, y, w, h, (), 20.0)
+def frame(x=0.0, y=0.0, w=150.0, h=100.0, rows=()) -> PanelFrame:
+    return PanelFrame(x, y, w, h, rows, 20.0)
+
+
+def panel_frame(layout, group_index: int) -> PanelFrame:
+    """A frame whose rows are the panel's regions in their palette colors."""
+    if group_index == NO_DATA_PANEL:
+        colored = [(code, DEFAULT_PALETTE.no_data) for code in layout.unranked]
+    else:
+        colored = [(code, DEFAULT_PALETTE.for_slot(layout.slot_of[code]))
+                   for code in layout.group_members(group_index)]
+    return frame(rows=tuple(RowBand(code, 10.0 + 20.0 * i, color)
+                            for i, (code, color) in enumerate(colored)))
 
 
 def drop_feature(doc: str, code: str) -> str:
@@ -161,7 +172,8 @@ def fills_by_color(shapes) -> dict[str, int]:
 def test_group_only_mode_counts(square_atlas, table51):
     layout = build_layout(full_table(), SortSpec("v"))
     style = MiniMapStyle(mode=GROUP_ONLY)
-    shapes = render_minimap(square_atlas, layout, 0, style, frame())
+    shapes = render_minimap(square_atlas, layout, 0, style,
+                            panel_frame(layout, 0))
     counts = fills_by_color(shapes)
     assert counts.get(CONTEXT_FILL) == 46
     slot_colored = sum(n for color, n in counts.items()
@@ -175,7 +187,7 @@ def test_group_only_fill_count_matches_group_size(square_atlas):
     style = MiniMapStyle(mode=GROUP_ONLY)
     for gi, size in enumerate(layout.plan.sizes):
         counts = fills_by_color(render_minimap(square_atlas, layout, gi,
-                                               style, frame()))
+                                               style, panel_frame(layout, gi)))
         highlighted = 51 - counts.get(CONTEXT_FILL, 0)
         assert highlighted == size
 
@@ -184,7 +196,7 @@ def test_cumulative_above_median(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
     style = MiniMapStyle(mode=CUMULATIVE)
     counts = fills_by_color(render_minimap(square_atlas, layout, 2, style,
-                                           frame()))
+                                           panel_frame(layout, 2)))
     assert counts.get(CUMULATIVE_TINT) == 10  # groups 0 and 1
     assert counts.get(CONTEXT_FILL) == 51 - 10 - 5
 
@@ -193,7 +205,7 @@ def test_cumulative_median_panel_tints_nothing(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
     style = MiniMapStyle(mode=CUMULATIVE)
     counts = fills_by_color(render_minimap(square_atlas, layout, 5, style,
-                                           frame()))
+                                           panel_frame(layout, 5)))
     assert counts.get(CUMULATIVE_TINT) is None
     assert counts.get(DEFAULT_PALETTE.median) == 1
     assert counts.get(CONTEXT_FILL) == 50
@@ -225,8 +237,20 @@ def test_no_data_panel_highlights_unranked(square_atlas):
     layout = build_layout(make_table(values), SortSpec("v"))
     style = MiniMapStyle()
     counts = fills_by_color(render_minimap(square_atlas, layout,
-                                           NO_DATA_PANEL, style, frame()))
+                                           NO_DATA_PANEL, style,
+                                           panel_frame(layout, NO_DATA_PANEL)))
     assert counts.get(DEFAULT_PALETTE.no_data) == 2
+
+
+def test_row_color_fills_its_region(square_atlas):
+    """The map paints a row's region in the row's color, palette or not."""
+    layout = build_layout(full_table(), SortSpec("v"))
+    code = layout.group_members(0)[0]
+    rows = (RowBand(code, 10.0, "#abcdef"),)
+    shapes = render_minimap(square_atlas, layout, 0, MiniMapStyle(),
+                            frame(rows=rows))
+    assert {s.tag for s in shapes.fills if s.style.fill == "#abcdef"} == {
+        f"region:{code}"}
 
 
 def test_render_is_pure(square_atlas):

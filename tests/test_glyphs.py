@@ -148,6 +148,18 @@ def test_timeseries_singleton_run_draws_point():
     assert len(marks_of(out, Circle)) == 1
 
 
+def test_timeseries_x_tick_marks_sit_at_the_scale_ticks():
+    periods = tuple("abcde")
+    xs = linear_scale((0.0, 4.0), (10.0, 290.0))._replace(ticks=(1.0, 3.0))
+    ys = linear_scale((0.0, 10.0), (0.0, 1.0)).with_range((90.0, 10.0))
+    frame = make_frame(1)
+    out = render_timeseries({"AK": (1.0, 2.0, 3.0, 4.0, 5.0)}, periods, xs,
+                            ys, frame)
+    bottom_ticks = [g.x1 for g in out.guides
+                    if isinstance(g, Line) and g.y1 == frame.bottom]
+    assert bottom_ticks == [xs.map(1.0), xs.map(3.0)]
+
+
 def test_timeseries_length_mismatch():
     xs = linear_scale((0.0, 2.0), (10.0, 290.0))
     ys = linear_scale((0.0, 10.0), (0.0, 1.0))

@@ -3,7 +3,8 @@
 Each case is one invalid value, written once as JSON for ``parse_config``
 and once as the equivalent ChartSpec for ``validate_spec`` and ``compose``.
 Both sides must raise the same exception class naming the same path, and
-``compose`` must not render.
+``compose`` must not render. An option that its column kind ignores is
+also run through ``micromaps validate`` and ``micromaps render``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import json
 
 import pytest
 
+from micromaps.cli import EXIT_VALIDATION, run
 from micromaps.colors import DEFAULT_PALETTE, SLOT_COLORS
 from micromaps.compose import ChartSpec, ColumnSpec, compose, validate_spec
 from micromaps.config import parse_config
 from micromaps.errors import BadValue, MicromapError, SpecError, UnknownKey
 from micromaps.layout import SortSpec
+from micromaps.regions import ALL_CODES
 from micromaps.scene import Circle, Style
 
 BASE = {
@@ -198,3 +201,51 @@ def test_config_and_api_reject_alike(table51, square_atlas, where, key, value,
 
 def test_bad_value_is_spec_error():
     assert BadValue is SpecError
+
+
+# A known option on a column kind that ignores it: (index, column, key,
+# value). Each of these rendered as if the option were absent.
+IGNORED = [
+    (2, {"kind": "timeseries", "bindings": {"series": "s"}}, "target_ticks",
+     3),
+    (2, {"kind": "bar", "bindings": {"value": "v"}}, "reference_line", 0.0),
+    (2, {"kind": "scatter", "bindings": {"x": "v", "y": "v"}},
+     "reference_line", 0.0),
+    (0, {"kind": "map"}, "weight", 2.0),
+    (1, {"kind": "legend"}, "weight", 2.0),
+    (2, {"kind": "dot", "bindings": {"value": "v"}}, "name_style", "abbrev"),
+]
+
+
+@pytest.mark.parametrize(
+    "index,column,key,value", IGNORED,
+    ids=[f"{key}-on-{column['kind']}" for _, column, key, _ in IGNORED])
+def test_ignored_option_is_rejected_by_api_and_cli(
+        tmp_path, monkeypatch, capsys, table51, square_atlas, index, column,
+        key, value):
+    path = f"columns[{index}].options.{key}"
+    line = f"{path}: not used by a {column['kind']} column"
+    columns = list(BASE_SPEC.columns)
+    columns[index] = ColumnSpec(column["kind"],
+                                bindings=column.get("bindings", {}),
+                                options={key: value})
+    spec = BASE_SPEC._replace(columns=tuple(columns))
+    for attempt in (lambda: validate_spec(spec),
+                    lambda: compose(spec, table51, square_atlas)):
+        with pytest.raises(SpecError) as info:
+            attempt()
+        assert (info.value.path, str(info.value)) == (path, line)
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("state,v,a,b\n" + "\n".join(
+        f"{code},{i},{2 * i},{3 * i}" for i, code in enumerate(ALL_CODES)))
+    doc = copy.deepcopy(BASE)
+    doc["data"]["series"] = [{"name": "s", "columns": ["a", "b"]}]
+    doc["columns"][index] = {**column, "options": {key: value}}
+    (tmp_path / "chart.json").write_text(json.dumps(doc))
+    for command in ("validate", "render"):
+        assert run([command, "--config", "chart.json"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("",
+                                                f"micromaps: error: {line}\n")
+    assert not (tmp_path / "chart.svg").exists()
