@@ -96,6 +96,8 @@ AXIS_BOT_F = 0.022
 GUTTER_F = 0.006
 SCALE_PAD_F = 0.07
 MEDIAN_BAND_ROWS = 1.6
+# 100 times the default canvas; coordinates keep at most six integer digits.
+MAX_CANVAS = 100000.0
 NO_DATA_GAP_GUTTERS = 2.5
 
 
@@ -224,8 +226,9 @@ def validate_spec(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
                                       "the number of palette slot colors")
     _one_of(spec.map_mode, (GROUP_ONLY, CUMULATIVE), "map_mode")
     for name in ("width", "height"):
-        if _finite(getattr(spec, name), f"output.{name}") <= 0:
-            raise SpecError(f"output.{name}", "must be positive")
+        if not 0 < _finite(getattr(spec, name), f"output.{name}") <= MAX_CANVAS:
+            raise SpecError(f"output.{name}",
+                            f"must be above 0 and at most {MAX_CANVAS:g}")
     if not spec.columns:
         raise SpecError("columns", "chart needs at least one column")
     for i, column in enumerate(spec.columns):

@@ -11,6 +11,7 @@ mark and a small "n/a" note where the row-glyph layout allows one.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Mapping, NamedTuple, Sequence
 
 from . import colors
@@ -88,7 +89,7 @@ def _quantile(ordered: Sequence[float], p: float) -> float:
     return min(max(a * (1.0 - frac) + b * frac, a), b)
 
 
-def compute_box_stats(samples: Sequence[float]) -> BoxStats:
+def compute_box_stats(samples: Sequence[float | None]) -> BoxStats:
     """Quartiles, 1.5*IQR whiskers, and outliers for one sample list.
 
     Whiskers sit on the most extreme samples inside the fences, clamped to
@@ -101,13 +102,13 @@ def compute_box_stats(samples: Sequence[float]) -> BoxStats:
     med = _quantile(data, 0.50)
     q3 = _quantile(data, 0.75)
     iqr = q3 - q1
-    lo_fence = q1 - 1.5 * iqr
-    hi_fence = q3 + 1.5 * iqr
-    inside = [s for s in data if lo_fence <= s <= hi_fence]
-    whisker_lo = min(min(inside), q1)
-    whisker_hi = max(max(inside), q3)
-    outliers = tuple(s for s in data if s < lo_fence or s > hi_fence)
-    return BoxStats(q1, med, q3, whisker_lo, whisker_hi, outliers)
+    # data[lo:hi] are the samples inside the fences.
+    lo = bisect_left(data, q1 - 1.5 * iqr)
+    hi = bisect_right(data, q3 + 1.5 * iqr)
+    whisker_lo = min(data[lo], q1)
+    whisker_hi = max(data[hi - 1], q3)
+    return BoxStats(q1, med, q3, whisker_lo, whisker_hi,
+                    tuple(data[:lo] + data[hi:]))
 
 
 def _na_label(frame: PanelFrame, row: RowBand) -> Text:
@@ -127,16 +128,15 @@ def render_dot(values: Mapping[str, float | None], scale: Scale,
     """One filled circle per region at the scaled value."""
     out = GlyphShapes(guides=_row_guides(frame))
     if reference_line is not None:
-        x = scale.map(scale.check(reference_line))
+        x = scale.positions((reference_line,))[0]
         out.guides.append(Line(x, frame.y, x, frame.bottom,
                                Style(stroke=colors.AXIS_COLOR, stroke_width=0.7)))
     r = min(4.2, frame.row_height * 0.24)
-    for row in frame.rows:
-        v = values.get(row.region)
-        if v is None:
+    xs = scale.positions([values.get(row.region) for row in frame.rows])
+    for row, x in zip(frame.rows, xs):
+        if x is None:
             out.labels.append(_na_label(frame, row))
             continue
-        x = scale.map(scale.check(v))
         out.marks.append(Circle(x, row.y, r, Style(fill=row.color),
                                 tag=f"region:{row.region}"))
     return out
@@ -145,17 +145,16 @@ def render_dot(values: Mapping[str, float | None], scale: Scale,
 def render_bar(values: Mapping[str, float | None], scale: Scale,
                frame: PanelFrame) -> GlyphShapes:
     """Horizontal bars anchored at zero; negatives extend left."""
-    x0 = scale.map(scale.check(0.0))
+    x0 = scale.positions((0.0,))[0]
     out = GlyphShapes()
     out.guides.append(Line(x0, frame.y, x0, frame.bottom,
                            Style(stroke=colors.AXIS_COLOR, stroke_width=0.7)))
     h = frame.row_height * 0.55
-    for row in frame.rows:
-        v = values.get(row.region)
-        if v is None:
+    xs = scale.positions([values.get(row.region) for row in frame.rows])
+    for row, xv in zip(frame.rows, xs):
+        if xv is None:
             out.labels.append(_na_label(frame, row))
             continue
-        xv = scale.map(scale.check(v))
         out.marks.append(Rect(min(x0, xv), row.y - h / 2.0, abs(xv - x0), h,
                               Style(fill=row.color), tag=f"region:{row.region}"))
     return out
@@ -179,15 +178,18 @@ def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
                  scale: Scale, frame: PanelFrame) -> GlyphShapes:
     """Start-to-end arrows; a zero-length change renders as a diamond."""
     out = GlyphShapes(guides=_row_guides(frame))
+    drawn: list[tuple[RowBand, float, float]] = []
     for row in frame.rows:
-        pair = pairs.get(row.region)
-        start, end = pair if pair is not None else (None, None)
-        tag = f"region:{row.region}"
+        start, end = pairs.get(row.region) or (None, None)
         if start is None or end is None:
             out.labels.append(_na_label(frame, row))
-            continue
-        xs = scale.map(scale.check(start))
-        xe = scale.map(scale.check(end))
+        else:
+            drawn.append((row, start, end))
+    # Starts and ends alternate, so each row's start is checked first.
+    placed = iter(scale.positions([v for _, start, end in drawn
+                                   for v in (start, end)]))
+    for (row, start, end), xs, xe in zip(drawn, placed, placed):
+        tag = f"region:{row.region}"
         if start == end:
             out.marks.append(_diamond(xs, row.y, row.color, tag))
             continue
@@ -206,11 +208,9 @@ def _panel_frame_guides(frame: PanelFrame, x_scale: Scale,
                   Style(fill="none", stroke=colors.GUIDE_COLOR, stroke_width=0.7))
     tick_style = Style(stroke=colors.AXIS_COLOR, stroke_width=0.6)
     shapes: list[Shape] = [border]
-    for t in x_scale.ticks:
-        x = x_scale.map(t)
+    for x in x_scale.positions(x_scale.ticks):
         shapes.append(Line(x, frame.bottom, x, frame.bottom - TICK_MARK, tick_style))
-    for t in y_scale.ticks:
-        y = y_scale.map(t)
+    for y in y_scale.positions(y_scale.ticks):
         shapes.append(Line(frame.x, y, frame.x + TICK_MARK, y, tick_style))
     return shapes
 
@@ -224,6 +224,7 @@ def render_timeseries(series: Mapping[str, Sequence[float | None]],
     """
     n = len(periods)
     out = GlyphShapes(guides=_panel_frame_guides(frame, x_scale, y_scale))
+    xs = x_scale.positions(range(n))
     for row in frame.rows:
         cells = series.get(row.region)
         if cells is None:
@@ -233,21 +234,19 @@ def render_timeseries(series: Mapping[str, Sequence[float | None]],
                 f"{row.region}: {len(cells)} values for {n} periods")
         tag = f"region:{row.region}"
         style = Style(stroke=row.color, stroke_width=1.1)
-        run: list[tuple[float, float]] = []
-        for i, v in enumerate(cells):
-            if v is None:
-                _flush_run(out, run, style, row.color, tag)
-                run = []
-                continue
-            run.append((x_scale.map(float(i)), y_scale.map(y_scale.check(v))))
-        _flush_run(out, run, style, row.color, tag)
+        ys = y_scale.positions(cells)
+        start = 0
+        for stop in [i for i, y in enumerate(ys) if y is None] + [n]:
+            _flush_run(out, tuple(zip(xs[start:stop], ys[start:stop])), style,
+                       row.color, tag)
+            start = stop + 1
     return out
 
 
-def _flush_run(out: GlyphShapes, run: list[tuple[float, float]], style: Style,
-               color: str, tag: str) -> None:
+def _flush_run(out: GlyphShapes, run: tuple[tuple[float, float], ...],
+               style: Style, color: str, tag: str) -> None:
     if len(run) >= 2:
-        out.marks.append(Polyline(tuple(run), style, tag=tag))
+        out.marks.append(Polyline(run, style, tag=tag))
     elif len(run) == 1:
         out.marks.append(Circle(run[0][0], run[0][1], 1.6, Style(fill=color), tag=tag))
 
@@ -257,29 +256,22 @@ def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
                    context: Sequence[str]) -> GlyphShapes:
     """All ranked regions as gray context points, the group enlarged on top."""
     out = GlyphShapes(guides=_panel_frame_guides(frame, x_scale, y_scale))
-
-    def position(code: str) -> tuple[float, float] | None:
-        pair = points.get(code)
-        if pair is None:
-            return None
-        px, py = pair
-        if px is None or py is None:
-            return None
-        return (x_scale.map(x_scale.check(px)), y_scale.map(y_scale.check(py)))
-
-    for code in context:
-        pos = position(code)
-        if pos is None:
-            continue
-        out.marks.append(Circle(pos[0], pos[1], CONTEXT_RADIUS,
-                                Style(fill=colors.CONTEXT_POINT),
-                                tag=f"context:{code}"))
-    for row in frame.rows:
-        pos = position(row.region)
-        if pos is None:
+    # A point missing either coordinate is not drawn, so neither is mapped.
+    pairs = [points.get(code) or (None, None)
+             for code in (*context, *(row.region for row in frame.rows))]
+    xs = x_scale.positions([None if y is None else x for x, y in pairs])
+    ys = y_scale.positions([None if x is None else y for x, y in pairs])
+    for code, x, y in zip(context, xs, ys):
+        if x is not None:
+            out.marks.append(Circle(x, y, CONTEXT_RADIUS,
+                                    Style(fill=colors.CONTEXT_POINT),
+                                    tag=f"context:{code}"))
+    n = len(context)
+    for row, x, y in zip(frame.rows, xs[n:], ys[n:]):
+        if x is None:
             out.labels.append(_na_label(frame, row))
             continue
-        out.marks.append(Circle(pos[0], pos[1], HIGHLIGHT_RADIUS,
+        out.marks.append(Circle(x, y, HIGHLIGHT_RADIUS,
                                 Style(fill=row.color), tag=f"region:{row.region}"))
     return out
 
@@ -290,19 +282,16 @@ def render_boxplot(samples: Mapping[str, Sequence[float | None] | None],
     out = GlyphShapes(guides=_row_guides(frame))
     h = frame.row_height * 0.6
     for row in frame.rows:
-        data = [v for v in samples.get(row.region) or () if v is not None]
-        if not data:
+        try:
+            stats = compute_box_stats(samples.get(row.region) or ())
+        except EmptySamples:
             out.labels.append(_na_label(frame, row))
             continue
-        stats = compute_box_stats(data)
-        for edge in (stats.whisker_lo, stats.whisker_hi, *stats.outliers):
-            scale.check(edge)
         tag = f"region:{row.region}"
-        x_lo = scale.map(stats.whisker_lo)
-        x_hi = scale.map(stats.whisker_hi)
-        x_q1 = scale.map(stats.q1)
-        x_q3 = scale.map(stats.q3)
-        x_med = scale.map(stats.median)
+        # q1, median and q3 lie between the whiskers: their checks pass.
+        x_lo, x_hi, x_q1, x_q3, x_med, *x_outliers = scale.positions(
+            (stats.whisker_lo, stats.whisker_hi, stats.q1, stats.q3,
+             stats.median, *stats.outliers))
         out.marks.append(Line(x_lo, row.y, x_hi, row.y,
                               Style(stroke=colors.AXIS_COLOR, stroke_width=0.8),
                               tag=tag))
@@ -311,7 +300,7 @@ def render_boxplot(samples: Mapping[str, Sequence[float | None] | None],
                                     stroke_width=0.5), tag=tag))
         out.marks.append(Line(x_med, row.y - h / 2.0, x_med, row.y + h / 2.0,
                               Style(stroke="#000000", stroke_width=1.0), tag=tag))
-        for v in stats.outliers:
-            out.marks.append(Circle(scale.map(v), row.y, OUTLIER_RADIUS,
+        for x in x_outliers:
+            out.marks.append(Circle(x, row.y, OUTLIER_RADIUS,
                                     Style(fill=colors.AXIS_COLOR), tag=tag))
     return out

@@ -6,7 +6,7 @@ whole chart.
 """
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import BadExtent, DomainOverflow
 from .values import value_type
@@ -43,6 +43,28 @@ class Scale(NamedTuple):
         if value < d0 - tol or value > d1 + tol:
             raise DomainOverflow(f"value {value} outside domain ({d0}, {d1})")
         return value
+
+    def positions(self, values: Sequence[float | None]) -> list[float | None]:
+        """``map(check(v))`` of each value in order; None stays None.
+
+        The domain is checked once, on the least and greatest present
+        value. Only when that fails is each value checked in turn, so the
+        first offender is the one reported.
+        """
+        present = [v for v in values if v is not None]
+        if present:
+            try:
+                self.check(min(present))
+                self.check(max(present))
+            except DomainOverflow:
+                for v in present:
+                    self.check(v)
+                raise
+        d0, d1 = self.domain
+        r0, r1 = self.range
+        dspan, rspan = d1 - d0, r1 - r0  # the operations of map, in order
+        return [None if v is None else r0 + (v - d0) / dspan * rspan
+                for v in values]
 
 
 def nice_step(raw: float) -> float:

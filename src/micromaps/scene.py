@@ -17,7 +17,6 @@ class Style(NamedTuple):
     fill: str | None = None
     stroke: str | None = None
     stroke_width: float | None = None
-    opacity: float | None = None
     font_size: float | None = None
     anchor: str | None = None
 
@@ -154,24 +153,21 @@ def clamp_shape(shape: Shape, width: float, height: float) -> Shape:
 
 
 def _inside(shape: Shape, width: float, height: float) -> bool:
-    """Whether clamp_shape would leave every coordinate as it is."""
+    """Whether clamp_shape would leave every coordinate as it is.
+
+    clamp_scene tests the other exact shape types inline; for them, and for
+    anything that is not a shape, this is False and clamp_shape decides.
+    """
     if isinstance(shape, (Polyline, Polygon)):
         if not shape.points:
             return True
         xs, ys = zip(*shape.points)
         return (0.0 <= min(xs) and max(xs) <= width
                 and 0.0 <= min(ys) and max(ys) <= height)
-    if isinstance(shape, (Rect, Text)):
-        return 0.0 <= shape.x <= width and 0.0 <= shape.y <= height
-    if isinstance(shape, Circle):
-        return 0.0 <= shape.cx <= width and 0.0 <= shape.cy <= height
-    if isinstance(shape, Line):
-        return (0.0 <= shape.x1 <= width and 0.0 <= shape.x2 <= width
-                and 0.0 <= shape.y1 <= height and 0.0 <= shape.y2 <= height)
     if isinstance(shape, Path):
         return all(0.0 <= v <= (height if i % 2 else width)
                    for c in shape.commands for i, v in enumerate(c[1:]))
-    return False  # not a shape: clamp_shape raises
+    return False
 
 
 def clamp_scene(scene: Scene) -> Scene:
@@ -184,10 +180,18 @@ def clamp_scene(scene: Scene) -> Scene:
     rings: dict[int, bool] = {}  # id(points) -> inside
     clamped: list[Shape] | None = None
     for i, shape in enumerate(scene.shapes):
-        if isinstance(shape, (Polyline, Polygon)):
+        kind = type(shape)
+        if kind is Polygon or kind is Polyline:
             inside = rings.get(id(shape.points))
             if inside is None:
                 inside = rings[id(shape.points)] = _inside(shape, w, h)
+        elif kind is Line:
+            inside = (0.0 <= shape.x1 <= w and 0.0 <= shape.x2 <= w
+                      and 0.0 <= shape.y1 <= h and 0.0 <= shape.y2 <= h)
+        elif kind is Circle:
+            inside = 0.0 <= shape.cx <= w and 0.0 <= shape.cy <= h
+        elif kind is Rect or kind is Text:
+            inside = 0.0 <= shape.x <= w and 0.0 <= shape.y <= h
         else:
             inside = _inside(shape, w, h)
         if not inside:

@@ -5,14 +5,15 @@ order, every coordinate is printed with a fixed number of decimals
 (round-half-to-even, never scientific notation), lines end with LF, and
 each element sits on its own line. Styling uses presentation attributes
 only and fonts are referenced by generic family, so the document is fully
-self-contained. Each shape type has its own writer, which rejects
-non-finite coordinates; one call formats each Style once, and a polygon's
-points text is kept across calls (_RINGS). Text and attribute values are
-escaped here and lose the characters XML 1.0 forbids, so any string makes a
-well-formed document.
+self-contained. Each shape type has its own writer. A writer formats all
+of a shape's numbers with one precompiled ``str.format`` (a polyline's or
+polygon's points with one per point), then tests that text once for a
+non-finite number and turns every "-0.00" in it into "0.00". One call
+formats each Style once, and a polygon's points text is kept across calls
+(_RINGS). Text and attribute values are escaped here and lose the
+characters XML 1.0 forbids, so any string makes a well-formed document.
 """
 
-import math
 import re
 from functools import cache, partial
 from itertools import starmap
@@ -74,12 +75,10 @@ def _escape_attr(text: str) -> str:
     return _escape(text).replace('"', "&quot;")
 
 
-def _style_attrs(style: Style, dp: int) -> tuple[str, str, str, str]:
+def _style_attrs(style: Style, dp: int) -> tuple[str, str, str]:
     """A Style's attributes, cut where writers interleave geometry: fill,
-    opacity, stroke + stroke-width, and <text>'s fill..text-anchor run."""
+    stroke + stroke-width, and <text>'s fill..text-anchor run."""
     fill = "" if style.fill is None else f' fill="{_escape_attr(style.fill)}"'
-    opacity = ("" if style.opacity is None
-               else f' opacity="{_fmt(style.opacity, dp)}"')
     stroke = ("" if style.stroke is None
               else f' stroke="{_escape_attr(style.stroke)}"')
     if style.stroke_width is not None:
@@ -87,10 +86,10 @@ def _style_attrs(style: Style, dp: int) -> tuple[str, str, str, str]:
     text = f'{fill} font-family="{FONT_FAMILY}"'
     if style.font_size is not None:
         text += f' font-size="{_fmt(style.font_size, dp)}"'
-    text += opacity + stroke
+    text += stroke
     if style.anchor is not None:
         text += f' text-anchor="{_escape_attr(style.anchor)}"'
-    return fill, opacity, stroke, text
+    return fill, stroke, text
 
 
 class _Writer:
@@ -98,50 +97,54 @@ class _Writer:
 
     def __init__(self, dp: int) -> None:
         self.dp = dp
-        self.pair = f"{{:.{dp}f}},{{:.{dp}f}}".format
-        self.negative_zero = "-" + _fmt(0.0, dp)
+        number = f"{{:.{dp}f}}"
+        self.one = number.format
+        self.pair = f"{number},{number}".format
+        self.two, self.three, self.four = (" ".join([number] * n).format
+                                           for n in (2, 3, 4))
+        self.zero = _fmt(0.0, dp)
+        self.minus_zero = "-" + self.zero
         self.style = cache(partial(_style_attrs, dp=dp))
         self.by_type = {Rect: self.rect, Circle: self.circle, Line: self.line,
                         Polyline: self.polyline, Polygon: self.polygon,
                         Path: self.path, Text: self.text}
 
-    def num(self, value: float) -> str:
-        if not math.isfinite(value):
-            raise BadGeometry("non-finite coordinate")
-        return _fmt(value, self.dp)
-
-    def points(self, points: tuple[tuple[float, float], ...]) -> str:
-        text = " ".join(starmap(self.pair, points))
+    def numbers(self, text: str) -> str:
+        """Formatted numbers, tested for a non-finite one, minus zero fixed."""
         # With fixed decimals "-0.00" is a whole number wherever it
         # occurs, and only "nan" and "inf" contain an "n".
         if "n" in text:
             raise BadGeometry("non-finite coordinate")
-        return text.replace(self.negative_zero, self.negative_zero[1:])
+        return text.replace(self.minus_zero, self.zero)
+
+    def points(self, points: tuple[tuple[float, float], ...]) -> str:
+        return self.numbers(" ".join(starmap(self.pair, points)))
 
     def rect(self, s: Rect) -> str:
-        fill, opacity, stroke, _ = self.style(s.style)
-        return (f'<rect{fill} height="{self.num(s.height)}"{opacity}{stroke}'
-                f' width="{self.num(s.width)}" x="{self.num(s.x)}"'
-                f' y="{self.num(s.y)}"/>')
+        fill, stroke, _ = self.style(s.style)
+        h, w, x, y = self.numbers(self.four(s.height, s.width, s.x,
+                                            s.y)).split()
+        return f'<rect{fill} height="{h}"{stroke} width="{w}" x="{x}" y="{y}"/>'
 
     def circle(self, s: Circle) -> str:
-        fill, opacity, stroke, _ = self.style(s.style)
-        return (f'<circle cx="{self.num(s.cx)}" cy="{self.num(s.cy)}"{fill}'
-                f'{opacity} r="{self.num(s.r)}"{stroke}/>')
+        fill, stroke, _ = self.style(s.style)
+        cx, cy, r = self.numbers(self.three(s.cx, s.cy, s.r)).split()
+        return f'<circle cx="{cx}" cy="{cy}"{fill} r="{r}"{stroke}/>'
 
     def line(self, s: Line) -> str:
-        fill, opacity, stroke, _ = self.style(s.style)
-        return (f'<line{fill}{opacity}{stroke} x1="{self.num(s.x1)}"'
-                f' x2="{self.num(s.x2)}" y1="{self.num(s.y1)}"'
-                f' y2="{self.num(s.y2)}"/>')
+        fill, stroke, _ = self.style(s.style)
+        x1, x2, y1, y2 = self.numbers(self.four(s.x1, s.x2, s.y1,
+                                                s.y2)).split()
+        return (f'<line{fill}{stroke} x1="{x1}" x2="{x2}" y1="{y1}"'
+                f' y2="{y2}"/>')
 
     def polyline(self, s: Polyline) -> str:
-        fill, opacity, stroke, _ = self.style(s.style)
-        return (f'<polyline{fill or _NO_FILL}{opacity}'
+        fill, stroke, _ = self.style(s.style)
+        return (f'<polyline{fill or _NO_FILL}'
                 f' points="{self.points(s.points)}"{stroke}/>')
 
     def polygon(self, s: Polygon) -> str:
-        fill, opacity, stroke, _ = self.style(s.style)
+        fill, stroke, _ = self.style(s.style)
         key = (id(s.points), self.dp)
         ring = _RINGS.get(key)
         if ring is None or ring[0] is not s.points:
@@ -149,17 +152,18 @@ class _Writer:
             if len(_RINGS) >= _RINGS_CAPACITY:
                 _RINGS.clear()
             _RINGS[key] = ring
-        return f'<polygon{fill}{opacity} points="{ring[1]}"{stroke}/>'
+        return f'<polygon{fill} points="{ring[1]}"{stroke}/>'
 
     def path(self, s: Path) -> str:
-        fill, opacity, stroke, _ = self.style(s.style)
-        d = " ".join(" ".join((cmd[0], *map(self.num, cmd[1:])))
-                     for cmd in s.commands)
-        return f'<path d="{d}"{fill}{opacity}{stroke}/>'
+        fill, stroke, _ = self.style(s.style)
+        # SVG's command letters hold no "n", no digit and no "-".
+        d = self.numbers(" ".join(" ".join((cmd[0], *map(self.one, cmd[1:])))
+                                  for cmd in s.commands))
+        return f'<path d="{d}"{fill}{stroke}/>'
 
     def text(self, s: Text) -> str:
-        text = self.style(s.style)[3]
-        return (f'<text{text} x="{self.num(s.x)}" y="{self.num(s.y)}">'
+        x, y = self.numbers(self.two(s.x, s.y)).split()
+        return (f'<text{self.style(s.style)[2]} x="{x}" y="{y}">'
                 f'{_escape(s.content)}</text>')
 
     def element(self, shape: Shape) -> str:
@@ -178,8 +182,9 @@ def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
     if not 0 <= options.decimal_places <= 6:
         raise ValueError("decimal_places must be in 0..6")
     writer = _Writer(options.decimal_places)
-    lines = [f'<svg height="{writer.num(scene.height)}" '
-             f'width="{writer.num(scene.width)}" xmlns="{SVG_NS}">']
+    height, width = writer.numbers(writer.two(scene.height,
+                                              scene.width)).split()
+    lines = [f'<svg height="{height}" width="{width}" xmlns="{SVG_NS}">']
     if options.embed_title and options.title:
         lines.append(f"<title>{_escape(options.title)}</title>")
     if options.background is not None:

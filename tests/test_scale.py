@@ -7,7 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from micromaps.errors import BadExtent, DomainOverflow
-from micromaps.scale import format_tick, linear_scale, nice_step, thin_labels
+from micromaps.scale import (
+    Scale,
+    format_tick,
+    linear_scale,
+    nice_step,
+    thin_labels,
+)
 
 
 def oracle_step(raw: float) -> float:
@@ -92,6 +98,33 @@ def test_check_overflow():
         scale.check(10.5)
     with pytest.raises(DomainOverflow):
         scale.check(-0.5)
+
+
+def exact(values: list[float | None]) -> list[str | None]:
+    """Each float's bits (float.hex tells 0.0 from -0.0), None kept."""
+    return [None if v is None else v.hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-1e6, 1e6), span=st.floats(1e-3, 1e6),
+       r0=st.floats(-1e4, 1e4), r1=st.floats(-1e4, 1e4),
+       fractions=st.lists(st.one_of(st.none(), st.floats(-0.3, 1.3)),
+                          max_size=30))
+@example(lo=0.0, span=10.0, r0=300.0, r1=100.0, fractions=[0.0, None, 1.0])
+@example(lo=-5.0, span=10.0, r0=0.0, r1=1.0, fractions=[0.5, 1.2, -0.1])
+@example(lo=-5.0, span=10.0, r0=0.0, r1=1.0, fractions=[None, None])
+def test_positions_equal_check_then_map(lo, span, r0, r1, fractions):
+    scale = Scale((lo, lo + span), (r0, r1), ())
+    values = [None if f is None else lo + f * span for f in fractions]
+    try:
+        expected = [None if v is None else scale.map(scale.check(v))
+                    for v in values]
+    except DomainOverflow as exc:
+        with pytest.raises(DomainOverflow) as info:
+            scale.positions(values)
+        assert str(info.value) == str(exc)  # the first offender's message
+    else:
+        assert exact(scale.positions(values)) == exact(expected)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,9 @@ from __future__ import annotations
 import math
 import warnings
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from micromaps.atlas import load_default_atlas
 from micromaps.compose import compose
 from micromaps.demos import build_demo
@@ -17,6 +20,7 @@ from micromaps.scene import (
     Style,
     Text,
     clamp_scene,
+    clamp_shape,
 )
 
 INK = Style(fill="#000000")
@@ -87,3 +91,30 @@ def test_non_finite_coordinates_pass_through_clamping():
     assert math.isnan(polygon.points[0][1])
     assert polygon.points[1] == (0.0, 2.0)
     assert (line.x1, line.y2) == (10.0, 0.0)
+
+
+# Coordinates on, near and off a 10 x 5 canvas; exact edges come up often.
+_coord = st.one_of(st.sampled_from([-0.0, 0.0, 5.0, 10.0, -1e-9]),
+                   st.floats(-3.0, 13.0))
+_point = st.tuples(_coord, _coord)
+_shape = st.one_of(
+    st.builds(Rect, _coord, _coord, _coord, _coord),
+    st.builds(Circle, _coord, _coord, st.just(1.0)),
+    st.builds(Line, _coord, _coord, _coord, _coord),
+    st.builds(Text, _coord, _coord, st.just("t")),
+    st.builds(Polyline, st.lists(_point, max_size=4).map(tuple)),
+    st.builds(Polygon, st.lists(_point, max_size=4).map(tuple)),
+    st.builds(Path, st.lists(_point, max_size=3).map(
+        lambda pts: tuple(("L", x, y) for x, y in pts))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_shape, max_size=8))
+def test_clamp_scene_equals_clamping_every_shape(shapes):
+    scene = Scene(10.0, 5.0, tuple(shapes))
+    clamped = clamp_scene(scene).shapes
+    assert clamped == tuple(clamp_shape(s, 10.0, 5.0) for s in shapes)
+    for before, after in zip(shapes, clamped):
+        if before == clamp_shape(before, 10.0, 5.0):
+            assert after is before  # a shape on the canvas is kept as is

@@ -88,6 +88,8 @@ CASES = [
     case("top", "map_mode", 7, SpecError, "map_mode"),
     case("output", "width", -5, SpecError, "output.width"),
     case("output", "height", float("inf"), SpecError, "output.height"),
+    case("output", "width", 100000.5, SpecError, "output.width"),
+    case("output", "height", 1.7e308, SpecError, "output.height"),
     case("sort", "column", 7, SpecError, "sort.column"),
     case("sort", "direction", 7, SpecError, "sort.direction"),
     case("palette", "median", 7, SpecError, "palette.median"),
@@ -248,4 +250,23 @@ def test_ignored_option_is_rejected_by_api_and_cli(
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("",
                                                 f"micromaps: error: {line}\n")
+    assert not (tmp_path / "chart.svg").exists()
+
+
+@pytest.mark.parametrize("key,value", [("width", 1.7e308),
+                                       ("height", 100001)])
+def test_oversized_canvas_is_rejected_by_cli(tmp_path, monkeypatch, capsys,
+                                             key, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("state,v\n" + "\n".join(
+        f"{code},{i}" for i, code in enumerate(ALL_CODES)))
+    doc = copy.deepcopy(BASE)
+    doc["output"] = {"path": "chart.svg", key: value}
+    (tmp_path / "chart.json").write_text(json.dumps(doc))
+    for command in ("validate", "render"):
+        assert run([command, "--config", "chart.json"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"micromaps: error: output.{key}: must be above 0 and at "
+                "most 100000\n")
     assert not (tmp_path / "chart.svg").exists()

@@ -59,7 +59,7 @@ def test_negative_zero_is_normalized():
 
 def test_attributes_alphabetical_on_every_line():
     scene = Scene(20.0, 20.0, (
-        Rect(1, 2, 3, 4, Style(fill="#112233", stroke="#445566", opacity=0.5)),
+        Rect(1, 2, 3, 4, Style(fill="#112233", stroke="#445566", stroke_width=0.5)),
         Circle(5, 6, 7, Style(fill="#FF0000")),
         Line(0, 0, 1, 1, Style(stroke="#000000", stroke_width=2.0)),
         Text(3, 4, "hi", Style(fill="#222222", font_size=9.0, anchor="middle")),
@@ -160,6 +160,35 @@ def test_non_finite_coordinate_rejected_for_every_shape_type(bad):
     good = Circle(1, 1, 1)
     with pytest.raises(BadGeometry, match=type(bad).__name__):
         emit_svg(Scene(10.0, 10.0, (good, bad, good)))
+
+
+# The writers that format all of a shape's numbers in one call, each shape
+# built with one coordinate set to the given value.
+BATCHED = [
+    lambda v: Rect(1.0, v, 2.0, 3.0),
+    lambda v: Circle(v, 1.0, 2.0),
+    lambda v: Line(0.0, 1.0, 2.0, v),
+    lambda v: Text(v, 1.0, "t"),
+    lambda v: Path((("M", 1.0, v), ("L", 2.0, 2.0), ("Z",))),
+]
+BATCHED_IDS = [type(make(0.0)).__name__ for make in BATCHED]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make", BATCHED, ids=BATCHED_IDS)
+def test_batched_writer_rejects_non_finite(make, bad):
+    shape = make(bad)
+    with pytest.raises(BadGeometry, match=type(shape).__name__):
+        emit_svg(Scene(10.0, 10.0, (shape,)))
+
+
+@pytest.mark.parametrize("dp", [0, 2])
+@pytest.mark.parametrize("make", BATCHED, ids=BATCHED_IDS)
+def test_batched_writer_writes_minus_zero_as_zero(make, dp):
+    options = SvgOptions(decimal_places=dp)
+    zero = emit_svg(Scene(10.0, 10.0, (make(0.0),)), options)
+    for value in (-0.001, -0.0):
+        assert emit_svg(Scene(10.0, 10.0, (make(value),)), options) == zero
 
 
 def test_non_finite_canvas_size_rejected():
