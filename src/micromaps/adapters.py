@@ -1,10 +1,14 @@
-"""Adapters that turn the bundled data snapshots into RegionTables.
+"""Loading the bundled data snapshots into RegionTables.
 
 Snapshots are frozen CSV files committed under the package data directory
 (override with the MICROMAP_DATA_DIR environment variable or an explicit
 ``snapshot_dir``); provenance is recorded in data/MANIFEST.json. Nothing is
 fetched at runtime: the source pages serve interactive tables whose formats
 drift, and reproducible figures need frozen inputs.
+
+``snapshot_table`` loads one snapshot as it stands; the shipped demo configs
+read theirs through it. The two adapters add what a config cannot express:
+the ACS 2010-to-2022 decline and the ERS per-state county samples.
 """
 
 import csv
@@ -23,14 +27,11 @@ from .table import (
 )
 
 ACS_FILE = "acs_response_rates.csv"
-QCEW_FILE = "qcew_lh_over_year_change.csv"
 ERS_STATE_FILE = "ers_state_indicators.csv"
 ERS_COUNTY_FILE = "ers_county_low_access_change.csv"
 PEW_FILE = "pew_small_government.csv"
 
 ACS_YEARS = tuple(str(y) for y in range(2010, 2023))
-QCEW_QUARTERS = ("2019Q4", "2020Q1", "2020Q2", "2020Q3", "2020Q4",
-                 "2021Q1", "2021Q2", "2021Q3", "2021Q4", "2022Q1")
 
 
 def default_data_dir() -> Path:
@@ -53,13 +54,17 @@ def snapshot_text(name: str, snapshot_dir: Path | str | None = None) -> str:
         raise SnapshotError(name, f"cannot decode: {exc}") from None
 
 
-def _snapshot_table(name: str, snapshot_dir, region_column: str = "state",
-                    ) -> RegionTable:
+def snapshot_table(name: str, snapshot_dir: Path | str | None = None,
+                   region_column: str = "state") -> RegionTable:
+    """One snapshot file as a table; every snapshot covers all 51 regions."""
     text = snapshot_text(name, snapshot_dir)
     try:
-        return parse_table(text, region_column)
+        table = parse_table(text, region_column)
     except MicromapError as exc:
         raise SnapshotError(name, str(exc)) from None
+    if len(table.rows) != 51:
+        raise SnapshotError(name, f"expected 51 regions, got {len(table.rows)}")
+    return table
 
 
 def _require_columns(table: RegionTable, names: tuple[str, ...],
@@ -67,17 +72,14 @@ def _require_columns(table: RegionTable, names: tuple[str, ...],
     for name in names:
         if not table.has_column(name):
             raise SnapshotError(filename, f"missing column {name!r}")
-    if len(table.rows) != 51:
-        raise SnapshotError(filename, f"expected 51 regions, got {len(table.rows)}")
 
 
 def acs_adapter(snapshot_dir: Path | str | None = None) -> RegionTable:
-    """Response rates 2010-2022 as a series, plus the 2022 scalar and the
-    2010-to-2022 decline in percentage points.
+    """Response rates 2010-2022 as a series, plus the 2010-to-2022 decline
+    in percentage points.
     """
-    table = _snapshot_table(ACS_FILE, snapshot_dir)
+    table = snapshot_table(ACS_FILE, snapshot_dir)
     _require_columns(table, ACS_YEARS, ACS_FILE)
-    table = with_scalar_column(table, "rate_2022", scalar_values(table, "2022"))
     first = scalar_values(table, "2010")
     last = scalar_values(table, "2022")
     decline = {
@@ -87,21 +89,6 @@ def acs_adapter(snapshot_dir: Path | str | None = None) -> RegionTable:
     }
     table = with_scalar_column(table, "decline_2010_2022", decline)
     return bind_series(table, list(ACS_YEARS), "response_rate")
-
-
-def qcew_adapter(snapshot_dir: Path | str | None = None) -> RegionTable:
-    """Leisure-and-hospitality over-the-year employment change by quarter,
-    plus the 2020Q1 scalar and the (start, end) pair for the arrow column.
-    """
-    table = _snapshot_table(QCEW_FILE, snapshot_dir)
-    _require_columns(table, QCEW_QUARTERS, QCEW_FILE)
-    table = with_scalar_column(table, "change_2020Q1",
-                               scalar_values(table, "2020Q1"))
-    table = with_scalar_column(table, "arrow_start",
-                               scalar_values(table, "2020Q1"))
-    table = with_scalar_column(table, "arrow_end",
-                               scalar_values(table, "2022Q1"))
-    return bind_series(table, list(QCEW_QUARTERS), "over_year_change")
 
 
 def _county_samples(snapshot_dir) -> dict[str, list[float]]:
@@ -127,7 +114,7 @@ def ers_adapter(snapshot_dir: Path | str | None = None) -> RegionTable:
     """Food-environment indicators plus per-state county sample lists for
     the store-access boxplot column.
     """
-    table = _snapshot_table(ERS_STATE_FILE, snapshot_dir)
+    table = snapshot_table(ERS_STATE_FILE, snapshot_dir)
     _require_columns(table, ("snap_change_2012_2017", "insecurity_change",
                              "insecurity_2015", "low_access_2015"),
                      ERS_STATE_FILE)

@@ -14,6 +14,7 @@ Washington, DC, which is invisible at true scale.
 """
 
 import json
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,6 +33,8 @@ CUMULATIVE = "cumulative"
 
 # Sentinel group index for the trailing no-data panel.
 NO_DATA_PANEL = -1
+
+BORDER_STYLE = Style(fill="none", stroke="#808080", stroke_width=0.4)
 
 
 @value_type
@@ -227,8 +230,14 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
              for code in atlas.regions}
     for row in frame.rows:
         fills[row.region] = row.color
-    border = Style(fill="none", stroke="#808080", stroke_width=0.4)
-    return _draw_map(atlas, fills, border, _fit_transform(atlas, frame))
+    return _draw_map(atlas, fills, BORDER_STYLE, _fit_transform(atlas, frame))
+
+
+@cache
+def _fill_style(color: str) -> Style:
+    """One Style per fill color, so the SVG writer's style cache hits by
+    identity instead of comparing equal Styles field by field."""
+    return Style(fill=color)
 
 
 def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
@@ -237,7 +246,7 @@ def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
     ox, oy, s, xmin, ymin = fit
     out = MinimapShapes()
     for code in sorted(atlas.regions):
-        fill = Style(fill=fills[code])
+        fill = _fill_style(fills[code])
         region = f"region:{code}"
         for ring in atlas.regions[code]:
             points = _place(ring, ox, oy, s, xmin, ymin)

@@ -1,9 +1,11 @@
 """The six built-in demo charts, one per bundled case study variant.
 
-Each demo builds a ChartSpec plus its RegionTable from the frozen
-snapshots; rendering goes through the same compose/emit path as
-config-driven charts, and every demo scene must pass the structural
-invariant gate before it is written.
+Four demos are chart configs shipped in ``data/demos/<name>.json``, read
+with ``parse_config`` as ``micromaps render --config`` reads any config;
+each ``data.path`` names a snapshot file, found in the snapshot directory.
+acs-pew and ers-boxscatter are built in Python, because they join a user
+CSV or reshape county samples. Every demo renders through the same
+compose, check and emit path as a config-driven chart.
 """
 
 from pathlib import Path
@@ -14,13 +16,15 @@ from .adapters import (
     default_data_dir,
     ers_adapter,
     join_scalar_csv,
-    qcew_adapter,
+    snapshot_table,
     snapshot_text,
 )
 from .atlas import CUMULATIVE
 from .compose import ChartSpec, ColumnSpec
+from .config import parse_config
+from .errors import MicromapError, SnapshotError
 from .layout import DESCENDING, SortSpec
-from .table import RegionTable
+from .table import RegionTable, bind_series
 
 DEMO_NAMES = ("acs-dot", "acs-timeseries", "acs-pew", "qcew-arrows",
               "ers-snap", "ers-boxscatter")
@@ -44,105 +48,23 @@ bundled (the dataset requires registration). To run it:
 """
 
 
-def _map() -> ColumnSpec:
-    return ColumnSpec("map")
-
-
-def _legend() -> ColumnSpec:
-    return ColumnSpec("legend", header=("U.S. States",))
-
-
-def acs_dot(snapshot_dir: Path | None = None) -> tuple[ChartSpec, RegionTable]:
-    table = acs_adapter(snapshot_dir)
-    spec = ChartSpec(
-        title="ACS Household Response Rates, 2022",
-        sort=SortSpec("rate_2022", DESCENDING),
-        columns=(
-            _map(),
-            _legend(),
-            ColumnSpec("dot", header=("2022 response", "rate (%)"),
-                       bindings={"value": "rate_2022"}),
-        ),
-    )
-    return spec, table
-
-
-def acs_timeseries(snapshot_dir: Path | None = None,
-                   ) -> tuple[ChartSpec, RegionTable]:
-    table = acs_adapter(snapshot_dir)
-    spec = ChartSpec(
-        title="ACS Household Response Rates, 2010 to 2022",
-        sort=SortSpec("rate_2022", DESCENDING),
-        map_mode=CUMULATIVE,
-        columns=(
-            _map(),
-            _legend(),
-            ColumnSpec("dot", header=("2022 response", "rate (%)"),
-                       bindings={"value": "rate_2022"}),
-            ColumnSpec("timeseries", header=("Response rate", "2010 to 2022"),
-                       bindings={"series": "response_rate"}),
-        ),
-    )
-    return spec, table
-
-
 def acs_pew(snapshot_dir: Path | None = None) -> tuple[ChartSpec, RegionTable]:
     table = acs_adapter(snapshot_dir)
     pew_text = snapshot_text(PEW_FILE, snapshot_dir)
     table = join_scalar_csv(table, pew_text, "state", "pro_small_government")
     spec = ChartSpec(
         title="ACS Response Rates and Attitudes Toward Government",
-        sort=SortSpec("rate_2022", DESCENDING),
+        sort=SortSpec("response_rate:2022", DESCENDING),
         map_mode=CUMULATIVE,
         columns=(
-            _map(),
-            _legend(),
+            ColumnSpec("map"),
+            ColumnSpec("legend", header=("U.S. States",)),
             ColumnSpec("dot", header=("2022 response", "rate (%)"),
-                       bindings={"value": "rate_2022"}),
+                       bindings={"value": "response_rate:2022"}),
             ColumnSpec("bar", header=("Rate decline 2010-22", "(pct. points)"),
                        bindings={"value": "decline_2010_2022"}),
             ColumnSpec("dot", header=("Pro small government", "(%, Pew 2014)"),
                        bindings={"value": "pro_small_government"}),
-        ),
-    )
-    return spec, table
-
-
-def qcew_arrows(snapshot_dir: Path | None = None,
-                ) -> tuple[ChartSpec, RegionTable]:
-    table = qcew_adapter(snapshot_dir)
-    spec = ChartSpec(
-        title="Employment Change in Leisure and Hospitality (QCEW)",
-        sort=SortSpec("change_2020Q1", DESCENDING),
-        columns=(
-            _map(),
-            _legend(),
-            ColumnSpec("dot", header=("Over-the-year change", "2020 Q1 (%)"),
-                       bindings={"value": "change_2020Q1"},
-                       options={"reference_line": 0.0}),
-            ColumnSpec("timeseries",
-                       header=("Over-the-year change", "2019 Q4 to 2022 Q1"),
-                       bindings={"series": "over_year_change"}),
-            ColumnSpec("arrow", header=("2020 Q1 to 2022 Q1", "(pct. points)"),
-                       bindings={"start": "arrow_start", "end": "arrow_end"}),
-        ),
-    )
-    return spec, table
-
-
-def ers_snap(snapshot_dir: Path | None = None) -> tuple[ChartSpec, RegionTable]:
-    table = ers_adapter(snapshot_dir)
-    spec = ChartSpec(
-        title="SNAP Participation Change and Food Insecurity",
-        sort=SortSpec("snap_change_2012_2017", DESCENDING),
-        columns=(
-            _map(),
-            _legend(),
-            ColumnSpec("dot", header=("SNAP change", "2012 to 2017 (%)"),
-                       bindings={"value": "snap_change_2012_2017"},
-                       options={"reference_line": 0.0}),
-            ColumnSpec("bar", header=("Food insecurity change", "(pct. points)"),
-                       bindings={"value": "insecurity_change"}),
         ),
     )
     return spec, table
@@ -155,8 +77,8 @@ def ers_boxscatter(snapshot_dir: Path | None = None,
         title="Low Store Access and Food Insecurity",
         sort=SortSpec("insecurity_change", DESCENDING),
         columns=(
-            _map(),
-            _legend(),
+            ColumnSpec("map"),
+            ColumnSpec("legend", header=("U.S. States",)),
             ColumnSpec("boxplot",
                        header=("County store-access change", "2010 to 2015 (%)"),
                        bindings={"samples": "county_access_change"}),
@@ -167,21 +89,25 @@ def ers_boxscatter(snapshot_dir: Path | None = None,
     return spec, table
 
 
-BUILDERS = {
-    "acs-dot": acs_dot,
-    "acs-timeseries": acs_timeseries,
-    "acs-pew": acs_pew,
-    "qcew-arrows": qcew_arrows,
-    "ers-snap": ers_snap,
-    "ers-boxscatter": ers_boxscatter,
-}
+BUILDERS = {"acs-pew": acs_pew, "ers-boxscatter": ers_boxscatter}
+
+CONFIG_DIR = Path(__file__).parent / "data" / "demos"
 
 
 def build_demo(name: str, snapshot_dir: Path | None = None,
                ) -> tuple[ChartSpec, RegionTable]:
-    if name not in BUILDERS:
+    if name not in DEMO_NAMES:
         raise KeyError(f"unknown demo {name!r}; choose from {DEMO_NAMES}")
-    return BUILDERS[name](snapshot_dir)
+    if name in BUILDERS:
+        return BUILDERS[name](snapshot_dir)
+    config = parse_config((CONFIG_DIR / f"{name}.json").read_text("utf-8"))
+    table = snapshot_table(config.data_path, snapshot_dir, config.region_column)
+    try:
+        for binding in config.series:
+            table = bind_series(table, list(binding.columns), binding.name)
+    except MicromapError as exc:
+        raise SnapshotError(config.data_path, str(exc)) from None
+    return config.spec, table
 
 
 def pew_available(snapshot_dir: Path | None = None) -> bool:

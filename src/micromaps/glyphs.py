@@ -26,6 +26,7 @@ DIAMOND_HALF = 3.2
 OUTLIER_RADIUS = 1.5
 CONTEXT_RADIUS = 2.0
 HIGHLIGHT_RADIUS = 3.4
+CONTEXT_STYLE = Style(fill=colors.CONTEXT_POINT)
 TICK_MARK = 3.0
 NA_FONT = 7.5
 
@@ -263,8 +264,7 @@ def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
     ys = y_scale.positions([None if x is None else y for x, y in pairs])
     for code, x, y in zip(context, xs, ys):
         if x is not None:
-            out.marks.append(Circle(x, y, CONTEXT_RADIUS,
-                                    Style(fill=colors.CONTEXT_POINT),
+            out.marks.append(Circle(x, y, CONTEXT_RADIUS, CONTEXT_STYLE,
                                     tag=f"context:{code}"))
     n = len(context)
     for row, x, y in zip(frame.rows, xs[n:], ys[n:]):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from micromaps.adapters import acs_adapter, ers_adapter, qcew_adapter
+from micromaps.adapters import acs_adapter, ers_adapter
 from micromaps.atlas import Atlas, load_atlas, load_default_atlas
+from micromaps.demos import build_demo
 from micromaps.regions import ALL_CODES, BY_CODE
 from micromaps.table import Column, RegionTable
 
@@ -55,7 +56,7 @@ def acs_table():
 
 @pytest.fixture(scope="session")
 def qcew_table():
-    return qcew_adapter()
+    return build_demo("qcew-arrows")[1]
 
 
 @pytest.fixture(scope="session")

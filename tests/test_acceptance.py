@@ -135,11 +135,12 @@ def test_criterion_5_box_stats_oracle():
 
 def test_criterion_6_snapshot_orderings(demo_scenes):
     _, acs, _ = demo_scenes["acs-dot"]
-    ranked, _ = order_regions(acs, SortSpec("rate_2022", DESCENDING))
+    ranked, _ = order_regions(acs, SortSpec("response_rate:2022", DESCENDING))
     acs_ok = ranked[:2] == ["UT", "ID"] and ranked[-1] == "DC"
 
     _, qcew, _ = demo_scenes["qcew-arrows"]
-    ranked, _ = order_regions(qcew, SortSpec("change_2020Q1", DESCENDING))
+    ranked, _ = order_regions(qcew, SortSpec("over_year_change:2020Q1",
+                                             DESCENDING))
     qcew_ok = set(ranked[:3]) == {"ID", "WY", "MT"}
 
     _, ers, _ = demo_scenes["ers-snap"]

@@ -23,16 +23,10 @@ def test_acs_shape(acs_table):
 
 def test_acs_orderings_match_published_pattern(acs_table):
     ranked, unranked = order_regions(acs_table,
-                                     SortSpec("rate_2022", DESCENDING))
+                                     SortSpec("response_rate:2022", DESCENDING))
     assert unranked == []
     assert ranked[:2] == ["UT", "ID"]
     assert ranked[-1] == "DC"
-
-
-def test_acs_scalar_matches_series_period(acs_table):
-    rates = scalar_values(acs_table, "rate_2022")
-    from_series = scalar_values(acs_table, "response_rate:2022")
-    assert rates == from_series
 
 
 def test_acs_decline_definition(acs_table):
@@ -52,13 +46,14 @@ def test_qcew_shape(qcew_table):
 
 
 def test_qcew_top_three_2020q1(qcew_table):
-    ranked, _ = order_regions(qcew_table, SortSpec("change_2020Q1", DESCENDING))
+    ranked, _ = order_regions(qcew_table, SortSpec("over_year_change:2020Q1",
+                                                  DESCENDING))
     assert set(ranked[:3]) == {"ID", "WY", "MT"}
 
 
 def test_qcew_dc_has_largest_arrow(qcew_table):
-    starts = scalar_values(qcew_table, "arrow_start")
-    ends = scalar_values(qcew_table, "arrow_end")
+    starts = scalar_values(qcew_table, "over_year_change:2020Q1")
+    ends = scalar_values(qcew_table, "over_year_change:2022Q1")
     magnitudes = {code: abs(ends[code] - starts[code])
                   for code in qcew_table.rows}
     assert max(magnitudes, key=magnitudes.get) == "DC"

@@ -79,7 +79,7 @@ def test_barchart_tallest_bar_is_largest_value(table51):
 
 
 def test_barchart_on_acs_data_peaks_at_utah(acs_table):
-    scene = render_barchart_alpha(acs_table, "rate_2022")
+    scene = render_barchart_alpha(acs_table, "response_rate:2022")
     bars = {s.tag: s for s in scene.shapes
             if isinstance(s, Rect) and (s.tag or "").startswith("region:")}
     tallest = max(bars.values(), key=lambda b: b.height)

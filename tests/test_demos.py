@@ -51,9 +51,9 @@ def test_acs_dot_top_panel_starts_with_utah(scenes):
 
 
 def test_acs_extent_max_is_utah(scenes):
-    _, table, _ = scenes["acs-dot"]
-    extent = column_extent(table, "rate_2022")
-    assert extent[1] == table.scalar("UT", "rate_2022")
+    spec, table, _ = scenes["acs-dot"]
+    extent = column_extent(table, spec.sort.column)
+    assert extent[1] == scalar_values(table, spec.sort.column)["UT"]
 
 
 def test_qcew_chart_has_five_columns(scenes):
