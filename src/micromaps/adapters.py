@@ -13,6 +13,7 @@ the ACS 2010-to-2022 decline and the ERS per-state county samples.
 
 import csv
 import io
+import math
 import os
 from pathlib import Path
 
@@ -92,21 +93,34 @@ def acs_adapter(snapshot_dir: Path | str | None = None) -> RegionTable:
 
 
 def _county_samples(snapshot_dir) -> dict[str, list[float]]:
-    text = snapshot_text(ERS_COUNTY_FILE, snapshot_dir)
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or not {
-            "state", "access_change_2010_2015"}.issubset(reader.fieldnames):
+    """Each state's county values, in file order; one county per row."""
+    text = snapshot_text(ERS_COUNTY_FILE, snapshot_dir).lstrip("\ufeff")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = [name.strip() for name in next(reader, [])]
+    if not {"state", "access_change_2010_2015"}.issubset(header):
         raise SnapshotError(ERS_COUNTY_FILE,
                             "needs state and access_change_2010_2015 columns")
+    state = header.index("state")
+    value = header.index("access_change_2010_2015")
     samples: dict[str, list[float]] = {}
-    for i, record in enumerate(reader, start=2):
-        code = record["state"].strip()
-        raw = record["access_change_2010_2015"].strip()
+    for record in reader:
+        if len(record) != len(header):
+            if not record:
+                continue
+            side = "wider" if len(record) > len(header) else "narrower"
+            raise SnapshotError(ERS_COUNTY_FILE, f"row {side} than header "
+                                                 f"at line {reader.line_num}")
         try:
-            samples.setdefault(code, []).append(float(raw))
+            number = float(record[value])
         except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
             raise SnapshotError(ERS_COUNTY_FILE,
-                                f"bad value {raw!r} at line {i}") from None
+                                f"bad value {record[value].strip()!r} "
+                                f"at line {reader.line_num}")
+        samples.setdefault(record[state].strip(), []).append(number)
+    if not samples:
+        raise SnapshotError(ERS_COUNTY_FILE, "no county rows")
     return samples
 
 

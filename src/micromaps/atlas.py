@@ -14,13 +14,12 @@ Washington, DC, which is invisible at true scale.
 """
 
 import json
-from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
 from . import colors
 from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
-from .glyphs import PanelFrame
+from .glyphs import PanelFrame, shared_style
 from .layout import LinkedLayout
 from .regions import ALL_CODES, region_lookup
 from .scene import Polygon, Shape, Style
@@ -233,20 +232,13 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
     return _draw_map(atlas, fills, BORDER_STYLE, _fit_transform(atlas, frame))
 
 
-@cache
-def _fill_style(color: str) -> Style:
-    """One Style per fill color, so the SVG writer's style cache hits by
-    identity instead of comparing equal Styles field by field."""
-    return Style(fill=color)
-
-
 def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
               fit: tuple[float, float, float, float, float]) -> MinimapShapes:
     """Every region placed by ``fit`` (from _fit_transform): fills, borders."""
     ox, oy, s, xmin, ymin = fit
     out = MinimapShapes()
     for code in sorted(atlas.regions):
-        fill = _fill_style(fills[code])
+        fill = shared_style(fill=fills[code])
         region = f"region:{code}"
         for ring in atlas.regions[code]:
             points = _place(ring, ox, oy, s, xmin, ymin)

@@ -35,6 +35,8 @@ from .errors import (
     UnknownKey,
 )
 from .glyphs import (
+    AXIS_STYLE,
+    TICK_STYLE,
     GlyphShapes,
     PanelFrame,
     RowBand,
@@ -44,6 +46,7 @@ from .glyphs import (
     render_dot,
     render_scatter,
     render_timeseries,
+    shared_style,
 )
 from .layout import ASCENDING, DESCENDING, LinkedLayout, SortSpec, build_layout
 from .regions import BY_CODE
@@ -99,6 +102,9 @@ MEDIAN_BAND_ROWS = 1.6
 # 100 times the default canvas; coordinates keep at most six integer digits.
 MAX_CANVAS = 100000.0
 NO_DATA_GAP_GUTTERS = 2.5
+HEADER_STYLE = Style(fill=colors.TEXT_COLOR, font_size=10.5, anchor="middle")
+AXIS_LABEL_STYLE = Style(fill=colors.TEXT_COLOR, font_size=8.5, anchor="middle")
+SEPARATOR_STYLE = Style(stroke=colors.SEPARATOR_COLOR, stroke_width=0.9)
 
 
 class _ColumnFields(NamedTuple):
@@ -343,14 +349,15 @@ def render_legend_column(name_style: str, frame: PanelFrame) -> GlyphShapes:
     out = GlyphShapes()
     size = min(9.0, frame.row_height * 0.5)
     font = min(10.5, frame.row_height * 0.52)
+    label_style = shared_style(fill=colors.TEXT_COLOR, font_size=font,
+                               anchor="start")
     for row in frame.rows:
         out.marks.append(Rect(frame.x + 2.0, row.y - size / 2.0, size, size,
-                              Style(fill=row.color), tag=f"region:{row.region}"))
+                              shared_style(fill=row.color),
+                              tag=f"region:{row.region}"))
         name = row.region if name_style == "abbrev" else BY_CODE[row.region].name
         out.labels.append(Text(frame.x + size + 7.0, row.y + font * 0.35, name,
-                               Style(fill=colors.TEXT_COLOR, font_size=font,
-                                     anchor="start"),
-                               tag=f"region:{row.region}"))
+                               label_style, tag=f"region:{row.region}"))
     return out
 
 
@@ -417,18 +424,22 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
     This is where each binding meets the table: an unknown ref, a series
     or value mismatch, no values, or a span no float holds raise SpecError
     at ``columns[i].bindings.<key>`` (or at the reference line's path).
+    A scalar's or a boxplot's extent comes from the values it reads once,
+    and min and max keep the first of equal values, as column_extent does.
     """
     if column.kind in (MAP, LEGEND):
         return _ColumnPlan(column, index, x, width)
     wants_series = column.kind in (TIMESERIES, BOXPLOT)
     keys = REQUIRED_BINDINGS[column.kind]
-    refs = [column.bindings[key] for key in keys]
     paths = [f"columns[{index}].bindings.{key}" for key in keys]
     extents: list[tuple[float, float]] = []
-    for ref, path in zip(refs, paths):
+    values: list[dict[str, Any]] = []
+    for key, path in zip(keys, paths):
+        ref = column.bindings[key]
         try:
             resolved = resolve_ref(table, ref)
-            extents.append(column_extent(table, ref))
+            if column.kind == TIMESERIES:
+                extents.append(column_extent(table, ref))
         except (MissingColumn, EmptyColumn) as exc:
             raise SpecError(path, str(exc)) from None
         whole_series = (resolved.column.kind == SERIES
@@ -438,31 +449,43 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
         if whole_series and not wants_series:
             raise SpecError(path, f"{ref!r} names a whole series; "
                                   "use <series>:<period>")
+        name = resolved.column.name
+        if column.kind == TIMESERIES:
+            values.append({code: row[name] for code, row in table.rows.items()})
+            continue
+        if column.kind == BOXPLOT:
+            cells = {code: [v for v in row[name] if v is not None]
+                     for code, row in table.rows.items()}
+            present = [s for s in cells.values() if s]
+            lows, highs = list(map(min, present)), list(map(max, present))
+        else:
+            cells = scalar_values(table, ref)
+            lows = highs = [v for v in cells.values() if v is not None]
+        if not lows:
+            raise SpecError(path, f"column {ref!r} has no values")
+        extents.append((min(lows), max(highs)))
+        values.append(cells)
     pad = width * SCALE_PAD_F
     x_range = (x + pad, x + width - pad)
     ticks = column.options.get("target_ticks", 5)
     y_base = None
     periods: tuple[str, ...] = ()
     extent = extents[0]
+    data = values[0]
     if wants_series:  # one binding, so ``resolved`` is its series
-        data: dict[str, Any] = {code: table.series(code, resolved.column.name)
-                                for code in table.rows}
         if column.kind == TIMESERIES:
             periods = resolved.column.periods
             y_base = _scale(extent, (0.0, 1.0), 4, paths[0])
             extent = (0.0, float(max(len(periods) - 1, 0)))
     elif column.kind in (ARROW, SCATTER):
-        firsts, seconds = (scalar_values(table, ref) for ref in refs)
-        data = {code: (firsts.get(code), seconds.get(code))
-                for code in table.rows}
+        firsts, seconds = values
+        data = {code: (firsts[code], seconds[code]) for code in table.rows}
         if column.kind == ARROW:
             extent = (min(e[0] for e in extents), max(e[1] for e in extents))
         else:
             y_base = _scale(extents[1], (0.0, 1.0), 4, paths[1])
-    else:
-        data = scalar_values(table, refs[0])
-        if column.kind == BAR:
-            extent = (min(0.0, extent[0]), max(0.0, extent[1]))
+    elif column.kind == BAR:
+        extent = (min(0.0, extent[0]), max(0.0, extent[1]))
     x_path = f"columns[{index}].bindings" if column.kind == ARROW else paths[0]
     x_scale = _scale(extent, x_range, ticks, x_path)
     ref = column.options.get("reference_line")
@@ -519,18 +542,15 @@ def _axis_shapes(plan: _ColumnPlan, y: float, above: bool,
     """Axis line, tick marks, and labels for one glyph column."""
     assert plan.x_scale is not None
     scale = plan.x_scale
-    line_style = Style(stroke=colors.AXIS_COLOR, stroke_width=0.8)
-    tick_style = Style(stroke=colors.AXIS_COLOR, stroke_width=0.6)
-    label_style = Style(fill=colors.TEXT_COLOR, font_size=8.5, anchor="middle")
     tick_len = 3.5
     direction = -1.0 if above else 1.0
-    lines: list[Shape] = [Line(scale.range[0], y, scale.range[1], y, line_style)]
+    lines: list[Shape] = [Line(scale.range[0], y, scale.range[1], y, AXIS_STYLE)]
     texts: list[Shape] = []
     label_y = y + direction * (tick_len + 3.0) + (0.0 if above else 6.5)
     for tick, label in zip(scale.ticks, plan.labels):
         x = scale.map(tick)
-        lines.append(Line(x, y, x, y + direction * tick_len, tick_style))
-        texts.append(Text(x, label_y, label, label_style))
+        lines.append(Line(x, y, x, y + direction * tick_len, TICK_STYLE))
+        texts.append(Text(x, label_y, label, AXIS_LABEL_STYLE))
     return lines, texts
 
 
@@ -584,7 +604,6 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
                                       anchor="middle")))
 
     header_top = h * MARGIN_TOP_F + title_h
-    header_font = 10.5
     for plan in plans:
         cx = plan.x + plan.width / 2.0
         lines = plan.spec.header
@@ -592,26 +611,22 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
             y = header_top + header_h * (0.42 if li == 0 else 0.80)
             if len(lines) == 1:
                 y = header_top + header_h * 0.80
-            layers.text.append(Text(cx, y, line,
-                                    Style(fill=colors.TEXT_COLOR,
-                                          font_size=header_font,
-                                          anchor="middle")))
+            layers.text.append(Text(cx, y, line, HEADER_STYLE))
 
-    separator = Style(stroke=colors.SEPARATOR_COLOR, stroke_width=0.9)
     for band in bands:
         if band.is_median:
             layers.guides.append(Line(content_left, band.y - gutter * 0.5,
                                       content_right, band.y - gutter * 0.5,
-                                      separator))
+                                      SEPARATOR_STYLE))
             layers.guides.append(Line(content_left,
                                       band.y + band.height + gutter * 0.5,
                                       content_right,
                                       band.y + band.height + gutter * 0.5,
-                                      separator))
+                                      SEPARATOR_STYLE))
         if band.group_index == NO_DATA_PANEL:
             y = band.y - gutter * NO_DATA_GAP_GUTTERS * 0.5
             layers.guides.append(Line(content_left, y, content_right, y,
-                                      separator))
+                                      SEPARATOR_STYLE))
 
     for plan in plans:
         for band in bands:

@@ -12,6 +12,7 @@ mark and a small "n/a" note where the row-glyph layout allows one.
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import cache
 from typing import Mapping, NamedTuple, Sequence
 
 from . import colors
@@ -26,9 +27,20 @@ DIAMOND_HALF = 3.2
 OUTLIER_RADIUS = 1.5
 CONTEXT_RADIUS = 2.0
 HIGHLIGHT_RADIUS = 3.4
-CONTEXT_STYLE = Style(fill=colors.CONTEXT_POINT)
 TICK_MARK = 3.0
 NA_FONT = 7.5
+# One object per fixed style and per row style (shared_style), so the SVG
+# writer's style cache hits by identity, not by comparing field by field.
+shared_style = cache(Style)
+CONTEXT_STYLE = Style(fill=colors.CONTEXT_POINT)
+NA_STYLE = Style(fill=colors.NO_DATA_COLOR, font_size=NA_FONT, anchor="start")
+GUIDE_STYLE = Style(stroke=colors.GUIDE_COLOR, stroke_width=0.6)
+FRAME_STYLE = Style(fill="none", stroke=colors.GUIDE_COLOR, stroke_width=0.7)
+ZERO_LINE_STYLE = Style(stroke=colors.AXIS_COLOR, stroke_width=0.7)
+AXIS_STYLE = Style(stroke=colors.AXIS_COLOR, stroke_width=0.8)  # and whiskers
+TICK_STYLE = Style(stroke=colors.AXIS_COLOR, stroke_width=0.6)
+MEDIAN_STYLE = Style(stroke="#000000", stroke_width=1.0)
+OUTLIER_STYLE = Style(fill=colors.AXIS_COLOR)
 
 
 @value_type
@@ -113,14 +125,13 @@ def compute_box_stats(samples: Sequence[float | None]) -> BoxStats:
 
 
 def _na_label(frame: PanelFrame, row: RowBand) -> Text:
-    style = Style(fill=colors.NO_DATA_COLOR, font_size=NA_FONT, anchor="start")
-    return Text(frame.x + 2.0, row.y + NA_FONT * 0.35, "n/a", style,
+    return Text(frame.x + 2.0, row.y + NA_FONT * 0.35, "n/a", NA_STYLE,
                 tag=f"region:{row.region}")
 
 
 def _row_guides(frame: PanelFrame) -> list[Shape]:
-    style = Style(stroke=colors.GUIDE_COLOR, stroke_width=0.6)
-    return [Line(frame.x, row.y, frame.right, row.y, style) for row in frame.rows]
+    return [Line(frame.x, row.y, frame.right, row.y, GUIDE_STYLE)
+            for row in frame.rows]
 
 
 def render_dot(values: Mapping[str, float | None], scale: Scale,
@@ -130,15 +141,14 @@ def render_dot(values: Mapping[str, float | None], scale: Scale,
     out = GlyphShapes(guides=_row_guides(frame))
     if reference_line is not None:
         x = scale.positions((reference_line,))[0]
-        out.guides.append(Line(x, frame.y, x, frame.bottom,
-                               Style(stroke=colors.AXIS_COLOR, stroke_width=0.7)))
+        out.guides.append(Line(x, frame.y, x, frame.bottom, ZERO_LINE_STYLE))
     r = min(4.2, frame.row_height * 0.24)
     xs = scale.positions([values.get(row.region) for row in frame.rows])
     for row, x in zip(frame.rows, xs):
         if x is None:
             out.labels.append(_na_label(frame, row))
             continue
-        out.marks.append(Circle(x, row.y, r, Style(fill=row.color),
+        out.marks.append(Circle(x, row.y, r, shared_style(fill=row.color),
                                 tag=f"region:{row.region}"))
     return out
 
@@ -148,8 +158,7 @@ def render_bar(values: Mapping[str, float | None], scale: Scale,
     """Horizontal bars anchored at zero; negatives extend left."""
     x0 = scale.positions((0.0,))[0]
     out = GlyphShapes()
-    out.guides.append(Line(x0, frame.y, x0, frame.bottom,
-                           Style(stroke=colors.AXIS_COLOR, stroke_width=0.7)))
+    out.guides.append(Line(x0, frame.y, x0, frame.bottom, ZERO_LINE_STYLE))
     h = frame.row_height * 0.55
     xs = scale.positions([values.get(row.region) for row in frame.rows])
     for row, xv in zip(frame.rows, xs):
@@ -157,7 +166,8 @@ def render_bar(values: Mapping[str, float | None], scale: Scale,
             out.labels.append(_na_label(frame, row))
             continue
         out.marks.append(Rect(min(x0, xv), row.y - h / 2.0, abs(xv - x0), h,
-                              Style(fill=row.color), tag=f"region:{row.region}"))
+                              shared_style(fill=row.color),
+                              tag=f"region:{row.region}"))
     return out
 
 
@@ -166,13 +176,13 @@ def _arrow_head(x: float, y: float, direction: float, color: str,
     tip = x
     back = x - direction * ARROW_HEAD_LENGTH
     pts = ((tip, y), (back, y - ARROW_HEAD_HALF_WIDTH), (back, y + ARROW_HEAD_HALF_WIDTH))
-    return Polygon(pts, Style(fill=color), tag=tag)
+    return Polygon(pts, shared_style(fill=color), tag=tag)
 
 
 def _diamond(x: float, y: float, color: str, tag: str) -> Polygon:
     d = DIAMOND_HALF
     pts = ((x, y - d), (x + d, y), (x, y + d), (x - d, y))
-    return Polygon(pts, Style(fill=color), tag=tag)
+    return Polygon(pts, shared_style(fill=color), tag=tag)
 
 
 def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
@@ -197,7 +207,8 @@ def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
         direction = 1.0 if xe > xs else -1.0
         shaft_end = xe - direction * ARROW_HEAD_LENGTH * 0.6
         out.marks.append(Line(xs, row.y, shaft_end, row.y,
-                              Style(stroke=row.color, stroke_width=1.6), tag=tag))
+                              shared_style(stroke=row.color, stroke_width=1.6),
+                              tag=tag))
         out.marks.append(_arrow_head(xe, row.y, direction, row.color, tag))
     return out
 
@@ -205,14 +216,12 @@ def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
 def _panel_frame_guides(frame: PanelFrame, x_scale: Scale,
                         y_scale: Scale) -> list[Shape]:
     """The panel's border, with a tick mark at each tick of both scales."""
-    border = Rect(frame.x, frame.y, frame.width, frame.height,
-                  Style(fill="none", stroke=colors.GUIDE_COLOR, stroke_width=0.7))
-    tick_style = Style(stroke=colors.AXIS_COLOR, stroke_width=0.6)
-    shapes: list[Shape] = [border]
+    shapes: list[Shape] = [Rect(frame.x, frame.y, frame.width, frame.height,
+                                FRAME_STYLE)]
     for x in x_scale.positions(x_scale.ticks):
-        shapes.append(Line(x, frame.bottom, x, frame.bottom - TICK_MARK, tick_style))
+        shapes.append(Line(x, frame.bottom, x, frame.bottom - TICK_MARK, TICK_STYLE))
     for y in y_scale.positions(y_scale.ticks):
-        shapes.append(Line(frame.x, y, frame.x + TICK_MARK, y, tick_style))
+        shapes.append(Line(frame.x, y, frame.x + TICK_MARK, y, TICK_STYLE))
     return shapes
 
 
@@ -234,7 +243,7 @@ def render_timeseries(series: Mapping[str, Sequence[float | None]],
             raise SeriesMismatch(
                 f"{row.region}: {len(cells)} values for {n} periods")
         tag = f"region:{row.region}"
-        style = Style(stroke=row.color, stroke_width=1.1)
+        style = shared_style(stroke=row.color, stroke_width=1.1)
         ys = y_scale.positions(cells)
         start = 0
         for stop in [i for i, y in enumerate(ys) if y is None] + [n]:
@@ -249,7 +258,8 @@ def _flush_run(out: GlyphShapes, run: tuple[tuple[float, float], ...],
     if len(run) >= 2:
         out.marks.append(Polyline(run, style, tag=tag))
     elif len(run) == 1:
-        out.marks.append(Circle(run[0][0], run[0][1], 1.6, Style(fill=color), tag=tag))
+        out.marks.append(Circle(run[0][0], run[0][1], 1.6,
+                                shared_style(fill=color), tag=tag))
 
 
 def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
@@ -272,7 +282,8 @@ def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
             out.labels.append(_na_label(frame, row))
             continue
         out.marks.append(Circle(x, y, HIGHLIGHT_RADIUS,
-                                Style(fill=row.color), tag=f"region:{row.region}"))
+                                shared_style(fill=row.color),
+                                tag=f"region:{row.region}"))
     return out
 
 
@@ -292,15 +303,13 @@ def render_boxplot(samples: Mapping[str, Sequence[float | None] | None],
         x_lo, x_hi, x_q1, x_q3, x_med, *x_outliers = scale.positions(
             (stats.whisker_lo, stats.whisker_hi, stats.q1, stats.q3,
              stats.median, *stats.outliers))
-        out.marks.append(Line(x_lo, row.y, x_hi, row.y,
-                              Style(stroke=colors.AXIS_COLOR, stroke_width=0.8),
-                              tag=tag))
+        out.marks.append(Line(x_lo, row.y, x_hi, row.y, AXIS_STYLE, tag=tag))
         out.marks.append(Rect(x_q1, row.y - h / 2.0, x_q3 - x_q1, h,
-                              Style(fill=row.color, stroke="#333333",
-                                    stroke_width=0.5), tag=tag))
+                              shared_style(fill=row.color, stroke="#333333",
+                                           stroke_width=0.5), tag=tag))
         out.marks.append(Line(x_med, row.y - h / 2.0, x_med, row.y + h / 2.0,
-                              Style(stroke="#000000", stroke_width=1.0), tag=tag))
+                              MEDIAN_STYLE, tag=tag))
         for x in x_outliers:
-            out.marks.append(Circle(x, row.y, OUTLIER_RADIUS,
-                                    Style(fill=colors.AXIS_COLOR), tag=tag))
+            out.marks.append(Circle(x, row.y, OUTLIER_RADIUS, OUTLIER_STYLE,
+                                    tag=tag))
     return out

@@ -1,12 +1,24 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 
-from micromaps.adapters import acs_adapter, join_scalar_csv, snapshot_text
+from micromaps.adapters import (
+    ERS_COUNTY_FILE,
+    ERS_STATE_FILE,
+    acs_adapter,
+    ers_adapter,
+    join_scalar_csv,
+    snapshot_table,
+    snapshot_text,
+)
+from micromaps.demos import build_demo
 from micromaps.errors import SnapshotError
 from micromaps.glyphs import compute_box_stats
 from micromaps.layout import DESCENDING, SortSpec, order_regions
-from micromaps.table import scalar_values, validate_regions
+from micromaps.table import scalar_values, validate_regions, with_series_column
 
 
 def test_acs_shape(acs_table):
@@ -90,6 +102,33 @@ def test_ers_alaska_boxplot_is_right_skewed(ers_table):
     # Median hugs the bottom of the box: the long tail points up.
     assert stats.q3 - stats.median > 3.0 * (stats.median - stats.q1)
     assert stats.whisker_hi - stats.median > stats.median - stats.whisker_lo
+
+
+def test_ers_adapter_matches_a_dict_reader_reference():
+    samples: dict[str, list[float]] = {}
+    for record in csv.DictReader(io.StringIO(snapshot_text(ERS_COUNTY_FILE))):
+        samples.setdefault(record["state"], []).append(
+            float(record["access_change_2010_2015"]))
+    width = max(map(len, samples.values()))
+    expected = with_series_column(
+        snapshot_table(ERS_STATE_FILE), "county_access_change",
+        tuple(f"c{i:03d}" for i in range(1, width + 1)),
+        {code: values + [None] * (width - len(values))
+         for code, values in samples.items()})
+    # repr also pins the row order and the sign of every zero.
+    assert repr(ers_adapter()) == repr(expected)
+
+
+def test_build_demo_reads_the_county_file_on_every_call(tmp_path):
+    for name in (ERS_STATE_FILE, ERS_COUNTY_FILE):
+        (tmp_path / name).write_text(snapshot_text(name))
+    county = tmp_path / ERS_COUNTY_FILE
+    _, before = build_demo("ers-boxscatter", tmp_path)
+    county.write_text(county.read_text().replace("\nAK,AK-001,-1.2\n",
+                                                 "\nAK,AK-001,-99.5\n"))
+    _, after = build_demo("ers-boxscatter", tmp_path)
+    assert before.series("AK", "county_access_change")[0] == -1.2
+    assert after.series("AK", "county_access_change")[0] == -99.5
 
 
 def test_missing_snapshot_dir(tmp_path):

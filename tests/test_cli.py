@@ -365,3 +365,58 @@ def test_warning_is_one_line_on_stderr(tmp_path):
     assert done.stderr == ("micromaps: warning: sort column "
                            "'insecurity_change' is not shown by any glyph "
                            "column\n")
+
+
+COUNTY = "ers_county_low_access_change.csv"
+
+
+def _county_data(tmp_path: Path, edit) -> Path:
+    """A --data directory for ers-boxscatter whose county file is edited."""
+    data = tmp_path / "data"
+    data.mkdir()
+    name = "ers_state_indicators.csv"
+    (data / name).write_text(snapshot_text(name))
+    (data / COUNTY).write_text(edit(snapshot_text(COUNTY)))
+    return data
+
+
+def _sixth_line(row: str):
+    """An edit that replaces the county file's sixth line with ``row``."""
+    return lambda text: text.replace("\nAK,AK-005,-2.0\n", f"\n{row}\n")
+
+
+@pytest.mark.parametrize("edit, detail", [
+    pytest.param(_sixth_line("AK,AK-005"),
+                 "row narrower than header at line 6", id="two-fields"),
+    pytest.param(_sixth_line("AK,AK-005,-2.0,7"),
+                 "row wider than header at line 6", id="extra-field"),
+    pytest.param(_sixth_line("AK,AK-005,nan"),
+                 "bad value 'nan' at line 6", id="nan"),
+    pytest.param(_sixth_line("AK,AK-005,-inf"),
+                 "bad value '-inf' at line 6", id="infinite"),
+    pytest.param(_sixth_line("AK,AK-005,"),
+                 "bad value '' at line 6", id="empty-cell"),
+    pytest.param(lambda text: text.splitlines(keepends=True)[0],
+                 "no county rows", id="header-only"),
+])
+def test_county_file_fault_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                             edit, detail):
+    monkeypatch.chdir(tmp_path)
+    data = _county_data(tmp_path, edit)
+    assert run(["demo", "ers-boxscatter", "--data", str(data),
+                "--quiet"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"micromaps: error: snapshot {COUNTY}: {detail}\n")
+    assert not (tmp_path / "ers-boxscatter.svg").exists()
+
+
+@pytest.mark.filterwarnings("ignore:sort column")
+def test_county_file_with_bom_renders_the_same_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = _county_data(tmp_path, lambda text: "\ufeff" + text)
+    assert run(["demo", "ers-boxscatter", "--out", "plain.svg",
+                "--quiet"]) == 0
+    assert run(["demo", "ers-boxscatter", "--data", str(data), "--out",
+                "bom.svg", "--quiet"]) == 0
+    assert (tmp_path / "bom.svg").read_bytes() == \
+        (tmp_path / "plain.svg").read_bytes()

@@ -3,6 +3,8 @@ from __future__ import annotations
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from micromaps.checks import (
     check_color_linkage,
@@ -11,11 +13,26 @@ from micromaps.checks import (
     panels_by_column,
 )
 from micromaps.colors import DEFAULT_PALETTE
-from micromaps.compose import ChartSpec, ColumnSpec, compose, validate_spec
-from micromaps.errors import SpecError
+from micromaps.compose import (
+    SCALE_PAD_F,
+    ChartSpec,
+    ColumnSpec,
+    compose,
+    validate_spec,
+)
+from micromaps.errors import BadExtent, EmptyColumn, SpecError
 from micromaps.layout import MEDIAN_SLOT, SortSpec, build_layout
+from micromaps.regions import ALL_CODES
+from micromaps.scale import linear_scale
 from micromaps.scene import Line, Text
-from micromaps.table import bind_series, parse_table
+from micromaps.table import (
+    SERIES,
+    Column,
+    RegionTable,
+    bind_series,
+    column_extent,
+    parse_table,
+)
 
 from conftest import full_table, make_table
 
@@ -305,3 +322,51 @@ def test_reference_line_inside_data_keeps_scale(square_atlas, table51):
     assert _dot_panels(inside)[0].x_domain == _dot_panels(plain)[0].x_domain
     assert _dot_panels(inside)[0].x_ticks == _dot_panels(plain)[0].x_ticks
 
+
+
+BOX_SPEC = ChartSpec("", SortSpec("v"), (
+    ColumnSpec("map"), ColumnSpec("legend"),
+    ColumnSpec("boxplot", bindings={"samples": "s"})))
+BOX_PATH = "columns[2].bindings.samples"
+_SAMPLE = st.one_of(st.none(), st.sampled_from((0.0, -0.0)),
+                    st.floats(-1e6, 1e6, allow_nan=False))
+_REGION = st.one_of(st.just((None, None, None)),
+                    st.tuples(_SAMPLE, _SAMPLE, _SAMPLE))
+
+
+def _reference_box_scale(table: RegionTable):
+    """The box column's x scale as column_extent sizes it, or the error
+    compose should raise."""
+    (_, x, width), = [c for c in validate_spec(BOX_SPEC)
+                      if c[0].kind == "boxplot"]
+    pad = width * SCALE_PAD_F
+    try:
+        return linear_scale(column_extent(table, "s"),
+                            (x + pad, x + width - pad), target_ticks=5)
+    except (EmptyColumn, BadExtent) as exc:
+        return f"{BOX_PATH}: {exc}"
+
+
+# Signed zeros: column_extent keeps the first of equal values, so the max
+# is -0.0 here, and a domain ending in -0.0 is kept as it is.
+@example([(-5.0, -0.0, None), (0.0, None, None)])
+@example([(0.0, -5.0, None), (None, -0.0, None)])
+@example([(None, None, None), (None, None, None)])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_REGION, min_size=1, max_size=12))
+def test_box_column_scale_matches_column_extent(square_atlas, series):
+    rows = {code: {"v": float(i), "s": cells}
+            for i, (code, cells) in enumerate(zip(ALL_CODES, series))}
+    table = RegionTable((Column("v"), Column("s", SERIES, ("a", "b", "c"))),
+                        rows)
+    expected = _reference_box_scale(table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            scene = compose(BOX_SPEC, table, square_atlas)
+        except SpecError as exc:
+            assert (exc.path, str(exc)) == (BOX_PATH, expected)
+            return
+    axes = {repr((p.x_domain, p.x_ticks))
+            for p in scene.panels if p.column_index == 2}
+    assert axes == {repr((expected.domain, expected.ticks))}

@@ -9,7 +9,8 @@ from micromaps.checks import check_chart, panels_by_column
 from micromaps.compose import compose
 from micromaps.demos import DEMO_NAMES, build_demo
 from micromaps.layout import SortSpec, build_layout
-from micromaps.scene import Line
+from micromaps.scene import Line, Style
+from micromaps.svg import SvgOptions, emit_svg
 from micromaps.table import column_extent, scalar_values
 
 BUNDLED = ("acs-dot", "acs-timeseries", "qcew-arrows", "ers-snap",
@@ -106,3 +107,21 @@ def test_scatter_panels_show_full_context(scenes):
                    and panel.x <= s.cx <= panel.x + panel.width
                    and panel.y <= s.cy <= panel.y + panel.height]
         assert len(context) == 51
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_emit_svg_finds_each_style_by_identity(scenes, monkeypatch, name):
+    """Fixed and row styles are shared objects, so the SVG writer's style
+    cache seldom compares two equal Styles field by field."""
+    spec, _, scene = scenes[name]
+    calls = []
+    same = Style.__eq__
+
+    def counted(a, b):
+        calls.append(a)
+        return same(a, b)
+
+    monkeypatch.setattr(Style, "__eq__", counted)
+    emit_svg(scene, SvgOptions(title=spec.title))
+    monkeypatch.undo()
+    assert len(calls) < 60
