@@ -4,7 +4,7 @@ The pipeline: CSV -> RegionTable -> LinkedLayout -> Scene -> SVG. See the
 README for the chart anatomy and the CLI entry points.
 """
 
-from .atlas import Atlas, MiniMapStyle, load_atlas, load_default_atlas, render_minimap
+from .atlas import Atlas, load_atlas, load_default_atlas, render_minimap
 from .colors import DEFAULT_PALETTE, Palette
 from .compose import ChartSpec, ColumnSpec, compose, render_legend_column
 from .errors import MicromapError
@@ -41,7 +41,6 @@ __all__ = [
     "GroupPlan",
     "LinkedLayout",
     "MicromapError",
-    "MiniMapStyle",
     "Palette",
     "RegionTable",
     "Scale",

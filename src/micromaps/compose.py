@@ -21,7 +21,6 @@ from .atlas import (
     GROUP_ONLY,
     NO_DATA_PANEL,
     Atlas,
-    MiniMapStyle,
     render_minimap,
 )
 from .colors import DEFAULT_PALETTE, Palette
@@ -516,7 +515,8 @@ def _render_glyph_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
     column = plan.spec
     assert plan.x_scale is not None and plan.data is not None
     if plan.y_base is not None:  # timeseries and scatter
-        vpad = band.height * 0.10 + 2.0
+        # At most half the band, so the y range cannot turn over.
+        vpad = min(band.height * 0.10 + 2.0, band.height / 2.0)
         y_scale = plan.y_base.with_range((band.y + band.height - vpad,
                                           band.y + vpad))
 
@@ -592,7 +592,6 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
 
     layers = _Layers()
     placed: list[tuple[_ColumnPlan, _Band, range]] = []  # range: its marks
-    map_style = MiniMapStyle(mode=spec.map_mode)
     content_left = columns[0][1]
     content_right = columns[-1][1] + columns[-1][2]
 
@@ -634,7 +633,7 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
                                band.rows, row_h)
             if plan.spec.kind == MAP:
                 shapes = render_minimap(atlas, layout, band.group_index,
-                                        map_style, frame)
+                                        spec.map_mode, frame)
                 start = len(layers.map_fills)
                 layers.map_fills.extend(shapes.fills)
                 layers.map_strokes.extend(shapes.strokes)

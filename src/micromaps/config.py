@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .colors import Palette
 from .compose import ChartSpec, ColumnSpec, expect, validate_spec
-from .errors import BadValue, ConfigError, ConfigSyntax, UnknownKey
+from .errors import ConfigError, ConfigSyntax, SpecError, UnknownKey
 from .layout import SortSpec
 from .values import value_type
 
@@ -53,7 +53,7 @@ def _object(value: object, path: str, allowed: set[str]) -> dict:
 
 def _require(obj: dict, key: str, path: str) -> object:
     if key not in obj:
-        raise BadValue(f"{path}.{key}" if path else key, "required key missing")
+        raise SpecError(f"{path}.{key}" if path else key, "required key missing")
     return obj[key]
 
 
@@ -121,7 +121,7 @@ def parse_config(document: str) -> RenderConfig:
     decimal_places = expect(output.get("decimal_places", 2), int,
                             "output.decimal_places")
     if not 0 <= decimal_places <= 6:
-        raise BadValue("output.decimal_places", "must be in 0..6")
+        raise SpecError("output.decimal_places", "must be in 0..6")
 
     fields = {key: root[key] for key in ("title", "group_size", "map_mode")
               if key in root}

@@ -123,10 +123,6 @@ class UnknownKey(MicromapError):
         super().__init__(f"unknown key: {path}")
 
 
-# A config value with the wrong type, range or enum value is a SpecError.
-BadValue = SpecError
-
-
 class SnapshotError(MicromapError):
     """A bundled data snapshot is missing or ill-formed."""
 

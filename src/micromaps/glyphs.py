@@ -171,24 +171,28 @@ def render_bar(values: Mapping[str, float | None], scale: Scale,
     return out
 
 
-def _arrow_head(x: float, y: float, direction: float, color: str,
-                tag: str) -> Polygon:
-    tip = x
+def _arrow_head(x: float, y: float, direction: float, half: float,
+                color: str, tag: str) -> Polygon:
     back = x - direction * ARROW_HEAD_LENGTH
-    pts = ((tip, y), (back, y - ARROW_HEAD_HALF_WIDTH), (back, y + ARROW_HEAD_HALF_WIDTH))
+    pts = ((x, y), (back, y - half), (back, y + half))
     return Polygon(pts, shared_style(fill=color), tag=tag)
 
 
-def _diamond(x: float, y: float, color: str, tag: str) -> Polygon:
-    d = DIAMOND_HALF
+def _diamond(x: float, y: float, d: float, color: str, tag: str) -> Polygon:
     pts = ((x, y - d), (x + d, y), (x, y + d), (x - d, y))
     return Polygon(pts, shared_style(fill=color), tag=tag)
 
 
 def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
                  scale: Scale, frame: PanelFrame) -> GlyphShapes:
-    """Start-to-end arrows; a zero-length change renders as a diamond."""
+    """Start-to-end arrows; a zero-length change renders as a diamond.
+
+    Heads and diamonds are at most one row tall, so they stay in the panel.
+    """
     out = GlyphShapes(guides=_row_guides(frame))
+    half_row = frame.row_height / 2.0
+    head_half = min(ARROW_HEAD_HALF_WIDTH, half_row)
+    diamond_half = min(DIAMOND_HALF, half_row)
     drawn: list[tuple[RowBand, float, float]] = []
     for row in frame.rows:
         start, end = pairs.get(row.region) or (None, None)
@@ -202,14 +206,15 @@ def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
     for (row, start, end), xs, xe in zip(drawn, placed, placed):
         tag = f"region:{row.region}"
         if start == end:
-            out.marks.append(_diamond(xs, row.y, row.color, tag))
+            out.marks.append(_diamond(xs, row.y, diamond_half, row.color, tag))
             continue
         direction = 1.0 if xe > xs else -1.0
         shaft_end = xe - direction * ARROW_HEAD_LENGTH * 0.6
         out.marks.append(Line(xs, row.y, shaft_end, row.y,
                               shared_style(stroke=row.color, stroke_width=1.6),
                               tag=tag))
-        out.marks.append(_arrow_head(xe, row.y, direction, row.color, tag))
+        out.marks.append(_arrow_head(xe, row.y, direction, head_half,
+                                     row.color, tag))
     return out
 
 
@@ -298,18 +303,17 @@ def render_boxplot(samples: Mapping[str, Sequence[float | None] | None],
         except EmptySamples:
             out.labels.append(_na_label(frame, row))
             continue
-        tag = f"region:{row.region}"
         # q1, median and q3 lie between the whiskers: their checks pass.
         x_lo, x_hi, x_q1, x_q3, x_med, *x_outliers = scale.positions(
             (stats.whisker_lo, stats.whisker_hi, stats.q1, stats.q3,
              stats.median, *stats.outliers))
-        out.marks.append(Line(x_lo, row.y, x_hi, row.y, AXIS_STYLE, tag=tag))
+        out.marks.append(Line(x_lo, row.y, x_hi, row.y, AXIS_STYLE))
         out.marks.append(Rect(x_q1, row.y - h / 2.0, x_q3 - x_q1, h,
                               shared_style(fill=row.color, stroke="#333333",
-                                           stroke_width=0.5), tag=tag))
+                                           stroke_width=0.5),
+                              tag=f"region:{row.region}"))
         out.marks.append(Line(x_med, row.y - h / 2.0, x_med, row.y + h / 2.0,
-                              MEDIAN_STYLE, tag=tag))
+                              MEDIAN_STYLE))
         for x in x_outliers:
-            out.marks.append(Circle(x, row.y, OUTLIER_RADIUS, OUTLIER_STYLE,
-                                    tag=tag))
+            out.marks.append(Circle(x, row.y, OUTLIER_RADIUS, OUTLIER_STYLE))
     return out

@@ -3,8 +3,9 @@
 Shape order is paint order. Coordinates are in abstract canvas units with
 the origin at the top-left; serialization to SVG happens elsewhere. The
 optional ``tag`` on a shape records which region (or chart part) produced
-it; tags never reach the output document but let tests trace color linkage
-shape by shape.
+it and never reaches the output document. Among a panel's marks,
+``region:XX`` means the shape shows XX's linked color, in its fill or, when
+it has no fill, its stroke; marks drawn in a fixed style carry no such tag.
 """
 
 from typing import NamedTuple, Union
@@ -87,9 +88,10 @@ Shape = Union[Rect, Circle, Line, Polyline, Polygon, Path, Text]
 @value_type
 class PanelInfo(NamedTuple):
     """Where one group's panel of one column landed, plus its shared-axis
-    record (domains and tick lists in data units) for invariant checks.
-    ``marks`` indexes the shapes in ``Scene.shapes`` that carry the panel's
-    linked colors: a map panel's fills, a legend or glyph panel's marks.
+    record (domains and tick lists in data units) for tests and reports.
+    ``marks`` indexes the shapes in ``Scene.shapes`` that the pre-write gate
+    reads for the color link: a map panel's fills, a legend or glyph
+    panel's marks.
     """
 
     column_index: int

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 
 import pytest
 
 from micromaps.adapters import acs_adapter, ers_adapter
 from micromaps.atlas import Atlas, load_atlas, load_default_atlas
 from micromaps.demos import build_demo
+from micromaps.errors import MicromapError
 from micromaps.regions import ALL_CODES, BY_CODE
+from micromaps.scene import PanelInfo, Scene
 from micromaps.table import Column, RegionTable
 
 
@@ -37,6 +40,34 @@ def full_table(column: str = "v") -> RegionTable:
     """All 51 regions with distinct values, highest for the first code."""
     values = {code: float(200 - 3 * i) for i, code in enumerate(ALL_CODES)}
     return make_table(values, column)
+
+
+def panels_by_column(scene: Scene) -> dict[int, list[PanelInfo]]:
+    grid: dict[int, list[PanelInfo]] = defaultdict(list)
+    for panel in scene.panels:
+        grid[panel.column_index].append(panel)
+    return dict(grid)
+
+
+def check_panel_grid(scene: Scene) -> int:
+    """Every column must have the same number of panels; returns it."""
+    grid = panels_by_column(scene)
+    if not grid:
+        raise MicromapError("scene has no panel metadata")
+    counts = {ci: len(panels) for ci, panels in grid.items()}
+    if len(set(counts.values())) != 1:
+        raise MicromapError(f"uneven panel grid: {counts}")
+    return next(iter(counts.values()))
+
+
+def check_shared_scales(scene: Scene) -> None:
+    """All panels of a column must report identical domains and ticks."""
+    for ci, panels in panels_by_column(scene).items():
+        for attr in ("x_domain", "x_ticks", "y_domain", "y_ticks"):
+            values = {getattr(p, attr) for p in panels}
+            if len(values) != 1:
+                raise MicromapError(
+                    f"column {ci}: panels disagree on {attr}: {values}")
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from micromaps.atlas import load_default_atlas
-from micromaps.checks import panels_by_column, region_colors_in_panel
+from micromaps.checks import region_colors_in_panel
 from micromaps.compose import compose
 from micromaps.demos import build_demo
 from micromaps.glyphs import compute_box_stats
@@ -28,7 +28,7 @@ from micromaps.layout import (
 from micromaps.svg import SvgOptions, emit_svg
 from micromaps.table import scalar_values
 
-from conftest import full_table
+from conftest import full_table, panels_by_column
 
 BUNDLED_DEMOS = ("acs-dot", "acs-timeseries", "qcew-arrows", "ers-snap",
                  "ers-boxscatter")

@@ -8,7 +8,6 @@ from micromaps.atlas import (
     CUMULATIVE,
     GROUP_ONLY,
     NO_DATA_PANEL,
-    MiniMapStyle,
     load_atlas,
     render_minimap,
 )
@@ -171,8 +170,7 @@ def fills_by_color(shapes) -> dict[str, int]:
 
 def test_group_only_mode_counts(square_atlas, table51):
     layout = build_layout(full_table(), SortSpec("v"))
-    style = MiniMapStyle(mode=GROUP_ONLY)
-    shapes = render_minimap(square_atlas, layout, 0, style,
+    shapes = render_minimap(square_atlas, layout, 0, GROUP_ONLY,
                             panel_frame(layout, 0))
     counts = fills_by_color(shapes)
     assert counts.get(CONTEXT_FILL) == 46
@@ -184,18 +182,17 @@ def test_group_only_mode_counts(square_atlas, table51):
 
 def test_group_only_fill_count_matches_group_size(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
-    style = MiniMapStyle(mode=GROUP_ONLY)
     for gi, size in enumerate(layout.plan.sizes):
         counts = fills_by_color(render_minimap(square_atlas, layout, gi,
-                                               style, panel_frame(layout, gi)))
+                                               GROUP_ONLY,
+                                               panel_frame(layout, gi)))
         highlighted = 51 - counts.get(CONTEXT_FILL, 0)
         assert highlighted == size
 
 
 def test_cumulative_above_median(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
-    style = MiniMapStyle(mode=CUMULATIVE)
-    counts = fills_by_color(render_minimap(square_atlas, layout, 2, style,
+    counts = fills_by_color(render_minimap(square_atlas, layout, 2, CUMULATIVE,
                                            panel_frame(layout, 2)))
     assert counts.get(CUMULATIVE_TINT) == 10  # groups 0 and 1
     assert counts.get(CONTEXT_FILL) == 51 - 10 - 5
@@ -203,8 +200,7 @@ def test_cumulative_above_median(square_atlas):
 
 def test_cumulative_median_panel_tints_nothing(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
-    style = MiniMapStyle(mode=CUMULATIVE)
-    counts = fills_by_color(render_minimap(square_atlas, layout, 5, style,
+    counts = fills_by_color(render_minimap(square_atlas, layout, 5, CUMULATIVE,
                                            panel_frame(layout, 5)))
     assert counts.get(CUMULATIVE_TINT) is None
     assert counts.get(DEFAULT_PALETTE.median) == 1
@@ -213,19 +209,18 @@ def test_cumulative_median_panel_tints_nothing(square_atlas):
 
 def test_cumulative_below_median_mirrors(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
-    style = MiniMapStyle(mode=CUMULATIVE)
     # Bottom panel tints nothing; moving up toward the median accumulates.
     for gi, expected in ((10, 0), (9, 5), (8, 10), (7, 15), (6, 20)):
         counts = fills_by_color(render_minimap(square_atlas, layout, gi,
-                                               style, frame()))
+                                               CUMULATIVE, frame()))
         assert counts.get(CUMULATIVE_TINT, 0) == expected, gi
 
 
 def test_cumulative_monotone_toward_median(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
-    style = MiniMapStyle(mode=CUMULATIVE)
-    above = [fills_by_color(render_minimap(square_atlas, layout, gi, style,
-                                           frame())).get(CUMULATIVE_TINT, 0)
+    above = [fills_by_color(render_minimap(square_atlas, layout, gi,
+                                           CUMULATIVE, frame())
+                            ).get(CUMULATIVE_TINT, 0)
              for gi in range(0, 5)]
     assert above == [sum(layout.plan.sizes[:gi]) for gi in range(0, 5)]
 
@@ -235,9 +230,8 @@ def test_no_data_panel_highlights_unranked(square_atlas):
               for i, code in enumerate(ALL_CODES)}
     from conftest import make_table
     layout = build_layout(make_table(values), SortSpec("v"))
-    style = MiniMapStyle()
     counts = fills_by_color(render_minimap(square_atlas, layout,
-                                           NO_DATA_PANEL, style,
+                                           NO_DATA_PANEL, GROUP_ONLY,
                                            panel_frame(layout, NO_DATA_PANEL)))
     assert counts.get(DEFAULT_PALETTE.no_data) == 2
 
@@ -247,7 +241,7 @@ def test_row_color_fills_its_region(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
     code = layout.group_members(0)[0]
     rows = (RowBand(code, 10.0, "#abcdef"),)
-    shapes = render_minimap(square_atlas, layout, 0, MiniMapStyle(),
+    shapes = render_minimap(square_atlas, layout, 0, GROUP_ONLY,
                             frame(rows=rows))
     assert {s.tag for s in shapes.fills if s.style.fill == "#abcdef"} == {
         f"region:{code}"}
@@ -255,10 +249,9 @@ def test_row_color_fills_its_region(square_atlas):
 
 def test_render_is_pure(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
-    style = MiniMapStyle()
     before = {code: rings for code, rings in square_atlas.regions.items()}
-    a = render_minimap(square_atlas, layout, 0, style, frame())
-    b = render_minimap(square_atlas, layout, 0, style, frame())
+    a = render_minimap(square_atlas, layout, 0, GROUP_ONLY, frame())
+    b = render_minimap(square_atlas, layout, 0, GROUP_ONLY, frame())
     assert a.fills == b.fills
     assert a.strokes == b.strokes
     assert square_atlas.regions == before
@@ -267,4 +260,4 @@ def test_render_is_pure(square_atlas):
 def test_bad_group_index(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
     with pytest.raises(ValueError):
-        render_minimap(square_atlas, layout, 11, MiniMapStyle(), frame())
+        render_minimap(square_atlas, layout, 11, GROUP_ONLY, frame())

@@ -1,21 +1,23 @@
 """The pre-write gate accepts correct charts and rejects recolored marks.
 
 Each rejection case takes a correct scene, changes one region-tagged mark,
-and expects ``check_chart`` to raise. Marks are found by type and tag, not
-by where they sit, so the cases do not depend on how the checks find a
-panel's marks.
+and expects ``check_chart`` to raise. Marks are found by type, tag and
+shape, not by where they sit, so the cases do not depend on how the checks
+find a panel's marks.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from micromaps.altcharts import render_choropleth
 from micromaps.checks import check_chart
 from micromaps.colors import DEFAULT_PALETTE
 from micromaps.compose import ChartSpec, ColumnSpec, compose
 from micromaps.errors import MicromapError
 from micromaps.layout import SortSpec, build_layout
-from micromaps.scene import Circle, Line, Polygon, Scene
+from micromaps.glyphs import AXIS_STYLE, MEDIAN_STYLE, OUTLIER_STYLE
+from micromaps.scene import Circle, Line, Polygon, Polyline, Rect, Scene
 from micromaps.table import bind_series, parse_table
 
 from conftest import full_table
@@ -40,6 +42,34 @@ def first(scene: Scene, kind: type, test=lambda shape: True) -> int:
     return next(i for i, shape in enumerate(scene.shapes)
                 if isinstance(shape, kind) and shape.tag
                 and shape.tag.startswith("region:") and test(shape))
+
+
+def recolored(scene: Scene, index: int, attr: str = "fill") -> Scene:
+    shape = scene.shapes[index]
+    return replaced(scene, index, shape._replace(
+        style=shape.style._replace(**{attr: WRONG})))
+
+
+def glyph_scene(atlas, column) -> Scene:
+    """A map, a legend and one glyph column over all 51 regions, sorted by
+    the last CSV column. ``column`` is (CSV header, cells of region i,
+    kind, bindings); a binding to "s" is to the series of all CSV columns.
+    """
+    header, cells, kind, bindings = column
+    codes = sorted(full_table().rows)
+    table = parse_table(f"state,{header}\n" + "\n".join(
+        f"{code},{cells(i)}" for i, code in enumerate(codes)), "state")
+    names = header.split(",")
+    sort = names[-1]
+    if "s" in bindings.values():
+        table = bind_series(table, names, "s")
+        sort = f"s:{sort}"
+    spec = ChartSpec(title=kind, sort=SortSpec(sort),
+                     columns=(ColumnSpec("map"), ColumnSpec("legend"),
+                              ColumnSpec(kind, bindings=bindings)))
+    scene = compose(spec, table, atlas)
+    check_chart(scene)
+    return scene
 
 
 @pytest.mark.parametrize("height", [20.0, 50.0, 100.0])
@@ -113,3 +143,56 @@ def test_recolored_arrow_shaft_raises(square_atlas):
     with pytest.raises(MicromapError, match=WRONG):
         check_chart(replaced(scene, i, shaft._replace(
             style=shaft.style._replace(stroke=WRONG))))
+
+
+# One glyph column each: (CSV header, cells of region i, kind, bindings).
+BARS = ("v", lambda i: 100 + i, "bar", {"value": "v"})
+ARROWS = ("a,b", lambda i: f"{i},{i + 2}", "arrow", {"start": "a", "end": "b"})
+SERIES = ("a,b,c", lambda i: f"{i},{i + 1},{i}", "timeseries", {"series": "s"})
+# Samples i..i+3 and i+100: the last one is an outlier in every row.
+BOXES = ("a,b,c,d,e", lambda i: f"{i},{i + 1},{i + 2},{i + 3},{i + 100}",
+         "boxplot", {"samples": "s"})
+POINTS = ("x,y", lambda i: f"{i},{(i * 7) % 13}", "scatter",
+          {"x": "x", "y": "y"})
+
+
+# Legend swatches are the only squares, bars here are long and thin, and
+# box-plot boxes the only outlined Rects. Square-atlas rings have five
+# points, an arrow head three.
+@pytest.mark.parametrize("column,kind,test,attr", [
+    (BARS, Rect, lambda rect: rect.width == rect.height, "fill"),
+    (BARS, Rect, lambda rect: rect.width > 2 * rect.height, "fill"),
+    (ARROWS, Polygon, lambda head: len(head.points) == 3, "fill"),
+    (SERIES, Polyline, lambda line: True, "stroke"),
+    (BOXES, Rect, lambda box: box.style.stroke is not None, "fill"),
+    (POINTS, Circle, lambda point: True, "fill"),
+], ids=["legend-swatch", "bar", "arrow-head", "timeseries-line",
+        "boxplot-box", "scatter-highlight"])
+def test_recolored_glyph_mark_raises(square_atlas, column, kind, test, attr):
+    scene = glyph_scene(square_atlas, column)
+    with pytest.raises(MicromapError, match=WRONG):
+        check_chart(recolored(scene, first(scene, kind, test), attr))
+
+
+@pytest.mark.parametrize("style,kind,attr", [
+    (AXIS_STYLE, Line, "stroke"),  # whiskers (and the column axes)
+    (MEDIAN_STYLE, Line, "stroke"),
+    (OUTLIER_STYLE, Circle, "fill"),
+], ids=["whisker", "median", "outlier"])
+def test_recolored_boxplot_fixed_style_marks_pass(square_atlas, style, kind,
+                                                  attr):
+    """Whiskers, median ticks and outliers keep one style in every row, so
+    they carry no region's color and the gate ignores them."""
+    scene = glyph_scene(square_atlas, BOXES)
+    hits = [i for i, shape in enumerate(scene.shapes)
+            if type(shape) is kind and shape.style is style]
+    assert hits
+    for i in hits:
+        scene = recolored(scene, i, attr)
+    check_chart(scene)
+
+
+def test_panel_less_choropleth_passes(square_atlas):
+    scene = render_choropleth(square_atlas, full_table(), "v")
+    assert not scene.panels
+    check_chart(scene)

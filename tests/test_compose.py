@@ -6,25 +6,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from micromaps.checks import (
-    check_color_linkage,
-    check_panel_grid,
-    check_shared_scales,
-    panels_by_column,
-)
+from micromaps.checks import check_color_linkage
 from micromaps.colors import DEFAULT_PALETTE
 from micromaps.compose import (
+    MAX_CANVAS,
     SCALE_PAD_F,
     ChartSpec,
     ColumnSpec,
     compose,
     validate_spec,
 )
+from micromaps.demos import build_demo
 from micromaps.errors import BadExtent, EmptyColumn, SpecError
 from micromaps.layout import MEDIAN_SLOT, SortSpec, build_layout
 from micromaps.regions import ALL_CODES
 from micromaps.scale import linear_scale
-from micromaps.scene import Line, Text
+from micromaps.scene import Circle, Line, Rect, Text
 from micromaps.table import (
     SERIES,
     Column,
@@ -34,7 +31,13 @@ from micromaps.table import (
     parse_table,
 )
 
-from conftest import full_table, make_table
+from conftest import (
+    check_panel_grid,
+    check_shared_scales,
+    full_table,
+    make_table,
+    panels_by_column,
+)
 
 
 def minimal_spec(**overrides) -> ChartSpec:
@@ -370,3 +373,54 @@ def test_box_column_scale_matches_column_extent(square_atlas, series):
     axes = {repr((p.x_domain, p.x_ticks))
             for p in scene.panels if p.column_index == 2}
     assert axes == {repr((expected.domain, expected.ticks))}
+
+
+@pytest.fixture(scope="module")
+def demos():
+    """The five bundled demos' specs and tables."""
+    return [build_demo(name) for name in ("acs-dot", "acs-timeseries",
+                                          "qcew-arrows", "ers-snap",
+                                          "ers-boxscatter")]
+
+
+def _points(shape):
+    if isinstance(shape, Rect):
+        return ((shape.x, shape.y),
+                (shape.x + shape.width, shape.y + shape.height))
+    if isinstance(shape, Circle):
+        return ((shape.cx, shape.cy),)
+    if isinstance(shape, Line):
+        return ((shape.x1, shape.y1), (shape.x2, shape.y2))
+    return shape.points  # Polyline, Polygon
+
+
+# Below a width of about 70 the fixed 2-unit legend inset and 7-unit arrow
+# heads no longer fit their columns; heights have no such floor.
+_WIDTH = st.floats(100.0, MAX_CANVAS)
+_HEIGHT = st.floats(1.0, MAX_CANVAS)
+
+
+# Sizes where arrow heads, or scatter points under a vertical pad larger
+# than half the band, used to leave their panels.
+@example(1000.0, 150.0)
+@example(5000.0, 300.0)
+@example(1000.0, 20.0)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_WIDTH, _HEIGHT)
+def test_demo_marks_stay_inside_their_panels(default_atlas, demos, width,
+                                            height):
+    for spec, table in demos:
+        spec = spec._replace(width=width, height=height)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scene = compose(spec, table, default_atlas)
+        eps = 1e-9 * max(width, height)  # rounding, far below 0.01
+        for panel in scene.panels:
+            left, top = panel.x - eps, panel.y - eps
+            right = panel.x + panel.width + eps
+            bottom = panel.y + panel.height + eps
+            for i in panel.marks:
+                for x, y in _points(scene.shapes[i]):
+                    assert left <= x <= right and top <= y <= bottom, (
+                        spec.title, panel.kind, panel.group_index,
+                        scene.shapes[i])

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from micromaps.config import parse_config
-from micromaps.errors import BadValue, ConfigSyntax, SpecError, UnknownKey
+from micromaps.errors import ConfigSyntax, SpecError, UnknownKey
 
 MINIMAL = {
     "title": "Chart",
@@ -64,19 +64,19 @@ def test_syntax_error_reports_line_and_column():
 
 def test_bad_direction_enum():
     bad = {**MINIMAL, "sort": {"column": "rate", "direction": "sideways"}}
-    with pytest.raises(BadValue) as err:
+    with pytest.raises(SpecError) as err:
         parse_config(json.dumps(bad))
     assert err.value.path == "sort.direction"
 
 
 def test_bad_map_mode_enum():
-    with pytest.raises(BadValue):
+    with pytest.raises(SpecError):
         parse_config(doc(map_mode="sparkly"))
 
 
 def test_missing_required_key():
     bad = {k: v for k, v in MINIMAL.items() if k != "sort"}
-    with pytest.raises(BadValue) as err:
+    with pytest.raises(SpecError) as err:
         parse_config(json.dumps(bad))
     assert err.value.path == "sort"
 
@@ -90,9 +90,9 @@ def test_missing_map_column_is_spec_error():
 
 def test_group_size_validation():
     assert parse_config(doc(group_size=3)).spec.group_size == 3
-    with pytest.raises(BadValue):
+    with pytest.raises(SpecError):
         parse_config(doc(group_size=0))
-    with pytest.raises(BadValue):
+    with pytest.raises(SpecError):
         parse_config(doc(group_size=2.5))
 
 
@@ -103,9 +103,9 @@ def test_output_block():
     assert config.spec.width == 800.0
     assert config.spec.height == 900.0
     assert config.decimal_places == 3
-    with pytest.raises(BadValue):
+    with pytest.raises(SpecError):
         parse_config(doc(output={"decimal_places": 9}))
-    with pytest.raises(BadValue):
+    with pytest.raises(SpecError):
         parse_config(doc(output={"width": -5}))
 
 
@@ -122,7 +122,7 @@ def test_palette_override():
     config = parse_config(doc(palette=palette))
     assert config.spec.palette.slots == ("#1", "#2", "#3", "#4", "#5")
     assert config.spec.palette.median == "#M"
-    with pytest.raises(BadValue):
+    with pytest.raises(SpecError):
         parse_config(doc(palette={"slots": ["#1", "#2"]}))
 
 
@@ -142,14 +142,14 @@ def test_options_validation():
 def test_header_validation():
     cols = [{"kind": "map", "header": ["a", "b", "c"]}, {"kind": "legend"},
             {"kind": "dot", "bindings": {"value": "r"}}]
-    with pytest.raises(BadValue):
+    with pytest.raises(SpecError):
         parse_config(doc(columns=cols))
 
 
 def test_type_errors_have_paths():
-    with pytest.raises(BadValue) as err:
+    with pytest.raises(SpecError) as err:
         parse_config(doc(title=7))
     assert err.value.path == "title"
-    with pytest.raises(BadValue) as err:
+    with pytest.raises(SpecError) as err:
         parse_config(json.dumps({**MINIMAL, "data": "d.csv"}))
     assert err.value.path == "data"

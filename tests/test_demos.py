@@ -5,13 +5,15 @@ import warnings
 import pytest
 
 from micromaps.atlas import load_default_atlas
-from micromaps.checks import check_chart, panels_by_column
+from micromaps.checks import check_chart
 from micromaps.compose import compose
 from micromaps.demos import DEMO_NAMES, build_demo
 from micromaps.layout import SortSpec, build_layout
 from micromaps.scene import Line, Style
 from micromaps.svg import SvgOptions, emit_svg
 from micromaps.table import column_extent, scalar_values
+
+from conftest import panels_by_column
 
 BUNDLED = ("acs-dot", "acs-timeseries", "qcew-arrows", "ers-snap",
            "ers-boxscatter")

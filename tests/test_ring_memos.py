@@ -11,7 +11,7 @@ import pytest
 
 from micromaps import atlas as atlas_mod
 from micromaps import svg as svg_mod
-from micromaps.atlas import MiniMapStyle, load_atlas, render_minimap
+from micromaps.atlas import GROUP_ONLY, load_atlas, render_minimap
 from micromaps.errors import BadGeometry
 from micromaps.glyphs import PanelFrame
 from micromaps.layout import SortSpec, build_layout
@@ -58,11 +58,11 @@ def test_demos_match_pinned_hashes_cold_warm_and_after_clearing():
 
 def test_same_ring_and_fit_give_the_same_placed_tuple(square_atlas):
     layout = build_layout(full_table(), SortSpec("v"))
-    a = render_minimap(square_atlas, layout, 0, MiniMapStyle(), FRAME)
-    b = render_minimap(square_atlas, layout, 3, MiniMapStyle(), FRAME)
+    a = render_minimap(square_atlas, layout, 0, GROUP_ONLY, FRAME)
+    b = render_minimap(square_atlas, layout, 3, GROUP_ONLY, FRAME)
     assert all(p.points is q.points for p, q in zip(a.fills, b.fills))
     moved = FRAME._replace(x=FRAME.x + 1.0)
-    c = render_minimap(square_atlas, layout, 0, MiniMapStyle(), moved)
+    c = render_minimap(square_atlas, layout, 0, GROUP_ONLY, moved)
     assert all(p.points != q.points for p, q in zip(a.fills, c.fills))
 
 
@@ -75,7 +75,7 @@ def test_equal_bounds_different_rings_render_different_points():
         # may take the memory, and the id, of an earlier one.
         atlas = moved_square_atlas(shift)
         assert atlas.bounds == (0.0, 0.0, 78.0, 68.0)
-        shapes = render_minimap(atlas, layout, 0, MiniMapStyle(), FRAME)
+        shapes = render_minimap(atlas, layout, 0, GROUP_ONLY, FRAME)
         (ring,) = atlas.regions[MOVED]
         expected = tuple((ox + s * (x - xmin), oy + s * (y - ymin))
                          for x, y in ring)

@@ -18,7 +18,7 @@ from micromaps.cli import EXIT_VALIDATION, run
 from micromaps.colors import DEFAULT_PALETTE, SLOT_COLORS
 from micromaps.compose import ChartSpec, ColumnSpec, compose, validate_spec
 from micromaps.config import parse_config
-from micromaps.errors import BadValue, MicromapError, SpecError, UnknownKey
+from micromaps.errors import MicromapError, SpecError, UnknownKey
 from micromaps.layout import SortSpec
 from micromaps.regions import ALL_CODES
 from micromaps.scene import Circle, Style
@@ -199,10 +199,6 @@ def test_config_and_api_reject_alike(table51, square_atlas, where, key, value,
             attempt()
         raised.append((type(info.value), info.value.path))
     assert raised == [(error, path)] * 3
-
-
-def test_bad_value_is_spec_error():
-    assert BadValue is SpecError
 
 
 # A known option on a column kind that ignores it: (index, column, key,

@@ -14,7 +14,7 @@ from collections import namedtuple
 import pytest
 
 from micromaps.altcharts import ClassBreaks
-from micromaps.atlas import Atlas, MiniMapStyle
+from micromaps.atlas import Atlas
 from micromaps.colors import Palette
 from micromaps.compose import ChartSpec, ColumnSpec
 from micromaps.config import RenderConfig, SeriesBinding
@@ -68,7 +68,6 @@ VALUES = [
     (ColumnSpec("dot", ("V",), {"value": "v"}, {"weight": 2}), False),
     (SPEC, False),
     (SvgOptions(decimal_places=1), True),
-    (MiniMapStyle(), True),
     (Atlas({"AL": (((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),)},
            (0.0, 0.0, 1.0, 1.0)), False),
     (BY_CODE["AL"], True),
