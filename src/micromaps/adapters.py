@@ -1,14 +1,18 @@
-"""Loading the bundled data snapshots into RegionTables.
+"""Loading a chart config's data into a RegionTable.
 
-Snapshots are frozen CSV files committed under the package data directory
-(override with the MICROMAP_DATA_DIR environment variable or an explicit
-``snapshot_dir``); provenance is recorded in data/MANIFEST.json. Nothing is
-fetched at runtime: the source pages serve interactive tables whose formats
-drift, and reproducible figures need frozen inputs.
+``load_table`` builds the table a config describes: its data CSV, the
+series it binds, each ``data.join`` file (every value column attached by
+region) and each ``data.samples`` file (a long CSV, one sample per row).
+``micromaps render`` and ``validate`` load through it, and so does
+``demos.build_demo``. The join and samples files are read from the
+directory of the data file; a fault in one of them is a ``SnapshotError``
+that names the file.
 
-``snapshot_table`` loads one snapshot as it stands; the shipped demo configs
-read theirs through it. The two adapters add what a config cannot express:
-the ACS 2010-to-2022 decline and the ERS per-state county samples.
+The demos read frozen CSV snapshots committed under the package data
+directory (override with the MICROMAP_DATA_DIR environment variable or an
+explicit ``snapshot_dir``); provenance is recorded in data/MANIFEST.json.
+Nothing is fetched at runtime: the source pages serve interactive tables
+whose formats drift, and reproducible figures need frozen inputs.
 """
 
 import csv
@@ -17,7 +21,9 @@ import math
 import os
 from pathlib import Path
 
-from .errors import MicromapError, SnapshotError
+from .config import RenderConfig, SampleSource
+from .errors import MicromapError, SnapshotError, SpecError, UnknownRegion
+from .regions import region_lookup
 from .table import (
     RegionTable,
     bind_series,
@@ -26,13 +32,6 @@ from .table import (
     with_scalar_column,
     with_series_column,
 )
-
-ACS_FILE = "acs_response_rates.csv"
-ERS_STATE_FILE = "ers_state_indicators.csv"
-ERS_COUNTY_FILE = "ers_county_low_access_change.csv"
-PEW_FILE = "pew_small_government.csv"
-
-ACS_YEARS = tuple(str(y) for y in range(2010, 2023))
 
 
 def default_data_dir() -> Path:
@@ -55,101 +54,95 @@ def snapshot_text(name: str, snapshot_dir: Path | str | None = None) -> str:
         raise SnapshotError(name, f"cannot decode: {exc}") from None
 
 
-def snapshot_table(name: str, snapshot_dir: Path | str | None = None,
-                   region_column: str = "state") -> RegionTable:
-    """One snapshot file as a table; every snapshot covers all 51 regions."""
-    text = snapshot_text(name, snapshot_dir)
-    try:
-        table = parse_table(text, region_column)
-    except MicromapError as exc:
-        raise SnapshotError(name, str(exc)) from None
-    if len(table.rows) != 51:
-        raise SnapshotError(name, f"expected 51 regions, got {len(table.rows)}")
+def load_table(config: RenderConfig, text: str, directory: Path) -> RegionTable:
+    """The table ``config`` describes, with ``text`` as its data file.
+
+    A fault in ``text`` raises as ``parse_table`` and ``bind_series`` raise
+    it. The join and samples files are read from ``directory``; a column
+    one of them would add that the table already has is a ``SpecError`` at
+    its ``data.join[i]`` or ``data.samples[i].name``.
+    """
+    table = parse_table(text, config.region_column)
+    for binding in config.series:
+        table = bind_series(table, list(binding.columns), binding.name)
+    for i, name in enumerate(config.join):
+        table = _join(table, name, directory, config.region_column,
+                      f"data.join[{i}]")
+    for i, source in enumerate(config.samples):
+        table = _samples(table, source, directory, config.region_column,
+                         f"data.samples[{i}].name")
     return table
 
 
-def _require_columns(table: RegionTable, names: tuple[str, ...],
-                     filename: str) -> None:
-    for name in names:
-        if not table.has_column(name):
-            raise SnapshotError(filename, f"missing column {name!r}")
+def _join(table: RegionTable, name: str, directory: Path, region_column: str,
+          path: str) -> RegionTable:
+    """Attach every value column of another region CSV."""
+    text = snapshot_text(name, directory)
+    try:
+        other = parse_table(text, region_column)
+    except MicromapError as exc:
+        raise SnapshotError(name, str(exc)) from None
+    for column in other.columns:
+        if table.has_column(column.name):
+            raise SpecError(path, f"column {column.name!r} already exists")
+        table = with_scalar_column(table, column.name,
+                                   scalar_values(other, column.name))
+    return table
 
 
-def acs_adapter(snapshot_dir: Path | str | None = None) -> RegionTable:
-    """Response rates 2010-2022 as a series, plus the 2010-to-2022 decline
-    in percentage points.
+def _samples(table: RegionTable, source: SampleSource, directory: Path,
+             region_column: str, path: str) -> RegionTable:
+    """Attach a long CSV, one sample per row, as a series column.
+
+    Each region's samples fill the periods ``c001``, ``c002``, ... in file
+    order; the series is as long as the largest sample, and the rest of
+    every shorter one is missing.
     """
-    table = snapshot_table(ACS_FILE, snapshot_dir)
-    _require_columns(table, ACS_YEARS, ACS_FILE)
-    first = scalar_values(table, "2010")
-    last = scalar_values(table, "2022")
-    decline = {
-        code: (None if first[code] is None or last[code] is None
-               else first[code] - last[code])
-        for code in table.rows
-    }
-    table = with_scalar_column(table, "decline_2010_2022", decline)
-    return bind_series(table, list(ACS_YEARS), "response_rate")
-
-
-def _county_samples(snapshot_dir) -> dict[str, list[float]]:
-    """Each state's county values, in file order; one county per row."""
-    text = snapshot_text(ERS_COUNTY_FILE, snapshot_dir).lstrip("\ufeff")
+    if table.has_column(source.name):
+        raise SpecError(path, f"column {source.name!r} already exists")
+    name = source.path
+    text = snapshot_text(name, directory).lstrip("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = [name.strip() for name in next(reader, [])]
-    if not {"state", "access_change_2010_2015"}.issubset(header):
-        raise SnapshotError(ERS_COUNTY_FILE,
-                            "needs state and access_change_2010_2015 columns")
-    state = header.index("state")
-    value = header.index("access_change_2010_2015")
-    samples: dict[str, list[float]] = {}
+    header = [cell.strip() for cell in next(reader, [])]
+    if not {region_column, source.column}.issubset(header):
+        raise SnapshotError(name, f"needs {region_column} and "
+                                  f"{source.column} columns")
+    key = header.index(region_column)
+    value = header.index(source.column)
+    by_key: dict[str, list[float]] = {}
     for record in reader:
         if len(record) != len(header):
             if not record:
                 continue
             side = "wider" if len(record) > len(header) else "narrower"
-            raise SnapshotError(ERS_COUNTY_FILE, f"row {side} than header "
-                                                 f"at line {reader.line_num}")
+            raise SnapshotError(name, f"row {side} than header "
+                                      f"at line {reader.line_num}")
         try:
             number = float(record[value])
         except ValueError:
             number = math.nan
         if not math.isfinite(number):
-            raise SnapshotError(ERS_COUNTY_FILE,
-                                f"bad value {record[value].strip()!r} "
-                                f"at line {reader.line_num}")
-        samples.setdefault(record[state].strip(), []).append(number)
-    if not samples:
-        raise SnapshotError(ERS_COUNTY_FILE, "no county rows")
-    return samples
-
-
-def ers_adapter(snapshot_dir: Path | str | None = None) -> RegionTable:
-    """Food-environment indicators plus per-state county sample lists for
-    the store-access boxplot column.
-    """
-    table = snapshot_table(ERS_STATE_FILE, snapshot_dir)
-    _require_columns(table, ("snap_change_2012_2017", "insecurity_change",
-                             "insecurity_2015", "low_access_2015"),
-                     ERS_STATE_FILE)
-    samples = _county_samples(snapshot_dir)
-    unknown = sorted(set(samples) - set(table.rows))
+            raise SnapshotError(name, f"bad value {record[value].strip()!r} "
+                                      f"at line {reader.line_num}")
+        by_key.setdefault(record[key].strip(), []).append(number)
+    if not by_key:
+        raise SnapshotError(name, "no county rows")
+    samples: dict[str, list[float]] = {}
+    unknown = []
+    for raw, values in by_key.items():
+        try:
+            code = region_lookup(raw).code
+        except UnknownRegion:
+            code = None
+        if code in table.rows:
+            samples.setdefault(code, []).extend(values)
+        else:
+            unknown.append(raw)
     if unknown:
-        raise SnapshotError(ERS_COUNTY_FILE,
-                            f"rows for unknown regions: {', '.join(unknown)}")
-    width = max(len(v) for v in samples.values())
+        raise SnapshotError(name, "rows for unknown regions: "
+                                  + ", ".join(sorted(unknown)))
+    width = max(map(len, samples.values()))
     periods = tuple(f"c{i:03d}" for i in range(1, width + 1))
-    padded = {
-        code: values + [None] * (width - len(values))
-        for code, values in samples.items()
-    }
-    return with_series_column(table, "county_access_change", periods, padded)
-
-
-def join_scalar_csv(table: RegionTable, csv_text: str, region_column: str,
-                    value_column: str, new_name: str | None = None,
-                    ) -> RegionTable:
-    """Generic CSV join: attach one scalar column from another region CSV."""
-    other = parse_table(csv_text, region_column)
-    values = scalar_values(other, value_column)
-    return with_scalar_column(table, new_name or value_column, values)
+    padded = {code: values + [None] * (width - len(values))
+              for code, values in samples.items()}
+    return with_series_column(table, source.name, periods, padded)

@@ -14,14 +14,17 @@ import sys
 import warnings
 from pathlib import Path
 
+from .adapters import load_table
 from .atlas import load_default_atlas
 from .checks import check_chart
 from .compose import ChartSpec, compose
-from .config import RenderConfig, parse_config
-from .demos import DEMO_NAMES, PEW_INSTRUCTIONS, build_demo, pew_available
+from .config import parse_config
+from .demos import DEMO_NAMES, PEW_FILE, PEW_INSTRUCTIONS, build_demo
 from .errors import MicromapError, SnapshotError
 from .svg import SvgOptions, emit_svg
-from .table import RegionTable, bind_series, parse_table
+# bind_series and parse_table are not called here: bench/tracing.py wraps
+# them in this module.
+from .table import RegionTable, bind_series, parse_table  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -67,20 +70,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_table(config: RenderConfig, config_path: str,
-                data_override: str | None) -> RegionTable:
-    if data_override is not None:
-        data_path = Path(data_override)
-    else:
-        data_path = Path(config.data_path)
-        if not data_path.is_absolute():
-            data_path = Path(config_path).resolve().parent / data_path
-    table = parse_table(data_path.read_text("utf-8"), config.region_column)
-    for binding in config.series:
-        table = bind_series(table, list(binding.columns), binding.name)
-    return table
-
-
 def _chart_svg(spec: ChartSpec, table: RegionTable,
                decimal_places: int = 2) -> str:
     """Compose the chart, pass it through the check gate, and emit its SVG."""
@@ -107,7 +96,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
     try:
         config = parse_config(Path(args.config).read_text("utf-8"))
         what = "data"
-        table = _load_table(config, args.config, args.data)
+        data = Path(args.config).resolve().parent / config.data_path
+        if args.data is not None:
+            data = Path(args.data)
+        table = load_table(config, data.read_text("utf-8"), data.parent)
+    except SnapshotError as exc:
+        return _fail(str(exc), EXIT_IO if exc.missing else EXIT_VALIDATION)
     except OSError as exc:
         return _fail(f"cannot read {what}: {exc}", EXIT_IO)
     except UnicodeDecodeError as exc:
@@ -127,12 +121,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     data_dir = Path(args.data) if args.data else None
-    if args.name == "acs-pew" and not pew_available(data_dir):
-        print(PEW_INSTRUCTIONS)
-        return EXIT_OK
     try:
         text = _chart_svg(*build_demo(args.name, data_dir))
     except SnapshotError as exc:
+        if exc.missing and exc.filename == PEW_FILE:
+            print(PEW_INSTRUCTIONS)
+            return EXIT_OK
         return _fail(str(exc), EXIT_IO if exc.missing else EXIT_VALIDATION)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)

@@ -346,12 +346,14 @@ def render_legend_column(name_style: str, frame: PanelFrame) -> GlyphShapes:
     codes. The median row renders in the dedicated median color.
     """
     out = GlyphShapes()
-    size = min(9.0, frame.row_height * 0.5)
+    # Inset and size are bounded by the column, so swatches stay inside it.
+    inset = min(2.0, frame.width / 4.0)
+    size = min(9.0, frame.row_height * 0.5, frame.width / 2.0)
     font = min(10.5, frame.row_height * 0.52)
     label_style = shared_style(fill=colors.TEXT_COLOR, font_size=font,
                                anchor="start")
     for row in frame.rows:
-        out.marks.append(Rect(frame.x + 2.0, row.y - size / 2.0, size, size,
+        out.marks.append(Rect(frame.x + inset, row.y - size / 2.0, size, size,
                               shared_style(fill=row.color),
                               tag=f"region:{row.region}"))
         name = row.region if name_style == "abbrev" else BY_CODE[row.region].name

@@ -20,7 +20,7 @@ from .values import value_type
 
 _TOP_KEYS = {"title", "data", "sort", "group_size", "map_mode", "columns",
              "output", "palette"}
-_DATA_KEYS = {"path", "region_column", "series"}
+_DATA_KEYS = {"path", "region_column", "series", "samples", "join"}
 _SORT_KEYS = {"column", "direction"}
 _COLUMN_KEYS = {"kind", "header", "bindings", "options"}
 _OUTPUT_KEYS = {"path", "width", "height", "decimal_places"}
@@ -34,6 +34,14 @@ class SeriesBinding(NamedTuple):
 
 
 @value_type
+class SampleSource(NamedTuple):
+    """A long CSV with one sample per row, bound as the series ``name``."""
+    name: str
+    path: str
+    column: str
+
+
+@value_type
 class RenderConfig(NamedTuple):
     spec: ChartSpec
     data_path: str
@@ -41,6 +49,8 @@ class RenderConfig(NamedTuple):
     series: tuple[SeriesBinding, ...]
     output_path: str | None
     decimal_places: int
+    samples: tuple[SampleSource, ...] = ()
+    join: tuple[str, ...] = ()  # the path of each join file
 
 
 def _object(value: object, path: str, allowed: set[str]) -> dict:
@@ -55,6 +65,19 @@ def _require(obj: dict, key: str, path: str) -> object:
     if key not in obj:
         raise SpecError(f"{path}.{key}" if path else key, "required key missing")
     return obj[key]
+
+
+def _entries(data: dict, key: str) -> list[tuple[str, object]]:
+    """Each entry of the list ``data.<key>``, with its config path."""
+    return [(f"data.{key}[{i}]", entry) for i, entry in
+            enumerate(expect(data.get(key, []), list, f"data.{key}"))]
+
+
+def _strings(value: object, path: str, keys: tuple[str, ...]) -> tuple[str, ...]:
+    """An object whose ``keys`` are all required strings, in that order."""
+    obj = _object(value, path, set(keys))
+    return tuple(expect(_require(obj, key, path), str, f"{path}.{key}")
+                 for key in keys)
 
 
 def _parse_column(value: object, path: str) -> ColumnSpec:
@@ -98,15 +121,17 @@ def parse_config(document: str) -> RenderConfig:
     region_column = expect(_require(data, "region_column", "data"), str,
                            "data.region_column")
     series: list[SeriesBinding] = []
-    for i, entry in enumerate(expect(data.get("series", []), list,
-                                     "data.series")):
-        path = f"data.series[{i}]"
+    for path, entry in _entries(data, "series"):
         obj = _object(entry, path, {"name", "columns"})
         name = expect(_require(obj, "name", path), str, f"{path}.name")
         cols = [expect(c, str, f"{path}.columns[{j}]") for j, c in
                 enumerate(expect(_require(obj, "columns", path), list,
                                  f"{path}.columns"))]
         series.append(SeriesBinding(name, tuple(cols)))
+    samples = tuple(SampleSource(*_strings(entry, path, SampleSource._fields))
+                    for path, entry in _entries(data, "samples"))
+    join = tuple(_strings(entry, path, ("path",))[0]
+                 for path, entry in _entries(data, "join"))
 
     sort = _object(_require(root, "sort", ""), "sort", _SORT_KEYS)
     _require(sort, "column", "sort")
@@ -132,4 +157,4 @@ def parse_config(document: str) -> RenderConfig:
     spec = ChartSpec(sort=SortSpec(**sort), columns=columns, **fields)
     validate_spec(spec)  # anatomy only; table checks happen at render time
     return RenderConfig(spec, data_path, region_column, tuple(series),
-                        output_path, decimal_places)
+                        output_path, decimal_places, samples, join)

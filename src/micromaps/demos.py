@@ -1,33 +1,26 @@
 """The six built-in demo charts, one per bundled case study variant.
 
-Four demos are chart configs shipped in ``data/demos/<name>.json``, read
-with ``parse_config`` as ``micromaps render --config`` reads any config;
-each ``data.path`` names a snapshot file, found in the snapshot directory.
-acs-pew and ers-boxscatter are built in Python, because they join a user
-CSV or reshape county samples. Every demo renders through the same
-compose, check and emit path as a config-driven chart.
+Every demo is a chart config shipped in ``data/demos/<name>.json``, read
+with ``parse_config`` and loaded with ``adapters.load_table`` as
+``micromaps render --config`` reads and loads any config. Each
+``data.path`` names a snapshot file, found in the snapshot directory, and
+so do the ``data.samples`` and ``data.join`` paths: ``micromaps demo X``
+renders what ``micromaps render --config data/demos/X.json --data
+<snapshot dir>/<data.path>`` renders.
 """
 
 from pathlib import Path
 
-from .adapters import (
-    PEW_FILE,
-    acs_adapter,
-    default_data_dir,
-    ers_adapter,
-    join_scalar_csv,
-    snapshot_table,
-    snapshot_text,
-)
-from .atlas import CUMULATIVE
-from .compose import ChartSpec, ColumnSpec
+from .adapters import default_data_dir, load_table, snapshot_text
+from .compose import ChartSpec
 from .config import parse_config
-from .errors import MicromapError, SnapshotError
-from .layout import DESCENDING, SortSpec
-from .table import RegionTable, bind_series
+from .errors import MicromapError, SnapshotError, SpecError
+from .table import RegionTable
 
 DEMO_NAMES = ("acs-dot", "acs-timeseries", "acs-pew", "qcew-arrows",
               "ers-snap", "ers-boxscatter")
+
+PEW_FILE = "pew_small_government.csv"
 
 PEW_INSTRUCTIONS = f"""\
 The acs-pew demo joins a user-supplied Pew Research column that cannot be
@@ -47,69 +40,28 @@ bundled (the dataset requires registration). To run it:
   3. Re-run: micromaps demo acs-pew
 """
 
-
-def acs_pew(snapshot_dir: Path | None = None) -> tuple[ChartSpec, RegionTable]:
-    table = acs_adapter(snapshot_dir)
-    pew_text = snapshot_text(PEW_FILE, snapshot_dir)
-    table = join_scalar_csv(table, pew_text, "state", "pro_small_government")
-    spec = ChartSpec(
-        title="ACS Response Rates and Attitudes Toward Government",
-        sort=SortSpec("response_rate:2022", DESCENDING),
-        map_mode=CUMULATIVE,
-        columns=(
-            ColumnSpec("map"),
-            ColumnSpec("legend", header=("U.S. States",)),
-            ColumnSpec("dot", header=("2022 response", "rate (%)"),
-                       bindings={"value": "response_rate:2022"}),
-            ColumnSpec("bar", header=("Rate decline 2010-22", "(pct. points)"),
-                       bindings={"value": "decline_2010_2022"}),
-            ColumnSpec("dot", header=("Pro small government", "(%, Pew 2014)"),
-                       bindings={"value": "pro_small_government"}),
-        ),
-    )
-    return spec, table
-
-
-def ers_boxscatter(snapshot_dir: Path | None = None,
-                   ) -> tuple[ChartSpec, RegionTable]:
-    table = ers_adapter(snapshot_dir)
-    spec = ChartSpec(
-        title="Low Store Access and Food Insecurity",
-        sort=SortSpec("insecurity_change", DESCENDING),
-        columns=(
-            ColumnSpec("map"),
-            ColumnSpec("legend", header=("U.S. States",)),
-            ColumnSpec("boxplot",
-                       header=("County store-access change", "2010 to 2015 (%)"),
-                       bindings={"samples": "county_access_change"}),
-            ColumnSpec("scatter", header=("2015 insecurity vs.", "store access (%)"),
-                       bindings={"x": "low_access_2015", "y": "insecurity_2015"}),
-        ),
-    )
-    return spec, table
-
-
-BUILDERS = {"acs-pew": acs_pew, "ers-boxscatter": ers_boxscatter}
-
 CONFIG_DIR = Path(__file__).parent / "data" / "demos"
 
 
 def build_demo(name: str, snapshot_dir: Path | None = None,
                ) -> tuple[ChartSpec, RegionTable]:
+    """A demo's spec and table, loaded from the snapshot directory.
+
+    A fault in a snapshot file is a ``SnapshotError`` that names it, and
+    every snapshot covers all 51 regions.
+    """
     if name not in DEMO_NAMES:
         raise KeyError(f"unknown demo {name!r}; choose from {DEMO_NAMES}")
-    if name in BUILDERS:
-        return BUILDERS[name](snapshot_dir)
     config = parse_config((CONFIG_DIR / f"{name}.json").read_text("utf-8"))
-    table = snapshot_table(config.data_path, snapshot_dir, config.region_column)
+    directory = Path(snapshot_dir) if snapshot_dir is not None else default_data_dir()
+    text = snapshot_text(config.data_path, directory)
     try:
-        for binding in config.series:
-            table = bind_series(table, list(binding.columns), binding.name)
+        table = load_table(config, text, directory)
+    except (SnapshotError, SpecError):
+        raise
     except MicromapError as exc:
         raise SnapshotError(config.data_path, str(exc)) from None
+    if len(table.rows) != 51:
+        raise SnapshotError(config.data_path,
+                            f"expected 51 regions, got {len(table.rows)}")
     return config.spec, table
-
-
-def pew_available(snapshot_dir: Path | None = None) -> bool:
-    directory = Path(snapshot_dir) if snapshot_dir is not None else default_data_dir()
-    return (directory / PEW_FILE).is_file()

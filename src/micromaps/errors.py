@@ -124,7 +124,8 @@ class UnknownKey(MicromapError):
 
 
 class SnapshotError(MicromapError):
-    """A bundled data snapshot is missing or ill-formed."""
+    """A demo's snapshot, or a config's samples or join file, is missing
+    or ill-formed."""
 
     def __init__(self, filename: str, detail: str, missing: bool = False):
         self.filename = filename

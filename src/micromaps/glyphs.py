@@ -171,9 +171,9 @@ def render_bar(values: Mapping[str, float | None], scale: Scale,
     return out
 
 
-def _arrow_head(x: float, y: float, direction: float, half: float,
-                color: str, tag: str) -> Polygon:
-    back = x - direction * ARROW_HEAD_LENGTH
+def _arrow_head(x: float, y: float, direction: float, length: float,
+                half: float, color: str, tag: str) -> Polygon:
+    back = x - direction * length
     pts = ((x, y), (back, y - half), (back, y + half))
     return Polygon(pts, shared_style(fill=color), tag=tag)
 
@@ -187,7 +187,9 @@ def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
                  scale: Scale, frame: PanelFrame) -> GlyphShapes:
     """Start-to-end arrows; a zero-length change renders as a diamond.
 
-    Heads and diamonds are at most one row tall, so they stay in the panel.
+    Heads and diamonds are at most one row tall, a head is no longer than
+    the room behind its tip, and a diamond no wider than the room around
+    its center, so they stay in the panel.
     """
     out = GlyphShapes(guides=_row_guides(frame))
     half_row = frame.row_height / 2.0
@@ -206,14 +208,16 @@ def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
     for (row, start, end), xs, xe in zip(drawn, placed, placed):
         tag = f"region:{row.region}"
         if start == end:
-            out.marks.append(_diamond(xs, row.y, diamond_half, row.color, tag))
+            half = min(diamond_half, xs - frame.x, frame.x + frame.width - xs)
+            out.marks.append(_diamond(xs, row.y, half, row.color, tag))
             continue
         direction = 1.0 if xe > xs else -1.0
-        shaft_end = xe - direction * ARROW_HEAD_LENGTH * 0.6
-        out.marks.append(Line(xs, row.y, shaft_end, row.y,
+        room = xe - frame.x if xe > xs else frame.x + frame.width - xe
+        length = min(ARROW_HEAD_LENGTH, room)
+        out.marks.append(Line(xs, row.y, xe - direction * length * 0.6, row.y,
                               shared_style(stroke=row.color, stroke_width=1.6),
                               tag=tag))
-        out.marks.append(_arrow_head(xe, row.y, direction, head_half,
+        out.marks.append(_arrow_head(xe, row.y, direction, length, head_half,
                                      row.color, tag))
     return out
 

@@ -5,7 +5,6 @@ from collections import defaultdict
 
 import pytest
 
-from micromaps.adapters import acs_adapter, ers_adapter
 from micromaps.atlas import Atlas, load_atlas, load_default_atlas
 from micromaps.demos import build_demo
 from micromaps.errors import MicromapError
@@ -82,7 +81,7 @@ def default_atlas() -> Atlas:
 
 @pytest.fixture(scope="session")
 def acs_table():
-    return acs_adapter()
+    return build_demo("acs-dot")[1]
 
 
 @pytest.fixture(scope="session")
@@ -92,7 +91,7 @@ def qcew_table():
 
 @pytest.fixture(scope="session")
 def ers_table():
-    return ers_adapter()
+    return build_demo("ers-boxscatter")[1]
 
 
 @pytest.fixture

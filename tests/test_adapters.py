@@ -2,23 +2,25 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 
 import pytest
 
-from micromaps.adapters import (
-    ERS_COUNTY_FILE,
-    ERS_STATE_FILE,
-    acs_adapter,
-    ers_adapter,
-    join_scalar_csv,
-    snapshot_table,
-    snapshot_text,
-)
+from micromaps.adapters import load_table, snapshot_text
+from micromaps.config import RenderConfig, parse_config
 from micromaps.demos import build_demo
-from micromaps.errors import SnapshotError
+from micromaps.errors import SnapshotError, SpecError
 from micromaps.glyphs import compute_box_stats
 from micromaps.layout import DESCENDING, SortSpec, order_regions
-from micromaps.table import scalar_values, validate_regions, with_series_column
+from micromaps.table import (
+    parse_table,
+    scalar_values,
+    validate_regions,
+    with_series_column,
+)
+
+ERS_STATE_FILE = "ers_state_indicators.csv"
+ERS_COUNTY_FILE = "ers_county_low_access_change.csv"
 
 
 def test_acs_shape(acs_table):
@@ -39,14 +41,6 @@ def test_acs_orderings_match_published_pattern(acs_table):
     assert unranked == []
     assert ranked[:2] == ["UT", "ID"]
     assert ranked[-1] == "DC"
-
-
-def test_acs_decline_definition(acs_table):
-    first = scalar_values(acs_table, "response_rate:2010")
-    last = scalar_values(acs_table, "response_rate:2022")
-    decline = scalar_values(acs_table, "decline_2010_2022")
-    for code in acs_table.rows:
-        assert decline[code] == first[code] - last[code]
 
 
 def test_qcew_shape(qcew_table):
@@ -104,19 +98,20 @@ def test_ers_alaska_boxplot_is_right_skewed(ers_table):
     assert stats.whisker_hi - stats.median > stats.median - stats.whisker_lo
 
 
-def test_ers_adapter_matches_a_dict_reader_reference():
+def test_samples_block_matches_a_dict_reader_reference():
     samples: dict[str, list[float]] = {}
     for record in csv.DictReader(io.StringIO(snapshot_text(ERS_COUNTY_FILE))):
         samples.setdefault(record["state"], []).append(
             float(record["access_change_2010_2015"]))
     width = max(map(len, samples.values()))
     expected = with_series_column(
-        snapshot_table(ERS_STATE_FILE), "county_access_change",
+        parse_table(snapshot_text(ERS_STATE_FILE), "state"),
+        "county_access_change",
         tuple(f"c{i:03d}" for i in range(1, width + 1)),
         {code: values + [None] * (width - len(values))
          for code, values in samples.items()})
     # repr also pins the row order and the sign of every zero.
-    assert repr(ers_adapter()) == repr(expected)
+    assert repr(build_demo("ers-boxscatter")[1]) == repr(expected)
 
 
 def test_build_demo_reads_the_county_file_on_every_call(tmp_path):
@@ -133,7 +128,7 @@ def test_build_demo_reads_the_county_file_on_every_call(tmp_path):
 
 def test_missing_snapshot_dir(tmp_path):
     with pytest.raises(SnapshotError) as err:
-        acs_adapter(tmp_path)
+        build_demo("acs-dot", tmp_path)
     assert err.value.missing
     assert "acs_response_rates.csv" in str(err.value)
 
@@ -141,7 +136,7 @@ def test_missing_snapshot_dir(tmp_path):
 def test_ill_formed_snapshot(tmp_path):
     (tmp_path / "acs_response_rates.csv").write_text("state,2010\nUT,abc\n")
     with pytest.raises(SnapshotError) as err:
-        acs_adapter(tmp_path)
+        build_demo("acs-dot", tmp_path)
     assert not err.value.missing
 
 
@@ -151,8 +146,46 @@ def test_snapshot_env_override(tmp_path, monkeypatch):
         snapshot_text("acs_response_rates.csv")
 
 
-def test_join_scalar_csv(acs_table):
-    joined = join_scalar_csv(acs_table, "state,pro_small_government\nUT,55\n",
-                             "state", "pro_small_government")
-    assert joined.scalar("UT", "pro_small_government") == 55.0
-    assert joined.scalar("DC", "pro_small_government") is None
+def _config(**data) -> RenderConfig:
+    """A chart config over ``main.csv``, with the given data blocks."""
+    return parse_config(json.dumps({
+        "title": "t", "sort": {"column": "v"},
+        "data": {"path": "main.csv", "region_column": "state", **data},
+        "columns": [{"kind": "map"}, {"kind": "legend"}]}))
+
+
+def test_join_block_attaches_every_value_column(tmp_path):
+    (tmp_path / "pew.csv").write_text("state,pro,con\nUtah,55,40\n")
+    table = load_table(_config(join=[{"path": "pew.csv"}]),
+                       "state,v\nUT,1\nDC,2\n", tmp_path)
+    assert [column.name for column in table.columns] == ["v", "pro", "con"]
+    assert table.scalar("UT", "pro") == 55.0
+    assert table.scalar("UT", "con") == 40.0
+    assert table.scalar("DC", "pro") is None
+
+
+def test_samples_block_resolves_region_names(tmp_path):
+    (tmp_path / "long.csv").write_text("region,x\nUtah,3\nDC,1\nUT,2\n")
+    config = _config(region_column="region", samples=[
+        {"name": "s", "path": "long.csv", "column": "x"}])
+    table = load_table(config, "region,v\nUT,1\nDC,2\nAK,3\n", tmp_path)
+    assert table.column("s").periods == ("c001", "c002")
+    assert table.series("UT", "s") == (3.0, 2.0)
+    assert table.series("DC", "s") == (1.0, None)
+    assert table.series("AK", "s") == (None, None)
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"join": [{"path": "a.csv"}, {"path": "b.csv"}]}, "data.join[1]"),
+    ({"join": [{"path": "b.csv"}]}, "data.join[0]"),
+    ({"samples": [{"name": "v", "path": "long.csv", "column": "x"}]},
+     "data.samples[0].name"),
+])
+def test_column_clash_is_an_error_at_its_block(tmp_path, data, path):
+    (tmp_path / "a.csv").write_text("state,w\nUT,1\n")
+    (tmp_path / "b.csv").write_text("state,v,w\nUT,2,3\n")
+    (tmp_path / "long.csv").write_text("state,x\nUT,1\n")
+    with pytest.raises(SpecError) as err:
+        load_table(_config(**data), "state,v\nUT,1\n", tmp_path)
+    assert err.value.path == path
+    assert str(err.value).endswith("already exists")

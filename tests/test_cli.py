@@ -4,13 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import micromaps.cli
+import micromaps.demos
 from micromaps.adapters import snapshot_text
-from micromaps.cli import EXIT_VALIDATION, run
+from micromaps.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, run
+from micromaps.demos import PEW_FILE
 from micromaps.regions import ALL_CODES
 from micromaps.scene import Circle, Style
 from micromaps.table import parse_table
@@ -420,3 +424,103 @@ def test_county_file_with_bom_renders_the_same_bytes(tmp_path, monkeypatch):
                 "bom.svg", "--quiet"]) == 0
     assert (tmp_path / "bom.svg").read_bytes() == \
         (tmp_path / "plain.svg").read_bytes()
+
+
+def test_failed_write_is_one_line_io_error(workspace, capsys):
+    (workspace / "blocker").write_text("")
+    assert run(["render", "--config", "chart.json", "--out",
+                "blocker/chart.svg"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("micromaps: error: cannot write output: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_demo_unreadable_config_is_one_line_io_error(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(micromaps.demos, "CONFIG_DIR", tmp_path / "none")
+    assert run(["demo", "acs-dot"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("micromaps: error: ") and "acs-dot.json" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "acs-dot.svg").exists()
+
+
+def test_demo_join_column_clash_is_one_line_validation_error(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    name = "acs_response_rates.csv"
+    (tmp_path / name).write_text(snapshot_text(name))
+    (tmp_path / PEW_FILE).write_text("state,response_rate\nUT,1\n")
+    assert run(["demo", "acs-pew", "--data", str(tmp_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "micromaps: error: data.join[0]: column 'response_rate' "
+        "already exists\n")
+    assert not (tmp_path / "acs-pew.svg").exists()
+
+
+@pytest.mark.parametrize("config, code", [("chart.json", EXIT_OK),
+                                          ("missing.json", EXIT_IO)])
+def test_main_sets_the_warning_format_and_exits_with_the_code(
+        workspace, monkeypatch, config, code):
+    monkeypatch.setattr(warnings, "formatwarning", warnings.formatwarning)
+    monkeypatch.setattr(sys, "argv", ["micromaps", "validate", "--config",
+                                      config])
+    with pytest.raises(SystemExit) as done:
+        micromaps.cli.main()
+    assert done.value.code == code
+    assert warnings.formatwarning(UserWarning("odd"), UserWarning, "x.py",
+                                  1) == "micromaps: warning: odd\n"
+
+
+SAMPLES = {"name": "s", "path": "long.csv", "column": "x"}
+
+
+@pytest.mark.parametrize("name, text, code, detail", [
+    ("long.csv", None, EXIT_IO, "not found in "),
+    ("long.csv", "state,x\nUT,abc\n", EXIT_VALIDATION,
+     "bad value 'abc' at line 2"),
+    ("extra.csv", None, EXIT_IO, "not found in "),
+    ("extra.csv", "state,w\nZZ,1\n", EXIT_VALIDATION,
+     "unknown region: 'ZZ'"),
+])
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_samples_or_join_file_fault_is_one_line_naming_it(
+        workspace, capsys, command, name, text, code, detail):
+    (workspace / "long.csv").write_text("state,x\nUT,1\n")
+    (workspace / "extra.csv").write_text("state,w\nUT,1\n")
+    if text is None:
+        (workspace / name).unlink()
+    else:
+        (workspace / name).write_text(text)
+    config = {**CONFIG, "data": {**CONFIG["data"], "samples": [SAMPLES],
+                                 "join": [{"path": "extra.csv"}]}}
+    (workspace / "blocks.json").write_text(json.dumps(config))
+    assert run([command, "--config", "blocks.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"micromaps: error: snapshot {name}: ")
+    assert detail in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (workspace / "blocks.svg").exists()
+
+
+@pytest.mark.parametrize("name, text, code, detail", [
+    pytest.param("ers-boxscatter", None, EXIT_IO, "not found in ",
+                 id="missing-samples"),
+    pytest.param("acs-pew", "state,pro_small_government\nUT,x\n",
+                 EXIT_VALIDATION, "cannot parse cell", id="ill-formed-join"),
+])
+def test_demo_samples_or_join_file_fault_is_one_line_naming_it(
+        tmp_path, monkeypatch, capsys, name, text, code, detail):
+    monkeypatch.chdir(tmp_path)
+    for snapshot in ("acs_response_rates.csv", "ers_state_indicators.csv"):
+        (tmp_path / snapshot).write_text(snapshot_text(snapshot))
+    faulty = COUNTY if text is None else PEW_FILE
+    if text is not None:
+        (tmp_path / faulty).write_text(text)
+    assert run(["demo", name, "--data", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"micromaps: error: snapshot {faulty}: ")
+    assert detail in err and err.count("\n") == 1
+    assert not (tmp_path / f"{name}.svg").exists()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from micromaps.config import parse_config
+from micromaps.config import SampleSource, parse_config
 from micromaps.errors import ConfigSyntax, SpecError, UnknownKey
 
 MINIMAL = {
@@ -153,3 +153,27 @@ def test_type_errors_have_paths():
     with pytest.raises(SpecError) as err:
         parse_config(json.dumps({**MINIMAL, "data": "d.csv"}))
     assert err.value.path == "data"
+
+
+def test_samples_and_join_blocks():
+    data = {**MINIMAL["data"], "join": [{"path": "pew.csv"}],
+            "samples": [{"name": "s", "path": "long.csv", "column": "x"}]}
+    config = parse_config(doc(data=data))
+    assert config.samples == (SampleSource("s", "long.csv", "x"),)
+    assert config.join == ("pew.csv",)
+    assert parse_config(doc()).samples == parse_config(doc()).join == ()
+
+
+@pytest.mark.parametrize("block, error, path", [
+    ({"samples": [{"name": "s", "path": "l.csv"}]}, SpecError,
+     "data.samples[0].column"),
+    ({"samples": [{"name": "s", "path": "l.csv", "column": "x",
+                   "value": "y"}]}, UnknownKey, "data.samples[0].value"),
+    ({"samples": {"name": "s"}}, SpecError, "data.samples"),
+    ({"join": [{"path": 3}]}, SpecError, "data.join[0].path"),
+    ({"join": ["pew.csv"]}, SpecError, "data.join[0]"),
+])
+def test_bad_samples_or_join_block_names_its_path(block, error, path):
+    with pytest.raises(error) as err:
+        parse_config(doc(data={**MINIMAL["data"], **block}))
+    assert err.value.path == path

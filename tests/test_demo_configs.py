@@ -1,16 +1,17 @@
 """The demos shipped as chart configs, and the package data that carries them.
 
-acs-dot, acs-timeseries, qcew-arrows and ers-snap are plain chart configs
-under ``src/micromaps/data/demos``. ``micromaps demo <name>`` and
-``micromaps render --config <that file> --data <its snapshot>`` must write
-the same pinned bytes, and a truncated or reshaped snapshot must fail with
-one error line, as the Python adapters do.
+All six demos are plain chart configs under ``src/micromaps/data/demos``.
+``micromaps demo <name>`` and ``micromaps render --config <that file>
+--data <its snapshot>`` must write the same bytes, pinned for the five
+demos whose data is bundled, and a truncated or reshaped snapshot must
+fail with one error line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import shutil
 import sys
 from pathlib import Path
@@ -18,13 +19,14 @@ from pathlib import Path
 import pytest
 
 from micromaps.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, run
-from micromaps.demos import BUILDERS, CONFIG_DIR, DEMO_NAMES
+from micromaps.demos import CONFIG_DIR, DEMO_NAMES, PEW_FILE, build_demo
+from micromaps.regions import ALL_CODES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "micromaps"
 DATA = PACKAGE / "data"
 PINS = json.loads((Path(__file__).parent / "golden" / "demo_sha256.json")
                   .read_text("utf-8"))
-CONFIG_DEMOS = ("acs-dot", "acs-timeseries", "qcew-arrows", "ers-snap")
+PINNED = tuple(name for name in DEMO_NAMES if name in PINS)
 ACS = "acs_response_rates.csv"
 
 
@@ -36,22 +38,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_every_demo_is_a_config_or_a_builder():
+def test_every_demo_is_a_config():
     shipped = {path.stem for path in CONFIG_DIR.glob("*.json")}
-    assert shipped == set(CONFIG_DEMOS)
-    assert set(BUILDERS) == {"acs-pew", "ers-boxscatter"}
-    assert shipped | set(BUILDERS) == set(DEMO_NAMES)
+    assert shipped == set(DEMO_NAMES)
+    assert set(PINS) == set(DEMO_NAMES) - {"acs-pew"}
 
 
-@pytest.mark.parametrize("name", CONFIG_DEMOS)
+@pytest.mark.parametrize("name", DEMO_NAMES)
 def test_config_names_a_manifest_snapshot_and_no_output(name):
     config = _config(name)
     assert "output" not in config
     manifest = json.loads((DATA / "MANIFEST.json").read_text("utf-8"))
-    assert config["data"]["path"] in manifest["files"]
+    data = config["data"]
+    paths = [data["path"]] + [entry["path"] for entry in data.get("samples", [])]
+    assert set(paths) <= set(manifest["files"])
 
 
-@pytest.mark.parametrize("name", CONFIG_DEMOS)
+@pytest.mark.filterwarnings("ignore:sort column")
+@pytest.mark.parametrize("name", PINNED)
 def test_demo_and_render_write_the_pinned_bytes(name, tmp_path):
     demo_svg, render_svg = tmp_path / "demo.svg", tmp_path / "render.svg"
     assert run(["demo", name, "--out", str(demo_svg), "--quiet"]) == EXIT_OK
@@ -61,7 +65,32 @@ def test_demo_and_render_write_the_pinned_bytes(name, tmp_path):
     assert _sha256(demo_svg) == _sha256(render_svg) == PINS[name]
 
 
-@pytest.mark.parametrize("name", CONFIG_DEMOS)
+def _pew_data(directory: Path) -> Path:
+    """A snapshot directory with the ACS file and a synthetic Pew file."""
+    directory.mkdir()
+    shutil.copy(DATA / ACS, directory)
+    (directory / PEW_FILE).write_text("state,pro_small_government\n" + "".join(
+        f"{code},{40 + i % 30}\n" for i, code in enumerate(ALL_CODES)))
+    return directory
+
+
+def test_acs_pew_demo_and_render_write_the_same_bytes(tmp_path):
+    data = _pew_data(tmp_path / "data")
+    demo_svg, render_svg = tmp_path / "demo.svg", tmp_path / "render.svg"
+    assert run(["demo", "acs-pew", "--data", str(data), "--out",
+                str(demo_svg), "--quiet"]) == EXIT_OK
+    assert run(["render", "--config", str(CONFIG_DIR / "acs-pew.json"),
+                "--data", str(data / ACS), "--out", str(render_svg),
+                "--quiet"]) == EXIT_OK
+    assert demo_svg.read_bytes() == render_svg.read_bytes()
+    spec, table = build_demo("acs-pew", data)
+    assert [column.kind for column in spec.columns] == [
+        "map", "legend", "dot", "arrow", "dot"]
+    assert table.scalar(ALL_CODES[0], "pro_small_government") == 40.0
+
+
+@pytest.mark.filterwarnings("ignore:sort column")
+@pytest.mark.parametrize("name", PINNED)
 def test_copied_snapshot_directory_gives_the_same_bytes(name, tmp_path):
     snapshots = tmp_path / "snapshots"
     snapshots.mkdir()
@@ -71,6 +100,23 @@ def test_copied_snapshot_directory_gives_the_same_bytes(name, tmp_path):
     assert run(["demo", name, "--data", str(snapshots), "--out", str(out),
                 "--quiet"]) == EXIT_OK
     assert _sha256(out) == PINS[name]
+
+
+@pytest.mark.filterwarnings("ignore:sort column")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_shuffled_snapshot_rows_give_the_same_bytes(seed, tmp_path):
+    """Row order, the county file's included, is not part of a chart."""
+    rng = random.Random(seed)
+    for csv_file in DATA.glob("*.csv"):
+        header, *rows = csv_file.read_text("utf-8").splitlines()
+        rng.shuffle(rows)
+        (tmp_path / csv_file.name).write_text(
+            "\n".join([header] + rows) + "\n", "utf-8")
+    for name in PINNED:
+        out = tmp_path / f"{name}.svg"
+        assert run(["demo", name, "--data", str(tmp_path), "--out", str(out),
+                    "--quiet"]) == EXIT_OK
+        assert _sha256(out) == PINS[name], name
 
 
 def _acs_demo_error(tmp_path, capsys, text: str | None) -> tuple[int, str]:

@@ -111,6 +111,19 @@ def test_arrow_zero_change_is_diamond():
     assert not marks_of(out, Line)  # no shaft
 
 
+def test_arrow_marks_stay_in_a_narrow_panel():
+    """Heads, shaft ends and diamonds shrink to the room the column has."""
+    frame = make_frame(3)._replace(width=4.0)
+    scale = linear_scale((0.0, 100.0), (0.28, 3.72))
+    out = render_arrow({"AK": (0.0, 100.0), "AL": (100.0, 0.0),
+                        "AR": (0.0, 0.0)}, scale, frame)
+    assert len(out.marks) == 5
+    for mark in out.marks:
+        points = mark.points if isinstance(mark, Polygon) else (
+            (mark.x1, mark.y1), (mark.x2, mark.y2))
+        assert all(0.0 <= x <= 4.0 for x, _ in points), mark
+
+
 def test_arrow_missing_side_is_annotated():
     out = render_arrow({"AK": (None, 5.0)}, x_scale(), make_frame(1))
     assert not marks_of(out, Polygon)
