@@ -126,7 +126,7 @@ def _samples(table: RegionTable, source: SampleSource, directory: Path,
                                       f"at line {reader.line_num}")
         by_key.setdefault(record[key].strip(), []).append(number)
     if not by_key:
-        raise SnapshotError(name, "no county rows")
+        raise SnapshotError(name, "no sample rows")
     samples: dict[str, list[float]] = {}
     unknown = []
     for raw, values in by_key.items():

@@ -22,7 +22,7 @@ from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
 from .glyphs import PanelFrame, shared_style
 from .layout import LinkedLayout
 from .regions import ALL_CODES, region_lookup
-from .scene import Polygon, Shape, Style
+from .scene import Layers, Polygon, Style
 from .values import value_type
 
 Ring = tuple[tuple[float, float], ...]
@@ -40,16 +40,6 @@ BORDER_STYLE = Style(fill="none", stroke="#808080", stroke_width=0.4)
 class Atlas(NamedTuple):
     regions: dict[str, tuple[Ring, ...]]
     bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
-
-
-class MinimapShapes:
-    """Fill polygons and border strokes, kept apart for paint ordering."""
-
-    __slots__ = ("fills", "strokes")
-
-    def __init__(self) -> None:
-        self.fills: list[Shape] = []
-        self.strokes: list[Shape] = []
 
 
 def _parse_ring(raw: object, code: str) -> Ring:
@@ -206,7 +196,7 @@ def _fill_for(code: str, layout: LinkedLayout, group_index: int,
 
 
 def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
-                   mode: str, frame: PanelFrame) -> MinimapShapes:
+                   mode: str, frame: PanelFrame) -> Layers:
     """Draw one small-map panel.
 
     group_only mode fills each row's region of the frame in the row's
@@ -214,8 +204,9 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
     context. cumulative mode additionally tints the regions of groups
     already shown between this panel and its side's extreme (above the
     median: all smaller group indices; below: all larger), so shading
-    accumulates toward the median; the median panel tints nothing. All fills
-    are emitted before any stroke, keeping shared borders crisp.
+    accumulates toward the median; the median panel tints nothing. The
+    region fills go to the ``fills`` layer and their borders to ``strokes``,
+    which paints after every fill, keeping shared borders crisp.
     """
     if group_index != NO_DATA_PANEL and not (
             0 <= group_index < len(layout.plan.sizes)):
@@ -228,10 +219,10 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
 
 
 def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
-              fit: tuple[float, float, float, float, float]) -> MinimapShapes:
+              fit: tuple[float, float, float, float, float]) -> Layers:
     """Every region placed by ``fit`` (from _fit_transform): fills, borders."""
     ox, oy, s, xmin, ymin = fit
-    out = MinimapShapes()
+    out = Layers()
     for code in sorted(atlas.regions):
         fill = shared_style(fill=fills[code])
         region = f"region:{code}"

@@ -127,7 +127,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         if exc.missing and exc.filename == PEW_FILE:
             print(PEW_INSTRUCTIONS)
             return EXIT_OK
-        return _fail(str(exc), EXIT_IO if exc.missing else EXIT_VALIDATION)
+        return _fail(f"snapshot {exc}",
+                     EXIT_IO if exc.missing else EXIT_VALIDATION)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
     except MicromapError as exc:

@@ -7,8 +7,11 @@ math, so a region's row lines up exactly across the whole chart, and every
 glyph column builds a single scale reused by all of its panels, so axes are
 identical top to bottom.
 
-Paint order is fixed for stable output: guides, minimap fills, minimap
-strokes, glyph marks, axes, text.
+Each panel is drawn by one call, ``_render_panel``, into a
+``scene.Layers``; the page's title, headers, separators and axes go into
+one more, and every panel is added to it. Its slot order is the paint
+order, fixed for stable output: guides, map fills, map borders, marks,
+axes, labels.
 """
 
 import sys
@@ -36,7 +39,6 @@ from .errors import (
 from .glyphs import (
     AXIS_STYLE,
     TICK_STYLE,
-    GlyphShapes,
     PanelFrame,
     RowBand,
     render_arrow,
@@ -50,7 +52,7 @@ from .glyphs import (
 from .layout import ASCENDING, DESCENDING, LinkedLayout, SortSpec, build_layout
 from .regions import BY_CODE
 from .scale import Scale, format_tick, linear_scale, thin_labels
-from .scene import Line, PanelInfo, Rect, Scene, Shape, Style, Text, clamp_scene
+from .scene import Layers, Line, PanelInfo, Rect, Scene, Style, Text, clamp_scene
 from .table import (
     RegionTable,
     SERIES,
@@ -271,30 +273,6 @@ class _Band(NamedTuple):
     regions: tuple[tuple[str, float], ...]  # PanelInfo.rows
 
 
-class _Layers:
-    __slots__ = ("guides", "map_fills", "map_strokes", "marks", "axes", "text")
-
-    def __init__(self) -> None:
-        self.guides: list[Shape] = []
-        self.map_fills: list[Shape] = []
-        self.map_strokes: list[Shape] = []
-        self.marks: list[Shape] = []
-        self.axes: list[Shape] = []
-        self.text: list[Shape] = []
-
-    def flatten(self) -> tuple[Shape, ...]:
-        return tuple(self.guides + self.map_fills
-                     + self.map_strokes + self.marks + self.axes + self.text)
-
-    def add_glyph(self, shapes: GlyphShapes) -> range:
-        """Add one panel's shapes; returns where its marks sit in ``marks``."""
-        start = len(self.marks)
-        self.guides.extend(shapes.guides)
-        self.marks.extend(shapes.marks)
-        self.text.extend(shapes.labels)
-        return range(start, len(self.marks))
-
-
 def _region_color(code: str, layout: LinkedLayout, palette: Palette) -> str:
     slot = layout.slot_of.get(code)
     return palette.no_data if slot is None else palette.for_slot(slot)
@@ -339,13 +317,13 @@ def _build_bands(layout: LinkedLayout, palette: Palette, top: float,
     return bands, row_h
 
 
-def render_legend_column(name_style: str, frame: PanelFrame) -> GlyphShapes:
+def render_legend_column(name_style: str, frame: PanelFrame) -> Layers:
     """Color swatch plus region name, one row per row of the frame.
 
     name_style "full" uses the registry's full names, "abbrev" the USPS
     codes. The median row renders in the dedicated median color.
     """
-    out = GlyphShapes()
+    out = Layers()
     # Inset and size are bounded by the column, so swatches stay inside it.
     inset = min(2.0, frame.width / 4.0)
     size = min(9.0, frame.row_height * 0.5, frame.width / 2.0)
@@ -511,10 +489,17 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
                        labels, (x_scale.domain, x_scale.ticks, *y_axis))
 
 
-def _render_glyph_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
-                        layout: LinkedLayout) -> GlyphShapes:
-    """The panel's shapes, from its column kind's renderer."""
+def _render_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
+                  layout: LinkedLayout, atlas: Atlas, map_mode: str) -> Layers:
+    """One band's panel of a column, from its column kind's renderer."""
+    # Renderers are module globals looked up per call, not a table built at
+    # import, so bench/tracing.py can wrap them here.
     column = plan.spec
+    if column.kind == MAP:
+        return render_minimap(atlas, layout, band.group_index, map_mode, frame)
+    if column.kind == LEGEND:
+        return render_legend_column(column.options.get("name_style", "full"),
+                                    frame)
     assert plan.x_scale is not None and plan.data is not None
     if plan.y_base is not None:  # timeseries and scatter
         # At most half the band, so the y range cannot turn over.
@@ -539,21 +524,23 @@ def _render_glyph_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
     return render_boxplot(plan.data, plan.x_scale, frame)
 
 
-def _axis_shapes(plan: _ColumnPlan, y: float, above: bool,
-                 ) -> tuple[list[Shape], list[Shape]]:
-    """Axis line, tick marks, and labels for one glyph column."""
-    assert plan.x_scale is not None
+def _axis_shapes(plan: _ColumnPlan, top: float, bottom: float) -> Layers:
+    """Axis lines, tick marks and labels above and below a glyph column;
+    none for a map or legend column, which has no scale."""
+    out = Layers()
     scale = plan.x_scale
+    if scale is None:
+        return out
     tick_len = 3.5
-    direction = -1.0 if above else 1.0
-    lines: list[Shape] = [Line(scale.range[0], y, scale.range[1], y, AXIS_STYLE)]
-    texts: list[Shape] = []
-    label_y = y + direction * (tick_len + 3.0) + (0.0 if above else 6.5)
-    for tick, label in zip(scale.ticks, plan.labels):
-        x = scale.map(tick)
-        lines.append(Line(x, y, x, y + direction * tick_len, TICK_STYLE))
-        texts.append(Text(x, label_y, label, AXIS_LABEL_STYLE))
-    return lines, texts
+    for y, above in ((top, True), (bottom, False)):
+        direction = -1.0 if above else 1.0
+        out.axes.append(Line(scale.range[0], y, scale.range[1], y, AXIS_STYLE))
+        label_y = y + direction * (tick_len + 3.0) + (0.0 if above else 6.5)
+        for tick, label in zip(scale.ticks, plan.labels):
+            x = scale.map(tick)
+            out.axes.append(Line(x, y, x, y + direction * tick_len, TICK_STYLE))
+            out.labels.append(Text(x, label_y, label, AXIS_LABEL_STYLE))
+    return out
 
 
 def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
@@ -592,80 +579,51 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
     bands, row_h = _build_bands(layout, palette, content_top, content_bottom,
                                 gutter)
 
-    layers = _Layers()
-    placed: list[tuple[_ColumnPlan, _Band, range]] = []  # range: its marks
+    page = Layers()
+    placed: list[tuple[_ColumnPlan, _Band, bool, range]] = []
     content_left = columns[0][1]
     content_right = columns[-1][1] + columns[-1][2]
 
     if spec.title:
-        layers.text.append(Text(w / 2.0, h * MARGIN_TOP_F + title_h * 0.62,
+        page.labels.append(Text(w / 2.0, h * MARGIN_TOP_F + title_h * 0.62,
                                 spec.title,
                                 Style(fill=colors.TEXT_COLOR,
                                       font_size=title_h * 0.42,
                                       anchor="middle")))
 
     header_top = h * MARGIN_TOP_F + title_h
-    for plan in plans:
-        cx = plan.x + plan.width / 2.0
-        lines = plan.spec.header
-        for li, line in enumerate(lines[:2]):
-            y = header_top + header_h * (0.42 if li == 0 else 0.80)
-            if len(lines) == 1:
-                y = header_top + header_h * 0.80
-            layers.text.append(Text(cx, y, line, HEADER_STYLE))
-
-    for band in bands:
-        if band.is_median:
-            layers.guides.append(Line(content_left, band.y - gutter * 0.5,
-                                      content_right, band.y - gutter * 0.5,
-                                      SEPARATOR_STYLE))
-            layers.guides.append(Line(content_left,
-                                      band.y + band.height + gutter * 0.5,
-                                      content_right,
-                                      band.y + band.height + gutter * 0.5,
-                                      SEPARATOR_STYLE))
-        if band.group_index == NO_DATA_PANEL:
-            y = band.y - gutter * NO_DATA_GAP_GUTTERS * 0.5
-            layers.guides.append(Line(content_left, y, content_right, y,
-                                      SEPARATOR_STYLE))
+    # One header line sits where a pair's second line does.
+    page.labels.extend(
+        Text(plan.x + plan.width / 2.0, header_top + header_h * f, line,
+             HEADER_STYLE)
+        for plan in plans
+        for line, f in zip(plan.spec.header,
+                           (0.42, 0.80)[2 - len(plan.spec.header):]))
+    page.guides.extend(
+        Line(content_left, y, content_right, y, SEPARATOR_STYLE)
+        for band in bands
+        for y in ((band.y - gutter * 0.5, band.y + band.height + gutter * 0.5)
+                  if band.is_median else
+                  (band.y - gutter * NO_DATA_GAP_GUTTERS * 0.5,)
+                  if band.group_index == NO_DATA_PANEL else ()))
 
     for plan in plans:
         for band in bands:
             frame = PanelFrame(plan.x, band.y, plan.width, band.height,
                                band.rows, row_h)
-            if plan.spec.kind == MAP:
-                shapes = render_minimap(atlas, layout, band.group_index,
-                                        spec.map_mode, frame)
-                start = len(layers.map_fills)
-                layers.map_fills.extend(shapes.fills)
-                layers.map_strokes.extend(shapes.strokes)
-                marks = range(start, len(layers.map_fills))
-            elif plan.spec.kind == LEGEND:
-                name_style = plan.spec.options.get("name_style", "full")
-                marks = layers.add_glyph(render_legend_column(name_style,
-                                                              frame))
-            else:
-                marks = layers.add_glyph(_render_glyph_panel(plan, band, frame,
-                                                             layout))
-            placed.append((plan, band, marks))
+            panel = _render_panel(plan, band, frame, layout, atlas,
+                                  spec.map_mode)
+            placed.append((plan, band, bool(panel.fills), page.add(panel)))
+        page.add(_axis_shapes(plan, content_top - 4.0, content_bottom + 4.0))
 
-        if plan.spec.kind in GLYPH_KINDS:
-            top_y = content_top - 4.0
-            bot_y = content_bottom + 4.0
-            for y, above in ((top_y, True), (bot_y, False)):
-                lines, texts = _axis_shapes(plan, y, above)
-                layers.axes.extend(lines)
-                layers.text.extend(texts)
-
-    # Shift each panel's marks from its layer to the flattened shapes.
-    fills_at = len(layers.guides)
-    marks_at = fills_at + len(layers.map_fills) + len(layers.map_strokes)
+    # Shift each panel's linked marks from their slot to the flattened shapes.
+    fills_at = len(page.guides)
+    marks_at = fills_at + len(page.fills) + len(page.strokes)
     panels: list[PanelInfo] = []
-    for plan, band, marks in placed:
-        at = fills_at if plan.spec.kind == MAP else marks_at
+    for plan, band, in_fills, marks in placed:
+        at = fills_at if in_fills else marks_at
         panels.append(PanelInfo(plan.index, plan.spec.kind, band.group_index,
                                 plan.x, band.y, plan.width, band.height,
                                 band.is_median, band.regions, *plan.axes,
                                 range(marks.start + at, marks.stop + at)))
-    return clamp_scene(Scene(w, h, layers.flatten(), tuple(panels)))
-
+    return clamp_scene(Scene(w, h, page.flatten(), tuple(panels)))

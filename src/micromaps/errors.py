@@ -125,9 +125,9 @@ class UnknownKey(MicromapError):
 
 class SnapshotError(MicromapError):
     """A demo's snapshot, or a config's samples or join file, is missing
-    or ill-formed."""
+    or ill-formed. The message is ``<file>: <detail>``."""
 
     def __init__(self, filename: str, detail: str, missing: bool = False):
         self.filename = filename
         self.missing = missing
-        super().__init__(f"snapshot {filename}: {detail}")
+        super().__init__(f"{filename}: {detail}")

@@ -3,8 +3,8 @@
 Each renderer draws one perceptual group's panel. The composer hands it a
 PanelFrame (the panel rectangle plus one row slot per region, already
 carrying the region's linked color) and the column's shared scale(s); the
-renderer returns shapes grouped into guides, marks, and labels so the
-composer can keep a fixed global paint order.
+renderer returns a ``scene.Layers`` with its guides, marks and labels, so
+the composer can keep a fixed global paint order.
 
 Renderers never jitter and never invent data: a missing value produces no
 mark and a small "n/a" note where the row-glyph layout allows one.
@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 from . import colors
 from .errors import EmptySamples, SeriesMismatch
 from .scale import Scale
-from .scene import Circle, Line, Polygon, Polyline, Rect, Shape, Style, Text
+from .scene import Circle, Layers, Line, Polygon, Polyline, Rect, Shape, Style, Text
 from .values import value_type
 
 ARROW_HEAD_LENGTH = 7.0
@@ -66,15 +66,6 @@ class PanelFrame(NamedTuple):
     @property
     def bottom(self) -> float:
         return self.y + self.height
-
-
-class GlyphShapes:
-    __slots__ = ("guides", "marks", "labels")
-
-    def __init__(self, guides: list[Shape] | None = None) -> None:
-        self.guides: list[Shape] = [] if guides is None else guides
-        self.marks: list[Shape] = []
-        self.labels: list[Shape] = []
 
 
 @value_type
@@ -136,9 +127,9 @@ def _row_guides(frame: PanelFrame) -> list[Shape]:
 
 def render_dot(values: Mapping[str, float | None], scale: Scale,
                frame: PanelFrame, reference_line: float | None = None,
-               ) -> GlyphShapes:
+               ) -> Layers:
     """One filled circle per region at the scaled value."""
-    out = GlyphShapes(guides=_row_guides(frame))
+    out = Layers(guides=_row_guides(frame))
     if reference_line is not None:
         x = scale.positions((reference_line,))[0]
         out.guides.append(Line(x, frame.y, x, frame.bottom, ZERO_LINE_STYLE))
@@ -154,10 +145,10 @@ def render_dot(values: Mapping[str, float | None], scale: Scale,
 
 
 def render_bar(values: Mapping[str, float | None], scale: Scale,
-               frame: PanelFrame) -> GlyphShapes:
+               frame: PanelFrame) -> Layers:
     """Horizontal bars anchored at zero; negatives extend left."""
     x0 = scale.positions((0.0,))[0]
-    out = GlyphShapes()
+    out = Layers()
     out.guides.append(Line(x0, frame.y, x0, frame.bottom, ZERO_LINE_STYLE))
     h = frame.row_height * 0.55
     xs = scale.positions([values.get(row.region) for row in frame.rows])
@@ -184,14 +175,14 @@ def _diamond(x: float, y: float, d: float, color: str, tag: str) -> Polygon:
 
 
 def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
-                 scale: Scale, frame: PanelFrame) -> GlyphShapes:
+                 scale: Scale, frame: PanelFrame) -> Layers:
     """Start-to-end arrows; a zero-length change renders as a diamond.
 
     Heads and diamonds are at most one row tall, a head is no longer than
     the room behind its tip, and a diamond no wider than the room around
     its center, so they stay in the panel.
     """
-    out = GlyphShapes(guides=_row_guides(frame))
+    out = Layers(guides=_row_guides(frame))
     half_row = frame.row_height / 2.0
     head_half = min(ARROW_HEAD_HALF_WIDTH, half_row)
     diamond_half = min(DIAMOND_HALF, half_row)
@@ -236,13 +227,13 @@ def _panel_frame_guides(frame: PanelFrame, x_scale: Scale,
 
 def render_timeseries(series: Mapping[str, Sequence[float | None]],
                       periods: Sequence[str], x_scale: Scale, y_scale: Scale,
-                      frame: PanelFrame) -> GlyphShapes:
+                      frame: PanelFrame) -> Layers:
     """One polyline per region; missing periods break the line.
 
     The x scale's domain and ticks are period indices.
     """
     n = len(periods)
-    out = GlyphShapes(guides=_panel_frame_guides(frame, x_scale, y_scale))
+    out = Layers(guides=_panel_frame_guides(frame, x_scale, y_scale))
     xs = x_scale.positions(range(n))
     for row in frame.rows:
         cells = series.get(row.region)
@@ -262,7 +253,7 @@ def render_timeseries(series: Mapping[str, Sequence[float | None]],
     return out
 
 
-def _flush_run(out: GlyphShapes, run: tuple[tuple[float, float], ...],
+def _flush_run(out: Layers, run: tuple[tuple[float, float], ...],
                style: Style, color: str, tag: str) -> None:
     if len(run) >= 2:
         out.marks.append(Polyline(run, style, tag=tag))
@@ -273,9 +264,9 @@ def _flush_run(out: GlyphShapes, run: tuple[tuple[float, float], ...],
 
 def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
                    x_scale: Scale, y_scale: Scale, frame: PanelFrame,
-                   context: Sequence[str]) -> GlyphShapes:
+                   context: Sequence[str]) -> Layers:
     """All ranked regions as gray context points, the group enlarged on top."""
-    out = GlyphShapes(guides=_panel_frame_guides(frame, x_scale, y_scale))
+    out = Layers(guides=_panel_frame_guides(frame, x_scale, y_scale))
     # A point missing either coordinate is not drawn, so neither is mapped.
     pairs = [points.get(code) or (None, None)
              for code in (*context, *(row.region for row in frame.rows))]
@@ -297,9 +288,9 @@ def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
 
 
 def render_boxplot(samples: Mapping[str, Sequence[float | None] | None],
-                   scale: Scale, frame: PanelFrame) -> GlyphShapes:
+                   scale: Scale, frame: PanelFrame) -> Layers:
     """Whisker line, slot-colored IQR box, median tick, outlier dots."""
-    out = GlyphShapes(guides=_row_guides(frame))
+    out = Layers(guides=_row_guides(frame))
     h = frame.row_height * 0.6
     for row in frame.rows:
         try:

@@ -110,6 +110,39 @@ class PanelInfo(NamedTuple):
     marks: range = range(0)
 
 
+class Layers:
+    """Shapes kept apart by layer; the slot order is the paint order.
+
+    Every panel renderer returns one, and ``compose`` adds each panel to
+    one page ``Layers`` that it flattens into ``Scene.shapes``.
+    """
+
+    __slots__ = ("guides", "fills", "strokes", "marks", "axes", "labels")
+
+    def __init__(self, guides: list[Shape] | None = None) -> None:
+        self.guides: list[Shape] = [] if guides is None else guides
+        self.fills: list[Shape] = []
+        self.strokes: list[Shape] = []
+        self.marks: list[Shape] = []
+        self.axes: list[Shape] = []
+        self.labels: list[Shape] = []
+
+    def flatten(self) -> tuple[Shape, ...]:
+        return tuple(self.guides + self.fills + self.strokes + self.marks
+                     + self.axes + self.labels)
+
+    def add(self, panel: "Layers") -> range:
+        """Append a panel's shapes, slot by slot. Returns where its linked
+        marks sit in their slot: its fills if it has any (a map), else its
+        marks.
+        """
+        linked = self.fills if panel.fills else self.marks
+        start = len(linked)
+        for name in self.__slots__:
+            getattr(self, name).extend(getattr(panel, name))
+        return range(start, len(linked))
+
+
 @value_type
 class Scene(NamedTuple):
     width: float

@@ -171,8 +171,7 @@ def parse_table(csv_text: str, region_column: str) -> RegionTable:
         if not record or all(cell.strip() == "" for cell in record):
             continue
         if len(record) > len(header):
-            raise CellParse(record[region_idx] if region_idx < len(record) else "?",
-                            "", "row wider than header")
+            raise CellParse(record[region_idx], "", "row wider than header")
         record = record + [""] * (len(header) - len(record))
         raw_key = record[region_idx].strip()
         code = region_lookup(raw_key).code

@@ -401,7 +401,7 @@ def _sixth_line(row: str):
     pytest.param(_sixth_line("AK,AK-005,"),
                  "bad value '' at line 6", id="empty-cell"),
     pytest.param(lambda text: text.splitlines(keepends=True)[0],
-                 "no county rows", id="header-only"),
+                 "no sample rows", id="header-only"),
 ])
 def test_county_file_fault_is_one_error_line(tmp_path, monkeypatch, capsys,
                                              edit, detail):
@@ -423,6 +423,19 @@ def test_county_file_with_bom_renders_the_same_bytes(tmp_path, monkeypatch):
     assert run(["demo", "ers-boxscatter", "--data", str(data), "--out",
                 "bom.svg", "--quiet"]) == 0
     assert (tmp_path / "bom.svg").read_bytes() == \
+        (tmp_path / "plain.svg").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:sort column")
+def test_county_file_blank_lines_render_the_same_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = _county_data(tmp_path, lambda text: text.replace(
+        "\nAK,AK-005,-2.0\n", "\n\nAK,AK-005,-2.0\n\n\n") + "\n")
+    assert run(["demo", "ers-boxscatter", "--out", "plain.svg",
+                "--quiet"]) == 0
+    assert run(["demo", "ers-boxscatter", "--data", str(data), "--out",
+                "blank.svg", "--quiet"]) == 0
+    assert (tmp_path / "blank.svg").read_bytes() == \
         (tmp_path / "plain.svg").read_bytes()
 
 
@@ -481,6 +494,11 @@ SAMPLES = {"name": "s", "path": "long.csv", "column": "x"}
     ("long.csv", None, EXIT_IO, "not found in "),
     ("long.csv", "state,x\nUT,abc\n", EXIT_VALIDATION,
      "bad value 'abc' at line 2"),
+    ("long.csv", "state,y\nUT,1\n", EXIT_VALIDATION,
+     "long.csv: needs state and x columns\n"),
+    ("long.csv", "state,x\n", EXIT_VALIDATION, "long.csv: no sample rows\n"),
+    ("long.csv", "state,x\nUT,1\nZZ,2\nQQ,3\nZZ,4\n", EXIT_VALIDATION,
+     "long.csv: rows for unknown regions: QQ, ZZ\n"),
     ("extra.csv", None, EXIT_IO, "not found in "),
     ("extra.csv", "state,w\nZZ,1\n", EXIT_VALIDATION,
      "unknown region: 'ZZ'"),
@@ -499,7 +517,7 @@ def test_samples_or_join_file_fault_is_one_line_naming_it(
     (workspace / "blocks.json").write_text(json.dumps(config))
     assert run([command, "--config", "blocks.json"]) == code
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"micromaps: error: snapshot {name}: ")
+    assert captured.err.startswith(f"micromaps: error: {name}: ")
     assert detail in captured.err and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not (workspace / "blocks.svg").exists()

@@ -189,6 +189,18 @@ def test_spec_requires_map_column(table51):
     assert "map" in str(err.value)
 
 
+@pytest.mark.parametrize("glyphs, message", [
+    (0, "columns: chart needs at least one column"),
+    (57, "columns: canvas too narrow for the column count"),
+])
+def test_spec_rejects_column_counts(glyphs, message):
+    columns = (ColumnSpec("map"), ColumnSpec("legend")) if glyphs else ()
+    columns += (ColumnSpec("dot", bindings={"value": "v"}),) * glyphs
+    with pytest.raises(SpecError) as err:
+        validate_spec(minimal_spec(columns=columns))
+    assert str(err.value) == message
+
+
 def test_spec_rejects_two_legends():
     spec = minimal_spec(columns=(
         ColumnSpec("map"), ColumnSpec("legend"), ColumnSpec("legend")))
@@ -239,6 +251,16 @@ def test_spec_rejects_whole_series_for_dot(square_atlas):
     with pytest.raises(SpecError) as err:
         compose(spec, table, square_atlas)
     assert "series" in str(err.value)
+
+
+def test_spec_rejects_scalar_for_boxplot(square_atlas, table51):
+    spec = minimal_spec(columns=(
+        ColumnSpec("map"), ColumnSpec("legend"),
+        ColumnSpec("boxplot", bindings={"samples": "v"})))
+    with pytest.raises(SpecError) as err:
+        compose(spec, table51, square_atlas)
+    assert str(err.value) == ("columns[2].bindings.samples: "
+                              "'v' must name a series column")
 
 
 def test_spec_warns_when_sort_column_not_shown(square_atlas, table51):

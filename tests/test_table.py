@@ -13,6 +13,7 @@ from micromaps.errors import (
     EmptyColumn,
     MissingColumn,
     NameClash,
+    SeriesMismatch,
     UnknownRegion,
 )
 from micromaps.regions import ALL_CODES
@@ -67,6 +68,24 @@ def test_parse_missing_region_column():
 def test_parse_unknown_region_is_hard_error():
     with pytest.raises(UnknownRegion):
         parse_table("state,rate\nPuerto Rico,12\n", "state")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("", MissingColumn, "empty document, no 'state' header"),
+    ("state,a,a\nUT,1,2\n", NameClash, "duplicate header names"),
+    ("state,a\nUT,1\nID,2,3\n", CellParse,
+     "cannot parse cell (row 'ID', column ''): row wider than header"),
+])
+def test_parse_table_faults(text, error, message):
+    with pytest.raises(error) as err:
+        parse_table(text, "state")
+    assert str(err.value) == message
+
+
+def test_parse_skips_blank_lines():
+    plain = parse_table("state,a,b\nUT,1,2\nID,3,4\n", "state")
+    assert parse_table("state,a,b\n\nUT,1,2\n , \nID,3,4\n\n",
+                       "state") == plain
 
 
 def test_parse_number_forms():
@@ -143,6 +162,30 @@ def test_bind_series_name_clash():
         bind_series(table, ["a"], "b")
 
 
+@pytest.mark.parametrize("names, error, message", [
+    (["a", "a"], NameClash, "repeated column in series binding"),
+    (["s"], MissingColumn, "column 's' is not scalar"),
+])
+def test_bind_series_faults(names, error, message):
+    table = bind_series(parse_table("state,a,b,c\nUT,1,2,3\n", "state"),
+                        ["b", "c"], "s")
+    with pytest.raises(error) as err:
+        bind_series(table, names, "t")
+    assert str(err.value) == message
+
+
+def test_column_kind_faults():
+    table = bind_series(parse_table("state,a,b,c\nUT,1,2,3\n", "state"),
+                        ["b", "c"], "s")
+    with pytest.raises(MissingColumn, match="^column 's' is not scalar$"):
+        table.scalar("UT", "s")
+    with pytest.raises(MissingColumn, match="^column 'a' is not a series$"):
+        table.series("UT", "a")
+    with pytest.raises(MissingColumn,
+                       match="^cannot serialize series column 's'$"):
+        write_table(table)
+
+
 def test_validate_regions_complete_table_is_clean(table51):
     report = validate_regions(table51)
     assert report.clean()
@@ -162,6 +205,12 @@ def test_validate_regions_missing_cells():
     report = validate_regions(table)
     assert ("ID", "v") in report.missing_cells
     assert ("UT", "v") not in report.missing_cells
+
+
+def test_validate_regions_series_cell_missing_only_when_every_period_is():
+    table = bind_series(parse_table("state,a,b\nUT,1,\nID,,\n", "state"),
+                        ["a", "b"], "s")
+    assert validate_regions(table).missing_cells == (("ID", "s"),)
 
 
 def test_parse_never_yields_unknown_keys():
@@ -213,6 +262,15 @@ def test_with_scalar_column_and_clash(table51):
     assert extended.scalar("ID", "w") is None
     with pytest.raises(NameClash):
         with_scalar_column(extended, "w", {})
+
+
+def test_with_series_column_faults():
+    table = parse_table("state,a\nUT,1\nID,2\n", "state")
+    with pytest.raises(NameClash, match="^column 'a' already exists$"):
+        with_series_column(table, "a", ("p",), {})
+    with pytest.raises(SeriesMismatch,
+                       match="^'s' for UT: 1 values, 2 periods$"):
+        with_series_column(table, "s", ("p", "q"), {"UT": [1.0]})
 
 
 def test_write_table_canonical_form():
