@@ -22,7 +22,8 @@ from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
 from .glyphs import PanelFrame, shared_style
 from .layout import LinkedLayout
 from .regions import ALL_CODES, region_lookup
-from .scene import Layers, Polygon, Style
+from .scene import (RECORD_CAPACITY, RING_RECORD, Layers, Polygon, Style,
+                    record_rings)
 from .values import value_type
 
 Ring = tuple[tuple[float, float], ...]
@@ -158,24 +159,11 @@ def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,
     return ox, oy, s, xmin, ymin
 
 
-# Placed rings, kept across charts: (id(ring), ox, oy, s, xmin, ymin) ->
-# (ring, placed). Each entry holds its ring, so no other object has that id.
-_PLACED: dict[tuple, tuple[Ring, Ring]] = {}
-_PLACED_CAPACITY = 4096
-
-
-def _place(ring: Ring, ox: float, oy: float, s: float, xmin: float,
-           ymin: float) -> Ring:
-    """The ring at ox + s*(x - xmin), oy + s*(y - ymin); one tuple per fit."""
-    key = (id(ring), ox, oy, s, xmin, ymin)
-    entry = _PLACED.get(key)
-    if entry is None or entry[0] is not ring:
-        placed = tuple([(ox + s * (x - xmin), oy + s * (y - ymin))
-                        for x, y in ring])
-        if len(_PLACED) >= _PLACED_CAPACITY:
-            _PLACED.clear()
-        entry = _PLACED[key] = (ring, placed)
-    return entry[1]
+# One record per map fit, kept across charts: (id(regions), fit, border
+# style) -> (regions, its items, (code, tag, placed ring) in code order,
+# border polygons). An entry holds its regions, so no other object has
+# that id, and compares its items, so a ring replaced in place misses.
+_FITS: dict[tuple, tuple] = {}
 
 
 def _fill_for(code: str, layout: LinkedLayout, group_index: int,
@@ -220,14 +208,26 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
 
 def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
               fit: tuple[float, float, float, float, float]) -> Layers:
-    """Every region placed by ``fit`` (from _fit_transform): fills, borders."""
-    ox, oy, s, xmin, ymin = fit
+    """Every region placed by ``fit`` (from _fit_transform): fills, borders.
+    Rings and borders are placed once per fit (_FITS) and recorded."""
+    regions = atlas.regions
+    items = tuple(regions.items())
+    key = (id(regions), fit, stroke)
+    entry = _FITS.get(key)
+    if entry is None or entry[0] is not regions or entry[1] != items:
+        ox, oy, s, xmin, ymin = fit
+        rings = tuple((code, f"region:{code}",
+                       tuple([(ox + s * (x - xmin), oy + s * (y - ymin))
+                              for x, y in ring]))
+                      for code in sorted(regions) for ring in regions[code])
+        if len(_FITS) + len(RING_RECORD) + len(rings) >= RECORD_CAPACITY:
+            _FITS.clear()
+            RING_RECORD.clear()
+        record_rings(points for _, _, points in rings)
+        entry = _FITS[key] = (regions, items, rings, tuple(
+            Polygon(points, stroke) for _, _, points in rings))
     out = Layers()
-    for code in sorted(atlas.regions):
-        fill = shared_style(fill=fills[code])
-        region = f"region:{code}"
-        for ring in atlas.regions[code]:
-            points = _place(ring, ox, oy, s, xmin, ymin)
-            out.fills.append(Polygon(points, fill, tag=region))
-            out.strokes.append(Polygon(points, stroke))
+    out.fills = [Polygon(points, shared_style(fill=fills[code]), tag)
+                 for code, tag, points in entry[2]]
+    out.strokes.extend(entry[3])
     return out

@@ -8,7 +8,7 @@ it and never reaches the output document. Among a panel's marks,
 it has no fill, its stroke; marks drawn in a fixed style carry no such tag.
 """
 
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .values import value_type
 
@@ -194,32 +194,49 @@ def _inside(shape: Shape, width: float, height: float) -> bool:
     anything that is not a shape, this is False and clamp_shape decides.
     """
     if isinstance(shape, (Polyline, Polygon)):
-        if not shape.points:
-            return True
-        xs, ys = zip(*shape.points)
-        return (0.0 <= min(xs) and max(xs) <= width
-                and 0.0 <= min(ys) and max(ys) <= height)
+        return all(0.0 <= x <= width and 0.0 <= y <= height
+                   for x, y in shape.points)
     if isinstance(shape, Path):
         return all(0.0 <= v <= (height if i % 2 else width)
                    for c in shape.commands for i, v in enumerate(c[1:]))
     return False
 
 
+# The ring record: each map ring atlas placed, kept across charts:
+# id(points) -> [points, (xmin, ymin, xmax, ymax), {dp: SVG points text}].
+# An entry holds its points, so that id names no other object while it
+# lives; readers still check it with ``is``. atlas empties it with its fit
+# record at RECORD_CAPACITY entries. A ring without an entry is worked out
+# as any other polygon, so an absent entry costs time, never bytes.
+RING_RECORD: dict[int, list] = {}
+RECORD_CAPACITY = 4096
+
+
+def record_rings(rings: Iterable[tuple[tuple[float, float], ...]]) -> None:
+    for points in rings:
+        if points:
+            xs, ys = zip(*points)
+            RING_RECORD[id(points)] = [points, (min(xs), min(ys), max(xs),
+                                                max(ys)), {}]
+
+
 def clamp_scene(scene: Scene) -> Scene:
     """Clamp every shape into the canvas with clamp_shape, rebuilding only
     shapes that cross an edge; the scene itself is returned when none does.
-    A points tuple shared by shapes (a map ring's fill and border) is tested
-    once.
+    A recorded ring is tested by its recorded bounds.
     """
     w, h = scene.width, scene.height
-    rings: dict[int, bool] = {}  # id(points) -> inside
+    recorded = RING_RECORD.get
     clamped: list[Shape] | None = None
     for i, shape in enumerate(scene.shapes):
         kind = type(shape)
         if kind is Polygon or kind is Polyline:
-            inside = rings.get(id(shape.points))
-            if inside is None:
-                inside = rings[id(shape.points)] = _inside(shape, w, h)
+            ring = recorded(id(shape.points))
+            if ring is not None and ring[0] is shape.points:
+                xmin, ymin, xmax, ymax = ring[1]
+                inside = 0.0 <= xmin and xmax <= w and 0.0 <= ymin and ymax <= h
+            else:
+                inside = _inside(shape, w, h)
         elif kind is Line:
             inside = (0.0 <= shape.x1 <= w and 0.0 <= shape.x2 <= w
                       and 0.0 <= shape.y1 <= h and 0.0 <= shape.y2 <= h)

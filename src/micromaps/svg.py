@@ -9,9 +9,12 @@ self-contained. Each shape type has its own writer. A writer formats all
 of a shape's numbers with one precompiled ``str.format`` (a polyline's or
 polygon's points with one per point), then tests that text once for a
 non-finite number and turns every "-0.00" in it into "0.00". One call
-formats each Style once, and a polygon's points text is kept across calls
-(_RINGS). Text and attribute values are escaped here and lose the
-characters XML 1.0 forbids, so any string makes a well-formed document.
+formats each Style once. A map ring's points text is kept across calls
+in its ring record entry (scene.RING_RECORD), one text per number of
+decimals. Only text that passed the non-finite test is kept, and a ring
+without an entry is formatted alike, so an entry never changes a byte.
+Text and attribute values are escaped here and lose the characters XML
+1.0 forbids, so any string makes a well-formed document.
 """
 
 import re
@@ -21,6 +24,7 @@ from typing import NamedTuple
 
 from .errors import BadGeometry
 from .scene import (
+    RING_RECORD,
     Circle,
     Line,
     Path,
@@ -40,14 +44,6 @@ FONT_FAMILY = "sans-serif"
 # U+FFFF: XML 1.0 has no way to write them, not even as a character reference.
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _NO_FILL = ' fill="none"'  # a polyline's default
-
-# Polygon points text for every emit_svg: (id(points), dp) -> (points, text).
-# A map ring placed once per process (atlas._place) is formatted once. An
-# entry holds its points, so that id names no other object while it lives.
-# Polylines are left out: no later chart draws a data series again.
-_RINGS: dict[tuple[int, int], tuple[tuple, str]] = {}
-_RINGS_CAPACITY = 4096
-
 
 @value_type
 class SvgOptions(NamedTuple):
@@ -145,14 +141,12 @@ class _Writer:
 
     def polygon(self, s: Polygon) -> str:
         fill, stroke, _ = self.style(s.style)
-        key = (id(s.points), self.dp)
-        ring = _RINGS.get(key)
-        if ring is None or ring[0] is not s.points:
-            ring = (s.points, self.points(s.points))  # raises, never kept
-            if len(_RINGS) >= _RINGS_CAPACITY:
-                _RINGS.clear()
-            _RINGS[key] = ring
-        return f'<polygon{fill} points="{ring[1]}"{stroke}/>'
+        ring = RING_RECORD.get(id(s.points))
+        texts = ring[2] if ring is not None and ring[0] is s.points else {}
+        text = texts.get(self.dp)
+        if text is None:
+            text = texts[self.dp] = self.points(s.points)  # raises, never kept
+        return f'<polygon{fill} points="{text}"{stroke}/>'
 
     def path(self, s: Path) -> str:
         fill, stroke, _ = self.style(s.style)

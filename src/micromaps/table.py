@@ -56,16 +56,26 @@ class RegionTable(_TableFields):
         self = super().__new__(cls, columns, rows)
         for code, row in rows.items():
             for name, value in row.items():
-                if value.__class__ is tuple:
-                    for v in value:  # type: ignore[attr-defined]
-                        if v is not None and not math.isfinite(v):
-                            i = value.index(v)  # type: ignore[attr-defined]
-                            period = self.column(name).periods[i]
-                            raise CellParse(code, f"{name}:{period}",
-                                            f"non-finite value {v!r}")
-                elif value is not None and not math.isfinite(value):  # type: ignore[arg-type]
-                    raise CellParse(code, name, f"non-finite value {value!r}")
+                self._check_cell(code, name, value)
         return self
+
+    @classmethod
+    def _checked(cls, columns: tuple[Column, ...],
+                 rows: dict[str, dict[str, object]],
+                 new: str | None = None) -> "RegionTable":
+        """A table of cells checked already, but for column ``new``'s."""
+        self = tuple.__new__(cls, (columns, rows))
+        if new is not None:
+            for code, row in rows.items():
+                self._check_cell(code, new, row[new])
+        return self
+
+    def _check_cell(self, code: str, name: str, value: object) -> None:
+        series = value.__class__ is tuple
+        for i, v in enumerate(value if series else (value,)):  # type: ignore[arg-type]
+            if v is not None and not math.isfinite(v):
+                where = f"{name}:{self.column(name).periods[i]}" if series else name
+                raise CellParse(code, where, f"non-finite value {v!r}")
 
     @classmethod
     def _make(cls, fields) -> "RegionTable":  # _replace checks cells too
@@ -187,8 +197,8 @@ def parse_table(csv_text: str, region_column: str) -> RegionTable:
                 raise CellParse(raw_key, name, str(exc)) from None
         rows[code] = row
 
-    columns = tuple(Column(name) for name in value_names)
-    return RegionTable(columns=columns, rows=rows)
+    # parse_number never returns a non-finite number.
+    return RegionTable._checked(tuple(map(Column, value_names)), rows)
 
 
 def _format_number(value: float) -> str:
@@ -228,8 +238,9 @@ def bind_series(table: RegionTable, column_names: Sequence[str],
         raise EmptyBinding("no columns named in series binding")
     if len(set(column_names)) != len(column_names):
         raise NameClash("repeated column in series binding")
+    by_name = {c.name: c for c in table.columns}
     for name in column_names:
-        col = table.column(name)
+        col = by_name.get(name) or table.column(name)  # raises if absent
         if col.kind != SCALAR:
             raise MissingColumn(f"column {name!r} is not scalar")
     bound = set(column_names)
@@ -254,7 +265,7 @@ def bind_series(table: RegionTable, column_names: Sequence[str],
         new_row = {k: v for k, v in row.items() if k not in bound}
         new_row[series_name] = tuple(row[name] for name in column_names)
         rows[code] = new_row
-    return RegionTable(columns=tuple(columns), rows=rows)
+    return RegionTable._checked(tuple(columns), rows)
 
 
 def with_scalar_column(table: RegionTable, name: str,
@@ -263,7 +274,7 @@ def with_scalar_column(table: RegionTable, name: str,
     if table.has_column(name):
         raise NameClash(f"column {name!r} already exists")
     rows = {code: {**row, name: values.get(code)} for code, row in table.rows.items()}
-    return RegionTable(columns=table.columns + (Column(name),), rows=rows)
+    return RegionTable._checked(table.columns + (Column(name),), rows, name)
 
 
 def with_series_column(table: RegionTable, name: str, periods: Sequence[str],
@@ -284,7 +295,7 @@ def with_series_column(table: RegionTable, name: str, periods: Sequence[str],
             slots = tuple(cells)
         rows[code] = {**row, name: slots}
     col = Column(name, SERIES, tuple(periods))
-    return RegionTable(columns=table.columns + (col,), rows=rows)
+    return RegionTable._checked(table.columns + (col,), rows, name)
 
 
 def validate_regions(table: RegionTable) -> ValidationReport:

@@ -129,6 +129,68 @@ def test_bad_json_is_atlas_parse():
         load_atlas('{"type": "Topology"}')
 
 
+def _set_geometry(geometry):
+    def edit(data):
+        data["features"][0]["geometry"] = geometry
+    return edit
+
+
+def _set_ring(ring):
+    return _set_geometry({"type": "Polygon", "coordinates": [ring]})
+
+
+def _set_insets(insets):
+    def edit(data):
+        data["insets"] = insets
+    return edit
+
+
+def _drop_key(key):
+    def edit(data):
+        del data[key]
+    return edit
+
+
+def _drop_code(data):
+    del data["features"][0]["properties"]["code"]
+
+
+def _repeat_feature(data):
+    data["features"].append(data["features"][0])
+
+
+MALFORMED = [
+    (_drop_key("features"), "missing features array"),
+    (_drop_code, "feature without a region code"),
+    (_repeat_feature, "AK: repeated feature"),
+    (_set_geometry(None), "AK: missing geometry"),
+    (_set_geometry({"type": "Point", "coordinates": [0, 0]}),
+     "AK: unsupported geometry type 'Point'"),
+    (_set_geometry({"type": "MultiPolygon", "coordinates": []}),
+     "AK: empty geometry"),
+    (_set_geometry({"type": "MultiPolygon", "coordinates": [[]]}),
+     "AK: empty polygon"),
+    (_set_ring([[0, 0], [1, 0], ["a", 1], [0, 0]]), "AK: bad point ['a', 1]"),
+    (_set_ring([[0, 0], [1, 0], [0, 0]]),
+     "AK: ring has fewer than 3 distinct points"),
+    (_set_insets({}), "insets must be an array"),
+    (_set_insets([1]), "bad inset entry"),
+    (_set_insets([{"code": "AK", "scale": 2.0}]),
+     "AK: inset needs translate [dx, dy] and scale"),
+]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED,
+                         ids=[message for _, message in MALFORMED])
+def test_malformed_document_is_atlas_parse(edit, message):
+    data = json.loads(square_atlas_document())
+    assert data["features"][0]["properties"]["code"] == "AK"
+    edit(data)
+    with pytest.raises(AtlasParse) as err:
+        load_atlas(json.dumps(data))
+    assert str(err.value) == message
+
+
 def test_unclosed_rings_are_closed_on_load():
     data = json.loads(square_atlas_document())
     for feature in data["features"]:

@@ -3,7 +3,8 @@ from __future__ import annotations
 import math
 import warnings
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from micromaps.atlas import load_default_atlas
@@ -21,7 +22,9 @@ from micromaps.scene import (
     Text,
     clamp_scene,
     clamp_shape,
+    record_rings,
 )
+from micromaps.scene import RING_RECORD
 
 INK = Style(fill="#000000")
 
@@ -93,6 +96,11 @@ def test_non_finite_coordinates_pass_through_clamping():
     assert (line.x1, line.y2) == (10.0, 0.0)
 
 
+def test_non_shape_is_type_error():
+    with pytest.raises(TypeError, match="not a shape: 'x'"):
+        clamp_scene(Scene(10.0, 5.0, (Text(1.0, 1.0, "ok"), "x")))
+
+
 # Coordinates on, near and off a 10 x 5 canvas; exact edges come up often.
 _coord = st.one_of(st.sampled_from([-0.0, 0.0, 5.0, 10.0, -1e-9]),
                    st.floats(-3.0, 13.0))
@@ -112,9 +120,31 @@ _shape = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_shape, max_size=8))
 def test_clamp_scene_equals_clamping_every_shape(shapes):
+    check_clamp_scene(shapes)
+
+
+def check_clamp_scene(shapes):
     scene = Scene(10.0, 5.0, tuple(shapes))
     clamped = clamp_scene(scene).shapes
     assert clamped == tuple(clamp_shape(s, 10.0, 5.0) for s in shapes)
     for before, after in zip(shapes, clamped):
         if before == clamp_shape(before, 10.0, 5.0):
             assert after is before  # a shape on the canvas is kept as is
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_shape, max_size=8))
+# A ring past each edge of the canvas, and one on it.
+@example([Polygon(((-0.5, 1.0), (2.0, 1.0))), Polyline(((1.0, 1.0), (10.5, 2.0))),
+          Polygon(((1.0, -1e-9), (2.0, 1.0))), Polyline(((1.0, 1.0), (2.0, 5.5))),
+          Polygon(((0.0, 0.0), (10.0, 5.0)))])
+def test_clamp_scene_tests_recorded_rings_as_clamp_shape_does(shapes):
+    """The same property with every polyline and polygon ring recorded, as
+    atlas records the rings it places."""
+    rings = [s.points for s in shapes if isinstance(s, (Polyline, Polygon))]
+    record_rings(rings)
+    try:
+        check_clamp_scene(shapes)
+    finally:
+        for points in rings:
+            RING_RECORD.pop(id(points), None)

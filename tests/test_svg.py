@@ -57,6 +57,20 @@ def test_negative_zero_is_normalized():
     assert "-0.00" not in text
 
 
+def test_negative_zero_style_sizes_are_normalized():
+    style = Style(stroke="#000000", stroke_width=-0.0, font_size=-0.001)
+    text = emit_svg(Scene(10.0, 10.0, (Line(0.0, 0.0, 1.0, 1.0, style),
+                                       Text(1.0, 1.0, "a", style))))
+    assert text.count('stroke-width="0.00"') == 2
+    assert 'font-size="0.00"' in text
+    assert "-0" not in text
+
+
+def test_non_shape_is_type_error():
+    with pytest.raises(TypeError, match="not a shape: 'x'"):
+        emit_svg(Scene(10.0, 5.0, (Text(1.0, 1.0, "ok"), "x")))
+
+
 def test_attributes_alphabetical_on_every_line():
     scene = Scene(20.0, 20.0, (
         Rect(1, 2, 3, 4, Style(fill="#112233", stroke="#445566", stroke_width=0.5)),

@@ -18,6 +18,7 @@ from micromaps.errors import (
 )
 from micromaps.regions import ALL_CODES
 from micromaps.table import (
+    SERIES,
     Column,
     RegionTable,
     bind_series,
@@ -121,6 +122,39 @@ def test_table_rejects_non_finite_cells(bad):
         with_series_column(make_table({"UT": 1.0}), "s", ["2020", "2021"],
                            {"UT": [None, bad]})
     assert (info.value.row, info.value.column) == ("UT", "s:2021")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_new_column_cells_are_checked_and_named(bad):
+    table = make_table({"UT": 1.0, "ID": 2.0})
+    with pytest.raises(CellParse) as info:
+        with_scalar_column(table, "w", {"UT": 3.0, "ID": bad})
+    assert (info.value.row, info.value.column) == ("ID", "w")
+    assert repr(bad) in str(info.value)
+    with pytest.raises(CellParse) as info:
+        with_series_column(table, "s", ["2020", "2021", "2022"],
+                           {"UT": [1.0, None, 2.0], "ID": [None, 1.0, bad]})
+    assert (info.value.row, info.value.column) == ("ID", "s:2022")
+    assert repr(bad) in str(info.value)
+    # A table made directly, or by _replace, still checks every cell.
+    rows = {"UT": {"v": 1.0, "s": (None, bad)}}
+    columns = (Column("v"), Column("s", SERIES, ("2020", "2021")))
+    with pytest.raises(CellParse) as info:
+        RegionTable(columns, rows)
+    assert (info.value.row, info.value.column) == ("UT", "s:2021")
+    with pytest.raises(CellParse) as info:
+        table._replace(rows={"UT": {"v": bad}})
+    assert (info.value.row, info.value.column) == ("UT", "v")
+
+
+def test_bound_and_parsed_tables_equal_checked_tables():
+    table = parse_table("state,a,b,c\nUT,1,,3\nID,4,5,NA\n", "state")
+    assert table == RegionTable(*table)
+    bound = bind_series(table, ["c", "a"], "s")
+    assert bound == RegionTable(*bound)
+    assert bound.rows["UT"] == {"b": None, "s": (3.0, 1.0)}
+    with pytest.raises(MissingColumn, match="no column named 'd'"):
+        bind_series(table, ["a", "d"], "s")
 
 
 def test_parse_quoted_fields_and_crlf():
