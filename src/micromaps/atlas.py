@@ -22,8 +22,7 @@ from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
 from .glyphs import PanelFrame, shared_style
 from .layout import LinkedLayout
 from .regions import ALL_CODES, region_lookup
-from .scene import (RECORD_CAPACITY, RING_RECORD, Layers, Polygon, Style,
-                    record_rings)
+from .scene import Layers, PlacedRing, Polygon, Style
 from .values import value_type
 
 Ring = tuple[tuple[float, float], ...]
@@ -160,27 +159,13 @@ def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,
 
 
 # One record per map fit, kept across charts: (id(regions), fit, border
-# style) -> (regions, its items, (code, tag, placed ring) in code order,
-# border polygons). An entry holds its regions, so no other object has
-# that id, and compares its items, so a ring replaced in place misses.
+# style) -> (regions, its items, (code, tag, PlacedRing) in code order,
+# border polygons). An entry holds its regions, so no other object has that
+# id, and compares its items, so a ring replaced in place misses. It is
+# emptied before its fits plus their rings, counting each fit at the new
+# fit's ring count, would pass _FITS_CAPACITY.
 _FITS: dict[tuple, tuple] = {}
-
-
-def _fill_for(code: str, layout: LinkedLayout, group_index: int,
-              mode: str) -> str:
-    """A region's fill when the panel's rows do not name it."""
-    group = layout.group_of.get(code)
-    if mode == CUMULATIVE and group is not None:
-        median = layout.plan.median_group_index
-        # With no median group the halves split between the two middle
-        # indices; the fractional boundary keeps the comparisons strict.
-        boundary = float(median) if median is not None \
-            else (len(layout.plan.sizes) - 1) / 2.0
-        if group_index < boundary and group < group_index:
-            return colors.CUMULATIVE_TINT
-        if group_index > boundary and group > group_index:
-            return colors.CUMULATIVE_TINT
-    return colors.CONTEXT_FILL
+_FITS_CAPACITY = 4096
 
 
 def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
@@ -199,8 +184,16 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
     if group_index != NO_DATA_PANEL and not (
             0 <= group_index < len(layout.plan.sizes)):
         raise ValueError(f"bad group index {group_index}")
-    fills = {code: _fill_for(code, layout, group_index, mode)
-             for code in atlas.regions}
+    fills = dict.fromkeys(atlas.regions, colors.CONTEXT_FILL)
+    if mode == CUMULATIVE:
+        sizes, median = layout.plan
+        # With no median group the halves split between the two middle
+        # indices; the fractional boundary keeps the comparisons strict.
+        boundary = (len(sizes) - 1) / 2.0 if median is None else median
+        for group in range(len(sizes)):
+            if group < group_index < boundary or boundary < group_index < group:
+                fills.update(dict.fromkeys(layout.group_members(group),
+                                           colors.CUMULATIVE_TINT))
     for row in frame.rows:
         fills[row.region] = row.color
     return _draw_map(atlas, fills, BORDER_STYLE, _fit_transform(atlas, frame))
@@ -209,7 +202,7 @@ def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
 def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
               fit: tuple[float, float, float, float, float]) -> Layers:
     """Every region placed by ``fit`` (from _fit_transform): fills, borders.
-    Rings and borders are placed once per fit (_FITS) and recorded."""
+    Rings and borders are placed once per fit (_FITS)."""
     regions = atlas.regions
     items = tuple(regions.items())
     key = (id(regions), fit, stroke)
@@ -217,13 +210,11 @@ def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
     if entry is None or entry[0] is not regions or entry[1] != items:
         ox, oy, s, xmin, ymin = fit
         rings = tuple((code, f"region:{code}",
-                       tuple([(ox + s * (x - xmin), oy + s * (y - ymin))
-                              for x, y in ring]))
+                       PlacedRing([(ox + s * (x - xmin), oy + s * (y - ymin))
+                                   for x, y in ring]))
                       for code in sorted(regions) for ring in regions[code])
-        if len(_FITS) + len(RING_RECORD) + len(rings) >= RECORD_CAPACITY:
+        if (len(_FITS) + 1) * (len(rings) + 1) > _FITS_CAPACITY:
             _FITS.clear()
-            RING_RECORD.clear()
-        record_rings(points for _, _, points in rings)
         entry = _FITS[key] = (regions, items, rings, tuple(
             Polygon(points, stroke) for _, _, points in rings))
     out = Layers()

@@ -93,7 +93,7 @@ class SpecError(MicromapError):
 
 
 class BadGeometry(MicromapError):
-    """A scene contains a non-finite coordinate."""
+    """A scene contains a non-finite coordinate or style size."""
 
 
 class BadBreaks(MicromapError):

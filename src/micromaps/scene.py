@@ -8,6 +8,7 @@ it and never reaches the output document. Among a panel's marks,
 it has no fill, its stroke; marks drawn in a fixed style carry no such tag.
 """
 
+from math import inf
 from typing import Iterable, NamedTuple, Union
 
 from .values import value_type
@@ -202,38 +203,34 @@ def _inside(shape: Shape, width: float, height: float) -> bool:
     return False
 
 
-# The ring record: each map ring atlas placed, kept across charts:
-# id(points) -> [points, (xmin, ymin, xmax, ymax), {dp: SVG points text}].
-# An entry holds its points, so that id names no other object while it
-# lives; readers still check it with ``is``. atlas empties it with its fit
-# record at RECORD_CAPACITY entries. A ring without an entry is worked out
-# as any other polygon, so an absent entry costs time, never bytes.
-RING_RECORD: dict[int, list] = {}
-RECORD_CAPACITY = 4096
+class PlacedRing(tuple):
+    """A map ring's points as atlas places them, with its ``bounds`` (xmin,
+    ymin, xmax, ymax) for clamp_scene and its ``texts`` (decimal places ->
+    SVG points text) for the SVG writer; it equals and hashes as a tuple."""
 
-
-def record_rings(rings: Iterable[tuple[tuple[float, float], ...]]) -> None:
-    for points in rings:
-        if points:
-            xs, ys = zip(*points)
-            RING_RECORD[id(points)] = [points, (min(xs), min(ys), max(xs),
-                                                max(ys)), {}]
+    def __new__(cls, points: Iterable[tuple[float, float]]) -> "PlacedRing":
+        ring = tuple.__new__(cls, points)
+        if ring:
+            xs, ys = zip(*ring)
+            ring.bounds = (min(xs), min(ys), max(xs), max(ys))
+        else:  # no points: inside every canvas, as _inside finds them
+            ring.bounds = (inf, inf, -inf, -inf)
+        ring.texts = {}
+        return ring
 
 
 def clamp_scene(scene: Scene) -> Scene:
     """Clamp every shape into the canvas with clamp_shape, rebuilding only
     shapes that cross an edge; the scene itself is returned when none does.
-    A recorded ring is tested by its recorded bounds.
+    A polygon or polyline on a PlacedRing is tested by the ring's bounds.
     """
     w, h = scene.width, scene.height
-    recorded = RING_RECORD.get
     clamped: list[Shape] | None = None
     for i, shape in enumerate(scene.shapes):
         kind = type(shape)
         if kind is Polygon or kind is Polyline:
-            ring = recorded(id(shape.points))
-            if ring is not None and ring[0] is shape.points:
-                xmin, ymin, xmax, ymax = ring[1]
+            if type(shape.points) is PlacedRing:
+                xmin, ymin, xmax, ymax = shape.points.bounds
                 inside = 0.0 <= xmin and xmax <= w and 0.0 <= ymin and ymax <= h
             else:
                 inside = _inside(shape, w, h)

@@ -9,10 +9,10 @@ self-contained. Each shape type has its own writer. A writer formats all
 of a shape's numbers with one precompiled ``str.format`` (a polyline's or
 polygon's points with one per point), then tests that text once for a
 non-finite number and turns every "-0.00" in it into "0.00". One call
-formats each Style once. A map ring's points text is kept across calls
-in its ring record entry (scene.RING_RECORD), one text per number of
-decimals. Only text that passed the non-finite test is kept, and a ring
-without an entry is formatted alike, so an entry never changes a byte.
+formats each Style once. A polygon on a map ring (scene.PlacedRing) keeps
+its points text on the ring, one per number of decimals. Only text that
+passed the non-finite test is kept, and other points are formatted alike,
+so kept text never changes a byte. Style sizes pass the same test.
 Text and attribute values are escaped here and lose the characters XML
 1.0 forbids, so any string makes a well-formed document.
 """
@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 from .errors import BadGeometry
 from .scene import (
-    RING_RECORD,
     Circle,
     Line,
     Path,
+    PlacedRing,
     Polygon,
     Polyline,
     Rect,
@@ -55,6 +55,8 @@ class SvgOptions(NamedTuple):
 
 def _fmt(value: float, dp: int) -> str:
     s = f"{value:.{dp}f}"
+    if "n" in s:
+        raise BadGeometry("non-finite size")
     if s.startswith("-") and float(s) == 0.0:
         s = s[1:]
     return s
@@ -141,8 +143,7 @@ class _Writer:
 
     def polygon(self, s: Polygon) -> str:
         fill, stroke, _ = self.style(s.style)
-        ring = RING_RECORD.get(id(s.points))
-        texts = ring[2] if ring is not None and ring[0] is s.points else {}
+        texts = s.points.texts if type(s.points) is PlacedRing else {}
         text = texts.get(self.dp)
         if text is None:
             text = texts[self.dp] = self.points(s.points)  # raises, never kept
@@ -166,9 +167,8 @@ class _Writer:
             raise TypeError(f"not a shape: {shape!r}")
         try:
             return write(shape)
-        except BadGeometry:
-            raise BadGeometry("non-finite coordinate in "
-                              f"{type(shape).__name__}") from None
+        except BadGeometry as exc:
+            raise BadGeometry(f"{exc} in {type(shape).__name__}") from None
 
 
 def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:

@@ -141,3 +141,21 @@ def test_alt_charts_emit_valid_svg(square_atlas, table51):
     for scene in (render_barchart_alpha(table51, "v", title="Bars"),
                   render_choropleth(square_atlas, table51, "v", title="Map")):
         ET.fromstring(emit_svg(scene))
+
+
+def test_choropleth_class_count_faults(square_atlas):
+    table = make_table({"CA": 1.0, "TX": 2.0})
+    with pytest.raises(BadBreaks, match="^need at least one class$"):
+        render_choropleth(square_atlas, table, "v", k=0)
+    with pytest.raises(ValueError, match=r"^k must be in 1\.\.9$"):
+        render_choropleth(square_atlas, table, "v", k=10)
+
+
+def test_choropleth_of_a_constant_column_is_one_class(square_atlas):
+    breaks = equal_interval_breaks((4.0, 4.0), 3)
+    assert breaks.boundaries == (4.0 + 1.0 / 3, 4.0 + 2.0 / 3)
+    table = make_table({"CA": 4.0, "TX": 4.0})
+    scene = render_choropleth(square_atlas, table, "v", k=3)
+    fills = {s.tag: s.style.fill for s in scene.shapes
+             if isinstance(s, Polygon) and s.tag}
+    assert fills["region:CA"] == fills["region:TX"] == breaks.colors[0]

@@ -14,7 +14,7 @@ from micromaps.atlas import (
 from micromaps.colors import CONTEXT_FILL, CUMULATIVE_TINT, DEFAULT_PALETTE
 from micromaps.errors import AtlasParse, IncompleteAtlas, UnknownRegion
 from micromaps.glyphs import PanelFrame, RowBand
-from micromaps.layout import SortSpec, build_layout
+from micromaps.layout import GroupPlan, SortSpec, build_layout
 from micromaps.regions import ALL_CODES, region_lookup
 
 from conftest import full_table, square_atlas_document
@@ -285,6 +285,28 @@ def test_cumulative_monotone_toward_median(square_atlas):
                             ).get(CUMULATIVE_TINT, 0)
              for gi in range(0, 5)]
     assert above == [sum(layout.plan.sizes[:gi]) for gi in range(0, 5)]
+
+
+def test_cumulative_even_count_splits_between_the_middle_groups(square_atlas):
+    """50 ranked regions: ten groups and no median group, so the five upper
+    panels tint the groups above them and the five lower the groups below."""
+    from conftest import make_table
+    values = {code: (None if code == "WY" else float(i))
+              for i, code in enumerate(ALL_CODES)}
+    layout = build_layout(make_table(values), SortSpec("v"))
+    assert layout.plan == GroupPlan((5,) * 10, None)
+    for gi in (*range(10), NO_DATA_PANEL):
+        shapes = render_minimap(square_atlas, layout, gi, CUMULATIVE,
+                                panel_frame(layout, gi))
+        fills = {s.tag.removeprefix("region:"): s.style.fill
+                 for s in shapes.fills}
+        groups = () if gi == NO_DATA_PANEL else (
+            range(gi) if gi <= 4 else range(gi + 1, 10))
+        tinted = {code for g in groups for code in layout.group_members(g)}
+        assert {c for c, f in fills.items() if f == CUMULATIVE_TINT} == tinted
+        rows = {row.region for row in panel_frame(layout, gi).rows}
+        assert {c for c, f in fills.items() if f == CONTEXT_FILL} == (
+            set(ALL_CODES) - tinted - rows)
 
 
 def test_no_data_panel_highlights_unranked(square_atlas):

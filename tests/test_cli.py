@@ -135,6 +135,16 @@ def test_demo_missing_snapshots_is_io_error(tmp_path, monkeypatch, capsys):
     assert "acs_response_rates.csv" in capsys.readouterr().err
 
 
+def test_demo_snapshot_that_cannot_be_read_is_io_error(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "acs_response_rates.csv").mkdir()  # there, but not a file
+    assert run(["demo", "acs-dot", "--data", str(tmp_path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("micromaps: error: snapshot acs_response_rates.csv: ")
+    assert "not found" not in err and err.count("\n") == 1
+
+
 def test_demo_env_var_overrides_data_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("MICROMAP_DATA_DIR", str(tmp_path / "nowhere"))

@@ -15,6 +15,11 @@ from micromaps.table import column_extent, scalar_values
 
 from conftest import panels_by_column
 
+
+def test_unknown_demo_name_is_key_error():
+    with pytest.raises(KeyError, match="unknown demo 'nope'; choose from"):
+        build_demo("nope")
+
 BUNDLED = ("acs-dot", "acs-timeseries", "qcew-arrows", "ers-snap",
            "ers-boxscatter")
 

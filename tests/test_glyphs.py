@@ -240,3 +240,15 @@ def test_boxplot_missing_samples_annotated():
     out = render_boxplot({"AK": []}, x_scale(), make_frame(1))
     assert not out.marks
     assert out.labels[0].content == "n/a"
+
+
+def test_timeseries_region_absent_from_series_draws_nothing():
+    periods = ("a", "b", "c")
+    xs = linear_scale((0.0, 2.0), (10.0, 290.0))
+    ys = linear_scale((0.0, 10.0), (0.0, 1.0)).with_range((90.0, 10.0))
+    frame = make_frame(2)
+    out = render_timeseries({"AK": (1.0, 2.0, 3.0)}, periods, xs, ys, frame)
+    assert [s.tag for s in out.marks] == ["region:AK"]
+    alone = render_timeseries({"AK": (1.0, 2.0, 3.0)}, periods, xs, ys,
+                              make_frame(1))
+    assert out.marks == alone.marks

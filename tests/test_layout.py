@@ -219,3 +219,9 @@ def test_slot_bijection_within_groups(table51):
             assert slots == [MEDIAN_SLOT]
         else:
             assert sorted(slots) == list(range(size))
+
+
+def test_assign_colors_rejects_a_plan_that_misses_regions():
+    plan = partition_groups(3)
+    with pytest.raises(ValueError, match="^plan does not cover the ranked regions$"):
+        assign_colors(plan, ["CA", "TX"])

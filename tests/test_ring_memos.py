@@ -1,8 +1,9 @@
-"""The process-wide records of placed map rings: one record per map fit
-(``atlas._FITS``) and one per placed ring (``scene.RING_RECORD``, read by
-``clamp_scene`` and the SVG writer). Same bytes cold, warm and after
-clearing; no kept errors; no stale entries; bounded size; a recorded ring
-that crosses the canvas is still clamped.
+"""What a process keeps of placed map rings between charts: one record per
+map fit (``atlas._FITS``), whose rings are ``scene.PlacedRing``s that carry
+their own bounds (read by ``clamp_scene``) and SVG points text (filled by
+the SVG writer). Same bytes cold, warm and after clearing; no kept errors;
+no stale rings; bounded size; a placed ring that crosses the canvas is
+still clamped.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from micromaps.glyphs import PanelFrame
 from micromaps.layout import SortSpec, build_layout
 from micromaps.regions import ALL_CODES
 from micromaps.scene import (
-    RECORD_CAPACITY,
-    RING_RECORD,
+    PlacedRing,
     Polygon,
+    Polyline,
     Scene,
     Style,
     clamp_scene,
     clamp_shape,
-    record_rings,
 )
 from micromaps.svg import SvgOptions, _Writer, emit_svg
 
@@ -40,9 +40,8 @@ FRAME = PanelFrame(3.0, 5.0, 150.0, 100.0, (), 20.0)
 MOVED = ALL_CODES[9]
 
 
-def clear_records() -> None:
-    atlas_mod._FITS.clear()
-    RING_RECORD.clear()
+def kept_rings():
+    return [ring for entry in atlas_mod._FITS.values() for _, _, ring in entry[2]]
 
 
 def moved_square_atlas(shift: float):
@@ -64,17 +63,30 @@ def placed(atlas, ring, frame=FRAME):
     return tuple((ox + s * (x - xmin), oy + s * (y - ymin)) for x, y in ring)
 
 
+def bounds(points):
+    xs, ys = zip(*points)
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def composed_demos(atlas):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in BUNDLED:
+            spec, table = build_demo(name)
+            yield compose(spec, table, atlas)
+
+
 def test_demos_match_pinned_hashes_cold_warm_and_after_clearing():
     pinned = json.loads(HASHES.read_text("utf-8"))
-    clear_records()
+    atlas_mod._FITS.clear()
     assert demo_hashes() == pinned
-    assert atlas_mod._FITS and RING_RECORD
+    assert atlas_mod._FITS and all(ring.texts for ring in kept_rings())
     assert demo_hashes() == pinned
-    # Fit records whose rings have left the ring record: the rings are
-    # clamped and formatted as any other polygon.
-    RING_RECORD.clear()
+    # Rings that lost their text are formatted again, to the same bytes.
+    for ring in kept_rings():
+        ring.texts.clear()
     assert demo_hashes() == pinned
-    clear_records()
+    atlas_mod._FITS.clear()
     assert demo_hashes() == pinned
 
 
@@ -85,10 +97,8 @@ def test_same_ring_and_fit_give_the_same_placed_tuple(square_atlas):
     assert all(p.points is q.points for p, q in zip(a.fills, b.fills))
     assert all(p is q for p, q in zip(a.strokes, b.strokes))
     for shape in a.fills:
-        entry = RING_RECORD[id(shape.points)]
-        assert entry[0] is shape.points
-        xs, ys = zip(*shape.points)
-        assert entry[1] == (min(xs), min(ys), max(xs), max(ys))
+        assert type(shape.points) is PlacedRing
+        assert shape.points.bounds == bounds(shape.points)
     moved = FRAME._replace(x=FRAME.x + 1.0)
     c = render_minimap(square_atlas, layout, 0, GROUP_ONLY, moved)
     assert all(p.points != q.points for p, q in zip(a.fills, c.fills))
@@ -107,33 +117,33 @@ def test_equal_bounds_different_rings_render_different_points():
         text = emit_svg(Scene(200.0, 200.0, tuple(shapes.fills)))
         assert _Writer(2).points(placed(atlas, ring)) in text
 
-    # A ring replaced in place, in the same regions dict, is placed anew.
+    # A ring replaced in place, in the same regions dict, is placed anew,
+    # with its own bounds and text.
     render_minimap(atlas, layout, 0, GROUP_ONLY, FRAME)
     ring = tuple((x + 0.25, y) for x, y in atlas.regions[MOVED][0])
     atlas.regions[MOVED] = (ring,)
     shapes = render_minimap(atlas, layout, 0, GROUP_ONLY, FRAME)
     assert region_points(shapes, MOVED) == [placed(atlas, ring)]
+    (points,) = region_points(shapes, MOVED)
+    assert points.bounds == bounds(placed(atlas, ring))
     text = emit_svg(Scene(200.0, 200.0, tuple(shapes.strokes)))
     assert _Writer(2).points(placed(atlas, ring)) in text
 
 
 def test_non_finite_ring_raises_on_every_emit():
-    ring = ((0.0, 0.0), (1.0, float("nan")), (2.0, 0.0))
-    record_rings([ring])
+    ring = PlacedRing([(0.0, 0.0), (1.0, float("nan")), (2.0, 0.0)])
     scene = Scene(10.0, 10.0, (Polygon(ring), Polygon(ring[::-1])))
     for _ in range(2):
         with pytest.raises(BadGeometry, match="Polygon"):
             emit_svg(scene)
-    assert RING_RECORD.pop(id(ring))[2] == {}  # the error was not kept
+    assert ring.texts == {}  # the error was not kept
 
 
 def test_negative_zero_prints_as_zero_through_the_memo():
-    ring = ((-0.0, -0.001), (4.0, -0.0), (-0.004, 3.0))
-    scene = Scene(10.0, 10.0, (Polygon(ring, Style(fill="#000000")),
-                               Polygon(ring, Style(fill="none"))))
-    for recorded in (False, True):
-        if recorded:
-            record_rings([ring])
+    points = ((-0.0, -0.001), (4.0, -0.0), (-0.004, 3.0))
+    for ring in (points, PlacedRing(points)):
+        scene = Scene(10.0, 10.0, (Polygon(ring, Style(fill="#000000")),
+                                   Polygon(ring, Style(fill="none"))))
         for dp, expected in ((2, "0.00,0.00 4.00,0.00 0.00,3.00"),
                              (0, "0,0 4,0 0,3")):
             for _ in range(2):
@@ -141,29 +151,23 @@ def test_negative_zero_prints_as_zero_through_the_memo():
                                  SvgOptions(decimal_places=dp)).splitlines()
                 assert f'points="{expected}"' in lines[1]
                 assert f'points="{expected}"' in lines[2]
-    assert RING_RECORD.pop(id(ring))[2] == {2: "0.00,0.00 4.00,0.00 0.00,3.00",
-                                            0: "0,0 4,0 0,3"}
+    assert ring.texts == {2: "0.00,0.00 4.00,0.00 0.00,3.00", 0: "0,0 4,0 0,3"}
 
 
 def test_memos_stay_within_their_capacity(square_atlas):
-    clear_records()
+    atlas_mod._FITS.clear()
     layout = build_layout(full_table(), SortSpec("v"))
     per_fit = 1 + sum(map(len, square_atlas.regions.values()))
-    fits = RECORD_CAPACITY // per_fit + 2
+    fits = atlas_mod._FITS_CAPACITY // per_fit + 2
     for i in range(fits):
         frame = FRAME._replace(x=float(i))
         shapes = render_minimap(square_atlas, layout, 0, GROUP_ONLY, frame)
-        size = len(atlas_mod._FITS) + len(RING_RECORD)
-        assert 0 < size <= RECORD_CAPACITY
-        # Both records are emptied together: every recorded ring is a ring
-        # of a recorded fit.
-        rings = {id(p) for entry in atlas_mod._FITS.values()
-                 for _, _, p in entry[2]}
-        assert set(RING_RECORD) == rings
+        size = len(atlas_mod._FITS) + len(kept_rings())
+        assert 0 < size <= atlas_mod._FITS_CAPACITY
     assert len(atlas_mod._FITS) < fits
     (ring,) = square_atlas.regions[MOVED]
     assert region_points(shapes, MOVED) == [placed(square_atlas, ring, frame)]
-    clear_records()
+    atlas_mod._FITS.clear()
 
 
 def test_recorded_ring_whose_fit_crosses_the_canvas_is_clamped(square_atlas):
@@ -171,7 +175,7 @@ def test_recorded_ring_whose_fit_crosses_the_canvas_is_clamped(square_atlas):
     frame = PanelFrame(-40.0, -30.0, 150.0, 100.0, (), 20.0)
     shapes = render_minimap(square_atlas, layout, 0, GROUP_ONLY, frame)
     scene = Scene(60.0, 50.0, tuple(shapes.fills + shapes.strokes))
-    assert all(id(s.points) in RING_RECORD for s in scene.shapes)
+    assert all(type(s.points) is PlacedRing for s in scene.shapes)
     clamped = clamp_scene(scene)
     assert clamped.shapes == tuple(clamp_shape(s, 60.0, 50.0)
                                    for s in scene.shapes)
@@ -182,31 +186,78 @@ def test_recorded_ring_whose_fit_crosses_the_canvas_is_clamped(square_atlas):
 
 def test_demo_loop_records_only_atlas_rings_and_never_empties():
     atlas = load_default_atlas()
-    clear_records()
-    seen: dict[int, list] = {}
+    atlas_mod._FITS.clear()
+    seen: dict[tuple, tuple] = {}
     glyph_polygons = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(3):
-            for name in BUNDLED:
-                spec, table = build_demo(name)
-                scene = compose(spec, table, atlas)
-                emit_svg(scene)
-                map_rings = {id(s.points) for panel in scene.panels
-                             if panel.kind == "map"
-                             for s in scene.shapes[panel.marks.start:
-                                                   panel.marks.stop]}
-                # Arrow heads, zero-change diamonds and other glyph
-                # polygons stay out of the record.
-                other = {id(s.points) for s in scene.shapes
-                         if isinstance(s, Polygon)} - map_rings
-                assert other.isdisjoint(RING_RECORD)
-                glyph_polygons += len(other)
-                assert map_rings <= set(RING_RECORD)
-                # Every entry made earlier in the loop is still there.
-                assert all(RING_RECORD.get(key) is entry
-                           for key, entry in seen.items())
-                seen.update(RING_RECORD)
+    for _ in range(3):
+        for scene in composed_demos(atlas):
+            emit_svg(scene)
+            map_fills = {i for panel in scene.panels if panel.kind == "map"
+                         for i in panel.marks}
+            # Arrow heads, zero-change diamonds and other glyph polygons
+            # are plain tuples, made anew in every chart.
+            other = [s for i, s in enumerate(scene.shapes)
+                     if type(s) is Polygon and s.style.fill != "none"
+                     and i not in map_fills]
+            assert not any(type(s.points) is PlacedRing for s in other)
+            glyph_polygons += len(other)
+            # Every fit kept earlier in the loop is still there.
+            assert all(atlas_mod._FITS.get(key) is entry
+                       for key, entry in seen.items())
+            seen.update(atlas_mod._FITS)
     assert glyph_polygons > 0
-    assert len(seen) == len(RING_RECORD) == 55 * len(atlas_mod._FITS)
-    assert all(entry[2].keys() == {2} for entry in RING_RECORD.values())
+    assert len(seen) == len(atlas_mod._FITS)
+    assert len(kept_rings()) == 55 * len(atlas_mod._FITS)
+    assert all(ring.texts.keys() == {2} for ring in kept_rings())
+
+
+def test_every_map_ring_of_a_demo_is_a_placed_ring():
+    """If atlas, clamp_scene or the SVG writer stopped seeing PlacedRing
+    (say, a local name shadowing it), bytes would stay the same and only
+    time would tell; this makes it fail instead."""
+    for scene in composed_demos(load_default_atlas()):
+        maps = [p for p in scene.panels if p.kind == "map"]
+        assert maps
+        fills = [scene.shapes[i] for p in maps for i in p.marks]
+        borders = [s for s in scene.shapes
+                   if type(s) is Polygon and s.style.fill == "none"]
+        assert len(borders) == len(fills) == 55 * len(maps)
+        assert all(type(s.points) is PlacedRing for s in fills + borders)
+        # The writer keeps each ring's text on the ring.
+        for ring in {id(s.points): s.points for s in fills}.values():
+            ring.texts.clear()
+        emit_svg(scene)
+        assert all(s.points.texts for s in fills)
+
+
+def test_clamp_and_writer_read_the_ring_not_its_points():
+    points = ((1.0, 1.0), (4.0, 1.0), (4.0, 3.0))
+    ring = PlacedRing(points)
+    assert ring.bounds == (1.0, 1.0, 4.0, 3.0) and ring.texts == {}
+    scene = Scene(10.0, 5.0, (Polygon(ring), Polyline(ring)))
+    assert clamp_scene(scene) is scene
+    # Bounds that cross an edge send an on-canvas ring to clamp_shape,
+    # which returns an equal shape: the clamp read the bounds.
+    ring.bounds = (-1.0, 1.0, 4.0, 3.0)
+    clamped = clamp_scene(scene)
+    assert clamped is not scene and clamped == scene
+    ring.texts[2] = "kept"
+    assert 'points="kept"' in emit_svg(scene)
+
+
+def test_polygon_on_a_placed_ring_equals_one_on_a_plain_tuple():
+    points = ((0.5, 1.25), (3.0, -0.0), (2.125, 4.0))
+    style = Style(fill="#336699", stroke="#000000", stroke_width=0.4)
+    plain = Polygon(points, style, "region:CA")
+    ring = Polygon(PlacedRing(points), style, "region:CA")
+    assert ring == plain and plain == ring
+    assert hash(ring) == hash(plain)
+    assert len({ring, plain}) == 1
+    assert PlacedRing(points) == points and hash(PlacedRing(points)) == hash(points)
+    for dp in (0, 2, 6):
+        options = SvgOptions(decimal_places=dp)
+        for _ in range(2):  # text formatted, then text kept
+            assert (emit_svg(Scene(10.0, 5.0, (ring,)), options)
+                    == emit_svg(Scene(10.0, 5.0, (plain,)), options))
+    empty = PlacedRing(())
+    assert clamp_scene(Scene(10.0, 5.0, (Polygon(empty),))).shapes[0].points is empty

@@ -206,3 +206,15 @@ def test_thin_labels():
     assert thin_labels(4) == (0, 1, 2, 3)
     assert thin_labels(0) == ()
     assert len(thin_labels(200)) <= 6
+
+
+@pytest.mark.parametrize("raw", [0.0, -1.0, float("nan"), float("inf")])
+def test_nice_step_rejects_a_bad_raw_step(raw):
+    with pytest.raises(BadExtent, match="^bad raw step "):
+        nice_step(raw)
+
+
+def test_extent_whose_step_underflows_is_bad_extent():
+    # The narrowest extent there is: its width over five ticks rounds to 0.
+    with pytest.raises(BadExtent, match="^bad raw step 0.0$"):
+        linear_scale((0.0, 5e-324), (0.0, 100.0))

@@ -14,6 +14,7 @@ from micromaps.scene import (
     Circle,
     Line,
     Path,
+    PlacedRing,
     Polygon,
     Polyline,
     Rect,
@@ -22,9 +23,7 @@ from micromaps.scene import (
     Text,
     clamp_scene,
     clamp_shape,
-    record_rings,
 )
-from micromaps.scene import RING_RECORD
 
 INK = Style(fill="#000000")
 
@@ -138,13 +137,9 @@ def check_clamp_scene(shapes):
 @example([Polygon(((-0.5, 1.0), (2.0, 1.0))), Polyline(((1.0, 1.0), (10.5, 2.0))),
           Polygon(((1.0, -1e-9), (2.0, 1.0))), Polyline(((1.0, 1.0), (2.0, 5.5))),
           Polygon(((0.0, 0.0), (10.0, 5.0)))])
-def test_clamp_scene_tests_recorded_rings_as_clamp_shape_does(shapes):
-    """The same property with every polyline and polygon ring recorded, as
-    atlas records the rings it places."""
-    rings = [s.points for s in shapes if isinstance(s, (Polyline, Polygon))]
-    record_rings(rings)
-    try:
-        check_clamp_scene(shapes)
-    finally:
-        for points in rings:
-            RING_RECORD.pop(id(points), None)
+def test_clamp_scene_tests_placed_rings_as_clamp_shape_does(shapes):
+    """The same property with every polyline and polygon on a PlacedRing,
+    as atlas places map rings."""
+    check_clamp_scene([
+        s._replace(points=PlacedRing(s.points))
+        if isinstance(s, (Polyline, Polygon)) else s for s in shapes])

@@ -176,6 +176,17 @@ def test_non_finite_coordinate_rejected_for_every_shape_type(bad):
         emit_svg(Scene(10.0, 10.0, (good, bad, good)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["stroke_width", "font_size"])
+def test_non_finite_style_size_rejected(field, bad):
+    style = Style(stroke="#000000", **{field: bad})
+    for shape in (Line(0, 0, 1, 1, style), Text(1, 1, "t", style)):
+        for _ in range(2):  # an error is never cached
+            with pytest.raises(BadGeometry, match="^non-finite size in "
+                               f"{type(shape).__name__}$"):
+                emit_svg(Scene(10.0, 10.0, (shape,)))
+
+
 # The writers that format all of a shape's numbers in one call, each shape
 # built with one coordinate set to the given value.
 BATCHED = [
