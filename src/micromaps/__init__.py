@@ -28,7 +28,6 @@ from .table import (
     column_extent,
     parse_table,
     validate_regions,
-    write_table,
 )
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "render_legend_column",
     "render_minimap",
     "validate_regions",
-    "write_table",
 ]
 
 __version__ = "0.1.0"

@@ -54,6 +54,8 @@ def equal_interval_breaks(extent: tuple[float, float], k: int) -> ClassBreaks:
     lo, hi = extent
     if k < 1:
         raise BadBreaks("need at least one class")
+    if k > len(colors.SEQUENTIAL_RAMP):
+        raise BadBreaks(f"k must be in 1..{len(colors.SEQUENTIAL_RAMP)}")
     if lo == hi:
         hi = lo + 1.0
     step = (hi - lo) / k

@@ -46,8 +46,6 @@ DEFAULT_PALETTE = Palette()
 
 def sequential_colors(k: int) -> tuple[str, ...]:
     """Pick ``k`` evenly spaced colors from the sequential ramp (k <= 9)."""
-    if not 1 <= k <= len(SEQUENTIAL_RAMP):
-        raise ValueError(f"k must be in 1..{len(SEQUENTIAL_RAMP)}")
     if k == 1:
         return (SEQUENTIAL_RAMP[4],)
     step = (len(SEQUENTIAL_RAMP) - 1) / (k - 1)

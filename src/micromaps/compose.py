@@ -16,6 +16,8 @@ axes, labels.
 
 import sys
 import warnings
+from functools import reduce
+from operator import add
 from typing import Any, NamedTuple
 
 from . import colors
@@ -71,26 +73,32 @@ TIMESERIES = "timeseries"
 BOXPLOT = "boxplot"
 SCATTER = "scatter"
 
-GLYPH_KINDS = (DOT, BAR, ARROW, TIMESERIES, BOXPLOT, SCATTER)
-COLUMN_KINDS = (MAP, LEGEND) + GLYPH_KINDS
 
-REQUIRED_BINDINGS: dict[str, tuple[str, ...]] = {
-    MAP: (),
-    LEGEND: (),
-    DOT: ("value",),
-    BAR: ("value",),
-    ARROW: ("start", "end"),
-    TIMESERIES: ("series",),
-    BOXPLOT: ("samples",),
-    SCATTER: ("x", "y"),
+class _Kind(NamedTuple):
+    bindings: tuple[str, ...]
+    options: tuple[str, ...]  # a known option it does not read is an error
+    width_f: float | None = None  # of the canvas width; None: by weight
+
+
+# Each column kind's bindings, the options it reads, and its width.
+_KINDS: dict[str, _Kind] = {
+    MAP: _Kind((), (), 0.150),
+    LEGEND: _Kind((), ("name_style",), 0.160),
+    DOT: _Kind(("value",), ("weight", "reference_line", "target_ticks")),
+    BAR: _Kind(("value",), ("weight", "target_ticks")),
+    ARROW: _Kind(("start", "end"), ("weight", "target_ticks")),
+    TIMESERIES: _Kind(("series",), ("weight",)),
+    BOXPLOT: _Kind(("samples",), ("weight", "target_ticks")),
+    SCATTER: _Kind(("x", "y"), ("weight", "target_ticks")),
 }
+# A tuple, so a kind given as a list fails the membership test, not hashing.
+COLUMN_KINDS = tuple(_KINDS)
+_OPTION_KEYS = {key for kind in _KINDS.values() for key in kind.options}
 
 # Layout metrics as fractions of canvas width/height; the defaults are tuned
 # for a 1000x1300 canvas and scale with it.
 MARGIN_X_F = 0.012
 COL_GAP_F = 0.012
-MAP_W_F = 0.150
-LEGEND_W_F = 0.160
 MARGIN_TOP_F = 0.008
 MARGIN_BOT_F = 0.010
 TITLE_F = 0.032
@@ -146,15 +154,6 @@ _NOUNS = {str: "a string", int: "an integer", float: "a number",
           tuple: "a tuple", dict: "an object", list: "an array",
           SortSpec: "a SortSpec", Palette: "a Palette",
           ColumnSpec: "a ColumnSpec"}
-_OPTION_KEYS = ("weight", "reference_line", "name_style", "target_ticks")
-# The options each column kind reads; a known option it ignores is an error.
-_KIND_OPTIONS: dict[str, tuple[str, ...]] = {
-    MAP: (), LEGEND: ("name_style",),
-    DOT: ("weight", "reference_line", "target_ticks"),
-    BAR: ("weight", "target_ticks"), ARROW: ("weight", "target_ticks"),
-    TIMESERIES: ("weight",),
-    BOXPLOT: ("weight", "target_ticks"), SCATTER: ("weight", "target_ticks"),
-}
 
 
 def expect(value: Any, kind: type, path: str) -> Any:
@@ -190,7 +189,7 @@ def _validate_options(value: object, kind: str, path: str) -> None:
     for key in options:
         if key not in _OPTION_KEYS:
             raise UnknownKey(f"{path}.{key}")
-        if key not in _KIND_OPTIONS[kind]:
+        if key not in _KINDS[kind].options:
             raise SpecError(f"{path}.{key}", f"not used by a {kind} column")
     if "weight" in options:
         if _finite(options["weight"], f"{path}.weight") <= 0:
@@ -248,7 +247,7 @@ def validate_spec(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
             expect(line, str, f"{path}.header[{j}]")
         for key, ref in expect(column.bindings, dict, f"{path}.bindings").items():
             expect(ref, str, f"{path}.bindings.{key}")
-        required = REQUIRED_BINDINGS[column.kind]
+        required = _KINDS[column.kind].bindings
         for key in required:
             if key not in column.bindings:
                 raise SpecError(f"{path}.bindings", f"missing binding {key!r}")
@@ -270,12 +269,6 @@ class _Band(NamedTuple):
     y: float
     height: float
     rows: tuple[RowBand, ...]
-    regions: tuple[tuple[str, float], ...]  # PanelInfo.rows
-
-
-def _region_color(code: str, layout: LinkedLayout, palette: Palette) -> str:
-    slot = layout.slot_of.get(code)
-    return palette.no_data if slot is None else palette.for_slot(slot)
 
 
 def _build_bands(layout: LinkedLayout, palette: Palette, top: float,
@@ -285,34 +278,27 @@ def _build_bands(layout: LinkedLayout, palette: Palette, top: float,
         (gi, layout.group_members(gi)) for gi in range(len(plan.sizes))]
     if layout.unranked:
         groups.append((NO_DATA_PANEL, layout.unranked))
+    # Each band's height in rows, and the gap above it: none above the first.
+    heights = [MEDIAN_BAND_ROWS if gi == plan.median_group_index
+               else len(members) for gi, members in groups]
+    gaps = [gutter * (NO_DATA_GAP_GUTTERS if gi == NO_DATA_PANEL else 1.0)
+            if position else 0.0 for position, (gi, _) in enumerate(groups)]
+    # Added in order: sum() rounds differently from Python 3.12 on.
+    row_h = (bottom - top - reduce(add, gaps)) / reduce(add, heights)
 
-    rows_equivalent = 0.0
-    gap_total = 0.0
-    for position, (gi, members) in enumerate(groups):
-        if gi == plan.median_group_index:
-            rows_equivalent += MEDIAN_BAND_ROWS
-        else:
-            rows_equivalent += len(members)
-        if position:
-            gap_total += gutter * (NO_DATA_GAP_GUTTERS if gi == NO_DATA_PANEL
-                                   else 1.0)
-    row_h = (bottom - top - gap_total) / rows_equivalent
-
+    color = {code: palette.for_slot(slot)
+             for code, slot in layout.slot_of.items()}
     bands: list[_Band] = []
     y = top
-    for position, (gi, members) in enumerate(groups):
-        if position:
-            y += gutter * (NO_DATA_GAP_GUTTERS if gi == NO_DATA_PANEL else 1.0)
+    for (gi, members), in_rows, gap in zip(groups, heights, gaps):
+        y += gap
+        height = row_h * in_rows
         is_median = gi == plan.median_group_index
-        height = row_h * (MEDIAN_BAND_ROWS if is_median else len(members))
-        if is_median:
-            centers = [y + height / 2.0]
-        else:
-            centers = [y + (i + 0.5) * row_h for i in range(len(members))]
-        regions = tuple(zip(members, centers))
-        rows = tuple(RowBand(code, cy, _region_color(code, layout, palette))
-                     for code, cy in regions)
-        bands.append(_Band(gi, is_median, y, height, rows, regions))
+        centers = ([y + height / 2.0] if is_median else
+                   [y + (i + 0.5) * row_h for i in range(len(members))])
+        bands.append(_Band(gi, is_median, y, height, tuple(
+            RowBand(code, cy, color.get(code, palette.no_data))
+            for code, cy in zip(members, centers))))
         y += height
     return bands, row_h
 
@@ -357,27 +343,23 @@ def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
     w = spec.width
     margin = w * MARGIN_X_F
     gap = w * COL_GAP_F
-    map_w = w * MAP_W_F
-    legend_w = w * LEGEND_W_F
-    glyph_columns = [c for c in spec.columns if c.kind in GLYPH_KINDS]
-    weights = [float(c.options.get("weight", 1.0)) for c in glyph_columns]
-    fixed = map_w + legend_w
-    glyph_space = w - 2 * margin - gap * (len(spec.columns) - 1) - fixed
-    if glyph_space <= 0 and glyph_columns:
+    fixed = {kind: w * k.width_f for kind, k in _KINDS.items()
+             if k.width_f is not None}
+    glyph_space = (w - 2 * margin - gap * (len(spec.columns) - 1)
+                   - (fixed[MAP] + fixed[LEGEND]))
+    # Every weight is positive, so the total is 0 only with no glyph column.
+    total_weight = sum(float(c.options.get("weight", 1.0))
+                       for c in spec.columns if c.kind not in fixed)
+    if glyph_space <= 0 and total_weight:
         raise SpecError("columns", "canvas too narrow for the column count")
-    total_weight = sum(weights) or 1.0
 
     out: list[tuple[ColumnSpec, float, float]] = []
     x = margin
-    wi = 0
     for i, column in enumerate(spec.columns):
-        if column.kind == MAP:
-            width = map_w
-        elif column.kind == LEGEND:
-            width = legend_w
-        else:
-            width = glyph_space * weights[wi] / total_weight
-            wi += 1
+        width = fixed.get(column.kind)
+        if width is None:
+            weight = float(column.options.get("weight", 1.0))
+            width = glyph_space * weight / total_weight
             # False for NaN, overflow, and a width too small to add to x.
             if not x < x + width <= w:
                 raise SpecError(f"columns[{i}].options.weight",
@@ -409,7 +391,7 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
     if column.kind in (MAP, LEGEND):
         return _ColumnPlan(column, index, x, width)
     wants_series = column.kind in (TIMESERIES, BOXPLOT)
-    keys = REQUIRED_BINDINGS[column.kind]
+    keys = _KINDS[column.kind].bindings
     paths = [f"columns[{index}].bindings.{key}" for key in keys]
     extents: list[tuple[float, float]] = []
     values: list[dict[str, Any]] = []
@@ -565,7 +547,6 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
                                   and sort.rpartition(":")[0] in shown):
         warnings.warn(f"sort column {sort!r} is not shown by any glyph "
                       "column", stacklevel=2)
-    palette = spec.palette
     w, h = spec.width, spec.height
 
     title_h = h * TITLE_F if spec.title else 0.0
@@ -576,8 +557,8 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
     content_top = h * MARGIN_TOP_F + title_h + header_h + axis_top_h
     content_bottom = h - h * MARGIN_BOT_F - axis_bot_h
 
-    bands, row_h = _build_bands(layout, palette, content_top, content_bottom,
-                                gutter)
+    bands, row_h = _build_bands(layout, spec.palette, content_top,
+                                content_bottom, gutter)
 
     page = Layers()
     placed: list[tuple[_ColumnPlan, _Band, bool, range]] = []
@@ -619,11 +600,14 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
     # Shift each panel's linked marks from their slot to the flattened shapes.
     fills_at = len(page.guides)
     marks_at = fills_at + len(page.fills) + len(page.strokes)
+    rows = {band.group_index: tuple(row[:2] for row in band.rows)
+            for band in bands}
     panels: list[PanelInfo] = []
     for plan, band, in_fills, marks in placed:
         at = fills_at if in_fills else marks_at
         panels.append(PanelInfo(plan.index, plan.spec.kind, band.group_index,
                                 plan.x, band.y, plan.width, band.height,
-                                band.is_median, band.regions, *plan.axes,
+                                band.is_median, rows[band.group_index],
+                                *plan.axes,
                                 range(marks.start + at, marks.stop + at)))
     return clamp_scene(Scene(w, h, page.flatten(), tuple(panels)))

@@ -22,7 +22,7 @@ from functools import cache, partial
 from itertools import starmap
 from typing import NamedTuple
 
-from .errors import BadGeometry
+from .errors import BadGeometry, SpecError
 from .scene import (
     Circle,
     Line,
@@ -174,7 +174,7 @@ class _Writer:
 def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
     """Serialize a scene to a self-contained SVG document."""
     if not 0 <= options.decimal_places <= 6:
-        raise ValueError("decimal_places must be in 0..6")
+        raise SpecError("output.decimal_places", "must be in 0..6")
     writer = _Writer(options.decimal_places)
     height, width = writer.numbers(writer.two(scene.height,
                                               scene.width)).split()

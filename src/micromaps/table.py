@@ -3,8 +3,8 @@
 A RegionTable maps each region to one row of named columns. Columns are
 either scalar (one number per region) or series (one number per period
 label per region). Cells may be explicitly missing (None); renderers decide
-how missing data is presented. Every present cell is a finite number: NaN
-and infinities are rejected when a table is made.
+how missing data is presented. A table checks when made that each key is
+one of the 51 regions, each row holds its columns and each cell is finite.
 
 All values are immutable after construction and every operation returns a
 new table, so tables can be shared freely across render jobs.
@@ -14,8 +14,7 @@ import csv
 import io
 import math
 import re
-from decimal import Decimal
-from typing import Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CellParse,
@@ -25,6 +24,7 @@ from .errors import (
     MissingColumn,
     NameClash,
     SeriesMismatch,
+    UnknownRegion,
 )
 from .regions import ALL_CODES, region_lookup
 from .values import value_type
@@ -54,9 +54,18 @@ class RegionTable(_TableFields):
     def __new__(cls, columns: tuple[Column, ...],
                 rows: dict[str, dict[str, object]]) -> "RegionTable":
         self = super().__new__(cls, columns, rows)
+        by_name = {column.name: column for column in columns}
         for code, row in rows.items():
-            for name, value in row.items():
-                self._check_cell(code, name, value)
+            if code not in ALL_CODES:
+                raise UnknownRegion(f"row for unknown region {code!r}")
+            for name in [*by_name, *row]:
+                if (name in by_name) != (name in row):
+                    raise MissingColumn(
+                        f"row {code} has no cell for column {name!r}"
+                        if name in by_name else
+                        f"row {code} has a cell for {name!r}, not a column")
+            for name, column in by_name.items():
+                self._check_cell(code, column, row[name])
         return self
 
     @classmethod
@@ -66,16 +75,30 @@ class RegionTable(_TableFields):
         """A table of cells checked already, but for column ``new``'s."""
         self = tuple.__new__(cls, (columns, rows))
         if new is not None:
+            column = self.column(new)
             for code, row in rows.items():
-                self._check_cell(code, new, row[new])
+                self._check_cell(code, column, row[new])
         return self
 
-    def _check_cell(self, code: str, name: str, value: object) -> None:
-        series = value.__class__ is tuple
-        for i, v in enumerate(value if series else (value,)):  # type: ignore[arg-type]
-            if v is not None and not math.isfinite(v):
-                where = f"{name}:{self.column(name).periods[i]}" if series else name
-                raise CellParse(code, where, f"non-finite value {v!r}")
+    @staticmethod
+    def _check_cell(code: str, column: Column, value: Any) -> None:
+        """A scalar cell is None or a number a float holds; a series cell
+        is a tuple of those, one per period."""
+        series = column.kind == SERIES
+        if series and value.__class__ is not tuple:
+            raise SeriesMismatch(f"{column.name!r} for {code}: "
+                                 f"{type(value).__name__}, not a tuple")
+        if series and len(value) != len(column.periods):
+            raise SeriesMismatch(f"{column.name!r} for {code}: {len(value)} "
+                                 f"values, {len(column.periods)} periods")
+        for i, v in enumerate(value if series else (value,)):
+            try:
+                if v is None or math.isfinite(v):
+                    continue
+            except (TypeError, OverflowError):  # not a number; too large
+                pass
+            where = f"{column.name}:{column.periods[i]}" if series else column.name
+            raise CellParse(code, where, f"not a finite number: {v!r}")
 
     @classmethod
     def _make(cls, fields) -> "RegionTable":  # _replace checks cells too
@@ -201,34 +224,6 @@ def parse_table(csv_text: str, region_column: str) -> RegionTable:
     return RegionTable._checked(tuple(map(Column, value_names)), rows)
 
 
-def _format_number(value: float) -> str:
-    s = repr(value)
-    if "e" in s or "E" in s:
-        s = format(Decimal(s), "f")
-    return s
-
-
-def write_table(table: RegionTable, region_column: str = "region") -> str:
-    """Canonical CSV writer (tests and tooling): LF line endings, minimal
-    quoting, columns in table order, regions in code order. Scalar columns
-    only; series columns have no single-cell text form.
-    """
-    for col in table.columns:
-        if col.kind != SCALAR:
-            raise MissingColumn(f"cannot serialize series column {col.name!r}")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow([region_column] + [c.name for c in table.columns])
-    for code in table.codes():
-        row = table.rows[code]
-        cells = [code]
-        for col in table.columns:
-            v = row[col.name]
-            cells.append("" if v is None else _format_number(v))  # type: ignore[arg-type]
-        writer.writerow(cells)
-    return out.getvalue()
-
-
 def bind_series(table: RegionTable, column_names: Sequence[str],
                 series_name: str) -> RegionTable:
     """Collapse named scalar columns into one series column whose period
@@ -282,18 +277,11 @@ def with_series_column(table: RegionTable, name: str, periods: Sequence[str],
     """Append a series column over the given period labels."""
     if table.has_column(name):
         raise NameClash(f"column {name!r} already exists")
-    n = len(periods)
     rows: dict[str, dict[str, object]] = {}
     for code, row in table.rows.items():
         cells = values.get(code)
-        if cells is None:
-            slots: tuple[float | None, ...] = (None,) * n
-        else:
-            if len(cells) != n:
-                raise SeriesMismatch(
-                    f"{name!r} for {code}: {len(cells)} values, {n} periods")
-            slots = tuple(cells)
-        rows[code] = {**row, name: slots}
+        rows[code] = {**row, name: (None,) * len(periods) if cells is None
+                      else tuple(cells)}
     col = Column(name, SERIES, tuple(periods))
     return RegionTable._checked(table.columns + (col,), rows, name)
 

@@ -147,8 +147,9 @@ def test_choropleth_class_count_faults(square_atlas):
     table = make_table({"CA": 1.0, "TX": 2.0})
     with pytest.raises(BadBreaks, match="^need at least one class$"):
         render_choropleth(square_atlas, table, "v", k=0)
-    with pytest.raises(ValueError, match=r"^k must be in 1\.\.9$"):
+    with pytest.raises(BadBreaks, match=r"^k must be in 1\.\.9$"):
         render_choropleth(square_atlas, table, "v", k=10)
+    assert len(equal_interval_breaks((1.0, 2.0), 9).colors) == 9
 
 
 def test_choropleth_of_a_constant_column_is_one_class(square_atlas):

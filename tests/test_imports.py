@@ -5,7 +5,8 @@ The package needs none of the network or e-mail stack, and importing it
 costs tens of milliseconds per run (`xml.sax.saxutils` alone pulls in
 `urllib.request`, `http.client`, `ssl`, `socket` and `email`). Its value
 types are NamedTuples, so `dataclasses` (which loads `inspect`) is not
-needed either, and the comparison baselines in `altcharts` load on first use.
+needed either, no number is written through `decimal`, and the comparison
+baselines in `altcharts` load on first use.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from micromaps import altcharts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 UNWANTED = ("xml.sax", "urllib.request", "http.client", "ssl", "email",
-            "socket", "dataclasses", "inspect", "micromaps.altcharts")
+            "socket", "dataclasses", "inspect", "decimal",
+            "micromaps.altcharts")
 
 
 def test_cli_import_loads_no_network_or_email_modules():

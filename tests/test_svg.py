@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from micromaps.errors import BadGeometry
+from micromaps.errors import BadGeometry, SpecError
 from micromaps.scene import (
     Circle,
     Line,
@@ -141,8 +141,10 @@ def test_decimal_places_bounds():
     scene = Scene(10.0, 10.0, (Circle(1.23456789, 1, 1),))
     assert 'cx="1"' in emit_svg(scene, SvgOptions(decimal_places=0))
     assert 'cx="1.234568"' in emit_svg(scene, SvgOptions(decimal_places=6))
-    with pytest.raises(ValueError):
-        emit_svg(scene, SvgOptions(decimal_places=7))
+    for bad in (-1, 7):
+        with pytest.raises(SpecError) as info:
+            emit_svg(scene, SvgOptions(decimal_places=bad))
+        assert str(info.value) == "output.decimal_places: must be in 0..6"
 
 
 def test_no_scientific_notation():

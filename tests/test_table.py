@@ -1,21 +1,25 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from micromaps.compose import ChartSpec, ColumnSpec, compose
 from micromaps.errors import (
     CellParse,
     DuplicateRegion,
     EmptyBinding,
     EmptyColumn,
+    MicromapError,
     MissingColumn,
     NameClash,
     SeriesMismatch,
     UnknownRegion,
 )
+from micromaps.layout import SortSpec
 from micromaps.regions import ALL_CODES
 from micromaps.table import (
     SERIES,
@@ -30,7 +34,6 @@ from micromaps.table import (
     validate_regions,
     with_scalar_column,
     with_series_column,
-    write_table,
 )
 
 from conftest import make_table
@@ -147,6 +150,57 @@ def test_new_column_cells_are_checked_and_named(bad):
     assert (info.value.row, info.value.column) == ("UT", "v")
 
 
+def _rows51() -> dict[str, dict[str, object]]:
+    return {code: {"v": float(i), "s": (float(i), None)}
+            for i, code in enumerate(ALL_CODES)}
+
+
+_COLUMNS = (Column("v"), Column("s", SERIES, ("2020", "2021")))
+
+
+@pytest.mark.parametrize("code, row, error, message", [
+    ("UT", {"s": (1.0, 2.0)}, MissingColumn,
+     "row UT has no cell for column 'v'"),
+    ("UT", {"v": 1.0, "s": (1.0, 2.0), "w": 3.0}, MissingColumn,
+     "row UT has a cell for 'w', not a column"),
+    ("ZZ", {"v": 1.0, "s": (1.0, 2.0)}, UnknownRegion,
+     "row for unknown region 'ZZ'"),
+    ("UT", {"v": "1.5", "s": (1.0, 2.0)}, CellParse,
+     "cannot parse cell (row 'UT', column 'v'): not a finite number: '1.5'"),
+    ("UT", {"v": 10**400, "s": (1.0, 2.0)}, CellParse,
+     "cannot parse cell (row 'UT', column 'v'): not a finite number: 1" +
+     "0" * 400),
+    ("UT", {"v": 1.0, "s": (None, "2")}, CellParse,
+     "cannot parse cell (row 'UT', column 's:2021'): "
+     "not a finite number: '2'"),
+    ("UT", {"v": 1.0, "s": [1.0, 2.0]}, SeriesMismatch,
+     "'s' for UT: list, not a tuple"),
+    ("UT", {"v": 1.0, "s": (1.0,)}, SeriesMismatch,
+     "'s' for UT: 1 values, 2 periods"),
+], ids=["no-cell", "cell-for-no-column", "unknown-key", "string",
+        "int-too-large", "string-in-series", "list-series", "short-series"])
+def test_direct_table_checks_keys_rows_and_cells(code, row, error, message):
+    rows = _rows51()
+    rows[code] = row
+    with pytest.raises(error) as info:
+        RegionTable(_COLUMNS, rows)
+    assert str(info.value) == message
+    with pytest.raises(error) as info:
+        RegionTable(_COLUMNS, _rows51())._replace(rows=rows)
+    assert str(info.value) == message
+
+
+def test_row_without_a_cell_fails_before_compose(square_atlas):
+    rows = _rows51()
+    del rows["UT"]["v"]
+    spec = ChartSpec("Rates", SortSpec("v"), (
+        ColumnSpec("map"), ColumnSpec("legend"),
+        ColumnSpec("dot", ("Rate",), {"value": "v"})))
+    with pytest.raises(MicromapError, match="^row UT has no cell for "):
+        compose(spec, RegionTable(_COLUMNS, rows), square_atlas)
+    assert compose(spec, RegionTable(_COLUMNS, _rows51()), square_atlas).panels
+
+
 def test_bound_and_parsed_tables_equal_checked_tables():
     table = parse_table("state,a,b,c\nUT,1,,3\nID,4,5,NA\n", "state")
     assert table == RegionTable(*table)
@@ -215,9 +269,6 @@ def test_column_kind_faults():
         table.scalar("UT", "s")
     with pytest.raises(MissingColumn, match="^column 'a' is not a series$"):
         table.series("UT", "a")
-    with pytest.raises(MissingColumn,
-                       match="^cannot serialize series column 's'$"):
-        write_table(table)
 
 
 def test_validate_regions_complete_table_is_clean(table51):
@@ -307,18 +358,22 @@ def test_with_series_column_faults():
         with_series_column(table, "s", ("p", "q"), {"UT": [1.0]})
 
 
-def test_write_table_canonical_form():
-    table = parse_table("state,rate,note\nUT,86.4,\nID,1234.5,7\n", "state")
-    text = write_table(table)
-    assert text == ("region,rate,note\n"
-                    "ID,1234.5,7.0\n"
-                    "UT,86.4,\n")
+def plain_csv(table: RegionTable) -> str:
+    """A scalar table as CSV keyed by ``region``, every number in plain
+    decimal (no exponent) and a missing cell empty."""
+    lines = [",".join(["region", *(c.name for c in table.columns)])]
+    for code in table.codes():
+        cells = [table.rows[code][c.name] for c in table.columns]
+        lines.append(",".join([code, *("" if v is None
+                                       else format(Decimal(repr(v)), "f")
+                                       for v in cells)]))
+    return "\n".join(lines) + "\n"
 
 
 def test_roundtrip_of_parsed_csv():
     original = parse_table(
         'state,rate,x\nUT,86.4%,"1,234"\nID,NA,-0.5\nWyoming,+3,\n', "state")
-    again = parse_table(write_table(original), "region")
+    again = parse_table(plain_csv(original), "region")
     assert again == original
 
 
@@ -338,4 +393,4 @@ def test_roundtrip_property(codes, names, data):
         code: {name: data.draw(_values) for name in names} for code in codes
     }
     table = RegionTable(tuple(Column(n) for n in names), rows)
-    assert parse_table(write_table(table), "region") == table
+    assert parse_table(plain_csv(table), "region") == table

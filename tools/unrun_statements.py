@@ -14,8 +14,12 @@ test starts with ``subprocess``, is not seen.
 
 Run from the repo root:  python3 tools/unrun_statements.py
 
-It takes about three times as long as the untraced suite. The exit status
-is pytest's, so a failing suite is not mistaken for a coverage report.
+It takes about three times as long as the untraced suite. Each file is
+read before the suite starts, and line events are mapped against that
+text. If a file's text changed during the run, the lines may not match
+what ran: the changed files go to stderr, no list is printed and the exit
+status is non-zero. Otherwise the exit status is pytest's, so a failing
+suite is not mistaken for a coverage report.
 """
 
 from __future__ import annotations
@@ -43,10 +47,9 @@ def _owned_lines(node: ast.stmt) -> range:
     return range(start, max(first_child, start + 1))
 
 
-def _statements(path: Path) -> list[tuple[int, range, str]]:
+def _statements(source: str) -> list[tuple[int, range, str]]:
     """Each non-string statement of a module: its line, the lines it owns
     and its first source line, in line order."""
-    source = path.read_text("utf-8")
     lines = source.splitlines()
     out = []
     for node in ast.walk(ast.parse(source)):
@@ -60,10 +63,10 @@ def _statements(path: Path) -> list[tuple[int, range, str]]:
     return sorted(out, key=lambda statement: statement[0])
 
 
-def _code_lines(path: Path) -> set[int]:
+def _code_lines(source: str, filename: str) -> set[int]:
     """Lines that carry bytecode, so that running them emits a line event."""
     found: set[int] = set()
-    stack = [compile(path.read_text("utf-8"), str(path), "exec")]
+    stack = [compile(source, filename, "exec")]
     while stack:
         code = stack.pop()
         found.update(line for _, _, line in code.co_lines() if line)
@@ -73,6 +76,7 @@ def _code_lines(path: Path) -> set[int]:
 
 def main() -> int:
     files = {str(path): path for path in sorted(PACKAGE.glob("*.py"))}
+    texts = {name: path.read_text("utf-8") for name, path in files.items()}
     ran: dict[str, set[int]] = {name: set() for name in files}
 
     def local(frame, event, arg):
@@ -96,10 +100,18 @@ def main() -> int:
         sys.settrace(None)
         threading.settrace(None)  # type: ignore[arg-type]
 
+    changed = [name for name, path in files.items()
+               if path.read_text("utf-8") != texts[name]]
+    for name in changed:
+        print(f"{files[name].relative_to(ROOT)}: changed during the run",
+              file=sys.stderr)
+    if changed:
+        return int(status) or 1
+
     unrun = 0
     for name, path in files.items():
-        executable = _code_lines(path)
-        for line, owned, text in _statements(path):
+        executable = _code_lines(texts[name], name)
+        for line, owned, text in _statements(texts[name]):
             if executable.intersection(owned) and not ran[name].intersection(owned):
                 print(f"{path.relative_to(ROOT)}:{line}: {text}")
                 unrun += 1
