@@ -52,6 +52,8 @@ class ClassBreaks(_BreaksFields):
 
 def equal_interval_breaks(extent: tuple[float, float], k: int) -> ClassBreaks:
     lo, hi = extent
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise BadBreaks(f"k must be an integer, got {type(k).__name__}")
     if k < 1:
         raise BadBreaks("need at least one class")
     if k > len(colors.SEQUENTIAL_RAMP):

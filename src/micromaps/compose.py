@@ -7,6 +7,9 @@ math, so a region's row lines up exactly across the whole chart, and every
 glyph column builds a single scale reused by all of its panels, so axes are
 identical top to bottom.
 
+Each column kind is one ``_KINDS`` row, read by ``_plan_column`` and
+``_render_panel`` with no branch on the kind, so a new kind costs one row.
+
 Each panel is drawn by one call, ``_render_panel``, into a
 ``scene.Layers``; the page's title, headers, separators and axes go into
 one more, and every panel is added to it. Its slot order is the paint
@@ -18,7 +21,7 @@ import sys
 import warnings
 from functools import reduce
 from operator import add
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from . import colors
 from .atlas import (
@@ -77,19 +80,37 @@ SCATTER = "scatter"
 class _Kind(NamedTuple):
     bindings: tuple[str, ...]
     options: tuple[str, ...]  # a known option it does not read is an error
+    # (plan, frame, y scale, group index, layout, atlas, map mode) -> panel
+    draw: Callable[..., Layers]
     width_f: float | None = None  # of the canvas width; None: by weight
+    series: bool = False  # each binding names a whole series
+    y: str | None = None  # the binding that spans the unit y scale
+    zero: bool = False  # the x extent reaches 0
 
 
-# Each column kind's bindings, the options it reads, and its width.
+# Each column kind's bindings, the options it reads, its renderer and its
+# rules. Every binding but ``y`` spans the x scale; with none, x is the
+# period index. Each ``draw`` looks its renderer up per call, not at
+# import, so bench/tracing.py can wrap the module global.
 _KINDS: dict[str, _Kind] = {
-    MAP: _Kind((), (), 0.150),
-    LEGEND: _Kind((), ("name_style",), 0.160),
-    DOT: _Kind(("value",), ("weight", "reference_line", "target_ticks")),
-    BAR: _Kind(("value",), ("weight", "target_ticks")),
-    ARROW: _Kind(("start", "end"), ("weight", "target_ticks")),
-    TIMESERIES: _Kind(("series",), ("weight",)),
-    BOXPLOT: _Kind(("samples",), ("weight", "target_ticks")),
-    SCATTER: _Kind(("x", "y"), ("weight", "target_ticks")),
+    MAP: _Kind((), (), lambda p, f, y, group, layout, atlas, mode:
+               render_minimap(atlas, layout, group, mode, f), 0.150),
+    LEGEND: _Kind((), ("name_style",), lambda p, f, *_: render_legend_column(
+        p.spec.options.get("name_style", "full"), f), 0.160),
+    DOT: _Kind(("value",), ("weight", "reference_line", "target_ticks"),
+               lambda p, f, *_: render_dot(p.data, p.x_scale, f, p.reference)),
+    BAR: _Kind(("value",), ("weight", "target_ticks"),
+               lambda p, f, *_: render_bar(p.data, p.x_scale, f), zero=True),
+    ARROW: _Kind(("start", "end"), ("weight", "target_ticks"),
+                 lambda p, f, *_: render_arrow(p.data, p.x_scale, f)),
+    TIMESERIES: _Kind(("series",), ("weight",), lambda p, f, y, *_:
+                      render_timeseries(p.data, p.periods, p.x_scale, y, f),
+                      series=True, y="series"),
+    BOXPLOT: _Kind(("samples",), ("weight", "target_ticks"), lambda p, f, *_:
+                   render_boxplot(p.data, p.x_scale, f), series=True),
+    SCATTER: _Kind(("x", "y"), ("weight", "target_ticks"),
+                   lambda p, f, y, group, layout, *_: render_scatter(
+                       p.data, p.x_scale, y, f, context=layout.ranked), y="y"),
 }
 # A tuple, so a kind given as a list fails the membership test, not hashing.
 COLUMN_KINDS = tuple(_KINDS)
@@ -337,6 +358,7 @@ class _ColumnPlan(NamedTuple):
     data: dict[str, Any] | None = None  # the renderer's input, per region
     labels: tuple[str, ...] = ()  # one per x tick
     axes: tuple[Any, ...] = (None,) * 4  # PanelInfo x/y domains and ticks
+    reference: float | None = None  # a dot column's reference line
 
 
 def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
@@ -385,73 +407,57 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
     This is where each binding meets the table: an unknown ref, a series
     or value mismatch, no values, or a span no float holds raise SpecError
     at ``columns[i].bindings.<key>`` (or at the reference line's path).
-    A scalar's or a boxplot's extent comes from the values it reads once,
-    and min and max keep the first of equal values, as column_extent does.
+    Each binding's extent comes from the values it reads once, and min and
+    max keep the first of equal values, as column_extent does.
     """
-    if column.kind in (MAP, LEGEND):
+    kind = _KINDS[column.kind]
+    if not kind.bindings:
         return _ColumnPlan(column, index, x, width)
-    wants_series = column.kind in (TIMESERIES, BOXPLOT)
-    keys = _KINDS[column.kind].bindings
-    paths = [f"columns[{index}].bindings.{key}" for key in keys]
-    extents: list[tuple[float, float]] = []
+    at = f"columns[{index}].bindings"
+    extents: dict[str, tuple[float, float]] = {}
     values: list[dict[str, Any]] = []
-    for key, path in zip(keys, paths):
+    for key in kind.bindings:
         ref = column.bindings[key]
         try:
             resolved = resolve_ref(table, ref)
-            if column.kind == TIMESERIES:
-                extents.append(column_extent(table, ref))
+            if (resolved.column.kind == SERIES
+                    and resolved.period_index is None) != kind.series:
+                raise SpecError(f"{at}.{key}", (
+                    f"{ref!r} must name a series column" if kind.series else
+                    f"{ref!r} names a whole series; use <series>:<period>"))
+            if kind.series:
+                extents[key] = column_extent(table, ref)
+                name = resolved.column.name
+                cells = {code: row[name] for code, row in table.rows.items()}
+            else:
+                cells = scalar_values(table, ref)
+                present = [v for v in cells.values() if v is not None]
+                if not present:
+                    raise EmptyColumn(f"column {ref!r} has no values")
+                extents[key] = (min(present), max(present))
         except (MissingColumn, EmptyColumn) as exc:
-            raise SpecError(path, str(exc)) from None
-        whole_series = (resolved.column.kind == SERIES
-                        and resolved.period_index is None)
-        if wants_series and not whole_series:
-            raise SpecError(path, f"{ref!r} must name a series column")
-        if whole_series and not wants_series:
-            raise SpecError(path, f"{ref!r} names a whole series; "
-                                  "use <series>:<period>")
-        name = resolved.column.name
-        if column.kind == TIMESERIES:
-            values.append({code: row[name] for code, row in table.rows.items()})
-            continue
-        if column.kind == BOXPLOT:
-            cells = {code: [v for v in row[name] if v is not None]
-                     for code, row in table.rows.items()}
-            present = [s for s in cells.values() if s]
-            lows, highs = list(map(min, present)), list(map(max, present))
-        else:
-            cells = scalar_values(table, ref)
-            lows = highs = [v for v in cells.values() if v is not None]
-        if not lows:
-            raise SpecError(path, f"column {ref!r} has no values")
-        extents.append((min(lows), max(highs)))
+            raise SpecError(f"{at}.{key}", str(exc)) from None
         values.append(cells)
     pad = width * SCALE_PAD_F
     x_range = (x + pad, x + width - pad)
     ticks = column.options.get("target_ticks", 5)
     y_base = None
+    if kind.y is not None:
+        y_base = _scale(extents.pop(kind.y), (0.0, 1.0), 4, f"{at}.{kind.y}")
     periods: tuple[str, ...] = ()
-    extent = extents[0]
-    data = values[0]
-    if wants_series:  # one binding, so ``resolved`` is its series
-        if column.kind == TIMESERIES:
-            periods = resolved.column.periods
-            y_base = _scale(extent, (0.0, 1.0), 4, paths[0])
-            extent = (0.0, float(max(len(periods) - 1, 0)))
-    elif column.kind in (ARROW, SCATTER):
-        firsts, seconds = values
-        data = {code: (firsts[code], seconds[code]) for code in table.rows}
-        if column.kind == ARROW:
-            extent = (min(e[0] for e in extents), max(e[1] for e in extents))
-        else:
-            y_base = _scale(extents[1], (0.0, 1.0), 4, paths[1])
-    elif column.kind == BAR:
+    if extents:
+        extent = (min(lo for lo, _ in extents.values()),
+                  max(hi for _, hi in extents.values()))
+    else:  # a time series: x is the period index
+        periods = resolved.column.periods
+        extent = (0.0, float(len(periods) - 1))
+    if kind.zero:
         extent = (min(0.0, extent[0]), max(0.0, extent[1]))
-    x_path = f"columns[{index}].bindings" if column.kind == ARROW else paths[0]
+    x_path = f"{at}.{next(iter(extents))}" if len(extents) == 1 else at
     x_scale = _scale(extent, x_range, ticks, x_path)
-    ref = column.options.get("reference_line")
-    if column.kind == DOT and ref is not None:
-        line = float(ref)
+    line = column.options.get("reference_line")
+    if line is not None:
+        line = float(line)
         try:
             x_scale.check(line)
         except DomainOverflow:
@@ -460,50 +466,30 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
             extent = (min(extent[0], line), max(extent[1], line))
             x_scale = _scale(extent, x_range, ticks,
                              f"columns[{index}].options.reference_line")
-    if column.kind == TIMESERIES:
+    if periods:
         shown = thin_labels(len(periods))
         x_scale = x_scale._replace(ticks=tuple(float(i) for i in shown))
         labels = tuple(periods[i] for i in shown)
     else:
         labels = tuple(format_tick(t) for t in x_scale.ticks)
+    data = values[0] if len(values) == 1 else {
+        code: tuple(cells[code] for cells in values) for code in table.rows}
     y_axis = (None, None) if y_base is None else (y_base.domain, y_base.ticks)
     return _ColumnPlan(column, index, x, width, x_scale, y_base, periods, data,
-                       labels, (x_scale.domain, x_scale.ticks, *y_axis))
+                       labels, (x_scale.domain, x_scale.ticks, *y_axis), line)
 
 
 def _render_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
                   layout: LinkedLayout, atlas: Atlas, map_mode: str) -> Layers:
     """One band's panel of a column, from its column kind's renderer."""
-    # Renderers are module globals looked up per call, not a table built at
-    # import, so bench/tracing.py can wrap them here.
-    column = plan.spec
-    if column.kind == MAP:
-        return render_minimap(atlas, layout, band.group_index, map_mode, frame)
-    if column.kind == LEGEND:
-        return render_legend_column(column.options.get("name_style", "full"),
-                                    frame)
-    assert plan.x_scale is not None and plan.data is not None
-    if plan.y_base is not None:  # timeseries and scatter
+    y_scale = None
+    if plan.y_base is not None:
         # At most half the band, so the y range cannot turn over.
         vpad = min(band.height * 0.10 + 2.0, band.height / 2.0)
         y_scale = plan.y_base.with_range((band.y + band.height - vpad,
                                           band.y + vpad))
-
-    if column.kind == DOT:
-        ref = column.options.get("reference_line")
-        return render_dot(plan.data, plan.x_scale, frame,
-                          reference_line=None if ref is None else float(ref))
-    if column.kind == BAR:
-        return render_bar(plan.data, plan.x_scale, frame)
-    if column.kind == ARROW:
-        return render_arrow(plan.data, plan.x_scale, frame)
-    if column.kind == TIMESERIES:
-        return render_timeseries(plan.data, plan.periods, plan.x_scale,
-                                 y_scale, frame)
-    if column.kind == SCATTER:
-        return render_scatter(plan.data, plan.x_scale, y_scale, frame,
-                              context=layout.ranked)
-    return render_boxplot(plan.data, plan.x_scale, frame)
+    return _KINDS[plan.spec.kind].draw(plan, frame, y_scale, band.group_index,
+                                       layout, atlas, map_mode)
 
 
 def _axis_shapes(plan: _ColumnPlan, top: float, bottom: float) -> Layers:

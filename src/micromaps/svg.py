@@ -173,9 +173,13 @@ class _Writer:
 
 def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
     """Serialize a scene to a self-contained SVG document."""
-    if not 0 <= options.decimal_places <= 6:
+    places = options.decimal_places
+    if isinstance(places, bool) or not isinstance(places, int):
+        raise SpecError("output.decimal_places", "expected an integer, "
+                                                 f"got {type(places).__name__}")
+    if not 0 <= places <= 6:
         raise SpecError("output.decimal_places", "must be in 0..6")
-    writer = _Writer(options.decimal_places)
+    writer = _Writer(places)
     height, width = writer.numbers(writer.two(scene.height,
                                               scene.width)).split()
     lines = [f'<svg height="{height}" width="{width}" xmlns="{SVG_NS}">']

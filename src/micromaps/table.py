@@ -55,6 +55,12 @@ class RegionTable(_TableFields):
                 rows: dict[str, dict[str, object]]) -> "RegionTable":
         self = super().__new__(cls, columns, rows)
         by_name = {column.name: column for column in columns}
+        if len(by_name) != len(columns):
+            raise NameClash("duplicate column names")
+        for column in columns:
+            if column.kind not in (SCALAR, SERIES):
+                raise MissingColumn(f"column {column.name!r} has kind "
+                                    f"{column.kind!r}, not scalar or series")
         for code, row in rows.items():
             if code not in ALL_CODES:
                 raise UnknownRegion(f"row for unknown region {code!r}")
@@ -132,11 +138,10 @@ class RegionTable(_TableFields):
 @value_type
 class ValidationReport(NamedTuple):
     missing_regions: tuple[str, ...]
-    unknown_keys: tuple[str, ...]
     missing_cells: tuple[tuple[str, str], ...]
 
     def clean(self) -> bool:
-        return not (self.missing_regions or self.unknown_keys or self.missing_cells)
+        return not (self.missing_regions or self.missing_cells)
 
 
 @value_type
@@ -287,15 +292,12 @@ def with_series_column(table: RegionTable, name: str, periods: Sequence[str],
 
 
 def validate_regions(table: RegionTable) -> ValidationReport:
-    """Report regions absent from the 51, keys outside the 51, and missing
-    cells. A series cell counts as missing only when every period is missing.
+    """Report regions absent from the 51, and missing cells. A series cell
+    counts as missing only when every period is missing.
     """
-    known = set(ALL_CODES)
-    present = set(table.rows)
-    missing_regions = tuple(sorted(known - present))
-    unknown_keys = tuple(sorted(present - known))
+    missing_regions = tuple(sorted(set(ALL_CODES) - set(table.rows)))
     missing_cells: list[tuple[str, str]] = []
-    for code in sorted(present & known):
+    for code in sorted(table.rows):
         row = table.rows[code]
         for col in table.columns:
             v = row[col.name]
@@ -305,7 +307,7 @@ def validate_regions(table: RegionTable) -> ValidationReport:
             else:
                 if all(slot is None for slot in v):  # type: ignore[union-attr]
                     missing_cells.append((code, col.name))
-    return ValidationReport(missing_regions, unknown_keys, tuple(missing_cells))
+    return ValidationReport(missing_regions, tuple(missing_cells))
 
 
 def resolve_ref(table: RegionTable, ref: str) -> ColumnRef:

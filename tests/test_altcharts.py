@@ -149,6 +149,9 @@ def test_choropleth_class_count_faults(square_atlas):
         render_choropleth(square_atlas, table, "v", k=0)
     with pytest.raises(BadBreaks, match=r"^k must be in 1\.\.9$"):
         render_choropleth(square_atlas, table, "v", k=10)
+    for bad, name in ((2.5, "float"), ("3", "str"), (True, "bool")):
+        with pytest.raises(BadBreaks, match=f"^k must be an integer, got {name}$"):
+            render_choropleth(square_atlas, table, "v", k=bad)
     assert len(equal_interval_breaks((1.0, 2.0), 9).colors) == 9
 
 

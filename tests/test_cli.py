@@ -348,6 +348,14 @@ def _write_fault_data(workspace: Path) -> dict:
         {"kind": "timeseries", "bindings": {"series": "es"}}]},
         "columns[2].bindings.series: column 'es' has no values",
         id="empty-timeseries"),
+    pytest.param({"columns": CONFIG["columns"][:2] + [
+        {"kind": "timeseries", "bindings": {"series": "empty"}}]},
+        "columns[2].bindings.series: 'empty' must name a series column",
+        id="timeseries-on-empty-scalar"),
+    pytest.param({"columns": CONFIG["columns"][:2] + [
+        {"kind": "boxplot", "bindings": {"samples": "es"}}]},
+        "columns[2].bindings.samples: column 'es' has no values",
+        id="empty-boxplot"),
     pytest.param({"sort": {"column": "ss"}},
                  "sort.column: 'ss' names a whole series, not a value",
                  id="series-sort"),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import sys
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -132,3 +134,36 @@ def test_emit_svg_finds_each_style_by_identity(scenes, monkeypatch, name):
     emit_svg(scene, SvgOptions(title=spec.title))
     monkeypatch.undo()
     assert len(calls) < 60
+
+
+RENDERERS = {"map": "render_minimap", "dot": "render_dot", "bar": "render_bar",
+             "arrow": "render_arrow", "timeseries": "render_timeseries",
+             "boxplot": "render_boxplot", "scatter": "render_scatter"}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_each_panel_calls_its_renderer_by_module_global(atlas, monkeypatch,
+                                                        name):
+    """bench/tracing.py wraps the renderers where ``micromaps.compose``
+    looks them up, so a renderer bound at import would escape it."""
+    module = sys.modules["micromaps.compose"]
+    calls: Counter[str] = Counter()
+
+    def counting(renderer: str):
+        call = getattr(module, renderer)
+
+        def counted(*args, **kwargs):
+            calls[renderer] += 1
+            return call(*args, **kwargs)
+        return counted
+
+    for renderer in RENDERERS.values():
+        monkeypatch.setattr(module, renderer, counting(renderer))
+    spec, table = build_demo(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        compose(spec, table, atlas)
+    # 51 ranked regions make 11 bands: ten groups and the median row.
+    kinds = Counter(column.kind for column in spec.columns)
+    assert calls == Counter({RENDERERS[kind]: 11 * n
+                             for kind, n in kinds.items() if kind in RENDERERS})

@@ -145,6 +145,12 @@ def test_decimal_places_bounds():
         with pytest.raises(SpecError) as info:
             emit_svg(scene, SvgOptions(decimal_places=bad))
         assert str(info.value) == "output.decimal_places: must be in 0..6"
+    for bad, name in (("2", "str"), (None, "NoneType"), (2.5, "float"),
+                      (True, "bool")):
+        with pytest.raises(SpecError) as info:
+            emit_svg(scene, SvgOptions(decimal_places=bad))
+        assert str(info.value) == ("output.decimal_places: "
+                                   f"expected an integer, got {name}")
 
 
 def test_no_scientific_notation():

@@ -190,6 +190,21 @@ def test_direct_table_checks_keys_rows_and_cells(code, row, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("columns, error, message", [
+    ((Column("v"), Column("v")), NameClash, "duplicate column names"),
+    ((Column("v", "vector"),), MissingColumn,
+     "column 'v' has kind 'vector', not scalar or series"),
+], ids=["duplicate-name", "unknown-kind"])
+def test_direct_table_checks_columns(columns, error, message):
+    rows = {code: {"v": 1.0} for code in ALL_CODES}
+    with pytest.raises(error) as info:
+        RegionTable(columns, rows)
+    assert str(info.value) == message
+    with pytest.raises(error) as info:
+        RegionTable((Column("v"),), rows)._replace(columns=columns)
+    assert str(info.value) == message
+
+
 def test_row_without_a_cell_fails_before_compose(square_atlas):
     rows = _rows51()
     del rows["UT"]["v"]
@@ -275,7 +290,6 @@ def test_validate_regions_complete_table_is_clean(table51):
     report = validate_regions(table51)
     assert report.clean()
     assert report.missing_regions == ()
-    assert report.unknown_keys == ()
     assert report.missing_cells == ()
 
 
@@ -296,13 +310,6 @@ def test_validate_regions_series_cell_missing_only_when_every_period_is():
     table = bind_series(parse_table("state,a,b\nUT,1,\nID,,\n", "state"),
                         ["a", "b"], "s")
     assert validate_regions(table).missing_cells == (("ID", "s"),)
-
-
-def test_parse_never_yields_unknown_keys():
-    # parse_table rejects non-region keys up front, so any table it builds
-    # validates with an empty unknown_keys list.
-    table = parse_table("state,rate\nUT,1\nID,2\n", "state")
-    assert validate_regions(table).unknown_keys == ()
 
 
 def test_column_extent_basic():

@@ -73,7 +73,7 @@ VALUES = [
     (BY_CODE["AL"], True),
     (Column("s", "series", ("a", "b")), True),
     (ColumnRef(Column("s", "series", ("a", "b")), 1), True),
-    (ValidationReport(("DC",), (), (("AK", "v"),)), True),
+    (ValidationReport(("DC",), (("AK", "v"),)), True),
     (SeriesBinding("s", ("a", "b")), True),
     (RenderConfig(SPEC, "d.csv", "state", (), None, 2), False),
     (TABLE, False),
