@@ -6,7 +6,8 @@ README for the chart anatomy and the CLI entry points.
 
 from .atlas import Atlas, load_atlas, load_default_atlas, render_minimap
 from .colors import DEFAULT_PALETTE, Palette
-from .compose import ChartSpec, ColumnSpec, compose, render_legend_column
+from .compose import (ChartPlan, ChartSpec, ColumnSpec, compose, plan_chart,
+                      render_legend_column)
 from .errors import MicromapError
 from .glyphs import BoxStats, compute_box_stats
 from .layout import (
@@ -23,16 +24,15 @@ from .scene import Scene
 from .svg import SvgOptions, emit_svg
 from .table import (
     RegionTable,
-    ValidationReport,
     bind_series,
     column_extent,
     parse_table,
-    validate_regions,
 )
 
 __all__ = [
     "Atlas",
     "BoxStats",
+    "ChartPlan",
     "ChartSpec",
     "ClassBreaks",
     "ColumnSpec",
@@ -46,7 +46,6 @@ __all__ = [
     "Scene",
     "SortSpec",
     "SvgOptions",
-    "ValidationReport",
     "assign_colors",
     "bind_series",
     "build_layout",
@@ -60,11 +59,11 @@ __all__ = [
     "order_regions",
     "parse_table",
     "partition_groups",
+    "plan_chart",
     "render_barchart_alpha",
     "render_choropleth",
     "render_legend_column",
     "render_minimap",
-    "validate_regions",
 ]
 
 __version__ = "0.1.0"

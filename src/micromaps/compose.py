@@ -7,14 +7,15 @@ math, so a region's row lines up exactly across the whole chart, and every
 glyph column builds a single scale reused by all of its panels, so axes are
 identical top to bottom.
 
-Each column kind is one ``_KINDS`` row, read by ``_plan_column`` and
-``_render_panel`` with no branch on the kind, so a new kind costs one row.
-
-Each panel is drawn by one call, ``_render_panel``, into a
-``scene.Layers``; the page's title, headers, separators and axes go into
-one more, and every panel is added to it. Its slot order is the paint
-order, fixed for stable output: guides, map fills, map borders, marks,
-axes, labels.
+``plan_chart`` runs every rule and makes every decision: each column's
+scales (one ``_KINDS`` row per column kind, read with no branch on the
+kind), the ranking, the groups and the bands. It records the findings
+too: ``absent`` rows, each column's ``no_value``, and the warnings.
+``compose`` warns of them at its caller and draws the plan: each panel by
+its kind's ``draw`` into a ``scene.Layers``; the page's title, headers,
+separators and axes go into one more, and every panel is added to it.
+Its slot order is the paint order, fixed for stable output: guides, map
+fills, map borders, marks, axes, labels.
 """
 
 import sys
@@ -55,7 +56,7 @@ from .glyphs import (
     shared_style,
 )
 from .layout import ASCENDING, DESCENDING, LinkedLayout, SortSpec, build_layout
-from .regions import BY_CODE
+from .regions import ALL_CODES, BY_CODE
 from .scale import Scale, format_tick, linear_scale, thin_labels
 from .scene import Layers, Line, PanelInfo, Rect, Scene, Style, Text, clamp_scene
 from .table import (
@@ -228,8 +229,8 @@ def _validate_options(value: object, kind: str, path: str) -> None:
 def validate_spec(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
     """Check every field of the spec that does not depend on the table.
 
-    parse_config maps JSON onto a ChartSpec and calls it; compose calls it
-    too, then checks each binding against the table where its column is
+    parse_config maps JSON onto a ChartSpec and calls it; plan_chart calls
+    it too, then checks each binding against the table where its column is
     planned. Raises SpecError (UnknownKey for an option key) with the
     config path of the offending value. Returns each column's
     ``(column, x, width)`` on the canvas, which the width rules compute.
@@ -284,7 +285,8 @@ def validate_spec(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
     return _column_x_layout(spec)
 
 
-class _Band(NamedTuple):
+@value_type
+class Band(NamedTuple):
     group_index: int  # NO_DATA_PANEL for the trailing block
     is_median: bool
     y: float
@@ -293,7 +295,7 @@ class _Band(NamedTuple):
 
 
 def _build_bands(layout: LinkedLayout, palette: Palette, top: float,
-                 bottom: float, gutter: float) -> tuple[list[_Band], float]:
+                 bottom: float, gutter: float) -> tuple[tuple[Band, ...], float]:
     plan = layout.plan
     groups: list[tuple[int, tuple[str, ...]]] = [
         (gi, layout.group_members(gi)) for gi in range(len(plan.sizes))]
@@ -309,7 +311,7 @@ def _build_bands(layout: LinkedLayout, palette: Palette, top: float,
 
     color = {code: palette.for_slot(slot)
              for code, slot in layout.slot_of.items()}
-    bands: list[_Band] = []
+    bands: list[Band] = []
     y = top
     for (gi, members), in_rows, gap in zip(groups, heights, gaps):
         y += gap
@@ -317,11 +319,11 @@ def _build_bands(layout: LinkedLayout, palette: Palette, top: float,
         is_median = gi == plan.median_group_index
         centers = ([y + height / 2.0] if is_median else
                    [y + (i + 0.5) * row_h for i in range(len(members))])
-        bands.append(_Band(gi, is_median, y, height, tuple(
+        bands.append(Band(gi, is_median, y, height, tuple(
             RowBand(code, cy, color.get(code, palette.no_data))
             for code, cy in zip(members, centers))))
         y += height
-    return bands, row_h
+    return tuple(bands), row_h
 
 
 def render_legend_column(name_style: str, frame: PanelFrame) -> Layers:
@@ -347,7 +349,8 @@ def render_legend_column(name_style: str, frame: PanelFrame) -> Layers:
     return out
 
 
-class _ColumnPlan(NamedTuple):
+@value_type
+class ColumnPlan(NamedTuple):
     spec: ColumnSpec
     index: int
     x: float
@@ -359,6 +362,7 @@ class _ColumnPlan(NamedTuple):
     labels: tuple[str, ...] = ()  # one per x tick
     axes: tuple[Any, ...] = (None,) * 4  # PanelInfo x/y domains and ticks
     reference: float | None = None  # a dot column's reference line
+    no_value: tuple[str, ...] = ()  # sorted rows drawn as "n/a" or unmarked
 
 
 def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
@@ -401,7 +405,7 @@ def _scale(extent: tuple[float, float], range_: tuple[float, float],
 
 
 def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
-                 table: RegionTable) -> _ColumnPlan:
+                 table: RegionTable) -> ColumnPlan:
     """The column's scales, and the data its renderer reads in every band.
 
     This is where each binding meets the table: an unknown ref, a series
@@ -412,7 +416,7 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
     """
     kind = _KINDS[column.kind]
     if not kind.bindings:
-        return _ColumnPlan(column, index, x, width)
+        return ColumnPlan(column, index, x, width)
     at = f"columns[{index}].bindings"
     extents: dict[str, tuple[float, float]] = {}
     values: list[dict[str, Any]] = []
@@ -475,24 +479,16 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
     data = values[0] if len(values) == 1 else {
         code: tuple(cells[code] for cells in values) for code in table.rows}
     y_axis = (None, None) if y_base is None else (y_base.domain, y_base.ticks)
-    return _ColumnPlan(column, index, x, width, x_scale, y_base, periods, data,
-                       labels, (x_scale.domain, x_scale.ticks, *y_axis), line)
+    # A series has no value if no period has one; a pair, if either has none.
+    no_value = tuple(sorted({
+        code for cells in values for code, cell in cells.items()
+        if (cell.count(None) == len(cell) if kind.series else cell is None)}))
+    return ColumnPlan(column, index, x, width, x_scale, y_base, periods, data,
+                      labels, (x_scale.domain, x_scale.ticks, *y_axis), line,
+                      no_value)
 
 
-def _render_panel(plan: _ColumnPlan, band: _Band, frame: PanelFrame,
-                  layout: LinkedLayout, atlas: Atlas, map_mode: str) -> Layers:
-    """One band's panel of a column, from its column kind's renderer."""
-    y_scale = None
-    if plan.y_base is not None:
-        # At most half the band, so the y range cannot turn over.
-        vpad = min(band.height * 0.10 + 2.0, band.height / 2.0)
-        y_scale = plan.y_base.with_range((band.y + band.height - vpad,
-                                          band.y + vpad))
-    return _KINDS[plan.spec.kind].draw(plan, frame, y_scale, band.group_index,
-                                       layout, atlas, map_mode)
-
-
-def _axis_shapes(plan: _ColumnPlan, top: float, bottom: float) -> Layers:
+def _axis_shapes(plan: ColumnPlan, top: float, bottom: float) -> Layers:
     """Axis lines, tick marks and labels above and below a glyph column;
     none for a map or legend column, which has no scale."""
     out = Layers()
@@ -511,17 +507,29 @@ def _axis_shapes(plan: _ColumnPlan, top: float, bottom: float) -> Layers:
     return out
 
 
-def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
-    """Build the complete chart scene for a spec and table.
+@value_type
+class ChartPlan(NamedTuple):
+    """What compose decides and finds before it draws. ``absent`` lists the
+    regions with no row: no legend row, only the map's context fill."""
+    spec: ChartSpec
+    columns: tuple[ColumnPlan, ...]
+    layout: LinkedLayout
+    bands: tuple[Band, ...]
+    row_height: float
+    top: float  # the panels' top and bottom
+    bottom: float
+    absent: tuple[str, ...]
+    warnings: tuple[str, ...]
 
-    Every rule runs before any panel is drawn: validate_spec for the spec,
-    then each binding where its column is planned, then the sort column
-    where the regions are ranked. A sort column that no glyph column shows
-    is only a warning.
+
+def plan_chart(spec: ChartSpec, table: RegionTable) -> ChartPlan:
+    """Plan the chart, running every rule: validate_spec for the spec, then
+    each binding where its column is planned, then the sort column where
+    the regions are ranked. A sort column that no glyph column shows is
+    only a warning, kept in the plan.
     """
-    columns = validate_spec(spec)
-    plans = [_plan_column(column, i, x, width, table)
-             for i, (column, x, width) in enumerate(columns)]
+    columns = tuple(_plan_column(column, i, x, width, table)
+                    for i, (column, x, width) in enumerate(validate_spec(spec)))
     try:
         layout = build_layout(table, spec.sort, spec.group_size)
     except (MissingColumn, EmptySort) as exc:
@@ -529,28 +537,39 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
     sort = spec.sort.column
     shown = {ref for column in spec.columns for ref in column.bindings.values()}
     # A period of a displayed series is shown by that series column.
-    if sort not in shown and not (":" in sort
-                                  and sort.rpartition(":")[0] in shown):
-        warnings.warn(f"sort column {sort!r} is not shown by any glyph "
-                      "column", stacklevel=2)
-    w, h = spec.width, spec.height
-
+    hidden = sort not in shown and not (":" in sort
+                                        and sort.rpartition(":")[0] in shown)
+    h = spec.height
     title_h = h * TITLE_F if spec.title else 0.0
-    header_h = h * HEADER_F
-    axis_top_h = h * AXIS_TOP_F
-    axis_bot_h = h * AXIS_BOT_F
-    gutter = h * GUTTER_F
-    content_top = h * MARGIN_TOP_F + title_h + header_h + axis_top_h
-    content_bottom = h - h * MARGIN_BOT_F - axis_bot_h
+    top = h * MARGIN_TOP_F + title_h + h * HEADER_F + h * AXIS_TOP_F
+    bottom = h - h * MARGIN_BOT_F - h * AXIS_BOT_F
+    bands, row_h = _build_bands(layout, spec.palette, top, bottom,
+                                h * GUTTER_F)
+    return ChartPlan(spec, columns, layout, bands, row_h, top, bottom,
+                     tuple(sorted(set(ALL_CODES) - set(table.rows))),
+                     (f"sort column {sort!r} is not shown by any glyph "
+                      "column",) if hidden else ())
 
-    bands, row_h = _build_bands(layout, spec.palette, content_top,
-                                content_bottom, gutter)
+
+def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
+    """Build the complete chart scene for a spec and table: plan it, warn
+    of each plan warning at the caller, and draw it."""
+    plan = plan_chart(spec, table)
+    for message in plan.warnings:
+        warnings.warn(message, stacklevel=2)
+    return _draw(plan, atlas)
+
+
+def _draw(plan: ChartPlan, atlas: Atlas) -> Scene:
+    """The plan's page and panels; it checks nothing, plan_chart did."""
+    spec, bands, first, last = (plan.spec, plan.bands, plan.columns[0],
+                                plan.columns[-1])
+    w, h = spec.width, spec.height
+    title_h = h * TITLE_F if spec.title else 0.0
+    gutter = h * GUTTER_F
 
     page = Layers()
-    placed: list[tuple[_ColumnPlan, _Band, bool, range]] = []
-    content_left = columns[0][1]
-    content_right = columns[-1][1] + columns[-1][2]
-
+    placed: list[tuple[ColumnPlan, Band, bool, range]] = []
     if spec.title:
         page.labels.append(Text(w / 2.0, h * MARGIN_TOP_F + title_h * 0.62,
                                 spec.title,
@@ -561,39 +580,45 @@ def compose(spec: ChartSpec, table: RegionTable, atlas: Atlas) -> Scene:
     header_top = h * MARGIN_TOP_F + title_h
     # One header line sits where a pair's second line does.
     page.labels.extend(
-        Text(plan.x + plan.width / 2.0, header_top + header_h * f, line,
+        Text(col.x + col.width / 2.0, header_top + h * HEADER_F * f, line,
              HEADER_STYLE)
-        for plan in plans
-        for line, f in zip(plan.spec.header,
-                           (0.42, 0.80)[2 - len(plan.spec.header):]))
+        for col in plan.columns
+        for line, f in zip(col.spec.header,
+                           (0.42, 0.80)[2 - len(col.spec.header):]))
     page.guides.extend(
-        Line(content_left, y, content_right, y, SEPARATOR_STYLE)
+        Line(first.x, y, last.x + last.width, y, SEPARATOR_STYLE)
         for band in bands
         for y in ((band.y - gutter * 0.5, band.y + band.height + gutter * 0.5)
                   if band.is_median else
                   (band.y - gutter * NO_DATA_GAP_GUTTERS * 0.5,)
                   if band.group_index == NO_DATA_PANEL else ()))
 
-    for plan in plans:
+    for col in plan.columns:
         for band in bands:
-            frame = PanelFrame(plan.x, band.y, plan.width, band.height,
-                               band.rows, row_h)
-            panel = _render_panel(plan, band, frame, layout, atlas,
-                                  spec.map_mode)
-            placed.append((plan, band, bool(panel.fills), page.add(panel)))
-        page.add(_axis_shapes(plan, content_top - 4.0, content_bottom + 4.0))
+            y_scale = None
+            if col.y_base is not None:
+                # At most half the band, so the y range cannot turn over.
+                vpad = min(band.height * 0.10 + 2.0, band.height / 2.0)
+                y_scale = col.y_base.with_range((band.y + band.height - vpad,
+                                                 band.y + vpad))
+            frame = PanelFrame(col.x, band.y, col.width, band.height,
+                               band.rows, plan.row_height)
+            panel = _KINDS[col.spec.kind].draw(col, frame, y_scale,
+                                               band.group_index, plan.layout,
+                                               atlas, spec.map_mode)
+            placed.append((col, band, bool(panel.fills), page.add(panel)))
+        page.add(_axis_shapes(col, plan.top - 4.0, plan.bottom + 4.0))
 
     # Shift each panel's linked marks from their slot to the flattened shapes.
     fills_at = len(page.guides)
     marks_at = fills_at + len(page.fills) + len(page.strokes)
-    rows = {band.group_index: tuple(row[:2] for row in band.rows)
-            for band in bands}
+    rows = {b.group_index: tuple(row[:2] for row in b.rows) for b in bands}
     panels: list[PanelInfo] = []
-    for plan, band, in_fills, marks in placed:
+    for col, band, in_fills, marks in placed:
         at = fills_at if in_fills else marks_at
-        panels.append(PanelInfo(plan.index, plan.spec.kind, band.group_index,
-                                plan.x, band.y, plan.width, band.height,
+        panels.append(PanelInfo(col.index, col.spec.kind, band.group_index,
+                                col.x, band.y, col.width, band.height,
                                 band.is_median, rows[band.group_index],
-                                *plan.axes,
+                                *col.axes,
                                 range(marks.start + at, marks.stop + at)))
     return clamp_scene(Scene(w, h, page.flatten(), tuple(panels)))

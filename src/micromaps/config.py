@@ -16,6 +16,7 @@ from .colors import Palette
 from .compose import ChartSpec, ColumnSpec, expect, validate_spec
 from .errors import ConfigError, ConfigSyntax, SpecError, UnknownKey
 from .layout import SortSpec
+from .svg import check_decimal_places
 from .values import value_type
 
 _TOP_KEYS = {"title", "data", "sort", "group_size", "map_mode", "columns",
@@ -143,10 +144,7 @@ def parse_config(document: str) -> RenderConfig:
     output = _object(root.get("output", {}), "output", _OUTPUT_KEYS)
     output_path = expect(output["path"], str, "output.path") \
         if "path" in output else None
-    decimal_places = expect(output.get("decimal_places", 2), int,
-                            "output.decimal_places")
-    if not 0 <= decimal_places <= 6:
-        raise SpecError("output.decimal_places", "must be in 0..6")
+    decimal_places = check_decimal_places(output.get("decimal_places", 2))
 
     fields = {key: root[key] for key in ("title", "group_size", "map_mode")
               if key in root}

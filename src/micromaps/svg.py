@@ -171,15 +171,19 @@ class _Writer:
             raise BadGeometry(f"{exc} in {type(shape).__name__}") from None
 
 
-def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
-    """Serialize a scene to a self-contained SVG document."""
-    places = options.decimal_places
+def check_decimal_places(places: object) -> int:
+    """Return ``places`` if it is an integer in 0..6, else raise SpecError."""
     if isinstance(places, bool) or not isinstance(places, int):
         raise SpecError("output.decimal_places", "expected an integer, "
                                                  f"got {type(places).__name__}")
     if not 0 <= places <= 6:
         raise SpecError("output.decimal_places", "must be in 0..6")
-    writer = _Writer(places)
+    return places
+
+
+def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
+    """Serialize a scene to a self-contained SVG document."""
+    writer = _Writer(check_decimal_places(options.decimal_places))
     height, width = writer.numbers(writer.two(scene.height,
                                               scene.width)).split()
     lines = [f'<svg height="{height}" width="{width}" xmlns="{SVG_NS}">']

@@ -136,15 +136,6 @@ class RegionTable(_TableFields):
 
 
 @value_type
-class ValidationReport(NamedTuple):
-    missing_regions: tuple[str, ...]
-    missing_cells: tuple[tuple[str, str], ...]
-
-    def clean(self) -> bool:
-        return not (self.missing_regions or self.missing_cells)
-
-
-@value_type
 class ColumnRef(NamedTuple):
     """A resolved column reference.
 
@@ -289,25 +280,6 @@ def with_series_column(table: RegionTable, name: str, periods: Sequence[str],
                       else tuple(cells)}
     col = Column(name, SERIES, tuple(periods))
     return RegionTable._checked(table.columns + (col,), rows, name)
-
-
-def validate_regions(table: RegionTable) -> ValidationReport:
-    """Report regions absent from the 51, and missing cells. A series cell
-    counts as missing only when every period is missing.
-    """
-    missing_regions = tuple(sorted(set(ALL_CODES) - set(table.rows)))
-    missing_cells: list[tuple[str, str]] = []
-    for code in sorted(table.rows):
-        row = table.rows[code]
-        for col in table.columns:
-            v = row[col.name]
-            if col.kind == SCALAR:
-                if v is None:
-                    missing_cells.append((code, col.name))
-            else:
-                if all(slot is None for slot in v):  # type: ignore[union-attr]
-                    missing_cells.append((code, col.name))
-    return ValidationReport(missing_regions, tuple(missing_cells))
 
 
 def resolve_ref(table: RegionTable, ref: str) -> ColumnRef:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from micromaps.adapters import load_table, snapshot_text
+from micromaps.compose import plan_chart
 from micromaps.config import RenderConfig, parse_config
 from micromaps.demos import build_demo
 from micromaps.errors import SnapshotError, SpecError
@@ -15,7 +16,6 @@ from micromaps.layout import DESCENDING, SortSpec, order_regions
 from micromaps.table import (
     parse_table,
     scalar_values,
-    validate_regions,
     with_series_column,
 )
 
@@ -32,7 +32,9 @@ def test_acs_shape(acs_table):
     assert series.periods[-1] == "2022"
     for code in acs_table.rows:
         assert len(acs_table.series(code, "response_rate")) == 13
-    assert validate_regions(acs_table).clean()
+    plan = plan_chart(build_demo("acs-dot")[0], acs_table)
+    assert plan.absent == () and plan.warnings == ()
+    assert all(column.no_value == () for column in plan.columns)
 
 
 def test_acs_orderings_match_published_pattern(acs_table):

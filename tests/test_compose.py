@@ -14,6 +14,7 @@ from micromaps.compose import (
     ChartSpec,
     ColumnSpec,
     compose,
+    plan_chart,
     validate_spec,
 )
 from micromaps.demos import build_demo
@@ -268,8 +269,15 @@ def test_spec_warns_when_sort_column_not_shown(square_atlas, table51):
         "state,v,w\n" + "\n".join(f"{c},{i},{i}" for i, c in
                                   enumerate(sorted(table51.rows))), "state")
     spec = minimal_spec(sort=SortSpec("w"))
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         compose(spec, extended, square_atlas)
+    # The warning points at compose's caller, not at the package.
+    assert [(str(w.message), w.filename) for w in record] == [
+        ("sort column 'w' is not shown by any glyph column", __file__)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = plan_chart(spec, extended)
+    assert plan.warnings == (str(record[0].message),)
 
 
 def test_spec_bad_group_size():
@@ -452,3 +460,26 @@ def test_demo_marks_stay_inside_their_panels(default_atlas, demos, width,
                     assert left <= x <= right and top <= y <= bottom, (
                         spec.title, panel.kind, panel.group_index,
                         scene.shapes[i])
+
+
+def test_demo_plan_is_what_was_drawn(default_atlas, demos):
+    for spec, table in demos:
+        plan = plan_chart(spec, table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scene = compose(spec, table, default_atlas)
+        bands = {band.group_index: band for band in plan.bands}
+        assert len(scene.panels) == len(plan.columns) * len(plan.bands)
+        for panel in scene.panels:
+            column = plan.columns[panel.column_index]
+            band = bands[panel.group_index]
+            assert panel.rows == tuple((row.region, row.y) for row in band.rows)
+            assert (panel.y, panel.height, panel.is_median) == (
+                band.y, band.height, band.is_median)
+            assert (panel.kind, panel.x, panel.width) == (
+                column.spec.kind, column.x, column.width)
+            x, y = column.x_scale, column.y_base
+            assert (panel.x_domain, panel.x_ticks) == (
+                (None, None) if x is None else (x.domain, x.ticks))
+            assert (panel.y_domain, panel.y_ticks) == (
+                (None, None) if y is None else (y.domain, y.ticks))

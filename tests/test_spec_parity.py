@@ -1,9 +1,9 @@
 """The config and the Python API reject the same specs at the same path.
 
 Each case is one invalid value, written once as JSON for ``parse_config``
-and once as the equivalent ChartSpec for ``validate_spec`` and ``compose``.
-Both sides must raise the same exception class naming the same path, and
-``compose`` must not render. An option that its column kind ignores is
+and once as the equivalent ChartSpec for ``validate_spec``, ``plan_chart``
+and ``compose``. Both sides must raise the same exception class naming the
+same path, and ``compose`` must not render. An option that its column kind ignores is
 also run through ``micromaps validate`` and ``micromaps render``.
 """
 
@@ -16,7 +16,8 @@ import pytest
 
 from micromaps.cli import EXIT_VALIDATION, run
 from micromaps.colors import DEFAULT_PALETTE, SLOT_COLORS
-from micromaps.compose import ChartSpec, ColumnSpec, compose, validate_spec
+from micromaps.compose import (ChartSpec, ColumnSpec, compose, plan_chart,
+                               validate_spec)
 from micromaps.config import parse_config
 from micromaps.errors import MicromapError, SpecError, UnknownKey
 from micromaps.layout import SortSpec
@@ -194,11 +195,12 @@ def test_config_and_api_reject_alike(table51, square_atlas, where, key, value,
     raised = []
     for attempt in (lambda: parse_config(json_form(where, key, value)),
                     lambda: validate_spec(spec),
+                    lambda: plan_chart(spec, table51),
                     lambda: compose(spec, table51, square_atlas)):
         with pytest.raises(MicromapError) as info:
             attempt()
         raised.append((type(info.value), info.value.path))
-    assert raised == [(error, path)] * 3
+    assert raised == [(error, path)] * 4
 
 
 # A known option on a column kind that ignores it: (index, column, key,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micromaps.compose import ChartSpec, ColumnSpec, compose
+from micromaps.compose import ChartSpec, ColumnSpec, compose, plan_chart
 from micromaps.errors import (
     CellParse,
     DuplicateRegion,
@@ -31,7 +31,6 @@ from micromaps.table import (
     parse_table,
     resolve_ref,
     scalar_values,
-    validate_regions,
     with_scalar_column,
     with_series_column,
 )
@@ -286,30 +285,39 @@ def test_column_kind_faults():
         table.series("UT", "a")
 
 
-def test_validate_regions_complete_table_is_clean(table51):
-    report = validate_regions(table51)
-    assert report.clean()
-    assert report.missing_regions == ()
-    assert report.missing_cells == ()
+def _dot_plan(table, column="v", sort="v"):
+    return plan_chart(ChartSpec("t", SortSpec(sort), (
+        ColumnSpec("map"), ColumnSpec("legend"),
+        ColumnSpec("dot", bindings={"value": column}))), table)
 
 
-def test_validate_regions_missing_dc(table51):
+def test_plan_of_complete_table_has_no_findings(table51):
+    plan = _dot_plan(table51)
+    assert plan.absent == ()
+    assert plan.warnings == ()
+    assert [column.no_value for column in plan.columns] == [()] * 3
+
+
+def test_plan_lists_a_region_with_no_row_as_absent(table51):
     rows = {c: r for c, r in table51.rows.items() if c != "DC"}
-    table = RegionTable(table51.columns, rows)
-    assert validate_regions(table).missing_regions == ("DC",)
+    plan = _dot_plan(RegionTable(table51.columns, rows))
+    assert plan.absent == ("DC",)
+    assert "DC" not in {row.region for band in plan.bands for row in band.rows}
 
 
-def test_validate_regions_missing_cells():
-    table = make_table({"UT": 1.0, "ID": None})
-    report = validate_regions(table)
-    assert ("ID", "v") in report.missing_cells
-    assert ("UT", "v") not in report.missing_cells
+def test_plan_lists_a_missing_cell_of_a_shown_column():
+    plan = _dot_plan(make_table({"UT": 1.0, "ID": None}))
+    assert plan.columns[2].no_value == ("ID",)
+    assert plan.columns[0].no_value == plan.columns[1].no_value == ()
 
 
-def test_validate_regions_series_cell_missing_only_when_every_period_is():
-    table = bind_series(parse_table("state,a,b\nUT,1,\nID,,\n", "state"),
-                        ["a", "b"], "s")
-    assert validate_regions(table).missing_cells == (("ID", "s"),)
+def test_plan_lists_a_series_only_when_every_period_is_missing():
+    table = bind_series(parse_table("state,a,b\nUT,1,\nID,,\nWY,,3\n",
+                                    "state"), ["a", "b"], "s")
+    plan = plan_chart(ChartSpec("t", SortSpec("s:a"), (
+        ColumnSpec("map"), ColumnSpec("legend"),
+        ColumnSpec("timeseries", bindings={"series": "s"}))), table)
+    assert plan.columns[2].no_value == ("ID",)
 
 
 def test_column_extent_basic():

@@ -16,7 +16,7 @@ import pytest
 from micromaps.altcharts import ClassBreaks
 from micromaps.atlas import Atlas
 from micromaps.colors import Palette
-from micromaps.compose import ChartSpec, ColumnSpec
+from micromaps.compose import Band, ChartPlan, ChartSpec, ColumnPlan, ColumnSpec
 from micromaps.config import RenderConfig, SeriesBinding
 from micromaps.errors import BadBreaks, CellParse
 from micromaps.glyphs import BoxStats, PanelFrame, RowBand
@@ -36,12 +36,15 @@ from micromaps.scene import (
     Text,
 )
 from micromaps.svg import SvgOptions
-from micromaps.table import Column, ColumnRef, RegionTable, ValidationReport
+from micromaps.table import Column, ColumnRef, RegionTable
 
 SPEC = ChartSpec("t", SortSpec("v"),
                  (ColumnSpec("map"), ColumnSpec("legend"),
                   ColumnSpec("dot", ("V",), {"value": "v"})))
 TABLE = RegionTable((Column("v"),), {"AL": {"v": 1.0}, "AK": {"v": None}})
+LAYOUT = LinkedLayout(("AL",), ("AK",), GroupPlan((1,), None), {"AL": 0},
+                      {"AL": 0})
+BAND = Band(0, False, 0.0, 10.0, (RowBand("AL", 5.0, "#D55E00"),))
 
 # (instance, hashable): types holding a dict cannot be hashed, as before.
 VALUES = [
@@ -62,18 +65,20 @@ VALUES = [
     (BoxStats(1.0, 2.0, 3.0, 0.0, 4.0, (9.0,)), True),
     (SortSpec("v"), True),
     (GroupPlan((2, 1, 2), 1), True),
-    (LinkedLayout(("AL",), ("AK",), GroupPlan((1,), None), {"AL": 0},
-                  {"AL": 0}), False),
+    (LAYOUT, False),
     (Palette(median="#111111"), True),
     (ColumnSpec("dot", ("V",), {"value": "v"}, {"weight": 2}), False),
     (SPEC, False),
+    (BAND, True),
+    (ColumnPlan(SPEC.columns[0], 0, 0.0, 10.0), False),
+    (ChartPlan(SPEC, (), LAYOUT, (BAND,), 10.0, 0.0, 10.0, ("DC",), ()),
+     False),
     (SvgOptions(decimal_places=1), True),
     (Atlas({"AL": (((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),)},
            (0.0, 0.0, 1.0, 1.0)), False),
     (BY_CODE["AL"], True),
     (Column("s", "series", ("a", "b")), True),
     (ColumnRef(Column("s", "series", ("a", "b")), 1), True),
-    (ValidationReport(("DC",), (("AK", "v"),)), True),
     (SeriesBinding("s", ("a", "b")), True),
     (RenderConfig(SPEC, "d.csv", "state", (), None, 2), False),
     (TABLE, False),
