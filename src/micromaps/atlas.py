@@ -1,4 +1,5 @@
-"""Planar geometry for the 51 regions and the small-map column renderer.
+"""Planar geometry for the 51 regions, and a small-map panel painter that
+knows no groups or map modes: it fills each region as it is told.
 
 The atlas interchange format is a GeoJSON-compatible FeatureCollection:
 each feature carries properties ``code`` (USPS), ``name`` and ``fips`` with
@@ -14,24 +15,18 @@ Washington, DC, which is invisible at true scale.
 """
 
 import json
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
 from . import colors
 from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
 from .glyphs import PanelFrame, shared_style
-from .layout import LinkedLayout
 from .regions import ALL_CODES, region_lookup
 from .scene import Layers, PlacedRing, Polygon, Style
 from .values import value_type
 
 Ring = tuple[tuple[float, float], ...]
-
-GROUP_ONLY = "group_only"
-CUMULATIVE = "cumulative"
-
-# Sentinel group index for the trailing no-data panel.
-NO_DATA_PANEL = -1
 
 BORDER_STYLE = Style(fill="none", stroke="#808080", stroke_width=0.4)
 
@@ -47,8 +42,8 @@ def _parse_ring(raw: object, code: str) -> Ring:
         raise AtlasParse(f"{code}: ring must be a list of >= 3 points")
     points: list[tuple[float, float]] = []
     for pt in raw:
-        if (not isinstance(pt, list) or len(pt) != 2
-                or not all(isinstance(v, (int, float)) for v in pt)):
+        if not isinstance(pt, list) or len(pt) != 2 or not all(  # finite, no bool
+                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pt):
             raise AtlasParse(f"{code}: bad point {pt!r}")
         points.append((float(pt[0]), float(pt[1])))
     if points[0] != points[-1]:
@@ -123,8 +118,10 @@ def load_atlas(document: str) -> Atlas:
         try:
             dx, dy = (float(v) for v in inset["translate"])
             s = float(inset["scale"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise AtlasParse(f"{code}: inset needs translate [dx, dy] and scale") from None
+        if not all(abs(v) <= sys.float_info.max for v in (dx, dy, s)):
+            raise AtlasParse(f"{code}: inset translate and scale must be finite")
         regions[code] = [
             tuple((dx + s * x, dy + s * y) for x, y in ring)
             for ring in regions[code]
@@ -133,6 +130,10 @@ def load_atlas(document: str) -> Atlas:
     xs = [x for rings in regions.values() for ring in rings for x, _ in ring]
     ys = [y for rings in regions.values() for ring in rings for _, y in ring]
     bounds = (min(xs), min(ys), max(xs), max(ys))
+    spans = (bounds[2] - bounds[0], bounds[3] - bounds[1])
+    if not all(0 < span <= sys.float_info.max for span in spans):
+        raise AtlasParse("atlas width and height must be finite and positive, "
+                         "got {:g} and {:g}".format(*spans))
     return Atlas({code: tuple(rings) for code, rings in regions.items()}, bounds)
 
 
@@ -168,32 +169,17 @@ _FITS: dict[tuple, tuple] = {}
 _FITS_CAPACITY = 4096
 
 
-def render_minimap(atlas: Atlas, layout: LinkedLayout, group_index: int,
-                   mode: str, frame: PanelFrame) -> Layers:
-    """Draw one small-map panel.
-
-    group_only mode fills each row's region of the frame in the row's
-    color, the one its legend swatch and glyphs use, over a neutral
-    context. cumulative mode additionally tints the regions of groups
-    already shown between this panel and its side's extreme (above the
-    median: all smaller group indices; below: all larger), so shading
-    accumulates toward the median; the median panel tints nothing. The
-    region fills go to the ``fills`` layer and their borders to ``strokes``,
-    which paints after every fill, keeping shared borders crisp.
+def render_minimap(atlas: Atlas, frame: PanelFrame,
+                   tinted: tuple[str, ...]) -> Layers:
+    """Draw one small-map panel: every region in the neutral context fill,
+    then each region of ``tinted`` in the cumulative tint, then each row's
+    region of the frame in the row's color, the one its legend swatch and
+    glyphs use. The region fills go to the ``fills`` layer and their
+    borders to ``strokes``, which paints after every fill, keeping shared
+    borders crisp.
     """
-    if group_index != NO_DATA_PANEL and not (
-            0 <= group_index < len(layout.plan.sizes)):
-        raise ValueError(f"bad group index {group_index}")
     fills = dict.fromkeys(atlas.regions, colors.CONTEXT_FILL)
-    if mode == CUMULATIVE:
-        sizes, median = layout.plan
-        # With no median group the halves split between the two middle
-        # indices; the fractional boundary keeps the comparisons strict.
-        boundary = (len(sizes) - 1) / 2.0 if median is None else median
-        for group in range(len(sizes)):
-            if group < group_index < boundary or boundary < group_index < group:
-                fills.update(dict.fromkeys(layout.group_members(group),
-                                           colors.CUMULATIVE_TINT))
+    fills.update(dict.fromkeys(tinted, colors.CUMULATIVE_TINT))
     for row in frame.rows:
         fills[row.region] = row.color
     return _draw_map(atlas, fills, BORDER_STYLE, _fit_transform(atlas, frame))

@@ -9,8 +9,9 @@ identical top to bottom.
 
 ``plan_chart`` runs every rule and makes every decision: each column's
 scales (one ``_KINDS`` row per column kind, read with no branch on the
-kind), the ranking, the groups and the bands. It records the findings
-too: ``absent`` rows, each column's ``no_value``, and the warnings.
+kind), the ranking, the groups and the bands, each with the regions its
+small map tints, so only the plan reads the map mode. It records the
+findings too: ``absent`` rows, each column's ``no_value``, and warnings.
 ``compose`` warns of them at its caller and draws the plan: each panel by
 its kind's ``draw`` into a ``scene.Layers``; the page's title, headers,
 separators and axes go into one more, and every panel is added to it.
@@ -25,13 +26,7 @@ from operator import add
 from typing import Any, Callable, NamedTuple
 
 from . import colors
-from .atlas import (
-    CUMULATIVE,
-    GROUP_ONLY,
-    NO_DATA_PANEL,
-    Atlas,
-    render_minimap,
-)
+from .atlas import Atlas, render_minimap
 from .colors import DEFAULT_PALETTE, Palette
 from .errors import (
     BadExtent,
@@ -77,11 +72,15 @@ TIMESERIES = "timeseries"
 BOXPLOT = "boxplot"
 SCATTER = "scatter"
 
+GROUP_ONLY = "group_only"
+CUMULATIVE = "cumulative"
+NO_DATA_PANEL = -1  # the group index of the trailing no-data band
+
 
 class _Kind(NamedTuple):
     bindings: tuple[str, ...]
     options: tuple[str, ...]  # a known option it does not read is an error
-    # (plan, frame, y scale, group index, layout, atlas, map mode) -> panel
+    # (plan, frame, y scale, band, layout, atlas) -> panel
     draw: Callable[..., Layers]
     width_f: float | None = None  # of the canvas width; None: by weight
     series: bool = False  # each binding names a whole series
@@ -94,8 +93,8 @@ class _Kind(NamedTuple):
 # period index. Each ``draw`` looks its renderer up per call, not at
 # import, so bench/tracing.py can wrap the module global.
 _KINDS: dict[str, _Kind] = {
-    MAP: _Kind((), (), lambda p, f, y, group, layout, atlas, mode:
-               render_minimap(atlas, layout, group, mode, f), 0.150),
+    MAP: _Kind((), (), lambda p, f, y, band, layout, atlas:
+               render_minimap(atlas, f, band.tinted), 0.150),
     LEGEND: _Kind((), ("name_style",), lambda p, f, *_: render_legend_column(
         p.spec.options.get("name_style", "full"), f), 0.160),
     DOT: _Kind(("value",), ("weight", "reference_line", "target_ticks"),
@@ -110,7 +109,7 @@ _KINDS: dict[str, _Kind] = {
     BOXPLOT: _Kind(("samples",), ("weight", "target_ticks"), lambda p, f, *_:
                    render_boxplot(p.data, p.x_scale, f), series=True),
     SCATTER: _Kind(("x", "y"), ("weight", "target_ticks"),
-                   lambda p, f, y, group, layout, *_: render_scatter(
+                   lambda p, f, y, band, layout, *_: render_scatter(
                        p.data, p.x_scale, y, f, context=layout.ranked), y="y"),
 }
 # A tuple, so a kind given as a list fails the membership test, not hashing.
@@ -292,13 +291,19 @@ class Band(NamedTuple):
     y: float
     height: float
     rows: tuple[RowBand, ...]
+    tinted: tuple[str, ...]  # regions its map tints in CUMULATIVE_TINT
 
 
-def _build_bands(layout: LinkedLayout, palette: Palette, top: float,
-                 bottom: float, gutter: float) -> tuple[tuple[Band, ...], float]:
+def _build_bands(layout: LinkedLayout, palette: Palette, mode: str,
+                 top: float, bottom: float,
+                 gutter: float) -> tuple[tuple[Band, ...], float]:
     plan = layout.plan
     groups: list[tuple[int, tuple[str, ...]]] = [
         (gi, layout.group_members(gi)) for gi in range(len(plan.sizes))]
+    # A cumulative map tints the ranked groups between its band and its
+    # side's end, so shading grows toward the middle: the median group, which
+    # tints nothing, or with an even count the boundary between two groups.
+    mid = (len(groups) - 1) / 2.0
     if layout.unranked:
         groups.append((NO_DATA_PANEL, layout.unranked))
     # Each band's height in rows, and the gap above it: none above the first.
@@ -319,9 +324,11 @@ def _build_bands(layout: LinkedLayout, palette: Palette, top: float,
         is_median = gi == plan.median_group_index
         centers = ([y + height / 2.0] if is_median else
                    [y + (i + 0.5) * row_h for i in range(len(members))])
+        tinted = tuple(code for g, group in groups if mode == CUMULATIVE
+                       and (0 <= g < gi < mid or mid < gi < g) for code in group)
         bands.append(Band(gi, is_median, y, height, tuple(
             RowBand(code, cy, color.get(code, palette.no_data))
-            for code, cy in zip(members, centers))))
+            for code, cy in zip(members, centers)), tinted))
         y += height
     return tuple(bands), row_h
 
@@ -543,8 +550,8 @@ def plan_chart(spec: ChartSpec, table: RegionTable) -> ChartPlan:
     title_h = h * TITLE_F if spec.title else 0.0
     top = h * MARGIN_TOP_F + title_h + h * HEADER_F + h * AXIS_TOP_F
     bottom = h - h * MARGIN_BOT_F - h * AXIS_BOT_F
-    bands, row_h = _build_bands(layout, spec.palette, top, bottom,
-                                h * GUTTER_F)
+    bands, row_h = _build_bands(layout, spec.palette, spec.map_mode, top,
+                                bottom, h * GUTTER_F)
     return ChartPlan(spec, columns, layout, bands, row_h, top, bottom,
                      tuple(sorted(set(ALL_CODES) - set(table.rows))),
                      (f"sort column {sort!r} is not shown by any glyph "
@@ -603,9 +610,8 @@ def _draw(plan: ChartPlan, atlas: Atlas) -> Scene:
                                                  band.y + vpad))
             frame = PanelFrame(col.x, band.y, col.width, band.height,
                                band.rows, plan.row_height)
-            panel = _KINDS[col.spec.kind].draw(col, frame, y_scale,
-                                               band.group_index, plan.layout,
-                                               atlas, spec.map_mode)
+            panel = _KINDS[col.spec.kind].draw(col, frame, y_scale, band,
+                                               plan.layout, atlas)
             placed.append((col, band, bool(panel.fills), page.add(panel)))
         page.add(_axis_shapes(col, plan.top - 4.0, plan.bottom + 4.0))
 

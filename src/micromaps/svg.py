@@ -49,7 +49,6 @@ _NO_FILL = ' fill="none"'  # a polyline's default
 class SvgOptions(NamedTuple):
     decimal_places: int = 2
     embed_title: bool = False
-    background: str | None = None
     title: str = ""
 
 
@@ -189,9 +188,6 @@ def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
     lines = [f'<svg height="{height}" width="{width}" xmlns="{SVG_NS}">']
     if options.embed_title and options.title:
         lines.append(f"<title>{_escape(options.title)}</title>")
-    if options.background is not None:
-        lines.append(writer.rect(Rect(0.0, 0.0, scene.width, scene.height,
-                                      Style(fill=options.background))))
     lines.extend(map(writer.element, scene.shapes))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -4,35 +4,38 @@ import json
 
 import pytest
 
-from micromaps.atlas import (
+from micromaps.atlas import load_atlas, render_minimap
+from micromaps.colors import CONTEXT_FILL, CUMULATIVE_TINT, DEFAULT_PALETTE
+from micromaps.compose import (
     CUMULATIVE,
     GROUP_ONLY,
     NO_DATA_PANEL,
-    load_atlas,
-    render_minimap,
+    ChartSpec,
+    ColumnSpec,
+    plan_chart,
 )
-from micromaps.colors import CONTEXT_FILL, CUMULATIVE_TINT, DEFAULT_PALETTE
 from micromaps.errors import AtlasParse, IncompleteAtlas, UnknownRegion
 from micromaps.glyphs import PanelFrame, RowBand
-from micromaps.layout import GroupPlan, SortSpec, build_layout
+from micromaps.layout import GroupPlan, SortSpec
 from micromaps.regions import ALL_CODES, region_lookup
 
-from conftest import full_table, square_atlas_document
+from conftest import full_table, make_table, square_atlas_document
 
 
 def frame(x=0.0, y=0.0, w=150.0, h=100.0, rows=()) -> PanelFrame:
     return PanelFrame(x, y, w, h, rows, 20.0)
 
 
-def panel_frame(layout, group_index: int) -> PanelFrame:
-    """A frame whose rows are the panel's regions in their palette colors."""
-    if group_index == NO_DATA_PANEL:
-        colored = [(code, DEFAULT_PALETTE.no_data) for code in layout.unranked]
-    else:
-        colored = [(code, DEFAULT_PALETTE.for_slot(layout.slot_of[code]))
-                   for code in layout.group_members(group_index)]
-    return frame(rows=tuple(RowBand(code, 10.0 + 20.0 * i, color)
-                            for i, (code, color) in enumerate(colored)))
+def plan(table, mode: str, group_size: int = 5):
+    """The plan of a map-and-legend chart sorted by ``v``."""
+    spec = ChartSpec("t", SortSpec("v"),
+                     (ColumnSpec("map"), ColumnSpec("legend")),
+                     group_size=group_size, map_mode=mode)
+    return plan_chart(spec, table)
+
+
+def tints(chart_plan) -> dict[int, tuple[str, ...]]:
+    return {band.group_index: band.tinted for band in chart_plan.bands}
 
 
 def drop_feature(doc: str, code: str) -> str:
@@ -159,6 +162,12 @@ def _repeat_feature(data):
     data["features"].append(data["features"][0])
 
 
+def _one_x(data):
+    for i, feature in enumerate(data["features"]):
+        feature["geometry"] = {"type": "Polygon", "coordinates": [
+            [[5, i], [5, i + 1], [5, i + 2], [5, i]]]}
+
+
 MALFORMED = [
     (_drop_key("features"), "missing features array"),
     (_drop_code, "feature without a region code"),
@@ -171,12 +180,21 @@ MALFORMED = [
     (_set_geometry({"type": "MultiPolygon", "coordinates": [[]]}),
      "AK: empty polygon"),
     (_set_ring([[0, 0], [1, 0], ["a", 1], [0, 0]]), "AK: bad point ['a', 1]"),
+    (_set_ring([[0, 0], [1, 0], [float("nan"), 1], [0, 0]]),
+     "AK: bad point [nan, 1]"),
+    (_set_ring([[0, 0], [1, 0], [True, 1], [0, 0]]), "AK: bad point [True, 1]"),
+    (_set_ring([[-1e308, 0], [1e308, 0], [0, 1], [-1e308, 0]]),
+     "atlas width and height must be finite and positive, got inf and 68"),
+    (_one_x, "atlas width and height must be finite and positive, "
+             "got 0 and 52"),
     (_set_ring([[0, 0], [1, 0], [0, 0]]),
      "AK: ring has fewer than 3 distinct points"),
     (_set_insets({}), "insets must be an array"),
     (_set_insets([1]), "bad inset entry"),
     (_set_insets([{"code": "AK", "scale": 2.0}]),
      "AK: inset needs translate [dx, dy] and scale"),
+    (_set_insets([{"code": "AK", "translate": [0, 0], "scale": float("nan")}]),
+     "AK: inset translate and scale must be finite"),
 ]
 
 
@@ -221,7 +239,7 @@ def test_inset_for_unknown_region():
         load_atlas(json.dumps(data))
 
 
-# --- minimap rendering -------------------------------------------------------
+# --- minimap tint, decided by the plan ---------------------------------------
 
 def fills_by_color(shapes) -> dict[str, int]:
     counts: dict[str, int] = {}
@@ -231,9 +249,9 @@ def fills_by_color(shapes) -> dict[str, int]:
 
 
 def test_group_only_mode_counts(square_atlas, table51):
-    layout = build_layout(full_table(), SortSpec("v"))
-    shapes = render_minimap(square_atlas, layout, 0, GROUP_ONLY,
-                            panel_frame(layout, 0))
+    band = plan(table51, GROUP_ONLY).bands[0]
+    assert band.tinted == ()
+    shapes = render_minimap(square_atlas, frame(rows=band.rows), band.tinted)
     counts = fills_by_color(shapes)
     assert counts.get(CONTEXT_FILL) == 46
     slot_colored = sum(n for color, n in counts.items()
@@ -243,105 +261,131 @@ def test_group_only_mode_counts(square_atlas, table51):
 
 
 def test_group_only_fill_count_matches_group_size(square_atlas):
-    layout = build_layout(full_table(), SortSpec("v"))
-    for gi, size in enumerate(layout.plan.sizes):
-        counts = fills_by_color(render_minimap(square_atlas, layout, gi,
-                                               GROUP_ONLY,
-                                               panel_frame(layout, gi)))
+    chart_plan = plan(full_table(), GROUP_ONLY)
+    for band, size in zip(chart_plan.bands, chart_plan.layout.plan.sizes,
+                          strict=True):
+        assert band.tinted == ()
+        counts = fills_by_color(render_minimap(
+            square_atlas, frame(rows=band.rows), band.tinted))
         highlighted = 51 - counts.get(CONTEXT_FILL, 0)
         assert highlighted == size
 
 
-def test_cumulative_above_median(square_atlas):
-    layout = build_layout(full_table(), SortSpec("v"))
-    counts = fills_by_color(render_minimap(square_atlas, layout, 2, CUMULATIVE,
-                                           panel_frame(layout, 2)))
-    assert counts.get(CUMULATIVE_TINT) == 10  # groups 0 and 1
-    assert counts.get(CONTEXT_FILL) == 51 - 10 - 5
+def test_cumulative_above_median():
+    chart_plan = plan(full_table(), CUMULATIVE)
+    layout = chart_plan.layout
+    assert set(tints(chart_plan)[2]) == {  # groups 0 and 1
+        *layout.group_members(0), *layout.group_members(1)}
+    assert len(tints(chart_plan)[2]) == 10
 
 
-def test_cumulative_median_panel_tints_nothing(square_atlas):
-    layout = build_layout(full_table(), SortSpec("v"))
-    counts = fills_by_color(render_minimap(square_atlas, layout, 5, CUMULATIVE,
-                                           panel_frame(layout, 5)))
-    assert counts.get(CUMULATIVE_TINT) is None
-    assert counts.get(DEFAULT_PALETTE.median) == 1
-    assert counts.get(CONTEXT_FILL) == 50
+def test_cumulative_median_panel_tints_nothing():
+    chart_plan = plan(full_table(), CUMULATIVE)
+    (median,) = [band for band in chart_plan.bands if band.is_median]
+    assert median.group_index == 5
+    assert median.tinted == ()
 
 
-def test_cumulative_below_median_mirrors(square_atlas):
-    layout = build_layout(full_table(), SortSpec("v"))
+def test_cumulative_below_median_mirrors():
+    chart_plan = plan(full_table(), CUMULATIVE)
+    layout = chart_plan.layout
     # Bottom panel tints nothing; moving up toward the median accumulates.
     for gi, expected in ((10, 0), (9, 5), (8, 10), (7, 15), (6, 20)):
-        counts = fills_by_color(render_minimap(square_atlas, layout, gi,
-                                               CUMULATIVE, frame()))
-        assert counts.get(CUMULATIVE_TINT, 0) == expected, gi
+        tinted = tints(chart_plan)[gi]
+        assert len(tinted) == expected, gi
+        assert set(tinted) == {code for g in range(gi + 1, 11)
+                               for code in layout.group_members(g)}
 
 
-def test_cumulative_monotone_toward_median(square_atlas):
-    layout = build_layout(full_table(), SortSpec("v"))
-    above = [fills_by_color(render_minimap(square_atlas, layout, gi,
-                                           CUMULATIVE, frame())
-                            ).get(CUMULATIVE_TINT, 0)
-             for gi in range(0, 5)]
-    assert above == [sum(layout.plan.sizes[:gi]) for gi in range(0, 5)]
+def test_cumulative_monotone_toward_median():
+    chart_plan = plan(full_table(), CUMULATIVE)
+    above = [len(tints(chart_plan)[gi]) for gi in range(0, 5)]
+    assert above == [sum(chart_plan.layout.plan.sizes[:gi])
+                     for gi in range(0, 5)]
 
 
-def test_cumulative_even_count_splits_between_the_middle_groups(square_atlas):
+def test_cumulative_even_count_splits_between_the_middle_groups():
     """50 ranked regions: ten groups and no median group, so the five upper
-    panels tint the groups above them and the five lower the groups below."""
-    from conftest import make_table
+    panels tint the groups above them and the five lower the groups below;
+    the no-data panel tints nothing."""
     values = {code: (None if code == "WY" else float(i))
               for i, code in enumerate(ALL_CODES)}
-    layout = build_layout(make_table(values), SortSpec("v"))
+    chart_plan = plan(make_table(values), CUMULATIVE)
+    layout = chart_plan.layout
     assert layout.plan == GroupPlan((5,) * 10, None)
-    for gi in (*range(10), NO_DATA_PANEL):
-        shapes = render_minimap(square_atlas, layout, gi, CUMULATIVE,
-                                panel_frame(layout, gi))
-        fills = {s.tag.removeprefix("region:"): s.style.fill
-                 for s in shapes.fills}
+    assert list(tints(chart_plan)) == [*range(10), NO_DATA_PANEL]
+    for gi, tinted in tints(chart_plan).items():
         groups = () if gi == NO_DATA_PANEL else (
             range(gi) if gi <= 4 else range(gi + 1, 10))
-        tinted = {code for g in groups for code in layout.group_members(g)}
-        assert {c for c, f in fills.items() if f == CUMULATIVE_TINT} == tinted
-        rows = {row.region for row in panel_frame(layout, gi).rows}
-        assert {c for c, f in fills.items() if f == CONTEXT_FILL} == (
-            set(ALL_CODES) - tinted - rows)
+        assert tinted == tuple(code for g in groups
+                               for code in layout.group_members(g))
 
 
 def test_no_data_panel_highlights_unranked(square_atlas):
     values = {code: (None if code in ("DC", "WY") else float(i))
               for i, code in enumerate(ALL_CODES)}
-    from conftest import make_table
-    layout = build_layout(make_table(values), SortSpec("v"))
-    counts = fills_by_color(render_minimap(square_atlas, layout,
-                                           NO_DATA_PANEL, GROUP_ONLY,
-                                           panel_frame(layout, NO_DATA_PANEL)))
-    assert counts.get(DEFAULT_PALETTE.no_data) == 2
+    for mode in (GROUP_ONLY, CUMULATIVE):
+        band = plan(make_table(values), mode).bands[-1]
+        assert band.group_index == NO_DATA_PANEL
+        assert band.tinted == ()
+        counts = fills_by_color(render_minimap(
+            square_atlas, frame(rows=band.rows), band.tinted))
+        assert counts.get(DEFAULT_PALETTE.no_data) == 2
+
+
+def test_cumulative_tints_the_ranked_rows_beyond_each_band():
+    """A band above the middle group tints every ranked region above its
+    rows, one below it every ranked region below them; the middle band and
+    the no-data band tint nothing. Over group sizes and ranked counts."""
+    for ranked in (1, 2, 7, 12, 48, 51):
+        values = {code: (float(i) if i < ranked else None)
+                  for i, code in enumerate(ALL_CODES)}
+        for size in (1, 2, 3, 5):
+            chart_plan = plan(make_table(values), CUMULATIVE, size)
+            order = chart_plan.layout.ranked
+            middle = (len(chart_plan.layout.plan.sizes) - 1) / 2.0
+            for band in chart_plan.bands:
+                gi = band.group_index
+                if gi == NO_DATA_PANEL or gi == middle:
+                    expected = ()
+                elif gi < middle:
+                    expected = order[:order.index(band.rows[0].region)]
+                else:
+                    expected = order[order.index(band.rows[-1].region) + 1:]
+                assert band.tinted == expected, (ranked, size, gi)
+
+
+# --- minimap painting --------------------------------------------------------
+
+def test_minimap_paints_context_then_tint_then_rows(square_atlas):
+    """Exactly ``tinted`` less the rows takes the tint, each row's region
+    its row's color (over a tint too) and every other region the context."""
+    tinted = ALL_CODES[:10]
+    rows = (RowBand(ALL_CODES[3], 10.0, "#abcdef"),
+            RowBand(ALL_CODES[20], 30.0, "#123456"))
+    shapes = render_minimap(square_atlas, frame(rows=rows), tinted)
+    fills = {s.tag.removeprefix("region:"): s.style.fill for s in shapes.fills}
+    assert len(shapes.fills) == 51
+    assert {c for c, f in fills.items() if f == CUMULATIVE_TINT} == (
+        set(tinted) - {ALL_CODES[3]})
+    assert (fills[ALL_CODES[3]], fills[ALL_CODES[20]]) == ("#abcdef", "#123456")
+    assert {c for c, f in fills.items() if f == CONTEXT_FILL} == (
+        set(ALL_CODES) - set(tinted) - {ALL_CODES[20]})
 
 
 def test_row_color_fills_its_region(square_atlas):
     """The map paints a row's region in the row's color, palette or not."""
-    layout = build_layout(full_table(), SortSpec("v"))
-    code = layout.group_members(0)[0]
+    code = ALL_CODES[7]
     rows = (RowBand(code, 10.0, "#abcdef"),)
-    shapes = render_minimap(square_atlas, layout, 0, GROUP_ONLY,
-                            frame(rows=rows))
+    shapes = render_minimap(square_atlas, frame(rows=rows), ())
     assert {s.tag for s in shapes.fills if s.style.fill == "#abcdef"} == {
         f"region:{code}"}
 
 
 def test_render_is_pure(square_atlas):
-    layout = build_layout(full_table(), SortSpec("v"))
     before = {code: rings for code, rings in square_atlas.regions.items()}
-    a = render_minimap(square_atlas, layout, 0, GROUP_ONLY, frame())
-    b = render_minimap(square_atlas, layout, 0, GROUP_ONLY, frame())
+    a = render_minimap(square_atlas, frame(), ALL_CODES[:5])
+    b = render_minimap(square_atlas, frame(), ALL_CODES[:5])
     assert a.fills == b.fills
     assert a.strokes == b.strokes
     assert square_atlas.regions == before
-
-
-def test_bad_group_index(square_atlas):
-    layout = build_layout(full_table(), SortSpec("v"))
-    with pytest.raises(ValueError):
-        render_minimap(square_atlas, layout, 11, GROUP_ONLY, frame())

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from micromaps.checks import check_color_linkage
-from micromaps.colors import DEFAULT_PALETTE
+from micromaps.colors import CUMULATIVE_TINT, DEFAULT_PALETTE
 from micromaps.compose import (
     MAX_CANVAS,
     SCALE_PAD_F,
@@ -463,7 +463,9 @@ def test_demo_marks_stay_inside_their_panels(default_atlas, demos, width,
 
 
 def test_demo_plan_is_what_was_drawn(default_atlas, demos):
+    tinted = []  # per demo, the regions its maps tint
     for spec, table in demos:
+        tinted.append(set())
         plan = plan_chart(spec, table)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -483,3 +485,11 @@ def test_demo_plan_is_what_was_drawn(default_atlas, demos):
                 (None, None) if x is None else (x.domain, x.ticks))
             assert (panel.y_domain, panel.y_ticks) == (
                 (None, None) if y is None else (y.domain, y.ticks))
+            if panel.kind == "map":
+                tint = {scene.shapes[i].tag.removeprefix("region:")
+                        for i in panel.marks
+                        if scene.shapes[i].style.fill == CUMULATIVE_TINT}
+                assert tint == set(band.tinted)
+                tinted[-1].update(tint)
+    # acs-dot draws group_only maps; acs-timeseries draws cumulative ones.
+    assert not tinted[0] and tinted[1]

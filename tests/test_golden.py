@@ -15,6 +15,7 @@ from pathlib import Path
 from micromaps.atlas import load_atlas
 from micromaps.compose import ChartSpec, ColumnSpec, compose
 from micromaps.layout import SortSpec
+from micromaps.scene import Rect, Style
 from micromaps.svg import SvgOptions, emit_svg
 from micromaps.table import parse_table
 
@@ -50,9 +51,10 @@ def render_mini_chart() -> str:
         height=560.0,
     )
     scene = compose(spec, table, atlas)
-    return emit_svg(scene, SvgOptions(embed_title=True,
-                                      title="Mini golden chart",
-                                      background="#FFFFFF"))
+    # A white page under the chart, painted first.
+    page = Rect(0.0, 0.0, scene.width, scene.height, Style(fill="#FFFFFF"))
+    return emit_svg(scene._replace(shapes=(page, *scene.shapes)),
+                    SvgOptions(embed_title=True, title="Mini golden chart"))
 
 
 def test_mini_chart_matches_golden():

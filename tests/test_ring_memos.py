@@ -14,12 +14,11 @@ import warnings
 import pytest
 
 from micromaps import atlas as atlas_mod
-from micromaps.atlas import GROUP_ONLY, load_atlas, load_default_atlas, render_minimap
+from micromaps.atlas import load_atlas, load_default_atlas, render_minimap
 from micromaps.compose import compose
 from micromaps.demos import build_demo
 from micromaps.errors import BadGeometry
 from micromaps.glyphs import PanelFrame
-from micromaps.layout import SortSpec, build_layout
 from micromaps.regions import ALL_CODES
 from micromaps.scene import (
     PlacedRing,
@@ -32,7 +31,7 @@ from micromaps.scene import (
 )
 from micromaps.svg import SvgOptions, _Writer, emit_svg
 
-from conftest import full_table, square_atlas_document
+from conftest import square_atlas_document
 from test_demo_hashes import BUNDLED, HASHES, demo_hashes
 
 FRAME = PanelFrame(3.0, 5.0, 150.0, 100.0, (), 20.0)
@@ -91,27 +90,25 @@ def test_demos_match_pinned_hashes_cold_warm_and_after_clearing():
 
 
 def test_same_ring_and_fit_give_the_same_placed_tuple(square_atlas):
-    layout = build_layout(full_table(), SortSpec("v"))
-    a = render_minimap(square_atlas, layout, 0, GROUP_ONLY, FRAME)
-    b = render_minimap(square_atlas, layout, 3, GROUP_ONLY, FRAME)
+    a = render_minimap(square_atlas, FRAME, ())
+    b = render_minimap(square_atlas, FRAME, ALL_CODES[:5])
     assert all(p.points is q.points for p, q in zip(a.fills, b.fills))
     assert all(p is q for p, q in zip(a.strokes, b.strokes))
     for shape in a.fills:
         assert type(shape.points) is PlacedRing
         assert shape.points.bounds == bounds(shape.points)
     moved = FRAME._replace(x=FRAME.x + 1.0)
-    c = render_minimap(square_atlas, layout, 0, GROUP_ONLY, moved)
+    c = render_minimap(square_atlas, moved, ())
     assert all(p.points != q.points for p, q in zip(a.fills, c.fills))
 
 
 def test_equal_bounds_different_rings_render_different_points():
-    layout = build_layout(full_table(), SortSpec("v"))
     for shift in (0.0, 0.5, 0.0, 1.0, 0.5):
         # Each atlas is dropped after its loop, so the regions of a later
         # one may take the memory, and the id, of an earlier one.
         atlas = moved_square_atlas(shift)
         assert atlas.bounds == (0.0, 0.0, 78.0, 68.0)
-        shapes = render_minimap(atlas, layout, 0, GROUP_ONLY, FRAME)
+        shapes = render_minimap(atlas, FRAME, ())
         (ring,) = atlas.regions[MOVED]
         assert region_points(shapes, MOVED) == [placed(atlas, ring)]
         text = emit_svg(Scene(200.0, 200.0, tuple(shapes.fills)))
@@ -119,10 +116,10 @@ def test_equal_bounds_different_rings_render_different_points():
 
     # A ring replaced in place, in the same regions dict, is placed anew,
     # with its own bounds and text.
-    render_minimap(atlas, layout, 0, GROUP_ONLY, FRAME)
+    render_minimap(atlas, FRAME, ())
     ring = tuple((x + 0.25, y) for x, y in atlas.regions[MOVED][0])
     atlas.regions[MOVED] = (ring,)
-    shapes = render_minimap(atlas, layout, 0, GROUP_ONLY, FRAME)
+    shapes = render_minimap(atlas, FRAME, ())
     assert region_points(shapes, MOVED) == [placed(atlas, ring)]
     (points,) = region_points(shapes, MOVED)
     assert points.bounds == bounds(placed(atlas, ring))
@@ -156,12 +153,11 @@ def test_negative_zero_prints_as_zero_through_the_memo():
 
 def test_memos_stay_within_their_capacity(square_atlas):
     atlas_mod._FITS.clear()
-    layout = build_layout(full_table(), SortSpec("v"))
     per_fit = 1 + sum(map(len, square_atlas.regions.values()))
     fits = atlas_mod._FITS_CAPACITY // per_fit + 2
     for i in range(fits):
         frame = FRAME._replace(x=float(i))
-        shapes = render_minimap(square_atlas, layout, 0, GROUP_ONLY, frame)
+        shapes = render_minimap(square_atlas, frame, ())
         size = len(atlas_mod._FITS) + len(kept_rings())
         assert 0 < size <= atlas_mod._FITS_CAPACITY
     assert len(atlas_mod._FITS) < fits
@@ -171,9 +167,8 @@ def test_memos_stay_within_their_capacity(square_atlas):
 
 
 def test_recorded_ring_whose_fit_crosses_the_canvas_is_clamped(square_atlas):
-    layout = build_layout(full_table(), SortSpec("v"))
     frame = PanelFrame(-40.0, -30.0, 150.0, 100.0, (), 20.0)
-    shapes = render_minimap(square_atlas, layout, 0, GROUP_ONLY, frame)
+    shapes = render_minimap(square_atlas, frame, ())
     scene = Scene(60.0, 50.0, tuple(shapes.fills + shapes.strokes))
     assert all(type(s.points) is PlacedRing for s in scene.shapes)
     clamped = clamp_scene(scene)

@@ -36,12 +36,6 @@ def test_empty_scene_is_minimal_valid_svg():
     ET.fromstring(text)
 
 
-def test_background_rect_optional():
-    text = emit_svg(Scene(10.0, 10.0, ()), SvgOptions(background="#FFFFFF"))
-    assert '<rect fill="#FFFFFF" height="10.00" width="10.00" x="0.00" y="0.00"/>' in text
-    assert len(text.strip().split("\n")) == 3
-
-
 def test_round_half_to_even_formatting():
     scene = Scene(10.0, 10.0, (Circle(1.005, 2.0, 0.125),))
     text = emit_svg(scene)
@@ -96,9 +90,9 @@ def test_one_element_per_line_lf_only():
 def test_element_count_matches_shape_count():
     shapes = tuple(Circle(i, i, 1) for i in range(7))
     text = emit_svg(Scene(10.0, 10.0, shapes),
-                    SvgOptions(embed_title=True, title="t", background="#FFF"))
+                    SvgOptions(embed_title=True, title="t"))
     root = ET.fromstring(text)
-    assert len(list(root)) == 7 + 2  # title + background + shapes
+    assert len(list(root)) == 7 + 1  # title + shapes
 
 
 def test_text_escaping():

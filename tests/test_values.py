@@ -44,7 +44,7 @@ SPEC = ChartSpec("t", SortSpec("v"),
 TABLE = RegionTable((Column("v"),), {"AL": {"v": 1.0}, "AK": {"v": None}})
 LAYOUT = LinkedLayout(("AL",), ("AK",), GroupPlan((1,), None), {"AL": 0},
                       {"AL": 0})
-BAND = Band(0, False, 0.0, 10.0, (RowBand("AL", 5.0, "#D55E00"),))
+BAND = Band(0, False, 0.0, 10.0, (RowBand("AL", 5.0, "#D55E00"),), ())
 
 # (instance, hashable): types holding a dict cannot be hashed, as before.
 VALUES = [
