@@ -6,7 +6,7 @@ region) and each ``data.samples`` file (a long CSV, one sample per row).
 ``micromaps render`` and ``validate`` load through it, and so does
 ``demos.build_demo``. The join and samples files are read from the
 directory of the data file; a fault in one of them is a ``SnapshotError``
-that names the file.
+that names the file. ``table.with_column`` appends and checks their columns.
 
 The demos read frozen CSV snapshots committed under the package data
 directory (override with the MICROMAP_DATA_DIR environment variable or an
@@ -22,15 +22,16 @@ import os
 from pathlib import Path
 
 from .config import RenderConfig, SampleSource
-from .errors import MicromapError, SnapshotError, SpecError, UnknownRegion
+from .errors import MicromapError, NameClash, SnapshotError, SpecError, UnknownRegion
 from .regions import region_lookup
 from .table import (
+    SERIES,
+    Column,
     RegionTable,
     bind_series,
     parse_table,
     scalar_values,
-    with_scalar_column,
-    with_series_column,
+    with_column,
 )
 
 
@@ -59,23 +60,27 @@ def load_table(config: RenderConfig, text: str, directory: Path) -> RegionTable:
 
     A fault in ``text`` raises as ``parse_table`` and ``bind_series`` raise
     it. The join and samples files are read from ``directory``; a column
-    one of them would add that the table already has is a ``SpecError`` at
-    its ``data.join[i]`` or ``data.samples[i].name``.
+    one of them would add that the table already has (``with_column``'s
+    ``NameClash``) is a ``SpecError`` at its ``data.join[i]`` or
+    ``data.samples[i].name``, raised after any fault in the file itself.
     """
     table = parse_table(text, config.region_column)
     for binding in config.series:
         table = bind_series(table, list(binding.columns), binding.name)
-    for i, name in enumerate(config.join):
-        table = _join(table, name, directory, config.region_column,
-                      f"data.join[{i}]")
-    for i, source in enumerate(config.samples):
-        table = _samples(table, source, directory, config.region_column,
-                         f"data.samples[{i}].name")
+    try:
+        for i, name in enumerate(config.join):
+            path = f"data.join[{i}]"
+            table = _join(table, name, directory, config.region_column)
+        for i, source in enumerate(config.samples):
+            path = f"data.samples[{i}].name"
+            table = _samples(table, source, directory, config.region_column)
+    except NameClash as exc:
+        raise SpecError(path, str(exc)) from None
     return table
 
 
-def _join(table: RegionTable, name: str, directory: Path, region_column: str,
-          path: str) -> RegionTable:
+def _join(table: RegionTable, name: str, directory: Path,
+          region_column: str) -> RegionTable:
     """Attach every value column of another region CSV."""
     text = snapshot_text(name, directory)
     try:
@@ -83,23 +88,18 @@ def _join(table: RegionTable, name: str, directory: Path, region_column: str,
     except MicromapError as exc:
         raise SnapshotError(name, str(exc)) from None
     for column in other.columns:
-        if table.has_column(column.name):
-            raise SpecError(path, f"column {column.name!r} already exists")
-        table = with_scalar_column(table, column.name,
-                                   scalar_values(other, column.name))
+        table = with_column(table, column, scalar_values(other, column.name))
     return table
 
 
 def _samples(table: RegionTable, source: SampleSource, directory: Path,
-             region_column: str, path: str) -> RegionTable:
+             region_column: str) -> RegionTable:
     """Attach a long CSV, one sample per row, as a series column.
 
     Each region's samples fill the periods ``c001``, ``c002``, ... in file
     order; the series is as long as the largest sample, and the rest of
     every shorter one is missing.
     """
-    if table.has_column(source.name):
-        raise SpecError(path, f"column {source.name!r} already exists")
     name = source.path
     text = snapshot_text(name, directory).lstrip("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -143,6 +143,6 @@ def _samples(table: RegionTable, source: SampleSource, directory: Path,
                                   + ", ".join(sorted(unknown)))
     width = max(map(len, samples.values()))
     periods = tuple(f"c{i:03d}" for i in range(1, width + 1))
-    padded = {code: values + [None] * (width - len(values))
+    padded = {code: tuple(values) + (None,) * (width - len(values))
               for code, values in samples.items()}
-    return with_series_column(table, source.name, periods, padded)
+    return with_column(table, Column(source.name, SERIES, periods), padded)

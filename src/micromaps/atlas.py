@@ -23,7 +23,7 @@ from . import colors
 from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
 from .glyphs import PanelFrame, shared_style
 from .regions import ALL_CODES, region_lookup
-from .scene import Layers, PlacedRing, Polygon, Style
+from .scene import MAX_CANVAS, Layers, PlacedRing, Polygon, Style
 from .values import value_type
 
 Ring = tuple[tuple[float, float], ...]
@@ -116,10 +116,13 @@ def load_atlas(document: str) -> Atlas:
         if code not in regions:
             raise UnknownRegion(f"inset for unknown region {code!r}")
         try:
-            dx, dy = (float(v) for v in inset["translate"])
-            s = float(inset["scale"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            dx, dy = inset["translate"]
+            s = inset["scale"]
+        except (KeyError, TypeError, ValueError):
             raise AtlasParse(f"{code}: inset needs translate [dx, dy] and scale") from None
+        if not all(type(v) in (int, float) for v in (dx, dy, s)):  # no bool
+            raise AtlasParse(f"{code}: inset translate and scale must be "
+                             f"numbers, got {[dx, dy]!r} and {s!r}")
         if not all(abs(v) <= sys.float_info.max for v in (dx, dy, s)):
             raise AtlasParse(f"{code}: inset translate and scale must be finite")
         regions[code] = [
@@ -134,6 +137,9 @@ def load_atlas(document: str) -> Atlas:
     if not all(0 < span <= sys.float_info.max for span in spans):
         raise AtlasParse("atlas width and height must be finite and positive, "
                          "got {:g} and {:g}".format(*spans))
+    if not all(MAX_CANVAS / span <= sys.float_info.max for span in spans):
+        raise AtlasParse("atlas width and height are too small for a {:g} "
+                         "canvas, got {:g} and {:g}".format(MAX_CANVAS, *spans))
     return Atlas({code: tuple(rings) for code, rings in regions.items()}, bounds)
 
 

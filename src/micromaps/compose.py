@@ -53,7 +53,8 @@ from .glyphs import (
 from .layout import ASCENDING, DESCENDING, LinkedLayout, SortSpec, build_layout
 from .regions import ALL_CODES, BY_CODE
 from .scale import Scale, format_tick, linear_scale, thin_labels
-from .scene import Layers, Line, PanelInfo, Rect, Scene, Style, Text, clamp_scene
+from .scene import (MAX_CANVAS, Layers, Line, PanelInfo, Rect, Scene, Style,
+                    Text, clamp_scene)
 from .table import (
     RegionTable,
     SERIES,
@@ -129,8 +130,6 @@ AXIS_BOT_F = 0.022
 GUTTER_F = 0.006
 SCALE_PAD_F = 0.07
 MEDIAN_BAND_ROWS = 1.6
-# 100 times the default canvas; coordinates keep at most six integer digits.
-MAX_CANVAS = 100000.0
 NO_DATA_GAP_GUTTERS = 2.5
 HEADER_STYLE = Style(fill=colors.TEXT_COLOR, font_size=10.5, anchor="middle")
 AXIS_LABEL_STYLE = Style(fill=colors.TEXT_COLOR, font_size=8.5, anchor="middle")
@@ -418,8 +417,7 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
     This is where each binding meets the table: an unknown ref, a series
     or value mismatch, no values, or a span no float holds raise SpecError
     at ``columns[i].bindings.<key>`` (or at the reference line's path).
-    Each binding's extent comes from the values it reads once, and min and
-    max keep the first of equal values, as column_extent does.
+    Each binding's extent is column_extent's.
     """
     kind = _KINDS[column.kind]
     if not kind.bindings:
@@ -436,16 +434,12 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
                 raise SpecError(f"{at}.{key}", (
                     f"{ref!r} must name a series column" if kind.series else
                     f"{ref!r} names a whole series; use <series>:<period>"))
+            extents[key] = column_extent(table, ref)
             if kind.series:
-                extents[key] = column_extent(table, ref)
                 name = resolved.column.name
                 cells = {code: row[name] for code, row in table.rows.items()}
             else:
                 cells = scalar_values(table, ref)
-                present = [v for v in cells.values() if v is not None]
-                if not present:
-                    raise EmptyColumn(f"column {ref!r} has no values")
-                extents[key] = (min(present), max(present))
         except (MissingColumn, EmptyColumn) as exc:
             raise SpecError(f"{at}.{key}", str(exc)) from None
         values.append(cells)

@@ -10,7 +10,7 @@ shape, legend swatch, and glyph marks across the chart.
 
 from typing import NamedTuple
 
-from .errors import EmptySort, SpecError
+from .errors import EmptySort, MicromapError, SpecError
 from .table import RegionTable, scalar_values
 from .values import value_type
 
@@ -105,7 +105,7 @@ def assign_colors(plan: GroupPlan, ranked: list[str] | tuple[str, ...],
     the median region takes the dedicated median slot.
     """
     if sum(plan.sizes) != len(ranked):
-        raise ValueError("plan does not cover the ranked regions")
+        raise MicromapError("plan does not cover the ranked regions")
     group_of: dict[str, int] = {}
     slot_of: dict[str, int] = {}
     pos = 0

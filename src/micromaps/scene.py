@@ -13,6 +13,9 @@ from typing import Iterable, NamedTuple, Union
 
 from .values import value_type
 
+# 100 times the default canvas; coordinates keep at most six integer digits.
+MAX_CANVAS = 100000.0
+
 
 @value_type
 class Style(NamedTuple):

@@ -5,6 +5,8 @@ either scalar (one number per region) or series (one number per period
 label per region). Cells may be explicitly missing (None); renderers decide
 how missing data is presented. A table checks when made that each key is
 one of the 51 regions, each row holds its columns and each cell is finite.
+A cell is read as ``table.rows[code][name]``. ``with_column`` is the one way
+to append a column, and ``column_extent`` the one rule for a column's span.
 
 All values are immutable after construction and every operation returns a
 new table, so tables can be shared freely across render jobs.
@@ -54,13 +56,14 @@ class RegionTable(_TableFields):
     def __new__(cls, columns: tuple[Column, ...],
                 rows: dict[str, dict[str, object]]) -> "RegionTable":
         self = super().__new__(cls, columns, rows)
-        by_name = {column.name: column for column in columns}
-        if len(by_name) != len(columns):
-            raise NameClash("duplicate column names")
+        by_name: dict[str, Column] = {}
         for column in columns:
+            if column.name in by_name:
+                raise NameClash(f"column {column.name!r} already exists")
             if column.kind not in (SCALAR, SERIES):
                 raise MissingColumn(f"column {column.name!r} has kind "
                                     f"{column.kind!r}, not scalar or series")
+            by_name[column.name] = column
         for code, row in rows.items():
             if code not in ALL_CODES:
                 raise UnknownRegion(f"row for unknown region {code!r}")
@@ -76,15 +79,9 @@ class RegionTable(_TableFields):
 
     @classmethod
     def _checked(cls, columns: tuple[Column, ...],
-                 rows: dict[str, dict[str, object]],
-                 new: str | None = None) -> "RegionTable":
-        """A table of cells checked already, but for column ``new``'s."""
-        self = tuple.__new__(cls, (columns, rows))
-        if new is not None:
-            column = self.column(new)
-            for code, row in rows.items():
-                self._check_cell(code, column, row[new])
-        return self
+                 rows: dict[str, dict[str, object]]) -> "RegionTable":
+        """A table whose cells are checked already."""
+        return tuple.__new__(cls, (columns, rows))
 
     @staticmethod
     def _check_cell(code: str, column: Column, value: Any) -> None:
@@ -121,18 +118,6 @@ class RegionTable(_TableFields):
 
     def has_column(self, name: str) -> bool:
         return any(col.name == name for col in self.columns)
-
-    def scalar(self, code: str, name: str) -> float | None:
-        col = self.column(name)
-        if col.kind != SCALAR:
-            raise MissingColumn(f"column {name!r} is not scalar")
-        return self.rows[code][name]  # type: ignore[return-value]
-
-    def series(self, code: str, name: str) -> tuple[float | None, ...]:
-        col = self.column(name)
-        if col.kind != SERIES:
-            raise MissingColumn(f"column {name!r} is not a series")
-        return self.rows[code][name]  # type: ignore[return-value]
 
 
 @value_type
@@ -259,27 +244,14 @@ def bind_series(table: RegionTable, column_names: Sequence[str],
     return RegionTable._checked(tuple(columns), rows)
 
 
-def with_scalar_column(table: RegionTable, name: str,
-                       values: Mapping[str, float | None]) -> RegionTable:
-    """Append a scalar column; regions without an entry get a missing cell."""
-    if table.has_column(name):
-        raise NameClash(f"column {name!r} already exists")
-    rows = {code: {**row, name: values.get(code)} for code, row in table.rows.items()}
-    return RegionTable._checked(table.columns + (Column(name),), rows, name)
-
-
-def with_series_column(table: RegionTable, name: str, periods: Sequence[str],
-                       values: Mapping[str, Sequence[float | None]]) -> RegionTable:
-    """Append a series column over the given period labels."""
-    if table.has_column(name):
-        raise NameClash(f"column {name!r} already exists")
-    rows: dict[str, dict[str, object]] = {}
-    for code, row in table.rows.items():
-        cells = values.get(code)
-        rows[code] = {**row, name: (None,) * len(periods) if cells is None
-                      else tuple(cells)}
-    col = Column(name, SERIES, tuple(periods))
-    return RegionTable._checked(table.columns + (col,), rows, name)
+def with_column(table: RegionTable, column: Column,
+                values: Mapping[str, object]) -> RegionTable:
+    """Append ``column`` with each region's cell from ``values``, a tuple
+    for a series; a region without one gets None, or all periods None."""
+    missing = (None,) * len(column.periods) if column.kind == SERIES else None
+    rows = {code: {**row, column.name: values.get(code, missing)}
+            for code, row in table.rows.items()}
+    return RegionTable(table.columns + (column,), rows)
 
 
 def resolve_ref(table: RegionTable, ref: str) -> ColumnRef:

@@ -160,7 +160,7 @@ def test_criterion_7_time_series_shape(demo_scenes):
     local_ok = 0
     global_2020 = 0
     for code in table.rows:
-        series = table.series(code, "response_rate")
+        series = table.rows[code]["response_rate"]
         dip_2013 = (series[i2013] < series[i2013 - 1]
                     and series[i2013] < series[i2013 + 1])
         dip_2020 = (series[i2020] < series[i2020 - 1]

@@ -14,9 +14,11 @@ from micromaps.errors import SnapshotError, SpecError
 from micromaps.glyphs import compute_box_stats
 from micromaps.layout import DESCENDING, SortSpec, order_regions
 from micromaps.table import (
+    SERIES,
+    Column,
     parse_table,
     scalar_values,
-    with_series_column,
+    with_column,
 )
 
 ERS_STATE_FILE = "ers_state_indicators.csv"
@@ -31,7 +33,7 @@ def test_acs_shape(acs_table):
     assert series.periods[0] == "2010"
     assert series.periods[-1] == "2022"
     for code in acs_table.rows:
-        assert len(acs_table.series(code, "response_rate")) == 13
+        assert len(acs_table.rows[code]["response_rate"]) == 13
     plan = plan_chart(build_demo("acs-dot")[0], acs_table)
     assert plan.absent == () and plan.warnings == ()
     assert all(column.no_value == () for column in plan.columns)
@@ -83,16 +85,16 @@ def test_ers_store_access_extremes(ers_table):
 def test_ers_county_samples(ers_table):
     col = ers_table.column("county_access_change")
     assert col.kind == "series"
-    dc = [v for v in ers_table.series("DC", "county_access_change")
+    dc = [v for v in ers_table.rows["DC"]["county_access_change"]
           if v is not None]
     assert len(dc) == 1
-    tx = [v for v in ers_table.series("TX", "county_access_change")
+    tx = [v for v in ers_table.rows["TX"]["county_access_change"]
           if v is not None]
     assert len(tx) == 254
 
 
 def test_ers_alaska_boxplot_is_right_skewed(ers_table):
-    samples = [v for v in ers_table.series("AK", "county_access_change")
+    samples = [v for v in ers_table.rows["AK"]["county_access_change"]
                if v is not None]
     stats = compute_box_stats(samples)
     # Median hugs the bottom of the box: the long tail points up.
@@ -106,11 +108,11 @@ def test_samples_block_matches_a_dict_reader_reference():
         samples.setdefault(record["state"], []).append(
             float(record["access_change_2010_2015"]))
     width = max(map(len, samples.values()))
-    expected = with_series_column(
+    expected = with_column(
         parse_table(snapshot_text(ERS_STATE_FILE), "state"),
-        "county_access_change",
-        tuple(f"c{i:03d}" for i in range(1, width + 1)),
-        {code: values + [None] * (width - len(values))
+        Column("county_access_change", SERIES,
+               tuple(f"c{i:03d}" for i in range(1, width + 1))),
+        {code: tuple(values) + (None,) * (width - len(values))
          for code, values in samples.items()})
     # repr also pins the row order and the sign of every zero.
     assert repr(build_demo("ers-boxscatter")[1]) == repr(expected)
@@ -124,8 +126,8 @@ def test_build_demo_reads_the_county_file_on_every_call(tmp_path):
     county.write_text(county.read_text().replace("\nAK,AK-001,-1.2\n",
                                                  "\nAK,AK-001,-99.5\n"))
     _, after = build_demo("ers-boxscatter", tmp_path)
-    assert before.series("AK", "county_access_change")[0] == -1.2
-    assert after.series("AK", "county_access_change")[0] == -99.5
+    assert before.rows["AK"]["county_access_change"][0] == -1.2
+    assert after.rows["AK"]["county_access_change"][0] == -99.5
 
 
 def test_missing_snapshot_dir(tmp_path):
@@ -161,9 +163,9 @@ def test_join_block_attaches_every_value_column(tmp_path):
     table = load_table(_config(join=[{"path": "pew.csv"}]),
                        "state,v\nUT,1\nDC,2\n", tmp_path)
     assert [column.name for column in table.columns] == ["v", "pro", "con"]
-    assert table.scalar("UT", "pro") == 55.0
-    assert table.scalar("UT", "con") == 40.0
-    assert table.scalar("DC", "pro") is None
+    assert table.rows["UT"]["pro"] == 55.0
+    assert table.rows["UT"]["con"] == 40.0
+    assert table.rows["DC"]["pro"] is None
 
 
 def test_samples_block_resolves_region_names(tmp_path):
@@ -172,9 +174,9 @@ def test_samples_block_resolves_region_names(tmp_path):
         {"name": "s", "path": "long.csv", "column": "x"}])
     table = load_table(config, "region,v\nUT,1\nDC,2\nAK,3\n", tmp_path)
     assert table.column("s").periods == ("c001", "c002")
-    assert table.series("UT", "s") == (3.0, 2.0)
-    assert table.series("DC", "s") == (1.0, None)
-    assert table.series("AK", "s") == (None, None)
+    assert table.rows["UT"]["s"] == (3.0, 2.0)
+    assert table.rows["DC"]["s"] == (1.0, None)
+    assert table.rows["AK"]["s"] == (None, None)
 
 
 @pytest.mark.parametrize("data, path", [

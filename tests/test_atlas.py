@@ -168,6 +168,13 @@ def _one_x(data):
             [[5, i], [5, i + 1], [5, i + 2], [5, i]]]}
 
 
+def _tiny_box(data):
+    """Every ring inside a 5.1e-311 by 1e-311 box of subnormal floats."""
+    for i, feature in enumerate(data["features"]):
+        feature["geometry"] = {"type": "Polygon", "coordinates": [
+            [[i * 1e-312, 0], [(i + 1) * 1e-312, 0], [i * 1e-312, 1e-311]]]}
+
+
 MALFORMED = [
     (_drop_key("features"), "missing features array"),
     (_drop_code, "feature without a region code"),
@@ -187,6 +194,8 @@ MALFORMED = [
      "atlas width and height must be finite and positive, got inf and 68"),
     (_one_x, "atlas width and height must be finite and positive, "
              "got 0 and 52"),
+    (_tiny_box, "atlas width and height are too small for a 100000 canvas, "
+                "got 5.1e-311 and 1e-311"),
     (_set_ring([[0, 0], [1, 0], [0, 0]]),
      "AK: ring has fewer than 3 distinct points"),
     (_set_insets({}), "insets must be an array"),
@@ -195,6 +204,8 @@ MALFORMED = [
      "AK: inset needs translate [dx, dy] and scale"),
     (_set_insets([{"code": "AK", "translate": [0, 0], "scale": float("nan")}]),
      "AK: inset translate and scale must be finite"),
+    (_set_insets([{"code": "AK", "translate": ["5", True], "scale": "2"}]),
+     "AK: inset translate and scale must be numbers, got ['5', True] and '2'"),
 ]
 
 

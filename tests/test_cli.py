@@ -248,13 +248,30 @@ def test_readme_config_example_renders(tmp_path, monkeypatch):
     years = ("2010", "2011", "2012")
     lines = ["state," + ",".join(years) + ",rate_2022"]
     for code in ALL_CODES:
-        cells = [table.scalar(code, year) for year in years + ("2022",)]
+        cells = [table.rows[code][year] for year in years + ("2022",)]
         lines.append(code + "," + ",".join(map(str, cells)))
     (tmp_path / "rates.csv").write_text("\n".join(lines) + "\n")
     (tmp_path / "readme.json").write_text(json.dumps(config))
     assert run(["render", "--config", "readme.json", "--quiet"]) == 0
     root = ET.fromstring((tmp_path / "chart.svg").read_text("utf-8"))
     assert root.find("{http://www.w3.org/2000/svg}title").text == config["title"]
+
+
+def test_readme_python_api_example_runs(tmp_path, monkeypatch):
+    """The README's two Python blocks run, in order, in one namespace, on
+    the ACS 2022 response rates."""
+    monkeypatch.chdir(tmp_path)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    table = parse_table(snapshot_text("acs_response_rates.csv"), "state")
+    (tmp_path / "rates.csv").write_text("state,rate\n" + "".join(
+        f"{code},{table.rows[code]['2022']}\n" for code in ALL_CODES))
+    namespace: dict = {}
+    for block in blocks:
+        exec(block, namespace)
+    ET.parse(tmp_path / "chart.svg")
+    assert namespace["plan"].absent == ()
 
 
 @pytest.mark.parametrize("value,detail", [

@@ -86,7 +86,7 @@ def test_acs_pew_demo_and_render_write_the_same_bytes(tmp_path):
     spec, table = build_demo("acs-pew", data)
     assert [column.kind for column in spec.columns] == [
         "map", "legend", "dot", "arrow", "dot"]
-    assert table.scalar(ALL_CODES[0], "pro_small_government") == 40.0
+    assert table.rows[ALL_CODES[0]]["pro_small_government"] == 40.0
 
 
 @pytest.mark.filterwarnings("ignore:sort column")

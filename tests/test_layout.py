@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micromaps.errors import EmptySort, MissingColumn, SpecError
+from micromaps.errors import EmptySort, MicromapError, MissingColumn, SpecError
 from micromaps.layout import (
     ASCENDING,
     DESCENDING,
@@ -189,7 +189,7 @@ def test_reversal_symmetry(table51):
 
 def test_monotone_linkage(table51):
     layout = build_layout(table51, SortSpec("v", DESCENDING))
-    values = [table51.scalar(code, "v") for code in layout.ranked]
+    values = [table51.rows[code]["v"] for code in layout.ranked]
     assert values == sorted(values, reverse=True)
 
 
@@ -223,5 +223,6 @@ def test_slot_bijection_within_groups(table51):
 
 def test_assign_colors_rejects_a_plan_that_misses_regions():
     plan = partition_groups(3)
-    with pytest.raises(ValueError, match="^plan does not cover the ranked regions$"):
+    with pytest.raises(MicromapError,
+                       match="^plan does not cover the ranked regions$"):
         assign_colors(plan, ["CA", "TX"])

@@ -31,8 +31,7 @@ from micromaps.table import (
     parse_table,
     resolve_ref,
     scalar_values,
-    with_scalar_column,
-    with_series_column,
+    with_column,
 )
 
 from conftest import make_table
@@ -42,8 +41,8 @@ def test_parse_two_rows_one_column():
     table = parse_table("state,rate\nUT,86.4\nID,85.1\n", "state")
     assert table.codes() == ("ID", "UT")
     assert [c.name for c in table.columns] == ["rate"]
-    assert table.scalar("UT", "rate") == 86.4
-    assert table.scalar("ID", "rate") == 85.1
+    assert table.rows["UT"]["rate"] == 86.4
+    assert table.rows["ID"]["rate"] == 85.1
 
 
 def test_parse_full_names_and_dc_alias():
@@ -119,10 +118,10 @@ def test_table_rejects_non_finite_cells(bad):
         make_table({"UT": 1.0, "ID": bad})
     assert (info.value.row, info.value.column) == ("ID", "v")
     with pytest.raises(CellParse):
-        with_scalar_column(make_table({"UT": 1.0}), "w", {"UT": bad})
+        with_column(make_table({"UT": 1.0}), Column("w"), {"UT": bad})
     with pytest.raises(CellParse) as info:
-        with_series_column(make_table({"UT": 1.0}), "s", ["2020", "2021"],
-                           {"UT": [None, bad]})
+        with_column(make_table({"UT": 1.0}),
+                    Column("s", SERIES, ("2020", "2021")), {"UT": (None, bad)})
     assert (info.value.row, info.value.column) == ("UT", "s:2021")
 
 
@@ -130,12 +129,12 @@ def test_table_rejects_non_finite_cells(bad):
 def test_new_column_cells_are_checked_and_named(bad):
     table = make_table({"UT": 1.0, "ID": 2.0})
     with pytest.raises(CellParse) as info:
-        with_scalar_column(table, "w", {"UT": 3.0, "ID": bad})
+        with_column(table, Column("w"), {"UT": 3.0, "ID": bad})
     assert (info.value.row, info.value.column) == ("ID", "w")
     assert repr(bad) in str(info.value)
     with pytest.raises(CellParse) as info:
-        with_series_column(table, "s", ["2020", "2021", "2022"],
-                           {"UT": [1.0, None, 2.0], "ID": [None, 1.0, bad]})
+        with_column(table, Column("s", SERIES, ("2020", "2021", "2022")),
+                    {"UT": (1.0, None, 2.0), "ID": (None, 1.0, bad)})
     assert (info.value.row, info.value.column) == ("ID", "s:2022")
     assert repr(bad) in str(info.value)
     # A table made directly, or by _replace, still checks every cell.
@@ -190,7 +189,7 @@ def test_direct_table_checks_keys_rows_and_cells(code, row, error, message):
 
 
 @pytest.mark.parametrize("columns, error, message", [
-    ((Column("v"), Column("v")), NameClash, "duplicate column names"),
+    ((Column("v"), Column("v")), NameClash, "column 'v' already exists"),
     ((Column("v", "vector"),), MissingColumn,
      "column 'v' has kind 'vector', not scalar or series"),
 ], ids=["duplicate-name", "unknown-kind"])
@@ -227,7 +226,7 @@ def test_bound_and_parsed_tables_equal_checked_tables():
 
 def test_parse_quoted_fields_and_crlf():
     table = parse_table('state,"the rate"\r\nUT,"86.4"\r\n', "state")
-    assert table.scalar("UT", "the rate") == 86.4
+    assert table.rows["UT"]["the rate"] == 86.4
 
 
 def test_bind_series_two_periods():
@@ -236,14 +235,14 @@ def test_bind_series_two_periods():
     col = bound.column("rr")
     assert col.kind == "series"
     assert col.periods == ("2010", "2011")
-    assert bound.series("UT", "rr") == (97.0, 96.0)
-    assert bound.series("ID", "rr") == (95.0, 94.0)
+    assert bound.rows["UT"]["rr"] == (97.0, 96.0)
+    assert bound.rows["ID"]["rr"] == (95.0, 94.0)
 
 
 def test_bind_series_value_preservation_is_exact():
     table = parse_table("state,a,b\nUT,0.1,0.30000000000000004\n", "state")
     bound = bind_series(table, ["a", "b"], "s")
-    assert bound.series("UT", "s") == (0.1, 0.30000000000000004)
+    assert bound.rows["UT"]["s"] == (0.1, 0.30000000000000004)
 
 
 def test_bind_series_empty_binding():
@@ -274,15 +273,6 @@ def test_bind_series_faults(names, error, message):
     with pytest.raises(error) as err:
         bind_series(table, names, "t")
     assert str(err.value) == message
-
-
-def test_column_kind_faults():
-    table = bind_series(parse_table("state,a,b,c\nUT,1,2,3\n", "state"),
-                        ["b", "c"], "s")
-    with pytest.raises(MissingColumn, match="^column 's' is not scalar$"):
-        table.scalar("UT", "s")
-    with pytest.raises(MissingColumn, match="^column 'a' is not a series$"):
-        table.series("UT", "a")
 
 
 def _dot_plan(table, column="v", sort="v"):
@@ -357,20 +347,43 @@ def test_series_period_reference():
 
 
 def test_with_scalar_column_and_clash(table51):
-    extended = with_scalar_column(table51, "w", {"UT": 1.0})
-    assert extended.scalar("UT", "w") == 1.0
-    assert extended.scalar("ID", "w") is None
-    with pytest.raises(NameClash):
-        with_scalar_column(extended, "w", {})
+    extended = with_column(table51, Column("w"), {"UT": 1.0})
+    assert extended.rows["UT"]["w"] == 1.0
+    assert extended.rows["ID"]["w"] is None
+    with pytest.raises(NameClash, match="^column 'w' already exists$"):
+        with_column(extended, Column("w"), {})
 
 
 def test_with_series_column_faults():
     table = parse_table("state,a\nUT,1\nID,2\n", "state")
     with pytest.raises(NameClash, match="^column 'a' already exists$"):
-        with_series_column(table, "a", ("p",), {})
+        with_column(table, Column("a", SERIES, ("p",)), {})
     with pytest.raises(SeriesMismatch,
                        match="^'s' for UT: 1 values, 2 periods$"):
-        with_series_column(table, "s", ("p", "q"), {"UT": [1.0]})
+        with_column(table, Column("s", SERIES, ("p", "q")), {"UT": (1.0,)})
+
+
+def test_with_series_column_fills_a_missing_region():
+    table = parse_table("state,a\nUT,1\nID,2\n", "state")
+    extended = with_column(table, Column("s", SERIES, ("p", "q")),
+                           {"UT": (1.0, None)})
+    assert extended.column("s") == Column("s", SERIES, ("p", "q"))
+    assert extended.rows["UT"] == {"a": 1.0, "s": (1.0, None)}
+    assert extended.rows["ID"] == {"a": 2.0, "s": (None, None)}
+
+
+@pytest.mark.parametrize("column, values, error, message", [
+    (Column("b", "bogus"), {"UT": 1.0}, MissingColumn,
+     "column 'b' has kind 'bogus', not scalar or series"),
+    (Column("s", SERIES, ("p", "q")), {"UT": [1.0, 2.0]}, SeriesMismatch,
+     "'s' for UT: list, not a tuple"),
+], ids=["unknown-kind", "list-series-cell"])
+def test_with_column_checks_what_the_table_checks(column, values, error,
+                                                  message):
+    table = parse_table("state,a\nUT,1\nID,2\n", "state")
+    with pytest.raises(error) as err:
+        with_column(table, column, values)
+    assert str(err.value) == message
 
 
 def plain_csv(table: RegionTable) -> str:
