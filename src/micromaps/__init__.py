@@ -14,7 +14,6 @@ from .layout import (
     GroupPlan,
     LinkedLayout,
     SortSpec,
-    assign_colors,
     build_layout,
     order_regions,
     partition_groups,
@@ -46,7 +45,6 @@ __all__ = [
     "Scene",
     "SortSpec",
     "SvgOptions",
-    "assign_colors",
     "bind_series",
     "build_layout",
     "column_extent",

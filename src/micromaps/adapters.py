@@ -87,9 +87,8 @@ def _join(table: RegionTable, name: str, directory: Path,
         other = parse_table(text, region_column)
     except MicromapError as exc:
         raise SnapshotError(name, str(exc)) from None
-    for column in other.columns:
-        table = with_column(table, column, scalar_values(other, column.name))
-    return table
+    return with_column(table, *((column, scalar_values(other, column.name))
+                                for column in other.columns))
 
 
 def _samples(table: RegionTable, source: SampleSource, directory: Path,
@@ -107,6 +106,8 @@ def _samples(table: RegionTable, source: SampleSource, directory: Path,
     if not {region_column, source.column}.issubset(header):
         raise SnapshotError(name, f"needs {region_column} and "
                                   f"{source.column} columns")
+    if header.count(region_column) > 1 or header.count(source.column) > 1:
+        raise SnapshotError(name, "duplicate header names")
     key = header.index(region_column)
     value = header.index(source.column)
     by_key: dict[str, list[float]] = {}
@@ -145,4 +146,4 @@ def _samples(table: RegionTable, source: SampleSource, directory: Path,
     periods = tuple(f"c{i:03d}" for i in range(1, width + 1))
     padded = {code: tuple(values) + (None,) * (width - len(values))
               for code, values in samples.items()}
-    return with_column(table, Column(source.name, SERIES, periods), padded)
+    return with_column(table, (Column(source.name, SERIES, periods), padded))

@@ -14,7 +14,8 @@ from .atlas import Atlas, _draw_map, _fit_transform
 from .errors import BadBreaks
 from .glyphs import PanelFrame
 from .scale import format_tick, linear_scale
-from .scene import Line, Rect, Scene, Shape, Style, Text, clamp_scene
+from .scene import (Line, Rect, Scene, Shape, Style, Text, check_canvas_side,
+                    clamp_scene)
 from .table import RegionTable, column_extent, scalar_values
 from .values import value_type
 
@@ -69,6 +70,8 @@ def render_barchart_alpha(table: RegionTable, column: str,
                           width: float = 1000.0, height: float = 560.0,
                           title: str = "") -> Scene:
     """Vertical bars in alphabetical USPS-code order, every state labeled."""
+    check_canvas_side(width, "width")
+    check_canvas_side(height, "height")
     values = scalar_values(table, column)
     extent = column_extent(table, column)
     extent = (min(0.0, extent[0]), max(0.0, extent[1]))
@@ -131,6 +134,8 @@ def render_choropleth(atlas: Atlas, table: RegionTable, column: str,
 
     With no explicit breaks, k equal-interval classes cover the extent.
     """
+    check_canvas_side(width, "width")
+    check_canvas_side(height, "height")
     values = scalar_values(table, column)
     extent = column_extent(table, column)
     if breaks is None:

@@ -6,7 +6,6 @@ always drawn in black so it reads as the pivot of the sort.
 
 from typing import NamedTuple
 
-from .layout import MEDIAN_SLOT
 from .values import value_type
 
 SLOT_COLORS = ("#D55E00", "#0072B2", "#009E73", "#CC79A7", "#E69F00")
@@ -34,11 +33,6 @@ class Palette(NamedTuple):
     slots: tuple[str, str, str, str, str] = SLOT_COLORS
     median: str = MEDIAN_COLOR
     no_data: str = NO_DATA_COLOR
-
-    def for_slot(self, slot: int) -> str:
-        if slot == MEDIAN_SLOT:
-            return self.median
-        return self.slots[slot]
 
 
 DEFAULT_PALETTE = Palette()

@@ -53,8 +53,8 @@ from .glyphs import (
 from .layout import ASCENDING, DESCENDING, LinkedLayout, SortSpec, build_layout
 from .regions import ALL_CODES, BY_CODE
 from .scale import Scale, format_tick, linear_scale, thin_labels
-from .scene import (MAX_CANVAS, Layers, Line, PanelInfo, Rect, Scene, Style,
-                    Text, clamp_scene)
+from .scene import (Layers, Line, PanelInfo, Rect, Scene, Style, Text,
+                    check_canvas_side, clamp_scene)
 from .table import (
     RegionTable,
     SERIES,
@@ -252,9 +252,7 @@ def validate_spec(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
                                       "the number of palette slot colors")
     _one_of(spec.map_mode, (GROUP_ONLY, CUMULATIVE), "map_mode")
     for name in ("width", "height"):
-        if not 0 < _finite(getattr(spec, name), f"output.{name}") <= MAX_CANVAS:
-            raise SpecError(f"output.{name}",
-                            f"must be above 0 and at most {MAX_CANVAS:g}")
+        check_canvas_side(getattr(spec, name), f"output.{name}")
     if not spec.columns:
         raise SpecError("columns", "chart needs at least one column")
     for i, column in enumerate(spec.columns):
@@ -297,8 +295,7 @@ def _build_bands(layout: LinkedLayout, palette: Palette, mode: str,
                  top: float, bottom: float,
                  gutter: float) -> tuple[tuple[Band, ...], float]:
     plan = layout.plan
-    groups: list[tuple[int, tuple[str, ...]]] = [
-        (gi, layout.group_members(gi)) for gi in range(len(plan.sizes))]
+    groups = list(enumerate(layout.groups))
     # A cumulative map tints the ranked groups between its band and its
     # side's end, so shading grows toward the middle: the median group, which
     # tints nothing, or with an even count the boundary between two groups.
@@ -313,8 +310,6 @@ def _build_bands(layout: LinkedLayout, palette: Palette, mode: str,
     # Added in order: sum() rounds differently from Python 3.12 on.
     row_h = (bottom - top - reduce(add, gaps)) / reduce(add, heights)
 
-    color = {code: palette.for_slot(slot)
-             for code, slot in layout.slot_of.items()}
     bands: list[Band] = []
     y = top
     for (gi, members), in_rows, gap in zip(groups, heights, gaps):
@@ -325,9 +320,11 @@ def _build_bands(layout: LinkedLayout, palette: Palette, mode: str,
                    [y + (i + 0.5) * row_h for i in range(len(members))])
         tinted = tuple(code for g, group in groups if mode == CUMULATIVE
                        and (0 <= g < gi < mid or mid < gi < g) for code in group)
+        # The k-th region of a ranked group takes slot color k.
         bands.append(Band(gi, is_median, y, height, tuple(
-            RowBand(code, cy, color.get(code, palette.no_data))
-            for code, cy in zip(members, centers)), tinted))
+            RowBand(code, cy, palette.median if is_median else palette.no_data
+                    if gi == NO_DATA_PANEL else palette.slots[k])
+            for k, (code, cy) in enumerate(zip(members, centers))), tinted))
         y += height
     return tuple(bands), row_h
 

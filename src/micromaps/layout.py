@@ -1,24 +1,24 @@
-"""Row ordering, perceptual grouping, and linked color slots.
+"""Row ordering and perceptual grouping.
 
 Regions are ranked by one statistic, split at the median into two halves
 (the median region, when the count is odd, stands alone in its own group),
 and each half is divided into contiguous groups of at most ``group_size``
-regions. Within a group every region gets a distinct color slot; the same
-slot colors repeat in every group, which is what links a region's map
-shape, legend swatch, and glyph marks across the chart.
+regions. ``LinkedLayout.groups`` holds each group's regions in rank order.
+The k-th region of a group takes color k of the palette (the median region
+the median color), the same in every group, which is what links a region's
+map shape, legend swatch, and glyph marks across the chart; compose gives
+each band row its color.
 """
 
+from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import EmptySort, MicromapError, SpecError
+from .errors import EmptySort, SpecError
 from .table import RegionTable, scalar_values
 from .values import value_type
 
 ASCENDING = "ascending"
 DESCENDING = "descending"
-
-# Slot index reserved for the median region; plain slots are 0..4.
-MEDIAN_SLOT = -1
 
 
 @value_type
@@ -38,12 +38,7 @@ class LinkedLayout(NamedTuple):
     ranked: tuple[str, ...]
     unranked: tuple[str, ...]
     plan: GroupPlan
-    group_of: dict[str, int]
-    slot_of: dict[str, int]
-
-    def group_members(self, group_index: int) -> tuple[str, ...]:
-        start = sum(self.plan.sizes[:group_index])
-        return self.ranked[start:start + self.plan.sizes[group_index]]
+    groups: tuple[tuple[str, ...], ...]  # one per plan size, in rank order
 
 
 def order_regions(table: RegionTable, spec: SortSpec) -> tuple[list[str], list[str]]:
@@ -97,31 +92,11 @@ def partition_groups(n: int, group_size: int = 5) -> GroupPlan:
     return GroupPlan(tuple(upper + list(reversed(upper))), None)
 
 
-def assign_colors(plan: GroupPlan, ranked: list[str] | tuple[str, ...],
-                  ) -> tuple[dict[str, int], dict[str, int]]:
-    """Map each ranked region to its group index and color slot.
-
-    Within a non-median group the k-th region in rank order takes slot k;
-    the median region takes the dedicated median slot.
-    """
-    if sum(plan.sizes) != len(ranked):
-        raise MicromapError("plan does not cover the ranked regions")
-    group_of: dict[str, int] = {}
-    slot_of: dict[str, int] = {}
-    pos = 0
-    for gi, size in enumerate(plan.sizes):
-        for k in range(size):
-            code = ranked[pos]
-            group_of[code] = gi
-            slot_of[code] = MEDIAN_SLOT if gi == plan.median_group_index else k
-            pos += 1
-    return group_of, slot_of
-
-
 def build_layout(table: RegionTable, spec: SortSpec,
                  group_size: int = 5) -> LinkedLayout:
-    """Order, partition, and color-link the table's regions."""
+    """Order the table's regions and cut the ranking into groups."""
     ranked, unranked = order_regions(table, spec)
     plan = partition_groups(len(ranked), group_size)
-    group_of, slot_of = assign_colors(plan, ranked)
-    return LinkedLayout(tuple(ranked), tuple(unranked), plan, group_of, slot_of)
+    groups = tuple(tuple(ranked[end - size:end]) for size, end
+                   in zip(plan.sizes, accumulate(plan.sizes)))
+    return LinkedLayout(tuple(ranked), tuple(unranked), plan, groups)

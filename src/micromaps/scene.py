@@ -11,10 +11,20 @@ it has no fill, its stroke; marks drawn in a fixed style carry no such tag.
 from math import inf
 from typing import Iterable, NamedTuple, Union
 
+from .errors import SpecError
 from .values import value_type
 
 # 100 times the default canvas; coordinates keep at most six integer digits.
 MAX_CANVAS = 100000.0
+
+
+def check_canvas_side(value: object, path: str) -> None:
+    """Raise SpecError at ``path`` unless ``value`` is a number above 0 and
+    at most MAX_CANVAS (so finite); a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(path, f"expected a number, got {type(value).__name__}")
+    if not 0 < value <= MAX_CANVAS:
+        raise SpecError(path, f"must be above 0 and at most {MAX_CANVAS:g}")
 
 
 @value_type

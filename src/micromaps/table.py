@@ -244,14 +244,17 @@ def bind_series(table: RegionTable, column_names: Sequence[str],
     return RegionTable._checked(tuple(columns), rows)
 
 
-def with_column(table: RegionTable, column: Column,
-                values: Mapping[str, object]) -> RegionTable:
-    """Append ``column`` with each region's cell from ``values``, a tuple
-    for a series; a region without one gets None, or all periods None."""
-    missing = (None,) * len(column.periods) if column.kind == SERIES else None
-    rows = {code: {**row, column.name: values.get(code, missing)}
-            for code, row in table.rows.items()}
-    return RegionTable(table.columns + (column,), rows)
+def with_column(table: RegionTable,
+                *added: tuple[Column, Mapping[str, object]]) -> RegionTable:
+    """Append each ``(column, values)`` pair in order, each region's cell
+    from ``values``, a tuple for a series; a region without one gets None,
+    or all periods None. One new table holds and checks them all."""
+    rows = {code: dict(row) for code, row in table.rows.items()}
+    for column, values in added:
+        missing = (None,) * len(column.periods) if column.kind == SERIES else None
+        for code, row in rows.items():
+            row[column.name] = values.get(code, missing)
+    return RegionTable(table.columns + tuple(c for c, _ in added), rows)
 
 
 def resolve_ref(table: RegionTable, ref: str) -> ColumnRef:

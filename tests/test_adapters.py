@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from micromaps import adapters
 from micromaps.adapters import load_table, snapshot_text
 from micromaps.compose import plan_chart
 from micromaps.config import RenderConfig, parse_config
@@ -13,6 +14,7 @@ from micromaps.demos import build_demo
 from micromaps.errors import SnapshotError, SpecError
 from micromaps.glyphs import compute_box_stats
 from micromaps.layout import DESCENDING, SortSpec, order_regions
+from micromaps.regions import ALL_CODES
 from micromaps.table import (
     SERIES,
     Column,
@@ -110,10 +112,10 @@ def test_samples_block_matches_a_dict_reader_reference():
     width = max(map(len, samples.values()))
     expected = with_column(
         parse_table(snapshot_text(ERS_STATE_FILE), "state"),
-        Column("county_access_change", SERIES,
-               tuple(f"c{i:03d}" for i in range(1, width + 1))),
-        {code: tuple(values) + (None,) * (width - len(values))
-         for code, values in samples.items()})
+        (Column("county_access_change", SERIES,
+                tuple(f"c{i:03d}" for i in range(1, width + 1))),
+         {code: tuple(values) + (None,) * (width - len(values))
+          for code, values in samples.items()}))
     # repr also pins the row order and the sign of every zero.
     assert repr(build_demo("ers-boxscatter")[1]) == repr(expected)
 
@@ -166,6 +168,40 @@ def test_join_block_attaches_every_value_column(tmp_path):
     assert table.rows["UT"]["pro"] == 55.0
     assert table.rows["UT"]["con"] == 40.0
     assert table.rows["DC"]["pro"] is None
+
+
+def test_join_appends_each_file_in_one_call(tmp_path, monkeypatch):
+    """One with_column call per join file, however wide, and the table it
+    makes is the one that appending the columns one at a time makes."""
+    names = [f"w{i:02d}" for i in range(80)]
+    # Every region but the first, with a gap in every seventh cell.
+    wide_text = "state," + ",".join(names) + "\n" + "".join(
+        code + "," + ",".join("" if (i + j) % 7 == 0 else str(i * 0.5 - j)
+                              for j in range(80)) + "\n"
+        for i, code in enumerate(ALL_CODES[1:]))
+    (tmp_path / "wide.csv").write_text(wide_text)
+    (tmp_path / "narrow.csv").write_text("state,x\nUT,1\n")
+    main = "state,v\n" + "".join(f"{code},{i}\n"
+                                  for i, code in enumerate(ALL_CODES))
+    calls = []
+
+    def counted(table, *added):
+        calls.append([column.name for column, _ in added])
+        return with_column(table, *added)
+
+    monkeypatch.setattr(adapters, "with_column", counted)
+    table = load_table(_config(join=[{"path": "wide.csv"},
+                                     {"path": "narrow.csv"}]), main, tmp_path)
+    assert calls == [names, ["x"]]
+    expected = parse_table(main, "state")
+    wide = parse_table(wide_text, "state")
+    for column in wide.columns:
+        expected = with_column(expected,
+                               (column, scalar_values(wide, column.name)))
+    expected = with_column(expected, (Column("x"), {"UT": 1.0}))
+    # repr also pins the column order, the row order and each key order.
+    assert repr(table) == repr(expected)
+    assert table.rows[ALL_CODES[0]]["w05"] is None
 
 
 def test_samples_block_resolves_region_names(tmp_path):

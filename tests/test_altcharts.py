@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from micromaps.altcharts import (
@@ -8,7 +10,7 @@ from micromaps.altcharts import (
     render_barchart_alpha,
     render_choropleth,
 )
-from micromaps.errors import BadBreaks, MissingColumn
+from micromaps.errors import BadBreaks, MissingColumn, SpecError
 from micromaps.scene import Polygon, Rect, Text
 from micromaps.svg import emit_svg
 
@@ -163,3 +165,17 @@ def test_choropleth_of_a_constant_column_is_one_class(square_atlas):
     fills = {s.tag: s.style.fill for s in scene.shapes
              if isinstance(s, Polygon) and s.tag}
     assert fills["region:CA"] == fills["region:TX"] == breaks.colors[0]
+
+
+@pytest.mark.parametrize("side", ["width", "height"])
+@pytest.mark.parametrize("value", [-5, 0, 1e300, math.nan, math.inf, "1000",
+                                   True], ids=repr)
+def test_alt_charts_check_their_canvas_first(square_atlas, table51, side,
+                                             value):
+    """The spec's canvas rule, checked before the column is even read."""
+    for render in (lambda **size: render_barchart_alpha(table51, "nope", **size),
+                   lambda **size: render_choropleth(square_atlas, table51,
+                                                    "nope", **size)):
+        with pytest.raises(SpecError) as err:
+            render(**{side: value})
+        assert err.value.path == side

@@ -286,7 +286,7 @@ def test_cumulative_above_median():
     chart_plan = plan(full_table(), CUMULATIVE)
     layout = chart_plan.layout
     assert set(tints(chart_plan)[2]) == {  # groups 0 and 1
-        *layout.group_members(0), *layout.group_members(1)}
+        *layout.groups[0], *layout.groups[1]}
     assert len(tints(chart_plan)[2]) == 10
 
 
@@ -305,7 +305,7 @@ def test_cumulative_below_median_mirrors():
         tinted = tints(chart_plan)[gi]
         assert len(tinted) == expected, gi
         assert set(tinted) == {code for g in range(gi + 1, 11)
-                               for code in layout.group_members(g)}
+                               for code in layout.groups[g]}
 
 
 def test_cumulative_monotone_toward_median():
@@ -329,7 +329,7 @@ def test_cumulative_even_count_splits_between_the_middle_groups():
         groups = () if gi == NO_DATA_PANEL else (
             range(gi) if gi <= 4 else range(gi + 1, 10))
         assert tinted == tuple(code for g in groups
-                               for code in layout.group_members(g))
+                               for code in layout.groups[g])
 
 
 def test_no_data_panel_highlights_unranked(square_atlas):

@@ -12,10 +12,9 @@ import pytest
 
 from micromaps.altcharts import render_choropleth
 from micromaps.checks import check_chart
-from micromaps.colors import DEFAULT_PALETTE
-from micromaps.compose import ChartSpec, ColumnSpec, compose
+from micromaps.compose import ChartSpec, ColumnSpec, compose, plan_chart
 from micromaps.errors import MicromapError
-from micromaps.layout import SortSpec, build_layout
+from micromaps.layout import SortSpec
 from micromaps.glyphs import AXIS_STYLE, MEDIAN_STYLE, OUTLIER_STYLE
 from micromaps.scene import Circle, Line, Polygon, Polyline, Rect, Scene
 from micromaps.table import bind_series, parse_table
@@ -94,12 +93,11 @@ def test_recolored_map_fill_of_member_raises(default_atlas):
     table = full_table()
     spec = dot_spec()
     scene = compose(spec, table, default_atlas)
-    layout = build_layout(table, spec.sort, spec.group_size)
+    color = {row.region: row.color
+             for band in plan_chart(spec, table).bands for row in band.rows}
 
     def own_color(shape: Polygon) -> bool:
-        code = shape.tag[len("region:"):]
-        return shape.style.fill == DEFAULT_PALETTE.for_slot(
-            layout.slot_of[code])
+        return shape.style.fill == color.get(shape.tag[len("region:"):])
 
     i = first(scene, Polygon, own_color)
     fill = scene.shapes[i]

@@ -532,6 +532,10 @@ SAMPLES = {"name": "s", "path": "long.csv", "column": "x"}
     ("long.csv", "state,y\nUT,1\n", EXIT_VALIDATION,
      "long.csv: needs state and x columns\n"),
     ("long.csv", "state,x\n", EXIT_VALIDATION, "long.csv: no sample rows\n"),
+    ("long.csv", "state,x,x\nUT,1,2\n", EXIT_VALIDATION,
+     "long.csv: duplicate header names\n"),
+    ("long.csv", "state,x,state\nUT,1,ID\n", EXIT_VALIDATION,
+     "long.csv: duplicate header names\n"),
     ("long.csv", "state,x\nUT,1\nZZ,2\nQQ,3\nZZ,4\n", EXIT_VALIDATION,
      "long.csv: rows for unknown regions: QQ, ZZ\n"),
     ("extra.csv", None, EXIT_IO, "not found in "),

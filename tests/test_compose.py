@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from micromaps.checks import check_color_linkage
 from micromaps.colors import CUMULATIVE_TINT, DEFAULT_PALETTE
 from micromaps.compose import (
-    MAX_CANVAS,
     SCALE_PAD_F,
     ChartSpec,
     ColumnSpec,
@@ -19,10 +18,10 @@ from micromaps.compose import (
 )
 from micromaps.demos import build_demo
 from micromaps.errors import BadExtent, EmptyColumn, SpecError
-from micromaps.layout import MEDIAN_SLOT, SortSpec, build_layout
+from micromaps.layout import SortSpec, build_layout
 from micromaps.regions import ALL_CODES
 from micromaps.scale import linear_scale
-from micromaps.scene import Circle, Line, Rect, Text
+from micromaps.scene import MAX_CANVAS, Circle, Line, Rect, Text
 from micromaps.table import (
     SERIES,
     Column,
@@ -101,8 +100,11 @@ def test_shared_scales_and_linkage(scene51, table51):
     linked = check_color_linkage(scene51)
     assert len(linked) == 51
     layout = build_layout(table51, SortSpec("v"))
-    for code, color in linked.items():
-        assert color == DEFAULT_PALETTE.for_slot(layout.slot_of[code])
+    for gi, group in enumerate(layout.groups):
+        for k, code in enumerate(group):
+            assert linked[code] == (
+                DEFAULT_PALETTE.median if gi == layout.plan.median_group_index
+                else DEFAULT_PALETTE.slots[k]), code
 
 
 def test_compose_is_deterministic(square_atlas, table51):
@@ -126,7 +128,7 @@ def test_unranked_regions_get_trailing_panel(square_atlas, table51):
 def test_median_region_is_black(scene51, table51):
     layout = build_layout(table51, SortSpec("v"))
     median_code = layout.ranked[25]
-    assert layout.slot_of[median_code] == MEDIAN_SLOT
+    assert layout.groups[layout.plan.median_group_index] == (median_code,)
     linked = check_color_linkage(scene51)
     assert linked[median_code] == DEFAULT_PALETTE.median
 

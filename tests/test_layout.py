@@ -4,50 +4,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micromaps.errors import EmptySort, MicromapError, MissingColumn, SpecError
+from micromaps.colors import DEFAULT_PALETTE
+from micromaps.compose import NO_DATA_PANEL, ChartSpec, ColumnSpec, plan_chart
+from micromaps.errors import EmptySort, MissingColumn, SpecError
 from micromaps.layout import (
     ASCENDING,
     DESCENDING,
-    MEDIAN_SLOT,
     LinkedLayout,
     SortSpec,
-    assign_colors,
     build_layout,
     order_regions,
     partition_groups,
 )
 from micromaps.regions import ALL_CODES
 
-from conftest import full_table, make_table
-
-# Group index written for unranked regions by ``serialize``.
-NO_DATA_GROUP = -1
+from conftest import make_table
 
 
 def serialize(layout: LinkedLayout) -> str:
     """Canonical text form: one "rank,code,group,slot" line per region,
-    unranked regions last with group -1 and slot "-".
+    unranked regions last with group -1 and slot "-". A group's k-th region
+    has slot k; the median group's one region has slot "M".
     """
     lines = []
-    for rank, code in enumerate(layout.ranked):
-        slot = layout.slot_of[code]
-        slot_text = "M" if slot == MEDIAN_SLOT else str(slot)
-        lines.append(f"{rank},{code},{layout.group_of[code]},{slot_text}")
+    ranked = [(gi, k, code) for gi, group in enumerate(layout.groups)
+              for k, code in enumerate(group)]
+    for rank, (gi, k, code) in enumerate(ranked):
+        slot_text = "M" if gi == layout.plan.median_group_index else str(k)
+        lines.append(f"{rank},{code},{gi},{slot_text}")
     for code in layout.unranked:
-        lines.append(f"-1,{code},{NO_DATA_GROUP},-")
+        lines.append(f"-1,{code},{NO_DATA_PANEL},-")
     return "\n".join(lines) + "\n"
 
 
 def rank_walk_oracle(sizes: tuple[int, ...], median_index: int | None,
-                     rank: int) -> tuple[int, int]:
-    """Independent group/slot recomputation straight from the rank: walk the
-    cumulative sizes until the rank falls inside a group.
+                     rank: int) -> tuple[int, str]:
+    """Independent group/color recomputation straight from the rank: walk
+    the cumulative sizes until the rank falls inside a group.
     """
     start = 0
     for gi, size in enumerate(sizes):
         if rank < start + size:
-            slot = MEDIAN_SLOT if gi == median_index else rank - start
-            return gi, slot
+            return gi, (DEFAULT_PALETTE.median if gi == median_index
+                        else DEFAULT_PALETTE.slots[rank - start])
         start += size
     raise AssertionError("rank beyond plan")
 
@@ -139,27 +138,45 @@ def test_partition_properties(n, group_size):
     assert list(half) == sorted(half, reverse=True)
 
 
-def test_assign_colors_slots_in_rank_order():
-    plan = partition_groups(5, 5)
-    # Odd count of 5 means a singleton median in the middle: [2,1,2].
-    assert plan.sizes == (2, 1, 2)
-    group_of, slot_of = assign_colors(plan, ["A", "B", "C", "D", "E"])
-    assert slot_of == {"A": 0, "B": 1, "C": MEDIAN_SLOT, "D": 0, "E": 1}
-    assert group_of == {"A": 0, "B": 0, "C": 1, "D": 2, "E": 2}
+@pytest.mark.parametrize("unranked", [0, 3])
+@pytest.mark.parametrize("group_size", [1, 2, 3, 4, 5])
+def test_band_rows_match_rank_walk_oracle(group_size, unranked):
+    """Every band row's color, walked from its rank: slot k for the k-th
+    region of a ranked group, the median color for the median region and
+    the no-data color below; the bands' regions, in order, are the ranking
+    and then the unranked regions. 51 ranked regions at most, 48 beside 3
+    unranked."""
+    spec = ChartSpec("t", SortSpec("v"),
+                     (ColumnSpec("map"), ColumnSpec("legend")),
+                     group_size=group_size)
+    for n in range(1, len(ALL_CODES) - unranked + 1):
+        codes = ALL_CODES[:n + unranked]
+        values = {code: (float(n - i) if i < n else None)
+                  for i, code in enumerate(codes)}
+        chart_plan = plan_chart(spec, make_table(values))
+        layout = chart_plan.layout
+        assert layout.ranked == codes[:n]
+        rows = [(band.group_index, row) for band in chart_plan.bands
+                for row in band.rows]
+        assert [row.region for _, row in rows] == [
+            *layout.ranked, *sorted(codes[n:])]
+        for rank, (group, row) in enumerate(rows):
+            expected = ((NO_DATA_PANEL, DEFAULT_PALETTE.no_data)
+                        if rank >= n else rank_walk_oracle(
+                            layout.plan.sizes,
+                            layout.plan.median_group_index, rank))
+            assert (group, row.color) == expected, (n, rank)
 
 
-def test_assign_colors_matches_rank_walk_oracle():
-    table = full_table()
-    layout = build_layout(table, SortSpec("v", DESCENDING))
-    for rank, code in enumerate(layout.ranked):
-        group, slot = rank_walk_oracle(layout.plan.sizes,
-                                       layout.plan.median_group_index, rank)
-        assert layout.group_of[code] == group, code
-        assert layout.slot_of[code] == slot, code
+def test_groups_cut_the_ranking_in_rank_order(table51):
+    layout = build_layout(table51, SortSpec("v", DESCENDING))
+    assert tuple(map(len, layout.groups)) == layout.plan.sizes
+    assert tuple(code for group in layout.groups
+                 for code in group) == layout.ranked
     # Frozen from the walk: the 7th-ranked region (index 6) is group 1, slot 1.
-    assert rank_walk_oracle(layout.plan.sizes, 5, 6) == (1, 1)
-    assert layout.group_of[layout.ranked[6]] == 1
-    assert layout.slot_of[layout.ranked[6]] == 1
+    assert rank_walk_oracle(layout.plan.sizes, 5, 6) == (
+        1, DEFAULT_PALETTE.slots[1])
+    assert layout.groups[1][1] == layout.ranked[6]
 
 
 def test_build_layout_51_complete(table51):
@@ -168,8 +185,8 @@ def test_build_layout_51_complete(table51):
     assert len(layout.ranked) == 51
     assert layout.unranked == ()
     assert set(layout.ranked) == set(ALL_CODES)
-    median_code = layout.ranked[25]
-    assert layout.slot_of[median_code] == MEDIAN_SLOT
+    assert layout.groups[layout.plan.median_group_index] == (
+        layout.ranked[25],)
 
 
 def test_build_layout_even_after_dropping_dc(table51):
@@ -211,18 +228,15 @@ def test_serialization_format():
 
 
 def test_slot_bijection_within_groups(table51):
-    layout = build_layout(table51, SortSpec("v"))
-    for gi, size in enumerate(layout.plan.sizes):
-        members = layout.group_members(gi)
-        slots = [layout.slot_of[c] for c in members]
-        if gi == layout.plan.median_group_index:
-            assert slots == [MEDIAN_SLOT]
+    """Each ranked band's rows take distinct slot colors, from slot 0 on."""
+    spec = ChartSpec("t", SortSpec("v"),
+                     (ColumnSpec("map"), ColumnSpec("legend")))
+    chart_plan = plan_chart(spec, table51)
+    for band, group in zip(chart_plan.bands, chart_plan.layout.groups,
+                           strict=True):
+        assert tuple(row.region for row in band.rows) == group
+        colors = [row.color for row in band.rows]
+        if band.is_median:
+            assert colors == [DEFAULT_PALETTE.median]
         else:
-            assert sorted(slots) == list(range(size))
-
-
-def test_assign_colors_rejects_a_plan_that_misses_regions():
-    plan = partition_groups(3)
-    with pytest.raises(MicromapError,
-                       match="^plan does not cover the ranked regions$"):
-        assign_colors(plan, ["CA", "TX"])
+            assert colors == list(DEFAULT_PALETTE.slots[:len(group)])

@@ -118,10 +118,10 @@ def test_table_rejects_non_finite_cells(bad):
         make_table({"UT": 1.0, "ID": bad})
     assert (info.value.row, info.value.column) == ("ID", "v")
     with pytest.raises(CellParse):
-        with_column(make_table({"UT": 1.0}), Column("w"), {"UT": bad})
+        with_column(make_table({"UT": 1.0}), (Column("w"), {"UT": bad}))
     with pytest.raises(CellParse) as info:
         with_column(make_table({"UT": 1.0}),
-                    Column("s", SERIES, ("2020", "2021")), {"UT": (None, bad)})
+                    (Column("s", SERIES, ("2020", "2021")), {"UT": (None, bad)}))
     assert (info.value.row, info.value.column) == ("UT", "s:2021")
 
 
@@ -129,12 +129,12 @@ def test_table_rejects_non_finite_cells(bad):
 def test_new_column_cells_are_checked_and_named(bad):
     table = make_table({"UT": 1.0, "ID": 2.0})
     with pytest.raises(CellParse) as info:
-        with_column(table, Column("w"), {"UT": 3.0, "ID": bad})
+        with_column(table, (Column("w"), {"UT": 3.0, "ID": bad}))
     assert (info.value.row, info.value.column) == ("ID", "w")
     assert repr(bad) in str(info.value)
     with pytest.raises(CellParse) as info:
-        with_column(table, Column("s", SERIES, ("2020", "2021", "2022")),
-                    {"UT": (1.0, None, 2.0), "ID": (None, 1.0, bad)})
+        with_column(table, (Column("s", SERIES, ("2020", "2021", "2022")),
+                            {"UT": (1.0, None, 2.0), "ID": (None, 1.0, bad)}))
     assert (info.value.row, info.value.column) == ("ID", "s:2022")
     assert repr(bad) in str(info.value)
     # A table made directly, or by _replace, still checks every cell.
@@ -347,26 +347,26 @@ def test_series_period_reference():
 
 
 def test_with_scalar_column_and_clash(table51):
-    extended = with_column(table51, Column("w"), {"UT": 1.0})
+    extended = with_column(table51, (Column("w"), {"UT": 1.0}))
     assert extended.rows["UT"]["w"] == 1.0
     assert extended.rows["ID"]["w"] is None
     with pytest.raises(NameClash, match="^column 'w' already exists$"):
-        with_column(extended, Column("w"), {})
+        with_column(extended, (Column("w"), {}))
 
 
 def test_with_series_column_faults():
     table = parse_table("state,a\nUT,1\nID,2\n", "state")
     with pytest.raises(NameClash, match="^column 'a' already exists$"):
-        with_column(table, Column("a", SERIES, ("p",)), {})
+        with_column(table, (Column("a", SERIES, ("p",)), {}))
     with pytest.raises(SeriesMismatch,
                        match="^'s' for UT: 1 values, 2 periods$"):
-        with_column(table, Column("s", SERIES, ("p", "q")), {"UT": (1.0,)})
+        with_column(table, (Column("s", SERIES, ("p", "q")), {"UT": (1.0,)}))
 
 
 def test_with_series_column_fills_a_missing_region():
     table = parse_table("state,a\nUT,1\nID,2\n", "state")
-    extended = with_column(table, Column("s", SERIES, ("p", "q")),
-                           {"UT": (1.0, None)})
+    extended = with_column(table, (Column("s", SERIES, ("p", "q")),
+                                   {"UT": (1.0, None)}))
     assert extended.column("s") == Column("s", SERIES, ("p", "q"))
     assert extended.rows["UT"] == {"a": 1.0, "s": (1.0, None)}
     assert extended.rows["ID"] == {"a": 2.0, "s": (None, None)}
@@ -382,7 +382,7 @@ def test_with_column_checks_what_the_table_checks(column, values, error,
                                                   message):
     table = parse_table("state,a\nUT,1\nID,2\n", "state")
     with pytest.raises(error) as err:
-        with_column(table, column, values)
+        with_column(table, (column, values))
     assert str(err.value) == message
 
 

@@ -42,8 +42,7 @@ SPEC = ChartSpec("t", SortSpec("v"),
                  (ColumnSpec("map"), ColumnSpec("legend"),
                   ColumnSpec("dot", ("V",), {"value": "v"})))
 TABLE = RegionTable((Column("v"),), {"AL": {"v": 1.0}, "AK": {"v": None}})
-LAYOUT = LinkedLayout(("AL",), ("AK",), GroupPlan((1,), None), {"AL": 0},
-                      {"AL": 0})
+LAYOUT = LinkedLayout(("AL",), ("AK",), GroupPlan((1,), 0), (("AL",),))
 BAND = Band(0, False, 0.0, 10.0, (RowBand("AL", 5.0, "#D55E00"),), ())
 
 # (instance, hashable): types holding a dict cannot be hashed, as before.
@@ -65,7 +64,7 @@ VALUES = [
     (BoxStats(1.0, 2.0, 3.0, 0.0, 4.0, (9.0,)), True),
     (SortSpec("v"), True),
     (GroupPlan((2, 1, 2), 1), True),
-    (LAYOUT, False),
+    (LAYOUT, True),
     (Palette(median="#111111"), True),
     (ColumnSpec("dot", ("V",), {"value": "v"}, {"weight": 2}), False),
     (SPEC, False),
