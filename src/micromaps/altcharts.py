@@ -70,14 +70,14 @@ def render_barchart_alpha(table: RegionTable, column: str,
                           width: float = 1000.0, height: float = 560.0,
                           title: str = "") -> Scene:
     """Vertical bars in alphabetical USPS-code order, every state labeled."""
-    check_canvas_side(width, "width")
-    check_canvas_side(height, "height")
+    margin_left, margin_right = 52.0, 14.0
+    top = 46.0 if title else 18.0
+    check_canvas_side(width, "width", above=margin_left + margin_right)
+    check_canvas_side(height, "height", above=top + 34.0)
     values = scalar_values(table, column)
     extent = column_extent(table, column)
     extent = (min(0.0, extent[0]), max(0.0, extent[1]))
 
-    margin_left, margin_right = 52.0, 14.0
-    top = 46.0 if title else 18.0
     bottom = height - 34.0
     y_scale = linear_scale(extent, (0.0, 1.0))
     codes = table.codes()
@@ -134,15 +134,15 @@ def render_choropleth(atlas: Atlas, table: RegionTable, column: str,
 
     With no explicit breaks, k equal-interval classes cover the extent.
     """
-    check_canvas_side(width, "width")
-    check_canvas_side(height, "height")
+    top = 40.0 if title else 12.0
+    legend_w = 150.0
+    check_canvas_side(width, "width", above=legend_w + 24.0)
+    check_canvas_side(height, "height", above=top + 12.0)
     values = scalar_values(table, column)
     extent = column_extent(table, column)
     if breaks is None:
         breaks = equal_interval_breaks(extent, k)
 
-    top = 40.0 if title else 12.0
-    legend_w = 150.0
     frame = PanelFrame(12.0, top, width - legend_w - 24.0, height - top - 12.0,
                        (), 0.0)
     missing = {code for code in atlas.regions if values.get(code) is None}

@@ -7,23 +7,26 @@ math, so a region's row lines up exactly across the whole chart, and every
 glyph column builds a single scale reused by all of its panels, so axes are
 identical top to bottom.
 
-``plan_chart`` runs every rule and makes every decision: each column's
-scales (one ``_KINDS`` row per column kind, read with no branch on the
-kind), the ranking, the groups and the bands, each with the regions its
-small map tints, so only the plan reads the map mode. It records the
-findings too: ``absent`` rows, each column's ``no_value``, and warnings.
-``compose`` warns of them at its caller and draws the plan: each panel by
-its kind's ``draw`` into a ``scene.Layers``; the page's title, headers,
-separators and axes go into one more, and every panel is added to it.
-Its slot order is the paint order, fixed for stable output: guides, map
-fills, map borders, marks, axes, labels.
+A ChartSpec runs ``validate_spec`` when it is made or replaced.
+``plan_chart`` runs every rule that reads the table and makes every
+decision: each column's scales (one ``_KINDS`` row per column kind, read
+with no branch on the kind), the ranking, the groups and the bands, each
+with the regions its small map tints, so only the plan reads the map mode.
+It records the findings too: ``absent`` rows, each column's ``no_value``,
+and warnings. ``compose`` warns of them at its caller and draws the plan:
+each panel by its kind's ``draw`` into a ``scene.Layers``; the page's
+title, headers, separators and axes go into one more, and every panel is
+added to it. Its slot order is the paint order, fixed for stable output:
+guides, map fills, map borders, marks, axes, labels.
 """
 
 import sys
 import warnings
+from collections.abc import Callable, Mapping
 from functools import reduce
 from operator import add
-from typing import Any, Callable, NamedTuple
+from types import MappingProxyType
+from typing import Any, NamedTuple
 
 from . import colors
 from .atlas import Atlas, render_minimap
@@ -136,30 +139,18 @@ AXIS_LABEL_STYLE = Style(fill=colors.TEXT_COLOR, font_size=8.5, anchor="middle")
 SEPARATOR_STYLE = Style(stroke=colors.SEPARATOR_COLOR, stroke_width=0.9)
 
 
-class _ColumnFields(NamedTuple):
+_NO_ENTRIES = MappingProxyType({})  # read-only, so every column shares it
+
+
+@value_type
+class ColumnSpec(NamedTuple):
     kind: str
-    header: tuple[str, ...]
-    bindings: dict[str, str]
-    options: dict[str, object]
+    header: tuple[str, ...] = ()
+    bindings: Mapping[str, str] = _NO_ENTRIES
+    options: Mapping[str, object] = _NO_ENTRIES
 
 
-_NEW_DICT: Any = object()  # default: a new dict per ColumnSpec
-
-
-@value_type
-class ColumnSpec(_ColumnFields):
-    __slots__ = ()
-
-    def __new__(cls, kind: str, header: tuple[str, ...] = (),
-                bindings: dict[str, str] = _NEW_DICT,
-                options: dict[str, object] = _NEW_DICT) -> "ColumnSpec":
-        return super().__new__(cls, kind, header,
-                               {} if bindings is _NEW_DICT else bindings,
-                               {} if options is _NEW_DICT else options)
-
-
-@value_type
-class ChartSpec(NamedTuple):
+class _ChartFields(NamedTuple):
     title: str
     sort: SortSpec
     columns: tuple[ColumnSpec, ...]
@@ -170,9 +161,29 @@ class ChartSpec(NamedTuple):
     palette: Palette = DEFAULT_PALETTE
 
 
+@value_type
+class ChartSpec(_ChartFields):
+    """A spec validate_spec accepted; columns hold read-only mappings."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ChartSpec":
+        spec = super().__new__(cls, *args, **kwargs)
+        validate_spec(spec)
+        columns = tuple(column._replace(
+            bindings=MappingProxyType(dict(column.bindings)),
+            options=MappingProxyType(dict(column.options)))
+            for column in spec.columns)
+        return super().__new__(cls, **{**spec._asdict(), "columns": columns})
+
+    @classmethod
+    def _make(cls, fields) -> "ChartSpec":  # _replace checks it too
+        return cls(*fields)
+
+
 _NOUNS = {str: "a string", int: "an integer", float: "a number",
-          tuple: "a tuple", dict: "an object", list: "an array",
-          SortSpec: "a SortSpec", Palette: "a Palette",
+          tuple: "a tuple", dict: "an object", Mapping: "an object",
+          list: "an array", SortSpec: "a SortSpec", Palette: "a Palette",
           ColumnSpec: "a ColumnSpec"}
 
 
@@ -205,7 +216,7 @@ def _finite(value: object, path: str) -> float:
 
 
 def _validate_options(value: object, kind: str, path: str) -> None:
-    options = expect(value, dict, path)
+    options = expect(value, Mapping, path)
     for key in options:
         if key not in _OPTION_KEYS:
             raise UnknownKey(f"{path}.{key}")
@@ -224,14 +235,14 @@ def _validate_options(value: object, kind: str, path: str) -> None:
             raise SpecError(f"{path}.target_ticks", "must be in 1..12")
 
 
-def validate_spec(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
+def validate_spec(spec: ChartSpec) -> None:
     """Check every field of the spec that does not depend on the table.
 
-    parse_config maps JSON onto a ChartSpec and calls it; plan_chart calls
-    it too, then checks each binding against the table where its column is
-    planned. Raises SpecError (UnknownKey for an option key) with the
-    config path of the offending value. Returns each column's
-    ``(column, x, width)`` on the canvas, which the width rules compute.
+    Every ChartSpec runs it when it is made or replaced, so a spec that
+    exists has passed it; plan_chart checks each binding against the table
+    where its column is planned. Raises SpecError (UnknownKey for an option
+    key) with the config path of the offending value. The width rules lay
+    the columns out on the canvas, as plan_chart does again.
     """
     expect(spec.title, str, "title")
     expect(spec.sort, SortSpec, "sort")
@@ -253,7 +264,7 @@ def validate_spec(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
     _one_of(spec.map_mode, (GROUP_ONLY, CUMULATIVE), "map_mode")
     for name in ("width", "height"):
         check_canvas_side(getattr(spec, name), f"output.{name}")
-    if not spec.columns:
+    if not expect(spec.columns, tuple, "columns"):
         raise SpecError("columns", "chart needs at least one column")
     for i, column in enumerate(spec.columns):
         path = f"columns[{i}]"
@@ -263,7 +274,7 @@ def validate_spec(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
             raise SpecError(f"{path}.header", "at most two header lines")
         for j, line in enumerate(column.header):
             expect(line, str, f"{path}.header[{j}]")
-        for key, ref in expect(column.bindings, dict, f"{path}.bindings").items():
+        for key, ref in expect(column.bindings, Mapping, f"{path}.bindings").items():
             expect(ref, str, f"{path}.bindings.{key}")
         required = _KINDS[column.kind].bindings
         for key in required:
@@ -278,7 +289,7 @@ def validate_spec(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
         raise SpecError("columns", "chart needs exactly one map column")
     if kinds.count(LEGEND) != 1:
         raise SpecError("columns", "chart needs exactly one legend column")
-    return _column_x_layout(spec)
+    _column_x_layout(spec)
 
 
 @value_type
@@ -521,13 +532,13 @@ class ChartPlan(NamedTuple):
 
 
 def plan_chart(spec: ChartSpec, table: RegionTable) -> ChartPlan:
-    """Plan the chart, running every rule: validate_spec for the spec, then
-    each binding where its column is planned, then the sort column where
-    the regions are ranked. A sort column that no glyph column shows is
-    only a warning, kept in the plan.
+    """Plan the chart, running every rule that reads the table (the spec
+    checked the rest when it was made): each binding where its column is
+    planned, then the sort column where the regions are ranked. A sort
+    column that no glyph column shows is only a warning, kept in the plan.
     """
     columns = tuple(_plan_column(column, i, x, width, table)
-                    for i, (column, x, width) in enumerate(validate_spec(spec)))
+                    for i, (column, x, width) in enumerate(_column_x_layout(spec)))
     try:
         layout = build_layout(table, spec.sort, spec.group_size)
     except (MissingColumn, EmptySort) as exc:

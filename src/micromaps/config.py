@@ -3,17 +3,17 @@
 This module maps a JSON document onto ChartSpec and its parts. It rejects
 unknown keys with their full path, missing required keys, and objects or
 arrays of the wrong JSON shape; every rule on the values of the chart spec
-(types, ranges, enums) belongs to ``compose.validate_spec``, which checks
-specs built through the Python API the same way. This tool exists to
-produce evidence-grade figures, so typos must fail loudly rather than be
-silently ignored.
+(types, ranges, enums) is ``compose.validate_spec``, which every ChartSpec
+runs when it is made, so a spec built through the Python API is checked
+the same way. This tool exists to produce evidence-grade figures, so typos
+must fail loudly rather than be silently ignored.
 """
 
 import json
 from typing import NamedTuple
 
 from .colors import Palette
-from .compose import ChartSpec, ColumnSpec, expect, validate_spec
+from .compose import ChartSpec, ColumnSpec, expect
 from .errors import ConfigError, ConfigSyntax, SpecError, UnknownKey
 from .layout import SortSpec
 from .svg import check_decimal_places
@@ -100,10 +100,10 @@ def _parse_palette(value: object) -> Palette:
 
 
 def parse_config(document: str) -> RenderConfig:
-    """Map a chart config document onto a RenderConfig and validate its spec.
-
-    Data-dependent validation (binding targets, sort column) happens later,
-    once the referenced CSV has been loaded.
+    """Map a chart config document onto a RenderConfig, whose ChartSpec
+    checks the spec's values as it is made. Data-dependent validation
+    (binding targets, sort column) happens later, once the referenced CSV
+    has been loaded.
     """
     try:
         raw = json.loads(document)
@@ -153,6 +153,5 @@ def parse_config(document: str) -> RenderConfig:
     if "palette" in root:
         fields["palette"] = _parse_palette(root["palette"])
     spec = ChartSpec(sort=SortSpec(**sort), columns=columns, **fields)
-    validate_spec(spec)  # anatomy only; table checks happen at render time
     return RenderConfig(spec, data_path, region_column, tuple(series),
                         output_path, decimal_places, samples, join)

@@ -18,13 +18,13 @@ from .values import value_type
 MAX_CANVAS = 100000.0
 
 
-def check_canvas_side(value: object, path: str) -> None:
-    """Raise SpecError at ``path`` unless ``value`` is a number above 0 and
-    at most MAX_CANVAS (so finite); a bool is not a number here."""
+def check_canvas_side(value: object, path: str, above: float = 0.0) -> None:
+    """Raise SpecError at ``path`` unless ``value`` is a number above ``above``
+    and at most MAX_CANVAS (so finite); a bool is not a number here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(path, f"expected a number, got {type(value).__name__}")
-    if not 0 < value <= MAX_CANVAS:
-        raise SpecError(path, f"must be above 0 and at most {MAX_CANVAS:g}")
+    if not above < value <= MAX_CANVAS:
+        raise SpecError(path, f"must be above {above:g} and at most {MAX_CANVAS:g}")
 
 
 @value_type

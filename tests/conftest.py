@@ -4,6 +4,7 @@ import json
 from collections import defaultdict
 
 import pytest
+from hypothesis import settings
 
 from micromaps.atlas import Atlas, load_atlas, load_default_atlas
 from micromaps.demos import build_demo
@@ -11,6 +12,12 @@ from micromaps.errors import MicromapError
 from micromaps.regions import ALL_CODES, BY_CODE
 from micromaps.scene import PanelInfo, Scene
 from micromaps.table import Column, RegionTable
+
+# Tier-1 is deterministic: every property test draws the same examples on
+# every run, keeps no example database, and has no per-example deadline.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
 
 
 def square_atlas_document() -> str:

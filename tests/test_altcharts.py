@@ -179,3 +179,55 @@ def test_alt_charts_check_their_canvas_first(square_atlas, table51, side,
         with pytest.raises(SpecError) as err:
             render(**{side: value})
         assert err.value.path == side
+
+
+@pytest.mark.parametrize("render,side,value,title,bound", [
+    ("choropleth", "width", 150, "", 174),  # gave a mirrored map
+    ("choropleth", "width", 50, "", 174),  # gave a map clamped onto x = 0
+    ("choropleth", "height", 52, "Title", 52),
+    ("barchart", "height", 20, "", 52),  # gave a 32-unit bar at y = 0
+    ("barchart", "height", 80, "Title", 80),
+    ("barchart", "width", 66, "", 66),
+])
+def test_alt_charts_reject_a_canvas_their_margins_cannot_hold(
+        square_atlas, table51, render, side, value, title, bound):
+    size = {side: value, "title": title}
+    with pytest.raises(SpecError) as err:
+        if render == "choropleth":
+            render_choropleth(square_atlas, table51, "v", **size)
+        else:
+            render_barchart_alpha(table51, "v", **size)
+    assert str(err.value) == (f"{side}: must be above {bound} and at most "
+                              "100000")
+
+
+def _inside(points, left, top, right, bottom) -> bool:
+    eps = 1e-9
+    return all(left - eps <= x <= right + eps and top - eps <= y <= bottom + eps
+               for x, y in points)
+
+
+@pytest.mark.parametrize("title", ["", "Title"])
+def test_alt_charts_draw_inside_their_frame_at_the_smallest_canvas(
+        default_atlas, table51, title):
+    def above(bound: float) -> float:
+        return math.nextafter(bound, math.inf)
+
+    top = 40.0 if title else 12.0
+    width, height = above(174.0), above(top + 12.0)
+    scene = render_choropleth(default_atlas, table51, "v", width=width,
+                              height=height, title=title)
+    rings = [s.points for s in scene.shapes if isinstance(s, Polygon)]
+    assert len(rings) == 2 * sum(map(len, default_atlas.regions.values()))
+    assert all(_inside(ring, 12.0, top, width - 162.0, height - 12.0)
+               for ring in rings)
+
+    top = 46.0 if title else 18.0
+    width, height = above(66.0), above(top + 34.0)
+    scene = render_barchart_alpha(table51, "v", width=width, height=height,
+                                  title=title)
+    bars = [s for s in scene.shapes
+            if isinstance(s, Rect) and (s.tag or "").startswith("region:")]
+    assert len(bars) == 51
+    assert all(_inside(((b.x, b.y), (b.x + b.width, b.y + b.height)), 52.0,
+                       top, width - 14.0, height - 34.0) for b in bars)

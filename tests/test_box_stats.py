@@ -88,7 +88,7 @@ def test_oracle_equivalence_on_seeded_random_samples():
         assert_close(compute_box_stats(samples), numpy_oracle(samples))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80))
 # Interpolating between equal subnormals rounded below them.
 @example([5e-324, 5e-324])

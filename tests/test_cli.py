@@ -213,7 +213,8 @@ def test_bad_weight_message_and_exit_code(workspace, capsys, weight):
     ({"kind": "pie"}, "columns[2]: unknown column kind 'pie'"),
 ])
 def test_spec_rule_message_and_exit_code(workspace, capsys, column, message):
-    """Rules on the spec come from validate_spec, with the config's path."""
+    """Rules on the spec are checked as its ChartSpec is made, with the
+    config's path."""
     bad = dict(CONFIG, columns=CONFIG["columns"][:2] + [
         {**CONFIG["columns"][2], **column}])
     (workspace / "bad.json").write_text(json.dumps(bad))

@@ -167,9 +167,8 @@ def _run(workdir, command: str) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(config=configs())
 # Found by this test: a span past the largest float failed as "bad raw step
 # inf" with no path, and a tick step near it raised OverflowError.

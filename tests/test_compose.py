@@ -12,9 +12,9 @@ from micromaps.compose import (
     SCALE_PAD_F,
     ChartSpec,
     ColumnSpec,
+    _column_x_layout,
     compose,
     plan_chart,
-    validate_spec,
 )
 from micromaps.demos import build_demo
 from micromaps.errors import BadExtent, EmptyColumn, SpecError
@@ -185,10 +185,9 @@ def test_timeseries_column_composition(square_atlas):
 # --- spec validation ---------------------------------------------------------
 
 def test_spec_requires_map_column(table51):
-    spec = minimal_spec(columns=(
-        ColumnSpec("legend"), ColumnSpec("dot", bindings={"value": "v"})))
     with pytest.raises(SpecError) as err:
-        validate_spec(spec)
+        minimal_spec(columns=(
+            ColumnSpec("legend"), ColumnSpec("dot", bindings={"value": "v"})))
     assert "map" in str(err.value)
 
 
@@ -200,39 +199,35 @@ def test_spec_rejects_column_counts(glyphs, message):
     columns = (ColumnSpec("map"), ColumnSpec("legend")) if glyphs else ()
     columns += (ColumnSpec("dot", bindings={"value": "v"}),) * glyphs
     with pytest.raises(SpecError) as err:
-        validate_spec(minimal_spec(columns=columns))
+        minimal_spec(columns=columns)
     assert str(err.value) == message
 
 
 def test_spec_rejects_two_legends():
-    spec = minimal_spec(columns=(
-        ColumnSpec("map"), ColumnSpec("legend"), ColumnSpec("legend")))
     with pytest.raises(SpecError):
-        validate_spec(spec)
+        minimal_spec(columns=(
+            ColumnSpec("map"), ColumnSpec("legend"), ColumnSpec("legend")))
 
 
 def test_spec_rejects_unknown_kind():
-    spec = minimal_spec(columns=(
-        ColumnSpec("map"), ColumnSpec("legend"), ColumnSpec("pie")))
     with pytest.raises(SpecError) as err:
-        validate_spec(spec)
+        minimal_spec(columns=(
+            ColumnSpec("map"), ColumnSpec("legend"), ColumnSpec("pie")))
     assert err.value.path == "columns[2]"
 
 
 def test_spec_rejects_missing_binding():
-    spec = minimal_spec(columns=(
-        ColumnSpec("map"), ColumnSpec("legend"), ColumnSpec("dot")))
     with pytest.raises(SpecError) as err:
-        validate_spec(spec)
+        minimal_spec(columns=(
+            ColumnSpec("map"), ColumnSpec("legend"), ColumnSpec("dot")))
     assert err.value.path == "columns[2].bindings"
 
 
 def test_spec_rejects_unknown_binding_key():
-    spec = minimal_spec(columns=(
-        ColumnSpec("map"), ColumnSpec("legend"),
-        ColumnSpec("dot", bindings={"value": "v", "extra": "v"})))
     with pytest.raises(SpecError):
-        validate_spec(spec)
+        minimal_spec(columns=(
+            ColumnSpec("map"), ColumnSpec("legend"),
+            ColumnSpec("dot", bindings={"value": "v", "extra": "v"})))
 
 
 def test_spec_path_points_at_bad_reference(square_atlas, table51):
@@ -284,23 +279,21 @@ def test_spec_warns_when_sort_column_not_shown(square_atlas, table51):
 
 def test_spec_bad_group_size():
     with pytest.raises(SpecError):
-        validate_spec(minimal_spec(group_size=0))
+        minimal_spec(group_size=0)
 
 
 def test_spec_group_size_beyond_palette_slots(square_atlas, table51):
     slots = len(DEFAULT_PALETTE.slots)
-    validate_spec(minimal_spec(group_size=slots))
+    compose(minimal_spec(group_size=slots), table51, square_atlas)
     for size in (slots + 1, 13):
         with pytest.raises(SpecError) as info:
-            validate_spec(minimal_spec(group_size=size))
+            minimal_spec(group_size=size)
         assert info.value.path == "group_size"
-        with pytest.raises(SpecError):
-            compose(minimal_spec(group_size=size), table51, square_atlas)
 
 
 def test_spec_bad_map_mode():
     with pytest.raises(SpecError):
-        validate_spec(minimal_spec(map_mode="rainbow"))
+        minimal_spec(map_mode="rainbow")
 
 
 def test_compose_suppresses_no_warnings(square_atlas, table51):
@@ -318,18 +311,15 @@ def _with_dot_options(**options) -> ChartSpec:
 
 @pytest.mark.parametrize("weight", [-1, 0, float("nan"), float("inf"), "abc",
                                     True])
-def test_spec_rejects_bad_weight(square_atlas, table51, weight):
-    spec = _with_dot_options(weight=weight)
+def test_spec_rejects_bad_weight(weight):
     with pytest.raises(SpecError) as info:
-        validate_spec(spec)
+        _with_dot_options(weight=weight)
     assert info.value.path == "columns[2].options.weight"
-    with pytest.raises(SpecError):
-        compose(spec, table51, square_atlas)
 
 
 def test_spec_rejects_non_finite_reference_line():
     with pytest.raises(SpecError) as info:
-        validate_spec(_with_dot_options(reference_line=float("nan")))
+        _with_dot_options(reference_line=float("nan"))
     assert info.value.path == "columns[2].options.reference_line"
 
 
@@ -372,7 +362,7 @@ _REGION = st.one_of(st.just((None, None, None)),
 def _reference_box_scale(table: RegionTable):
     """The box column's x scale as column_extent sizes it, or the error
     compose should raise."""
-    (_, x, width), = [c for c in validate_spec(BOX_SPEC)
+    (_, x, width), = [c for c in _column_x_layout(BOX_SPEC)
                       if c[0].kind == "boxplot"]
     pad = width * SCALE_PAD_F
     try:
@@ -387,7 +377,7 @@ def _reference_box_scale(table: RegionTable):
 @example([(-5.0, -0.0, None), (0.0, None, None)])
 @example([(0.0, -5.0, None), (None, -0.0, None)])
 @example([(None, None, None), (None, None, None)])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(_REGION, min_size=1, max_size=12))
 def test_box_column_scale_matches_column_extent(square_atlas, series):
     rows = {code: {"v": float(i), "s": cells}
@@ -426,7 +416,7 @@ def _points(shape):
     return shape.points  # Polyline, Polygon
 
 
-# Every width validate_spec accepts.
+# Every width the canvas rule accepts.
 _WIDTH = st.floats(0.0, MAX_CANVAS, exclude_min=True)
 _HEIGHT = st.floats(1.0, MAX_CANVAS)
 
@@ -439,14 +429,13 @@ _HEIGHT = st.floats(1.0, MAX_CANVAS)
 @example(1000.0, 150.0)
 @example(5000.0, 300.0)
 @example(1000.0, 20.0)
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(_WIDTH, _HEIGHT)
 def test_demo_marks_stay_inside_their_panels(default_atlas, demos, width,
                                             height):
     for spec, table in demos:
-        spec = spec._replace(width=width, height=height)
         try:
-            validate_spec(spec)
+            spec = spec._replace(width=width, height=height)
         except SpecError:  # a column of no width: not a size it accepts
             continue
         with warnings.catch_warnings():

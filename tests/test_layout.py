@@ -120,7 +120,7 @@ def test_partition_rejects_zero():
         partition_groups(0, 5)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(n=st.integers(1, 200), group_size=st.integers(1, 8))
 def test_partition_properties(n, group_size):
     plan = partition_groups(n, group_size)

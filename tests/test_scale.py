@@ -105,7 +105,7 @@ def exact(values: list[float | None]) -> list[str | None]:
     return [None if v is None else v.hex() for v in values]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(lo=st.floats(-1e6, 1e6), span=st.floats(1e-3, 1e6),
        r0=st.floats(-1e4, 1e4), r1=st.floats(-1e4, 1e4),
        fractions=st.lists(st.one_of(st.none(), st.floats(-0.3, 1.3)),
@@ -127,7 +127,7 @@ def test_positions_equal_check_then_map(lo, span, r0, r1, fractions):
         assert exact(scale.positions(values)) == exact(expected)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     lo=st.floats(-1e6, 1e6),
     span=st.floats(1e-3, 1e6),
@@ -151,13 +151,13 @@ def test_scale_properties(lo, span, target):
         assert d0 - tol <= tick <= d1 + tol
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(raw=st.floats(1e-9, 1e9))
 def test_nice_step_matches_exhaustive_oracle(raw):
     assert nice_step(raw) == oracle_step(raw)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(lo=st.floats(-1e5, 1e5), span=st.floats(0.01, 1e5))
 # The end tick 97868.01 = 48934005 * 0.002 sits within an ulp of hi.
 @example(lo=97868.0, span=0.01)
@@ -174,7 +174,7 @@ def test_ticks_match_grid_oracle(lo, span):
     assert set(required) <= set(scale.ticks) <= set(required) | set(optional)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(index=st.integers(-10**7, 10**7), exp=st.integers(-3, 3),
        mantissa=st.sampled_from((1.0, 2.0, 5.0)), steps=st.integers(1, 12))
 # step*1e-9 is below one ulp of 66647.9: a tolerance of step*1e-9 alone

@@ -116,7 +116,7 @@ _shape = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(_shape, max_size=8))
 def test_clamp_scene_equals_clamping_every_shape(shapes):
     check_clamp_scene(shapes)
@@ -131,7 +131,7 @@ def check_clamp_scene(shapes):
             assert after is before  # a shape on the canvas is kept as is
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(_shape, max_size=8))
 # A ring past each edge of the canvas, and one on it.
 @example([Polygon(((-0.5, 1.0), (2.0, 1.0))), Polyline(((1.0, 1.0), (10.5, 2.0))),

@@ -1,10 +1,11 @@
 """The config and the Python API reject the same specs at the same path.
 
 Each case is one invalid value, written once as JSON for ``parse_config``
-and once as the equivalent ChartSpec for ``validate_spec``, ``plan_chart``
-and ``compose``. Both sides must raise the same exception class naming the
-same path, and ``compose`` must not render. An option that its column kind ignores is
-also run through ``micromaps validate`` and ``micromaps render``.
+and once as the equivalent fields of a ChartSpec, which is built with the
+constructor and with ``_replace``. Both sides must raise the same exception
+class naming the same path, so no ChartSpec holding the value exists. An
+option that its column kind ignores is also run through ``micromaps
+validate`` and ``micromaps render``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import copy
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from micromaps.cli import EXIT_VALIDATION, run
 from micromaps.colors import DEFAULT_PALETTE, SLOT_COLORS
-from micromaps.compose import (ChartSpec, ColumnSpec, compose, plan_chart,
-                               validate_spec)
+from micromaps.compose import (CUMULATIVE, GROUP_ONLY, ChartSpec, ColumnSpec,
+                               compose)
 from micromaps.config import parse_config
 from micromaps.errors import MicromapError, SpecError, UnknownKey
 from micromaps.layout import SortSpec
@@ -74,6 +77,7 @@ CASES = [
     case("palette", "slots", ["#1", "#2", 7, "#4", "#5"], SpecError,
          "palette.slots[2]", api=("#1", "#2", 7, "#4", "#5")),
     case("sort", "direction", "sideways", SpecError, "sort.direction"),
+    case("top", "columns", 7, SpecError, "columns"),
     # Failed in the API with a misleading or late error. A bare string is
     # a valid header in JSON, so its JSON twin is a header that is neither
     # a string nor an array.
@@ -168,19 +172,26 @@ def json_form(where, key, value) -> str:
     return json.dumps(doc)
 
 
-def api_form(where, key, value) -> ChartSpec:
+def api_fields(where, key, value) -> dict:
+    """The ChartSpec fields that hold the value, as BASE_SPEC's otherwise."""
     if where in ("top", "output"):
-        return BASE_SPEC._replace(**{key: value})
+        return {key: value}
     if where == "sort":
-        return BASE_SPEC._replace(sort=BASE_SPEC.sort._replace(**{key: value}))
+        return {"sort": BASE_SPEC.sort._replace(**{key: value})}
     if where == "palette":
-        return BASE_SPEC._replace(
-            palette=DEFAULT_PALETTE._replace(**{key: value}))
+        return {"palette": DEFAULT_PALETTE._replace(**{key: value})}
     columns = list(BASE_SPEC.columns)
     i = where[1]
     change = {key: value} if where[0] == "column" else {"options": {key: value}}
     columns[i] = columns[i]._replace(**change)
-    return BASE_SPEC._replace(columns=tuple(columns))
+    return {"columns": tuple(columns)}
+
+
+def build(base: ChartSpec, fields: dict, replace: bool) -> ChartSpec:
+    """``base`` with ``fields``, by ``_replace`` or by the constructor."""
+    if replace:
+        return base._replace(**fields)
+    return ChartSpec(**{**base._asdict(), **fields})
 
 
 def test_base_forms_are_valid(table51, square_atlas):
@@ -189,18 +200,53 @@ def test_base_forms_are_valid(table51, square_atlas):
 
 
 @pytest.mark.parametrize("where,key,value,api_value,error,path", CASES)
-def test_config_and_api_reject_alike(table51, square_atlas, where, key, value,
-                                     api_value, error, path):
-    spec = api_form(where, key, api_value)
+def test_config_and_api_reject_alike(where, key, value, api_value, error,
+                                     path):
+    fields = api_fields(where, key, api_value)
     raised = []
     for attempt in (lambda: parse_config(json_form(where, key, value)),
-                    lambda: validate_spec(spec),
-                    lambda: plan_chart(spec, table51),
-                    lambda: compose(spec, table51, square_atlas)):
+                    lambda: build(BASE_SPEC, fields, replace=False),
+                    lambda: build(BASE_SPEC, fields, replace=True)):
         with pytest.raises(MicromapError) as info:
             attempt()
         raised.append((type(info.value), info.value.path))
-    assert raised == [(error, path)] * 4
+    assert raised == [(error, path)] * 3
+
+
+# Valid fields that no case sets, so the case's value stays the only fault.
+_VALID_BASE = st.builds(
+    BASE_SPEC._replace, title=st.text(max_size=8),
+    group_size=st.integers(1, 5),
+    map_mode=st.sampled_from((GROUP_ONLY, CUMULATIVE)),
+    height=st.floats(100.0, 5000.0))
+
+
+@given(st.sampled_from([case.values for case in CASES]), _VALID_BASE,
+       st.booleans())
+def test_no_case_can_be_built_into_a_spec(case, base, replace):
+    where, key, _, api_value, error, path = case
+    with pytest.raises(MicromapError) as info:
+        build(base, api_fields(where, key, api_value), replace)
+    assert (type(info.value), info.value.path) == (error, path)
+
+
+@pytest.mark.parametrize("replace", [False, True], ids=["new", "_replace"])
+def test_spec_keeps_copies_of_bindings_and_options(replace):
+    bindings, options = {"value": "v"}, {"reference_line": 0.0}
+    dot = ColumnSpec("dot", ("Value",), bindings, options)
+    spec = build(BASE_SPEC, {"columns": BASE_SPEC.columns[:2] + (dot,)},
+                 replace)
+    twin = ChartSpec("Chart", SortSpec("v"), BASE_SPEC.columns[:2] + (
+        ColumnSpec("dot", ("Value",), {"value": "v"},
+                   {"reference_line": 0.0}),))
+    bindings["value"], bindings["extra"] = 7, "v"
+    options.clear()
+    assert spec == twin
+    for column in spec.columns:
+        with pytest.raises(TypeError):
+            column.bindings["value"] = "w"
+        with pytest.raises(TypeError):
+            column.options["weight"] = 2.0
 
 
 # A known option on a column kind that ignores it: (index, column, key,
@@ -221,20 +267,16 @@ IGNORED = [
     "index,column,key,value", IGNORED,
     ids=[f"{key}-on-{column['kind']}" for _, column, key, _ in IGNORED])
 def test_ignored_option_is_rejected_by_api_and_cli(
-        tmp_path, monkeypatch, capsys, table51, square_atlas, index, column,
-        key, value):
+        tmp_path, monkeypatch, capsys, index, column, key, value):
     path = f"columns[{index}].options.{key}"
     line = f"{path}: not used by a {column['kind']} column"
     columns = list(BASE_SPEC.columns)
     columns[index] = ColumnSpec(column["kind"],
                                 bindings=column.get("bindings", {}),
                                 options={key: value})
-    spec = BASE_SPEC._replace(columns=tuple(columns))
-    for attempt in (lambda: validate_spec(spec),
-                    lambda: compose(spec, table51, square_atlas)):
-        with pytest.raises(SpecError) as info:
-            attempt()
-        assert (info.value.path, str(info.value)) == (path, line)
+    with pytest.raises(SpecError) as info:
+        BASE_SPEC._replace(columns=tuple(columns))
+    assert (info.value.path, str(info.value)) == (path, line)
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "data.csv").write_text("state,v,a,b\n" + "\n".join(

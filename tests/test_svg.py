@@ -269,7 +269,7 @@ def xml_chars(text: str) -> str:
                    or ord(c) >= 0x10000)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_text)
 @example("a\x01b\x0bc & <d> \"e\"")
 @example("\ud83d")  # a lone high surrogate
@@ -279,7 +279,7 @@ def test_escape_matches_saxutils_on_xml_characters(text):
     assert _escape_attr(text) == escape(kept, {'"': "&quot;"})
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_text)
 @example(FORBIDDEN)
 def test_any_text_content_parses_back(text):

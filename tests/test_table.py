@@ -408,7 +408,7 @@ def test_roundtrip_of_parsed_csv():
 _values = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     codes=st.lists(st.sampled_from(ALL_CODES), min_size=1, max_size=8,
                    unique=True),

@@ -45,7 +45,8 @@ TABLE = RegionTable((Column("v"),), {"AL": {"v": 1.0}, "AK": {"v": None}})
 LAYOUT = LinkedLayout(("AL",), ("AK",), GroupPlan((1,), 0), (("AL",),))
 BAND = Band(0, False, 0.0, 10.0, (RowBand("AL", 5.0, "#D55E00"),), ())
 
-# (instance, hashable): types holding a dict cannot be hashed, as before.
+# (instance, hashable): types holding a dict or a read-only mapping cannot
+# be hashed.
 VALUES = [
     (Style(fill="#000", stroke_width=0.5), True),
     (Rect(0.0, 0.0, 1.0, 1.0, tag="region:AL"), True),
@@ -122,10 +123,13 @@ def test_equal_values_hash_equal(value, hashable):
             hash(value)
 
 
-def test_column_spec_defaults_are_new_dicts():
+def test_column_spec_defaults_are_read_only():
     a, b = ColumnSpec("map"), ColumnSpec("legend")
-    assert a.bindings == {} and a.options == {}
-    assert a.bindings is not b.bindings and a.options is not b.options
+    for mapping in (a.bindings, a.options):
+        assert mapping == {}
+        with pytest.raises(TypeError):
+            mapping["weight"] = 2.0
+    assert b.bindings == {} and b.options == {}
 
 
 def test_copies_are_made_with_replace():
