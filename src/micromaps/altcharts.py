@@ -142,10 +142,16 @@ def render_choropleth(atlas: Atlas, table: RegionTable, column: str,
     extent = column_extent(table, column)
     if breaks is None:
         breaks = equal_interval_breaks(extent, k)
+    missing = {code for code in atlas.regions if values.get(code) is None}
+    lx = width - legend_w
+    ly = top + 8.0
+    swatch = 12.0
+    # One legend row per class, and one for "no data", must fit the height.
+    check_canvas_side(height, "height", above=ly - 6.0 + (swatch + 6.0) * (
+        len(breaks.colors) + bool(missing)))
 
     frame = PanelFrame(12.0, top, width - legend_w - 24.0, height - top - 12.0,
                        (), 0.0)
-    missing = {code for code in atlas.regions if values.get(code) is None}
     fills = {code: colors.NO_DATA_COLOR if code in missing
              else breaks.colors[breaks.class_index(values[code])]
              for code in atlas.regions}
@@ -153,9 +159,6 @@ def render_choropleth(atlas: Atlas, table: RegionTable, column: str,
     regions = _draw_map(atlas, fills, stroke, _fit_transform(atlas, frame, 0.0))
     shapes: list[Shape] = regions.fills + regions.strokes
 
-    lx = width - legend_w
-    ly = top + 8.0
-    swatch = 12.0
     text_style = Style(fill=colors.TEXT_COLOR, font_size=9.5, anchor="start")
     for i, color in enumerate(breaks.colors):
         y = ly + i * (swatch + 6.0)

@@ -167,10 +167,11 @@ def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,
 
 # One record per map fit, kept across charts: (id(regions), fit, border
 # style) -> (regions, its items, (code, tag, PlacedRing) in code order,
-# border polygons). An entry holds its regions, so no other object has that
-# id, and compares its items, so a ring replaced in place misses. It is
-# emptied before its fits plus their rings, counting each fit at the new
-# fit's ring count, would pass _FITS_CAPACITY.
+# border polygons, (ring index, color) -> fill polygon, made when the ring
+# first shows that color under the fit). An entry holds its regions, so no
+# other object has that id, and compares its items, so a ring replaced in
+# place misses. A call that takes the fits, rings and fill polygons past
+# _FITS_CAPACITY leaves only its own fit and that fit's rings.
 _FITS: dict[tuple, tuple] = {}
 _FITS_CAPACITY = 4096
 
@@ -194,7 +195,7 @@ def render_minimap(atlas: Atlas, frame: PanelFrame,
 def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
               fit: tuple[float, float, float, float, float]) -> Layers:
     """Every region placed by ``fit`` (from _fit_transform): fills, borders.
-    Rings and borders are placed once per fit (_FITS)."""
+    Rings, borders and fills in each color are made once per fit (_FITS)."""
     regions = atlas.regions
     items = tuple(regions.items())
     key = (id(regions), fit, stroke)
@@ -205,12 +206,18 @@ def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
                        PlacedRing([(ox + s * (x - xmin), oy + s * (y - ymin))
                                    for x, y in ring]))
                       for code in sorted(regions) for ring in regions[code])
-        if (len(_FITS) + 1) * (len(rings) + 1) > _FITS_CAPACITY:
-            _FITS.clear()
         entry = _FITS[key] = (regions, items, rings, tuple(
-            Polygon(points, stroke) for _, _, points in rings))
+            Polygon(points, stroke) for _, _, points in rings), {})
+    colored = entry[4]
+    known = len(colored)
     out = Layers()
-    out.fills = [Polygon(points, shared_style(fill=fills[code]), tag)
-                 for code, tag, points in entry[2]]
+    out.fills = [colored.get(k := (i, fills[code])) or colored.setdefault(
+                     k, Polygon(points, shared_style(fill=k[1]), tag))
+                 for i, (code, tag, points) in enumerate(entry[2])]
     out.strokes.extend(entry[3])
+    if len(colored) > known and _FITS_CAPACITY < sum(
+            1 + len(e[2]) + len(e[4]) for e in _FITS.values()):
+        _FITS.clear()
+        colored.clear()
+        _FITS[key] = entry
     return out

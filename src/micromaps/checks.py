@@ -4,9 +4,10 @@ A linked micromap ties a region's map shape, legend swatch and glyph marks
 together by one color, so that link is what the gate checks. It reads the
 emitted shapes, not the inputs that produced them, through the indices the
 composer recorded in each panel's ``PanelInfo.marks``. Among them, a shape
-tagged ``region:XX`` for a member region XX of the panel shows XX's linked
-color: its fill, or its stroke when it has no fill. A scene without panels
-(a comparison baseline) has no link to check and passes.
+whose full tag is ``region:XX`` for a member region XX of the panel shows
+XX's linked color: its fill, or its stroke when it has no fill. Each mark
+is matched to its region by one lookup of that whole tag. A scene without
+panels (a comparison baseline) has no link to check and passes.
 """
 
 from .errors import MicromapError
@@ -18,15 +19,11 @@ def region_colors_in_panel(scene: Scene, panel: PanelInfo) -> dict[str, str]:
 
     Raises MicromapError when a region's marks there disagree.
     """
-    members = {code for code, _ in panel.rows}
+    members = {"region:" + code: code for code, _ in panel.rows}
     colors: dict[str, str] = {}
-    for i in panel.marks:
-        shape = scene.shapes[i]
-        tag = shape.tag
-        if not tag or not tag.startswith("region:"):
-            continue
-        code = tag[len("region:"):]
-        if code not in members:
+    for shape in scene.shapes[panel.marks.start:panel.marks.stop]:
+        code = members.get(shape.tag)
+        if code is None:
             continue
         fill = shape.style.fill
         color = shape.style.stroke if fill is None or fill == "none" else fill

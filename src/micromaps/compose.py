@@ -497,18 +497,23 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
                       no_value)
 
 
-def _axis_shapes(plan: ColumnPlan, top: float, bottom: float) -> Layers:
-    """Axis lines, tick marks and labels above and below a glyph column;
-    none for a map or legend column, which has no scale."""
+def _axis_shapes(plan: ColumnPlan, top: float, bottom: float,
+                 height: float) -> Layers:
+    """Axis lines, tick marks and labels above the panels' ``top`` and below
+    their ``bottom``; none for a map or legend column, which has no scale.
+    Where a side's gap, tick and label offsets, plus half a unit, exceed its
+    room to the canvas edge, all shrink by one factor to fit that room."""
     out = Layers()
     scale = plan.x_scale
     if scale is None:
         return out
-    tick_len = 3.5
-    for y, above in ((top, True), (bottom, False)):
-        direction = -1.0 if above else 1.0
+    for edge, room, direction, drop in ((top, top, -1.0, 0.0),
+                                        (bottom, height - bottom, 1.0, 6.5)):
+        f = min(1.0, room / (4.0 + 3.5 + 3.0 + drop + 0.5))
+        y = edge + direction * 4.0 * f
+        tick_len = 3.5 * f
         out.axes.append(Line(scale.range[0], y, scale.range[1], y, AXIS_STYLE))
-        label_y = y + direction * (tick_len + 3.0) + (0.0 if above else 6.5)
+        label_y = y + direction * (tick_len + 3.0 * f) + drop * f
         for tick, label in zip(scale.ticks, plan.labels):
             x = scale.map(tick)
             out.axes.append(Line(x, y, x, y + direction * tick_len, TICK_STYLE))
@@ -615,7 +620,7 @@ def _draw(plan: ChartPlan, atlas: Atlas) -> Scene:
             panel = _KINDS[col.spec.kind].draw(col, frame, y_scale, band,
                                                plan.layout, atlas)
             placed.append((col, band, bool(panel.fills), page.add(panel)))
-        page.add(_axis_shapes(col, plan.top - 4.0, plan.bottom + 4.0))
+        page.add(_axis_shapes(col, plan.top, plan.bottom, h))
 
     # Shift each panel's linked marks from their slot to the flattened shapes.
     fills_at = len(page.guides)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from micromaps import altcharts
 from micromaps.altcharts import (
     ClassBreaks,
     equal_interval_breaks,
@@ -11,7 +12,7 @@ from micromaps.altcharts import (
     render_choropleth,
 )
 from micromaps.errors import BadBreaks, MissingColumn, SpecError
-from micromaps.scene import Polygon, Rect, Text
+from micromaps.scene import Polygon, Rect, Text, clamp_scene
 from micromaps.svg import emit_svg
 
 from conftest import make_table
@@ -201,6 +202,32 @@ def test_alt_charts_reject_a_canvas_their_margins_cannot_hold(
                               "100000")
 
 
+def test_choropleth_legend_rows_must_fit_the_height(square_atlas, table51,
+                                                    monkeypatch):
+    """Legend rows are 18 units apart from top + 8, one per class and one
+    for "no data"; a height that cannot hold them is a SpecError, and one
+    that can leaves every legend shape as drawn, untouched by the clamp."""
+    sparse = make_table({"CA": 1.0, "TX": 2.0})  # 49 regions with no data
+    for table, bound in ((table51, 132), (sparse, 150)):
+        with pytest.raises(SpecError) as err:
+            render_choropleth(square_atlas, table, "v", k=5, height=bound,
+                              title="Title")
+        assert str(err.value) == (f"height: must be above {bound} and at "
+                                  "most 100000")
+    drawn = []
+    monkeypatch.setattr(altcharts, "clamp_scene",
+                        lambda scene: drawn.append(scene) or scene)
+    for table, rows, height in ((table51, 5, 132.5), (sparse, 6, 150.5)):
+        render_choropleth(square_atlas, table, "v", k=5, height=height,
+                          title="Title")
+        scene = drawn.pop()
+        legend = [i for i, s in enumerate(scene.shapes)
+                  if type(s) in (Rect, Text) and s.x >= 760.0 - 150.0]
+        assert len(legend) == 2 * rows
+        clamped = clamp_scene(scene).shapes
+        assert all(clamped[i] is scene.shapes[i] for i in legend)
+
+
 def _inside(points, left, top, right, bottom) -> bool:
     eps = 1e-9
     return all(left - eps <= x <= right + eps and top - eps <= y <= bottom + eps
@@ -213,14 +240,20 @@ def test_alt_charts_draw_inside_their_frame_at_the_smallest_canvas(
     def above(bound: float) -> float:
         return math.nextafter(bound, math.inf)
 
+    # The five legend rows, 18 units apart from top + 8, set the choropleth's
+    # smallest height; its map frame then has room to spare.
     top = 40.0 if title else 12.0
-    width, height = above(174.0), above(top + 12.0)
+    width, height = above(174.0), above(top + 8.0 + 5 * 18.0 - 6.0)
     scene = render_choropleth(default_atlas, table51, "v", width=width,
                               height=height, title=title)
     rings = [s.points for s in scene.shapes if isinstance(s, Polygon)]
     assert len(rings) == 2 * sum(map(len, default_atlas.regions.values()))
     assert all(_inside(ring, 12.0, top, width - 162.0, height - 12.0)
                for ring in rings)
+    swatches = [s for s in scene.shapes if isinstance(s, Rect)]
+    assert len(swatches) == 5
+    assert all(_inside(((r.x, r.y), (r.x + r.width, r.y + r.height)),
+                       0.0, 0.0, width, height) for r in swatches)
 
     top = 46.0 if title else 18.0
     width, height = above(66.0), above(top + 34.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from micromaps.checks import check_color_linkage
 from micromaps.colors import CUMULATIVE_TINT, DEFAULT_PALETTE
 from micromaps.compose import (
+    AXIS_LABEL_STYLE,
     SCALE_PAD_F,
     ChartSpec,
     ColumnSpec,
@@ -18,6 +19,7 @@ from micromaps.compose import (
 )
 from micromaps.demos import build_demo
 from micromaps.errors import BadExtent, EmptyColumn, SpecError
+from micromaps.glyphs import TICK_STYLE
 from micromaps.layout import SortSpec, build_layout
 from micromaps.regions import ALL_CODES
 from micromaps.scale import linear_scale
@@ -451,6 +453,34 @@ def test_demo_marks_stay_inside_their_panels(default_atlas, demos, width,
                     assert left <= x <= right and top <= y <= bottom, (
                         spec.title, panel.kind, panel.group_index,
                         scene.shapes[i])
+
+
+# Below a height of 546.875 the 17.5 units that the bottom labels need
+# (gap, tick, offsets and clearance) exceed the 0.032 * height margin: the
+# labels used to sit at y = 501 at height 500, and on their ticks at 200.
+@pytest.mark.parametrize("height", [500.0, 200.0])
+def test_demo_axis_labels_stay_inside_the_canvas_beyond_their_ticks(
+        default_atlas, demos, height):
+    for spec, table in demos:
+        spec = spec._replace(width=1000.0, height=height)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scene = compose(spec, table, default_atlas)
+        ticks: dict[float, list[Line]] = {}
+        for shape in scene.shapes:
+            if type(shape) is Line and shape.style == TICK_STYLE:
+                ticks.setdefault(shape.x1, []).append(shape)
+        labels = [s for s in scene.shapes
+                  if type(s) is Text and s.style == AXIS_LABEL_STYLE]
+        assert labels
+        for label in labels:
+            assert 0.0 < label.y < height, (spec.title, label)
+            # Its tick is the nearer of the two at its x, above or below.
+            tick = min(ticks[label.x], key=lambda t: abs(t.y2 - label.y))
+            if tick.y2 < tick.y1:  # above the panels: the label is higher
+                assert label.y < tick.y2, (spec.title, label, tick)
+            else:
+                assert label.y > tick.y2, (spec.title, label, tick)
 
 
 def test_demo_plan_is_what_was_drawn(default_atlas, demos):

@@ -1,9 +1,10 @@
 """What a process keeps of placed map rings between charts: one record per
 map fit (``atlas._FITS``), whose rings are ``scene.PlacedRing``s that carry
 their own bounds (read by ``clamp_scene``) and SVG points text (filled by
-the SVG writer). Same bytes cold, warm and after clearing; no kept errors;
-no stale rings; bounded size; a placed ring that crosses the canvas is
-still clamped.
+the SVG writer), and whose fill polygons are kept per ring and color. Same
+bytes cold, warm and after clearing; no kept errors; no stale rings or
+fills; bounded size; a placed ring that crosses the canvas is still
+clamped.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import warnings
 import pytest
 
 from micromaps import atlas as atlas_mod
+from micromaps import cli
 from micromaps.atlas import load_atlas, load_default_atlas, render_minimap
 from micromaps.compose import compose
 from micromaps.demos import build_demo
 from micromaps.errors import BadGeometry
-from micromaps.glyphs import PanelFrame
+from micromaps.glyphs import PanelFrame, RowBand
 from micromaps.regions import ALL_CODES
 from micromaps.scene import (
     PlacedRing,
@@ -41,6 +43,16 @@ MOVED = ALL_CODES[9]
 
 def kept_rings():
     return [ring for entry in atlas_mod._FITS.values() for _, _, ring in entry[2]]
+
+
+def kept_fills():
+    return [fill for entry in atlas_mod._FITS.values()
+            for fill in entry[4].values()]
+
+
+def kept_size():
+    """What _FITS_CAPACITY bounds: each fit, its rings, its fill polygons."""
+    return len(atlas_mod._FITS) + len(kept_rings()) + len(kept_fills())
 
 
 def moved_square_atlas(shift: float):
@@ -75,12 +87,19 @@ def composed_demos(atlas):
             yield compose(spec, table, atlas)
 
 
-def test_demos_match_pinned_hashes_cold_warm_and_after_clearing():
+def test_demos_match_pinned_hashes_cold_warm_and_after_clearing(monkeypatch):
+    # One atlas for every run, as a warm process has: the runs after the
+    # first find each fit, its rings and its fill polygons kept.
+    atlas = load_default_atlas()
+    monkeypatch.setattr(cli, "load_default_atlas", lambda: atlas)
     pinned = json.loads(HASHES.read_text("utf-8"))
     atlas_mod._FITS.clear()
     assert demo_hashes() == pinned
     assert atlas_mod._FITS and all(ring.texts for ring in kept_rings())
+    fills = {id(fill): fill for fill in kept_fills()}
     assert demo_hashes() == pinned
+    # Warm, every fill polygon was reused, and none was made.
+    assert {id(fill): fill for fill in kept_fills()} == fills
     # Rings that lost their text are formatted again, to the same bytes.
     for ring in kept_rings():
         ring.texts.clear()
@@ -115,12 +134,13 @@ def test_equal_bounds_different_rings_render_different_points():
         assert _Writer(2).points(placed(atlas, ring)) in text
 
     # A ring replaced in place, in the same regions dict, is placed anew,
-    # with its own bounds and text.
-    render_minimap(atlas, FRAME, ())
+    # with its own bounds, text and fill polygons.
+    before = render_minimap(atlas, FRAME, ())
     ring = tuple((x + 0.25, y) for x, y in atlas.regions[MOVED][0])
     atlas.regions[MOVED] = (ring,)
     shapes = render_minimap(atlas, FRAME, ())
     assert region_points(shapes, MOVED) == [placed(atlas, ring)]
+    assert not any(p is q for p, q in zip(before.fills, shapes.fills))
     (points,) = region_points(shapes, MOVED)
     assert points.bounds == bounds(placed(atlas, ring))
     text = emit_svg(Scene(200.0, 200.0, tuple(shapes.strokes)))
@@ -153,16 +173,70 @@ def test_negative_zero_prints_as_zero_through_the_memo():
 
 def test_memos_stay_within_their_capacity(square_atlas):
     atlas_mod._FITS.clear()
-    per_fit = 1 + sum(map(len, square_atlas.regions.values()))
+    # A fit with no tint keeps one fill polygon per ring.
+    per_fit = 1 + 2 * sum(map(len, square_atlas.regions.values()))
     fits = atlas_mod._FITS_CAPACITY // per_fit + 2
     for i in range(fits):
         frame = FRAME._replace(x=float(i))
         shapes = render_minimap(square_atlas, frame, ())
-        size = len(atlas_mod._FITS) + len(kept_rings())
-        assert 0 < size <= atlas_mod._FITS_CAPACITY
+        assert 0 < kept_size() <= atlas_mod._FITS_CAPACITY
+        # Emptied, it keeps only the fit just drawn and that fit's rings.
+        assert len(kept_fills()) <= len(kept_rings())
     assert len(atlas_mod._FITS) < fits
     (ring,) = square_atlas.regions[MOVED]
     assert region_points(shapes, MOVED) == [placed(square_atlas, ring, frame)]
+    atlas_mod._FITS.clear()
+
+
+def test_memos_stay_within_their_capacity_across_palettes(square_atlas):
+    """A long-lived process that draws its map fits in many palettes keeps
+    each ring's fill in every color it showed, up to the capacity."""
+    atlas_mod._FITS.clear()
+    codes = sorted(square_atlas.regions)
+    # 20 palettes on 5 fits, or 100 on one, are more fill polygons than the
+    # record holds, so it is emptied on the way.
+    assert 20 * 5 * len(codes) > atlas_mod._FITS_CAPACITY
+    for palettes, fits in ((20, 5), (100, 1)):
+        atlas_mod._FITS.clear()
+        sizes = []
+        for p in range(palettes):
+            rows = tuple(RowBand(code, 10.0 + k, f"#{p:02x}{k:04x}")
+                         for k, code in enumerate(codes))
+            for x in range(fits):
+                frame = FRAME._replace(x=float(x), rows=rows)
+                shapes = render_minimap(square_atlas, frame, ())
+                assert [s.style.fill for s in shapes.fills] == [
+                    row.color for row in rows
+                    for _ in square_atlas.regions[row.region]]
+                sizes.append(kept_size())
+                assert 0 < sizes[-1] <= atlas_mod._FITS_CAPACITY
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    atlas_mod._FITS.clear()
+
+
+def test_cold_fit_makes_one_fill_polygon_per_ring(square_atlas, monkeypatch):
+    made = []
+    monkeypatch.setattr(atlas_mod, "Polygon",
+                        lambda *args: made.append(args) or Polygon(*args))
+    atlas_mod._FITS.clear()
+    rings = sum(map(len, square_atlas.regions.values()))
+    render_minimap(square_atlas, FRAME, ())
+    fills = [args for args in made if args[1].fill != "none"]
+    assert len(fills) == rings and len(made) == 2 * rings
+    assert len(kept_fills()) == rings
+    # Warm, a fill is made only for a ring in a color it has not shown.
+    made.clear()
+    render_minimap(square_atlas, FRAME, ())
+    assert made == []
+    tinted = ALL_CODES[:3]
+    render_minimap(square_atlas, FRAME, tinted)
+    assert sorted(args[2] for args in made) == [
+        f"region:{code}" for code in sorted(tinted)
+        for _ in square_atlas.regions[code]]
+    made.clear()
+    render_minimap(square_atlas, FRAME, tinted)
+    render_minimap(square_atlas, FRAME, ())
+    assert made == []
     atlas_mod._FITS.clear()
 
 
