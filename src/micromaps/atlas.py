@@ -16,7 +16,10 @@ Washington, DC, which is invisible at true scale.
 
 import json
 import sys
+from collections.abc import Mapping
+from functools import cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import colors
@@ -33,7 +36,7 @@ BORDER_STYLE = Style(fill="none", stroke="#808080", stroke_width=0.4)
 
 @value_type
 class Atlas(NamedTuple):
-    regions: dict[str, tuple[Ring, ...]]
+    regions: Mapping[str, tuple[Ring, ...]]
     bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
 
@@ -143,9 +146,13 @@ def load_atlas(document: str) -> Atlas:
     return Atlas({code: tuple(rings) for code, rings in regions.items()}, bounds)
 
 
+@cache
 def load_default_atlas() -> Atlas:
+    """The bundled atlas, loaded once per process; its regions are read-only,
+    so no caller can change them under another."""
     path = Path(__file__).parent / "data" / "us_atlas.json"
-    return load_atlas(path.read_text("utf-8"))
+    atlas = load_atlas(path.read_text("utf-8"))
+    return atlas._replace(regions=MappingProxyType(atlas.regions))
 
 
 def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,

@@ -374,7 +374,6 @@ class ColumnPlan(NamedTuple):
     periods: tuple[str, ...] = ()
     data: dict[str, Any] | None = None  # the renderer's input, per region
     labels: tuple[str, ...] = ()  # one per x tick
-    axes: tuple[Any, ...] = (None,) * 4  # PanelInfo x/y domains and ticks
     reference: float | None = None  # a dot column's reference line
     no_value: tuple[str, ...] = ()  # sorted rows drawn as "n/a" or unmarked
 
@@ -487,14 +486,12 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
         labels = tuple(format_tick(t) for t in x_scale.ticks)
     data = values[0] if len(values) == 1 else {
         code: tuple(cells[code] for cells in values) for code in table.rows}
-    y_axis = (None, None) if y_base is None else (y_base.domain, y_base.ticks)
     # A series has no value if no period has one; a pair, if either has none.
     no_value = tuple(sorted({
         code for cells in values for code, cell in cells.items()
         if (cell.count(None) == len(cell) if kind.series else cell is None)}))
     return ColumnPlan(column, index, x, width, x_scale, y_base, periods, data,
-                      labels, (x_scale.domain, x_scale.ticks, *y_axis), line,
-                      no_value)
+                      labels, line, no_value)
 
 
 def _axis_shapes(plan: ColumnPlan, top: float, bottom: float,
@@ -631,7 +628,6 @@ def _draw(plan: ChartPlan, atlas: Atlas) -> Scene:
         at = fills_at if in_fills else marks_at
         panels.append(PanelInfo(col.index, col.spec.kind, band.group_index,
                                 col.x, band.y, col.width, band.height,
-                                band.is_median, rows[band.group_index],
-                                *col.axes,
+                                rows[band.group_index],
                                 range(marks.start + at, marks.stop + at)))
     return clamp_scene(Scene(w, h, page.flatten(), tuple(panels)))

@@ -1,7 +1,8 @@
 """Resolution-independent scene: a flat, ordered list of styled shapes.
 
 Shape order is paint order. Coordinates are in abstract canvas units with
-the origin at the top-left; serialization to SVG happens elsewhere. The
+the origin at the top-left; serialization to SVG happens elsewhere, with
+one writer per shape type, and clamp_shape has one branch per type. The
 optional ``tag`` on a shape records which region (or chart part) produced
 it and never reaches the output document. Among a panel's marks,
 ``region:XX`` means the shape shows XX's linked color, in its fill or, when
@@ -80,14 +81,6 @@ class Polygon(NamedTuple):
 
 
 @value_type
-class Path(NamedTuple):
-    # Commands like ("M", x, y), ("L", x, y), ("Z",).
-    commands: tuple[tuple, ...]
-    style: Style = Style()
-    tag: str | None = None
-
-
-@value_type
 class Text(NamedTuple):
     x: float
     y: float
@@ -96,16 +89,16 @@ class Text(NamedTuple):
     tag: str | None = None
 
 
-Shape = Union[Rect, Circle, Line, Polyline, Polygon, Path, Text]
+Shape = Union[Rect, Circle, Line, Polyline, Polygon, Text]
 
 
 @value_type
 class PanelInfo(NamedTuple):
-    """Where one group's panel of one column landed, plus its shared-axis
-    record (domains and tick lists in data units) for tests and reports.
-    ``marks`` indexes the shapes in ``Scene.shapes`` that the pre-write gate
-    reads for the color link: a map panel's fills, a legend or glyph
-    panel's marks.
+    """Where one group's panel of one column landed, and what the checks
+    read of it: its ``rows`` (region, row center) and its ``marks``, the
+    indexes in ``Scene.shapes`` that the pre-write gate reads for the color
+    link: a map panel's fills, a legend or glyph panel's marks. Scales and
+    the median band live in the ChartPlan that the scene was drawn from.
     """
 
     column_index: int
@@ -115,12 +108,7 @@ class PanelInfo(NamedTuple):
     y: float
     width: float
     height: float
-    is_median: bool = False
     rows: tuple[tuple[str, float], ...] = ()
-    x_domain: tuple[float, float] | None = None
-    x_ticks: tuple[float, ...] | None = None
-    y_domain: tuple[float, float] | None = None
-    y_ticks: tuple[float, ...] | None = None
     marks: range = range(0)
 
 
@@ -191,29 +179,9 @@ def clamp_shape(shape: Shape, width: float, height: float) -> Shape:
     if isinstance(shape, (Polyline, Polygon)):
         pts = tuple((cx(x), cy(y)) for x, y in shape.points)
         return shape._replace(points=pts)
-    if isinstance(shape, Path):
-        cmds = tuple((c[0],) + tuple(cx(v) if i % 2 == 0 else cy(v)
-                                     for i, v in enumerate(c[1:]))
-                     for c in shape.commands)
-        return shape._replace(commands=cmds)
     if isinstance(shape, Text):
         return shape._replace(x=cx(shape.x), y=cy(shape.y))
     raise TypeError(f"not a shape: {shape!r}")
-
-
-def _inside(shape: Shape, width: float, height: float) -> bool:
-    """Whether clamp_shape would leave every coordinate as it is.
-
-    clamp_scene tests the other exact shape types inline; for them, and for
-    anything that is not a shape, this is False and clamp_shape decides.
-    """
-    if isinstance(shape, (Polyline, Polygon)):
-        return all(0.0 <= x <= width and 0.0 <= y <= height
-                   for x, y in shape.points)
-    if isinstance(shape, Path):
-        return all(0.0 <= v <= (height if i % 2 else width)
-                   for c in shape.commands for i, v in enumerate(c[1:]))
-    return False
 
 
 class PlacedRing(tuple):
@@ -226,7 +194,7 @@ class PlacedRing(tuple):
         if ring:
             xs, ys = zip(*ring)
             ring.bounds = (min(xs), min(ys), max(xs), max(ys))
-        else:  # no points: inside every canvas, as _inside finds them
+        else:  # no points: inside every canvas, as clamp_scene finds them
             ring.bounds = (inf, inf, -inf, -inf)
         ring.texts = {}
         return ring
@@ -235,7 +203,8 @@ class PlacedRing(tuple):
 def clamp_scene(scene: Scene) -> Scene:
     """Clamp every shape into the canvas with clamp_shape, rebuilding only
     shapes that cross an edge; the scene itself is returned when none does.
-    A polygon or polyline on a PlacedRing is tested by the ring's bounds.
+    A polygon or polyline on a PlacedRing is tested by the ring's bounds;
+    clamp_shape decides for any type not tested here.
     """
     w, h = scene.width, scene.height
     clamped: list[Shape] | None = None
@@ -246,7 +215,8 @@ def clamp_scene(scene: Scene) -> Scene:
                 xmin, ymin, xmax, ymax = shape.points.bounds
                 inside = 0.0 <= xmin and xmax <= w and 0.0 <= ymin and ymax <= h
             else:
-                inside = _inside(shape, w, h)
+                inside = all(0.0 <= x <= w and 0.0 <= y <= h
+                             for x, y in shape.points)
         elif kind is Line:
             inside = (0.0 <= shape.x1 <= w and 0.0 <= shape.x2 <= w
                       and 0.0 <= shape.y1 <= h and 0.0 <= shape.y2 <= h)
@@ -255,7 +225,7 @@ def clamp_scene(scene: Scene) -> Scene:
         elif kind is Rect or kind is Text:
             inside = 0.0 <= shape.x <= w and 0.0 <= shape.y <= h
         else:
-            inside = _inside(shape, w, h)
+            inside = False
         if not inside:
             if clamped is None:
                 clamped = list(scene.shapes)

@@ -26,7 +26,6 @@ from .errors import BadGeometry, SpecError
 from .scene import (
     Circle,
     Line,
-    Path,
     PlacedRing,
     Polygon,
     Polyline,
@@ -95,7 +94,6 @@ class _Writer:
     def __init__(self, dp: int) -> None:
         self.dp = dp
         number = f"{{:.{dp}f}}"
-        self.one = number.format
         self.pair = f"{number},{number}".format
         self.two, self.three, self.four = (" ".join([number] * n).format
                                            for n in (2, 3, 4))
@@ -104,7 +102,7 @@ class _Writer:
         self.style = cache(partial(_style_attrs, dp=dp))
         self.by_type = {Rect: self.rect, Circle: self.circle, Line: self.line,
                         Polyline: self.polyline, Polygon: self.polygon,
-                        Path: self.path, Text: self.text}
+                        Text: self.text}
 
     def numbers(self, text: str) -> str:
         """Formatted numbers, tested for a non-finite one, minus zero fixed."""
@@ -147,13 +145,6 @@ class _Writer:
         if text is None:
             text = texts[self.dp] = self.points(s.points)  # raises, never kept
         return f'<polygon{fill} points="{text}"{stroke}/>'
-
-    def path(self, s: Path) -> str:
-        fill, stroke, _ = self.style(s.style)
-        # SVG's command letters hold no "n", no digit and no "-".
-        d = self.numbers(" ".join(" ".join((cmd[0], *map(self.one, cmd[1:])))
-                                  for cmd in s.commands))
-        return f'<path d="{d}"{fill}{stroke}/>'
 
     def text(self, s: Text) -> str:
         x, y = self.numbers(self.two(s.x, s.y)).split()

@@ -5,12 +5,15 @@ from collections import defaultdict
 
 import pytest
 from hypothesis import settings
+from pytest import approx
 
 from micromaps.atlas import Atlas, load_atlas, load_default_atlas
+from micromaps.compose import ChartPlan, ColumnPlan
 from micromaps.demos import build_demo
 from micromaps.errors import MicromapError
+from micromaps.glyphs import compute_box_stats
 from micromaps.regions import ALL_CODES, BY_CODE
-from micromaps.scene import PanelInfo, Scene
+from micromaps.scene import Circle, Line, PanelInfo, Scene, Shape
 from micromaps.table import Column, RegionTable
 
 # Tier-1 is deterministic: every property test draws the same examples on
@@ -66,14 +69,55 @@ def check_panel_grid(scene: Scene) -> int:
     return next(iter(counts.values()))
 
 
-def check_shared_scales(scene: Scene) -> None:
-    """All panels of a column must report identical domains and ticks."""
-    for ci, panels in panels_by_column(scene).items():
-        for attr in ("x_domain", "x_ticks", "y_domain", "y_ticks"):
-            values = {getattr(p, attr) for p in panels}
-            if len(values) != 1:
-                raise MicromapError(
-                    f"column {ci}: panels disagree on {attr}: {values}")
+def _drawn_and_mapped(column: ColumnPlan, shape: Shape):
+    """(drawn x, the column scale's x) pairs of one mark whose tag names its
+    region, with the scale applied to that region's data in the plan."""
+    place, kind = column.x_scale.map, column.spec.kind
+    cell = column.data[shape.tag.partition(":")[2]]
+    if kind == "dot":
+        return [(shape.cx, place(cell))]
+    if kind == "scatter":
+        return [(shape.cx, place(cell[0]))]
+    if kind == "bar":  # from zero to the value
+        return [(shape.x, place(min(0.0, cell))),
+                (shape.x + shape.width, approx(place(max(0.0, cell))))]
+    if kind == "boxplot":  # from the lower to the upper quartile
+        stats = compute_box_stats(cell)
+        return [(shape.x, place(stats.q1)),
+                (shape.x + shape.width, approx(place(stats.q3)))]
+    if kind == "arrow":  # a shaft starts at start, a head's tip is at end
+        if type(shape) is Line:
+            return [(shape.x1, place(cell[0]))]
+        head = len(shape.points) == 3  # else a diamond, at start == end
+        return [(shape.points[0][0], place(cell[1] if head else cell[0]))]
+    # A time series: each point of a run, or a one-period run's dot, at the
+    # x of the nearest period that has a value.
+    periods = [place(i) for i, value in enumerate(cell) if value is not None]
+    xs = [shape.cx] if type(shape) is Circle else [px for px, _ in shape.points]
+    return [(px, min(periods, key=lambda p: abs(p - px))) for px in xs]
+
+
+def check_shared_scales(scene: Scene, plan: ChartPlan) -> int:
+    """Every linked (or scatter context) mark of every glyph panel sits
+    where its column's one x scale in the plan maps its data. Returns how
+    many glyph columns had marks to check."""
+    checked = set()
+    for panel in scene.panels:
+        column = plan.columns[panel.column_index]
+        if column.x_scale is None:  # a map or legend column
+            continue
+        for i in panel.marks:
+            shape = scene.shapes[i]
+            if shape.tag is None:  # drawn in a fixed style, such as a whisker
+                continue
+            for drawn, mapped in _drawn_and_mapped(column, shape):
+                if drawn != mapped:
+                    raise MicromapError(
+                        f"column {panel.column_index}, group "
+                        f"{panel.group_index}: {shape.tag} drawn at {drawn}, "
+                        f"its scale maps it to {mapped}")
+            checked.add(panel.column_index)
+    return len(checked)
 
 
 @pytest.fixture(scope="session")

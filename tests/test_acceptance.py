@@ -15,7 +15,7 @@ import pytest
 
 from micromaps.atlas import load_default_atlas
 from micromaps.checks import region_colors_in_panel
-from micromaps.compose import compose
+from micromaps.compose import compose, plan_chart
 from micromaps.demos import build_demo
 from micromaps.glyphs import compute_box_stats
 from micromaps.layout import (
@@ -28,7 +28,7 @@ from micromaps.layout import (
 from micromaps.svg import SvgOptions, emit_svg
 from micromaps.table import scalar_values
 
-from conftest import full_table, panels_by_column
+from conftest import check_shared_scales, full_table
 
 BUNDLED_DEMOS = ("acs-dot", "acs-timeseries", "qcew-arrows", "ers-snap",
                  "ers-boxscatter")
@@ -99,15 +99,9 @@ def test_criterion_3_color_linkage(demo_scenes):
 
 def test_criterion_4_shared_scales(demo_scenes):
     columns = 0
-    for name, (_, _, scene) in demo_scenes.items():
-        for ci, panels in panels_by_column(scene).items():
-            if panels[0].kind in ("map", "legend") or len(panels) < 2:
-                continue
-            for attr in ("x_ticks", "y_ticks", "x_domain", "y_domain"):
-                values = {getattr(p, attr) for p in panels}
-                assert len(values) == 1, (name, ci, attr)
-            columns += 1
-    report(4, "shared-scales", columns >= 8, f"{columns} glyph columns")
+    for spec, table, scene in demo_scenes.values():
+        columns += check_shared_scales(scene, plan_chart(spec, table))
+    report(4, "shared-scales", columns == 10, f"{columns} glyph columns")
 
 
 def test_criterion_5_box_stats_oracle():
@@ -190,12 +184,14 @@ def test_criterion_8_determinism(demo_scenes, atlas):
 
 
 def test_criterion_9_scene_structure(demo_scenes):
-    _, _, scene = demo_scenes["acs-timeseries"]
+    spec, table, scene = demo_scenes["acs-timeseries"]
     counts: dict[str, int] = {}
     for panel in scene.panels:
         counts[panel.kind] = counts.get(panel.kind, 0) + 1
     counts_ok = counts == {"map": 11, "legend": 11, "dot": 11,
                            "timeseries": 11}
-    median_bands = {(p.y, p.height) for p in scene.panels if p.is_median}
+    median = plan_chart(spec, table).layout.plan.median_group_index
+    median_bands = {(p.y, p.height) for p in scene.panels
+                    if p.group_index == median}
     report(9, "scene-structure", counts_ok and len(median_bands) == 1,
            f"panels={counts}, median bands={len(median_bands)}")

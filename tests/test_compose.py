@@ -69,17 +69,19 @@ def test_minimal_chart_panel_grid(scene51):
     assert kinds == {"map", "legend", "dot"}
 
 
-def test_exactly_one_median_band_per_column(scene51):
+def test_exactly_one_median_band_per_column(scene51, table51):
+    plan = plan_chart(minimal_spec(), table51)
+    assert plan.layout.plan.median_group_index == 5
+    assert [band.group_index for band in plan.bands if band.is_median] == [5]
     for panels in panels_by_column(scene51).values():
-        medians = [p for p in panels if p.is_median]
-        assert len(medians) == 1
-        assert medians[0].group_index == 5
+        assert [p.group_index for p in panels].count(5) == 1
 
 
-def test_median_separators_present(scene51):
-    medians = [p for p in scene51.panels if p.is_median]
-    band_top = medians[0].y
-    band_bottom = medians[0].y + medians[0].height
+def test_median_separators_present(scene51, table51):
+    (median,) = [b for b in plan_chart(minimal_spec(), table51).bands
+                 if b.is_median]
+    band_top = median.y
+    band_bottom = median.y + median.height
     horizontals = [s for s in scene51.shapes
                    if isinstance(s, Line) and s.y1 == s.y2]
     above = [l for l in horizontals if band_top - 6 < l.y1 < band_top]
@@ -98,7 +100,8 @@ def test_row_alignment_across_columns(scene51):
 
 
 def test_shared_scales_and_linkage(scene51, table51):
-    check_shared_scales(scene51)
+    assert check_shared_scales(scene51, plan_chart(minimal_spec(),
+                                                   table51)) == 1
     linked = check_color_linkage(scene51)
     assert len(linked) == 51
     layout = build_layout(table51, SortSpec("v"))
@@ -179,8 +182,10 @@ def test_timeseries_column_composition(square_atlas):
     scene = compose(spec, table, square_atlas)
     ts_panels = [p for p in scene.panels if p.kind == "timeseries"]
     assert len(ts_panels) == 11
-    assert len({p.y_ticks for p in ts_panels}) == 1
-    assert len({p.x_ticks for p in ts_panels}) == 1
+    plan = plan_chart(spec, table)
+    assert plan.columns[2].x_scale.ticks == (0.0, 1.0, 2.0)  # periods
+    assert plan.columns[2].y_base.domain == (0.0, 52.0)
+    assert check_shared_scales(scene, plan) == 1
     check_color_linkage(scene)
 
 
@@ -325,29 +330,25 @@ def test_spec_rejects_non_finite_reference_line():
     assert info.value.path == "columns[2].options.reference_line"
 
 
-def _dot_panels(scene):
-    return [p for p in scene.panels if p.kind == "dot"]
+def _dot_scale(spec, table):
+    return plan_chart(spec, table).columns[2].x_scale
 
 
 def test_reference_line_outside_data_widens_dot_scale(square_atlas, table51):
     lo, hi = 200 - 3 * 50, 200  # table51's values
-    scene = compose(_with_dot_options(reference_line=-100), table51,
-                    square_atlas)
-    domain = _dot_panels(scene)[0].x_domain
+    spec = _with_dot_options(reference_line=-100)
+    domain = _dot_scale(spec, table51).domain
     assert domain[0] <= -100 and domain[1] >= hi
-    check_shared_scales(scene)
-    high = compose(_with_dot_options(reference_line=1e4), table51,
-                   square_atlas)
-    assert _dot_panels(high)[0].x_domain[0] <= lo
-    assert _dot_panels(high)[0].x_domain[1] >= 1e4
+    scene = compose(spec, table51, square_atlas)
+    assert check_shared_scales(scene, plan_chart(spec, table51)) == 1
+    high = _dot_scale(_with_dot_options(reference_line=1e4), table51).domain
+    assert high[0] <= lo and high[1] >= 1e4
 
 
-def test_reference_line_inside_data_keeps_scale(square_atlas, table51):
-    plain = compose(minimal_spec(), table51, square_atlas)
-    inside = compose(_with_dot_options(reference_line=100), table51,
-                     square_atlas)
-    assert _dot_panels(inside)[0].x_domain == _dot_panels(plain)[0].x_domain
-    assert _dot_panels(inside)[0].x_ticks == _dot_panels(plain)[0].x_ticks
+def test_reference_line_inside_data_keeps_scale(table51):
+    plain = _dot_scale(minimal_spec(), table51)
+    inside = _dot_scale(_with_dot_options(reference_line=100), table51)
+    assert (inside.domain, inside.ticks) == (plain.domain, plain.ticks)
 
 
 
@@ -394,9 +395,11 @@ def test_box_column_scale_matches_column_extent(square_atlas, series):
         except SpecError as exc:
             assert (exc.path, str(exc)) == (BOX_PATH, expected)
             return
-    axes = {repr((p.x_domain, p.x_ticks))
-            for p in scene.panels if p.column_index == 2}
-    assert axes == {repr((expected.domain, expected.ticks))}
+    plan = plan_chart(BOX_SPEC, table)
+    scale = plan.columns[2].x_scale
+    assert repr((scale.domain, scale.ticks)) == repr((expected.domain,
+                                                      expected.ticks))
+    check_shared_scales(scene, plan)
 
 
 @pytest.fixture(scope="module")
@@ -497,15 +500,9 @@ def test_demo_plan_is_what_was_drawn(default_atlas, demos):
             column = plan.columns[panel.column_index]
             band = bands[panel.group_index]
             assert panel.rows == tuple((row.region, row.y) for row in band.rows)
-            assert (panel.y, panel.height, panel.is_median) == (
-                band.y, band.height, band.is_median)
+            assert (panel.y, panel.height) == (band.y, band.height)
             assert (panel.kind, panel.x, panel.width) == (
                 column.spec.kind, column.x, column.width)
-            x, y = column.x_scale, column.y_base
-            assert (panel.x_domain, panel.x_ticks) == (
-                (None, None) if x is None else (x.domain, x.ticks))
-            assert (panel.y_domain, panel.y_ticks) == (
-                (None, None) if y is None else (y.domain, y.ticks))
             if panel.kind == "map":
                 tint = {scene.shapes[i].tag.removeprefix("region:")
                         for i in panel.marks

@@ -97,9 +97,11 @@ def test_ers_snap_positive_bars_point_right(scenes):
 
 
 def test_median_band_is_visually_distinct(scenes):
-    for name, (_, _, scene) in scenes.items():
-        medians = [p for p in scene.panels if p.is_median]
-        normals = [p for p in scene.panels if not p.is_median]
+    for name, (spec, table, scene) in scenes.items():
+        median = build_layout(table, spec.sort,
+                              spec.group_size).plan.median_group_index
+        medians = [p for p in scene.panels if p.group_index == median]
+        normals = [p for p in scene.panels if p.group_index != median]
         assert medians
         assert all(m.height < min(n.height for n in normals) for m in medians)
 

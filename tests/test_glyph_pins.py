@@ -6,8 +6,8 @@ box plots with outliers next to a region whose samples are all missing, a
 scatter point with one coordinate missing, and regions without a sort
 value. ``compose`` clamps every position into the canvas, so no composed
 coordinate is negative; shapes whose coordinates round to minus zero are
-appended to the checked scene, one per writer. The SVG is pinned at 0, 2
-and 3 decimal places. If an intentional rendering change breaks this,
+appended to the checked scene, one per writer: one for each type of
+``scene.Shape``. The SVG is pinned at 0, 2 and 3 decimal places. If an intentional rendering change breaks this,
 regenerate with:
 
     python3 tests/test_glyph_pins.py
@@ -29,7 +29,6 @@ from micromaps.regions import ALL_CODES
 from micromaps.scene import (
     Circle,
     Line,
-    Path as PathShape,
     Polygon,
     Polyline,
     Rect,
@@ -52,8 +51,6 @@ NEGATIVE_ZERO = (
     Line(-0.001, 0.0, -0.0, -0.0049, Style(stroke="#333333")),
     Text(-0.003, -0.0, "-0.00", Style(fill="#444444", font_size=7.0,
                                       anchor="end")),
-    PathShape((("M", -0.001, -0.0), ("L", 2.0, -0.002), ("Z",)),
-              Style(fill="none", stroke="#555555")),
     Polyline(((-0.0, 1.0), (2.0, -0.001)), Style(stroke="#666666")),
     Polygon(((-0.002, -0.0), (3.0, 0.0), (1.0, -0.004)),
             Style(fill="#777777")),
@@ -133,7 +130,7 @@ def glyph_hashes() -> dict[str, str]:
 def test_synthetic_chart_draws_every_edge_case():
     svg = glyph_svgs()[2]
     for kind in ("<circle", "<line", "<polyline", "<polygon", "<rect",
-                 "<text", "<path"):
+                 "<text"):
         assert kind in svg
     assert "-0.00" in svg  # the text content, which is not a coordinate
     assert svg.count('"-0.00"') == 0

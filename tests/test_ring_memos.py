@@ -15,7 +15,6 @@ import warnings
 import pytest
 
 from micromaps import atlas as atlas_mod
-from micromaps import cli
 from micromaps.atlas import load_atlas, load_default_atlas, render_minimap
 from micromaps.compose import compose
 from micromaps.demos import build_demo
@@ -87,11 +86,9 @@ def composed_demos(atlas):
             yield compose(spec, table, atlas)
 
 
-def test_demos_match_pinned_hashes_cold_warm_and_after_clearing(monkeypatch):
-    # One atlas for every run, as a warm process has: the runs after the
-    # first find each fit, its rings and its fill polygons kept.
-    atlas = load_default_atlas()
-    monkeypatch.setattr(cli, "load_default_atlas", lambda: atlas)
+def test_demos_match_pinned_hashes_cold_warm_and_after_clearing():
+    # Every in-process CLI run draws on the one bundled atlas, so the runs
+    # after the first find each fit, its rings and its fill polygons kept.
     pinned = json.loads(HASHES.read_text("utf-8"))
     atlas_mod._FITS.clear()
     assert demo_hashes() == pinned
@@ -106,6 +103,18 @@ def test_demos_match_pinned_hashes_cold_warm_and_after_clearing(monkeypatch):
     assert demo_hashes() == pinned
     atlas_mod._FITS.clear()
     assert demo_hashes() == pinned
+
+
+def test_cli_loads_the_bundled_atlas_once_and_read_only():
+    atlas_mod._FITS.clear()
+    demo_hashes()
+    fits = set(atlas_mod._FITS)
+    demo_hashes()  # a second round of CLI runs makes no fit
+    assert set(atlas_mod._FITS) == fits
+    assert load_default_atlas() is load_default_atlas()
+    with pytest.raises(TypeError):
+        load_default_atlas().regions["AL"] = ()
+    atlas_mod._FITS.clear()
 
 
 def test_same_ring_and_fit_give_the_same_placed_tuple(square_atlas):

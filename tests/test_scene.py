@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import get_args
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,17 +14,18 @@ from micromaps.demos import build_demo
 from micromaps.scene import (
     Circle,
     Line,
-    Path,
     PlacedRing,
     Polygon,
     Polyline,
     Rect,
     Scene,
+    Shape,
     Style,
     Text,
     clamp_scene,
     clamp_shape,
 )
+from micromaps.svg import _Writer, emit_svg
 
 INK = Style(fill="#000000")
 
@@ -37,7 +39,6 @@ def test_clamp_scene_returns_on_canvas_scene_itself():
         Polyline(points),
         Polygon(points, INK),
         Polygon(points),
-        Path((("M", 0.0, 0.0), ("L", 10.0, 5.0), ("Z",))),
         Text(5.0, 2.5, "x"),
         Polygon(()),
     ))
@@ -63,7 +64,6 @@ def test_off_canvas_shapes_are_clamped():
         Polygon(shared, INK),
         Polygon(shared, Style(fill="none", stroke="#808080")),
         Polyline(((5.0, -0.5), (5.0, 2.0))),
-        Path((("M", -1.0, 6.0), ("L", 11.0, -2.0), ("Z",))),
         Text(20.0, 2.0, "label"),
     ), panels=())
     clamped = clamp_scene(scene)
@@ -76,7 +76,6 @@ def test_off_canvas_shapes_are_clamped():
         Polygon(expected_points, INK),
         Polygon(expected_points, Style(fill="none", stroke="#808080")),
         Polyline(((5.0, 0.0), (5.0, 2.0))),
-        Path((("M", 0.0, 5.0), ("L", 10.0, 0.0), ("Z",))),
         Text(10.0, 2.0, "label"),
     )
     assert clamped.shapes[1] is on_canvas
@@ -95,6 +94,31 @@ def test_non_finite_coordinates_pass_through_clamping():
     assert (line.x1, line.y2) == (10.0, 0.0)
 
 
+# One instance of each shape type with every coordinate off a 10 x 5 canvas.
+OFF_CANVAS = {
+    Rect: Rect(-1.0, 6.0, 2.0, 2.0, INK),
+    Circle: Circle(11.0, -1.0, 1.0),
+    Line: Line(-1.0, 6.0, 11.0, -1.0),
+    Polyline: Polyline(((-1.0, 6.0), (11.0, -1.0))),
+    Polygon: Polygon(((-1.0, 6.0), (11.0, -1.0), (12.0, 7.0)), INK),
+    Text: Text(11.0, -1.0, "t"),
+}
+
+
+def test_every_shape_type_has_one_writer_and_a_clamp_branch():
+    """A shape type cannot be added halfway: each member of scene.Shape has
+    its own SVG writer and is moved onto the canvas by clamp_shape."""
+    types = set(get_args(Shape))
+    writers = _Writer(2).by_type
+    assert set(writers) == types == set(OFF_CANVAS)
+    assert len({writer.__name__ for writer in writers.values()}) == len(types)
+    for kind, shape in OFF_CANVAS.items():
+        clamped = clamp_shape(shape, 10.0, 5.0)
+        assert type(clamped) is kind and clamped != shape
+        assert clamp_shape(clamped, 10.0, 5.0) == clamped
+        assert emit_svg(Scene(10.0, 5.0, (shape,))).count("\n") == 3
+
+
 def test_non_shape_is_type_error():
     with pytest.raises(TypeError, match="not a shape: 'x'"):
         clamp_scene(Scene(10.0, 5.0, (Text(1.0, 1.0, "ok"), "x")))
@@ -111,8 +135,6 @@ _shape = st.one_of(
     st.builds(Text, _coord, _coord, st.just("t")),
     st.builds(Polyline, st.lists(_point, max_size=4).map(tuple)),
     st.builds(Polygon, st.lists(_point, max_size=4).map(tuple)),
-    st.builds(Path, st.lists(_point, max_size=3).map(
-        lambda pts: tuple(("L", x, y) for x, y in pts))),
 )
 
 

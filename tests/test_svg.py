@@ -12,7 +12,6 @@ from micromaps.errors import BadGeometry, SpecError
 from micromaps.scene import (
     Circle,
     Line,
-    Path,
     Polygon,
     Polyline,
     Rect,
@@ -120,14 +119,12 @@ def test_polyline_defaults_to_no_fill():
     assert 'fill="none"' in emit_svg(scene)
 
 
-def test_polygon_and_path_serialization():
+def test_polygon_serialization():
     scene = Scene(10.0, 10.0, (
         Polygon(((0, 0), (4, 0), (2, 3)), Style(fill="#000000")),
-        Path((("M", 1, 1), ("L", 2, 2), ("Z",)), Style(stroke="#000000")),
     ))
     text = emit_svg(scene)
     assert 'points="0.00,0.00 4.00,0.00 2.00,3.00"' in text
-    assert 'd="M 1.00 1.00 L 2.00 2.00 Z"' in text
     ET.fromstring(text)
 
 
@@ -168,7 +165,6 @@ def test_non_finite_coordinate_rejected():
     Rect(0, 0, float("inf"), 1),
     Line(0, 0, 1, float("-inf")),
     Polygon(((0, 0), (1, float("nan")), (2, 0))),
-    Path((("M", 0, 0), ("L", float("inf"), 1), ("Z",))),
     Text(float("nan"), 1, "x"),
     Circle(1, 1, float("nan")),
 ], ids=lambda shape: type(shape).__name__)
@@ -196,7 +192,6 @@ BATCHED = [
     lambda v: Circle(v, 1.0, 2.0),
     lambda v: Line(0.0, 1.0, 2.0, v),
     lambda v: Text(v, 1.0, "t"),
-    lambda v: Path((("M", 1.0, v), ("L", 2.0, 2.0), ("Z",))),
 ]
 BATCHED_IDS = [type(make(0.0)).__name__ for make in BATCHED]
 

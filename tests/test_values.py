@@ -27,7 +27,6 @@ from micromaps.scene import (
     Circle,
     Line,
     PanelInfo,
-    Path,
     Polygon,
     Polyline,
     Rect,
@@ -54,9 +53,8 @@ VALUES = [
     (Line(0.0, 0.0, 1.0, 1.0), True),
     (Polyline(((0.0, 0.0), (1.0, 1.0))), True),
     (Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), True),
-    (Path((("M", 0.0, 0.0), ("L", 1.0, 1.0), ("Z",))), True),
     (Text(1.0, 2.0, "label"), True),
-    (PanelInfo(0, "dot", 1, 0.0, 0.0, 10.0, 10.0, x_ticks=(0.0, 1.0)), True),
+    (PanelInfo(0, "dot", 1, 0.0, 0.0, 10.0, 10.0, (("AL", 5.0),)), True),
     (Scene(10.0, 10.0, (Rect(0.0, 0.0, 1.0, 1.0),)), True),
     (Scale((0.0, 1.0), (0.0, 100.0), (0.0, 0.5, 1.0)), True),
     (RowBand("AL", 5.0, "#D55E00"), True),
