@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from functools import cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import colors
 from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
@@ -34,53 +34,84 @@ Ring = tuple[tuple[float, float], ...]
 BORDER_STYLE = Style(fill="none", stroke="#808080", stroke_width=0.4)
 
 
-@value_type
-class Atlas(NamedTuple):
+class _AtlasFields(NamedTuple):
     regions: Mapping[str, tuple[Ring, ...]]
     bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
 
-def _parse_ring(raw: object, code: str) -> Ring:
-    if not isinstance(raw, list) or len(raw) < 3:
+@value_type
+class Atlas(_AtlasFields):
+    """Rings for exactly the 51 regions, checked when made (by ``._replace``
+    too) and held read-only; ``bounds`` is worked out from them."""
+
+    __slots__ = ()
+
+    def __new__(cls, regions: Mapping[str, Sequence]) -> "Atlas":
+        if not isinstance(regions, Mapping):
+            raise AtlasParse("atlas regions must map region codes to rings")
+        held: dict[str, tuple[Ring, ...]] = {}
+        for code, rings in regions.items():
+            if code not in ALL_CODES:
+                raise UnknownRegion(f"atlas rings for unknown region {code!r}")
+            if type(rings) not in (list, tuple) or not rings:
+                raise AtlasParse(f"{code}: empty geometry")
+            held[code] = tuple(_ring(ring, code) for ring in rings)
+        missing = sorted(set(ALL_CODES) - set(held))
+        if missing:
+            raise IncompleteAtlas(f"atlas missing regions: {', '.join(missing)}")
+        xs, ys = zip(*(pt for rings in held.values() for ring in rings for pt in ring))
+        bounds = (min(xs), min(ys), max(xs), max(ys))
+        spans = (bounds[2] - bounds[0], bounds[3] - bounds[1])
+        if not all(0 < span <= sys.float_info.max for span in spans):
+            raise AtlasParse("atlas width and height must be finite and "
+                             "positive, got {:g} and {:g}".format(*spans))
+        if not all(MAX_CANVAS / span <= sys.float_info.max for span in spans):
+            raise AtlasParse("atlas width and height are too small for a {:g} "
+                             "canvas, got {:g} and {:g}".format(MAX_CANVAS, *spans))
+        return super().__new__(cls, MappingProxyType(held), bounds)
+
+    @classmethod
+    def _make(cls, fields) -> "Atlas":  # _replace checks it too
+        return cls(tuple(fields)[0])  # bounds follow the regions
+
+
+def _ring(raw: object, code: str) -> Ring:
+    if type(raw) not in (list, tuple) or len(raw) < 3:
         raise AtlasParse(f"{code}: ring must be a list of >= 3 points")
     points: list[tuple[float, float]] = []
-    for pt in raw:
-        if not isinstance(pt, list) or len(pt) != 2 or not all(  # finite, no bool
-                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pt):
+    for pt in raw:  # two finite ints or floats, not bools
+        if type(pt) not in (list, tuple) or len(pt) != 2 or not (
+                type(pt[0]) in (int, float) and type(pt[1]) in (int, float)
+                and abs(pt[0]) <= sys.float_info.max >= abs(pt[1])):
             raise AtlasParse(f"{code}: bad point {pt!r}")
         points.append((float(pt[0]), float(pt[1])))
     if points[0] != points[-1]:
         points.append(points[0])
-    if len(points) < 4:
+    if len(set(points)) < 3:
         raise AtlasParse(f"{code}: ring has fewer than 3 distinct points")
     return tuple(points)
 
 
-def _parse_geometry(geom: object, code: str) -> list[Ring]:
+def _outer_rings(geom: object, code: str) -> list:
+    """A feature's rings as written, one per polygon; Atlas checks them."""
     if not isinstance(geom, dict):
         raise AtlasParse(f"{code}: missing geometry")
-    gtype = geom.get("type")
-    coords = geom.get("coordinates")
-    if gtype == "Polygon":
-        polys = [coords]
-    elif gtype == "MultiPolygon":
-        polys = coords
-    else:
+    gtype, polys = geom.get("type"), geom.get("coordinates")
+    if gtype not in ("Polygon", "MultiPolygon"):
         raise AtlasParse(f"{code}: unsupported geometry type {gtype!r}")
-    if not isinstance(polys, list) or not polys:
-        raise AtlasParse(f"{code}: empty geometry")
-    rings: list[Ring] = []
+    polys = [polys] if gtype == "Polygon" else polys
+    if not isinstance(polys, list):
+        raise AtlasParse(f"{code}: coordinates must be an array")
     for poly in polys:
         if not isinstance(poly, list) or not poly:
             raise AtlasParse(f"{code}: empty polygon")
         if len(poly) > 1:
             raise AtlasParse(f"{code}: polygons with holes are not supported")
-        rings.append(_parse_ring(poly[0], code))
-    return rings
+    return [poly[0] for poly in polys]
 
 
 def load_atlas(document: str) -> Atlas:
-    """Parse and validate an atlas document; all 51 regions are required."""
+    """Parse an atlas document into an Atlas, its insets applied."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -91,7 +122,7 @@ def load_atlas(document: str) -> Atlas:
     if not isinstance(features, list):
         raise AtlasParse("missing features array")
 
-    regions: dict[str, list[Ring]] = {}
+    regions: dict[str, list] = {}
     for feature in features:
         props = feature.get("properties") if isinstance(feature, dict) else None
         if not isinstance(props, dict) or "code" not in props:
@@ -103,11 +134,7 @@ def load_atlas(document: str) -> Atlas:
             raise UnknownRegion(f"atlas feature for unknown region {code!r}") from None
         if meta.code in regions:
             raise AtlasParse(f"{meta.code}: repeated feature")
-        regions[meta.code] = _parse_geometry(feature.get("geometry"), meta.code)
-
-    missing = sorted(set(ALL_CODES) - set(regions))
-    if missing:
-        raise IncompleteAtlas(f"atlas missing regions: {', '.join(missing)}")
+        regions[meta.code] = _outer_rings(feature.get("geometry"), meta.code)
 
     insets = doc.get("insets", [])
     if not isinstance(insets, list):
@@ -128,31 +155,17 @@ def load_atlas(document: str) -> Atlas:
                              f"numbers, got {[dx, dy]!r} and {s!r}")
         if not all(abs(v) <= sys.float_info.max for v in (dx, dy, s)):
             raise AtlasParse(f"{code}: inset translate and scale must be finite")
-        regions[code] = [
-            tuple((dx + s * x, dy + s * y) for x, y in ring)
-            for ring in regions[code]
-        ]
-
-    xs = [x for rings in regions.values() for ring in rings for x, _ in ring]
-    ys = [y for rings in regions.values() for ring in rings for _, y in ring]
-    bounds = (min(xs), min(ys), max(xs), max(ys))
-    spans = (bounds[2] - bounds[0], bounds[3] - bounds[1])
-    if not all(0 < span <= sys.float_info.max for span in spans):
-        raise AtlasParse("atlas width and height must be finite and positive, "
-                         "got {:g} and {:g}".format(*spans))
-    if not all(MAX_CANVAS / span <= sys.float_info.max for span in spans):
-        raise AtlasParse("atlas width and height are too small for a {:g} "
-                         "canvas, got {:g} and {:g}".format(MAX_CANVAS, *spans))
-    return Atlas({code: tuple(rings) for code, rings in regions.items()}, bounds)
+        # Moved once its points pass the ring rule; Atlas checks the result.
+        regions[code] = [tuple((dx + s * x, dy + s * y) for x, y in _ring(ring, code))
+                         for ring in regions[code]]
+    return Atlas(regions)
 
 
 @cache
 def load_default_atlas() -> Atlas:
-    """The bundled atlas, loaded once per process; its regions are read-only,
-    so no caller can change them under another."""
+    """The bundled atlas, loaded once per process."""
     path = Path(__file__).parent / "data" / "us_atlas.json"
-    atlas = load_atlas(path.read_text("utf-8"))
-    return atlas._replace(regions=MappingProxyType(atlas.regions))
+    return load_atlas(path.read_text("utf-8"))
 
 
 def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,
@@ -173,12 +186,12 @@ def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,
 
 
 # One record per map fit, kept across charts: (id(regions), fit, border
-# style) -> (regions, its items, (code, tag, PlacedRing) in code order,
-# border polygons, (ring index, color) -> fill polygon, made when the ring
-# first shows that color under the fit). An entry holds its regions, so no
-# other object has that id, and compares its items, so a ring replaced in
-# place misses. A call that takes the fits, rings and fill polygons past
-# _FITS_CAPACITY leaves only its own fit and that fit's rings.
+# style) -> (regions, (code, tag, PlacedRing) in code order, border
+# polygons, (ring index, color) -> fill polygon, made when the ring first
+# shows that color under the fit). An entry holds its regions, read-only
+# like every Atlas's, so no other object has that id and no ring changes.
+# A call that takes the fits, rings and fill polygons past _FITS_CAPACITY
+# leaves only its own fit and that fit's rings.
 _FITS: dict[tuple, tuple] = {}
 _FITS_CAPACITY = 4096
 
@@ -204,26 +217,25 @@ def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
     """Every region placed by ``fit`` (from _fit_transform): fills, borders.
     Rings, borders and fills in each color are made once per fit (_FITS)."""
     regions = atlas.regions
-    items = tuple(regions.items())
     key = (id(regions), fit, stroke)
     entry = _FITS.get(key)
-    if entry is None or entry[0] is not regions or entry[1] != items:
+    if entry is None or entry[0] is not regions:
         ox, oy, s, xmin, ymin = fit
         rings = tuple((code, f"region:{code}",
                        PlacedRing([(ox + s * (x - xmin), oy + s * (y - ymin))
                                    for x, y in ring]))
                       for code in sorted(regions) for ring in regions[code])
-        entry = _FITS[key] = (regions, items, rings, tuple(
+        entry = _FITS[key] = (regions, rings, tuple(
             Polygon(points, stroke) for _, _, points in rings), {})
-    colored = entry[4]
+    colored = entry[3]
     known = len(colored)
     out = Layers()
     out.fills = [colored.get(k := (i, fills[code])) or colored.setdefault(
                      k, Polygon(points, shared_style(fill=k[1]), tag))
-                 for i, (code, tag, points) in enumerate(entry[2])]
-    out.strokes.extend(entry[3])
+                 for i, (code, tag, points) in enumerate(entry[1])]
+    out.strokes.extend(entry[2])
     if len(colored) > known and _FITS_CAPACITY < sum(
-            1 + len(e[2]) + len(e[4]) for e in _FITS.values()):
+            1 + len(e[1]) + len(e[3]) for e in _FITS.values()):
         _FITS.clear()
         colored.clear()
         _FITS[key] = entry

@@ -351,8 +351,7 @@ def render_legend_column(name_style: str, frame: PanelFrame) -> Layers:
     inset = min(2.0, frame.width / 4.0)
     size = min(9.0, frame.row_height * 0.5, frame.width / 2.0)
     font = min(10.5, frame.row_height * 0.52)
-    label_style = shared_style(fill=colors.TEXT_COLOR, font_size=font,
-                               anchor="start")
+    label_style = Style(fill=colors.TEXT_COLOR, font_size=font, anchor="start")
     for row in frame.rows:
         out.marks.append(Rect(frame.x + inset, row.y - size / 2.0, size, size,
                               shared_style(fill=row.color),

@@ -174,6 +174,8 @@ def check_decimal_places(places: object) -> int:
 def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
     """Serialize a scene to a self-contained SVG document."""
     writer = _Writer(check_decimal_places(options.decimal_places))
+    if not isinstance(title := options.title, str):
+        raise SpecError("title", f"expected a string, got {type(title).__name__}")
     height, width = writer.numbers(writer.two(scene.height,
                                               scene.width)).split()
     lines = [f'<svg height="{height}" width="{width}" xmlns="{SVG_NS}">']

@@ -8,14 +8,16 @@ one of the 51 regions, each row holds its columns and each cell is finite.
 A cell is read as ``table.rows[code][name]``. ``with_column`` is the one way
 to append a column, and ``column_extent`` the one rule for a column's span.
 
-All values are immutable after construction and every operation returns a
-new table, so tables can be shared freely across render jobs.
+All values are immutable after construction: ``rows`` and each row are
+read-only mappings, and every operation returns a new table, so tables can
+be shared freely across render jobs.
 """
 
 import csv
 import io
 import math
 import re
+from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -44,7 +46,7 @@ class Column(NamedTuple):
 
 class _TableFields(NamedTuple):
     columns: tuple[Column, ...]
-    rows: dict[str, dict[str, object]]
+    rows: Mapping[str, Mapping[str, object]]
 
 
 @value_type
@@ -54,8 +56,7 @@ class RegionTable(_TableFields):
     __slots__ = ()
 
     def __new__(cls, columns: tuple[Column, ...],
-                rows: dict[str, dict[str, object]]) -> "RegionTable":
-        self = super().__new__(cls, columns, rows)
+                rows: Mapping[str, Mapping[str, object]]) -> "RegionTable":
         by_name: dict[str, Column] = {}
         for column in columns:
             if column.name in by_name:
@@ -74,14 +75,16 @@ class RegionTable(_TableFields):
                         if name in by_name else
                         f"row {code} has a cell for {name!r}, not a column")
             for name, column in by_name.items():
-                self._check_cell(code, column, row[name])
-        return self
+                cls._check_cell(code, column, row[name])
+        return cls._checked(columns, {code: dict(row) for code, row in rows.items()})
 
     @classmethod
     def _checked(cls, columns: tuple[Column, ...],
                  rows: dict[str, dict[str, object]]) -> "RegionTable":
-        """A table whose cells are checked already."""
-        return tuple.__new__(cls, (columns, rows))
+        """A table whose cells are checked already. It wraps ``rows`` and
+        each row read-only, so the caller keeps no other hold on them."""
+        return tuple.__new__(cls, (columns, MappingProxyType(
+            {code: MappingProxyType(row) for code, row in rows.items()})))
 
     @staticmethod
     def _check_cell(code: str, column: Column, value: Any) -> None:

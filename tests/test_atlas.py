@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import math
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from micromaps.atlas import load_atlas, render_minimap
+from micromaps.atlas import Atlas, load_atlas, render_minimap
+from micromaps.checks import check_chart
 from micromaps.colors import CONTEXT_FILL, CUMULATIVE_TINT, DEFAULT_PALETTE
 from micromaps.compose import (
     CUMULATIVE,
@@ -12,12 +17,19 @@ from micromaps.compose import (
     NO_DATA_PANEL,
     ChartSpec,
     ColumnSpec,
+    compose,
     plan_chart,
 )
-from micromaps.errors import AtlasParse, IncompleteAtlas, UnknownRegion
+from micromaps.errors import (
+    AtlasParse,
+    IncompleteAtlas,
+    MicromapError,
+    UnknownRegion,
+)
 from micromaps.glyphs import PanelFrame, RowBand
 from micromaps.layout import GroupPlan, SortSpec
 from micromaps.regions import ALL_CODES, region_lookup
+from micromaps.svg import emit_svg
 
 from conftest import full_table, make_table, square_atlas_document
 
@@ -175,6 +187,13 @@ def _tiny_box(data):
             [[i * 1e-312, 0], [(i + 1) * 1e-312, 0], [i * 1e-312, 1e-311]]]}
 
 
+def _inset_and(edit, scale):
+    def both(data):
+        edit(data)
+        _set_insets([{"code": "AK", "translate": [0, 0], "scale": scale}])(data)
+    return both
+
+
 MALFORMED = [
     (_drop_key("features"), "missing features array"),
     (_drop_code, "feature without a region code"),
@@ -186,6 +205,10 @@ MALFORMED = [
      "AK: empty geometry"),
     (_set_geometry({"type": "MultiPolygon", "coordinates": [[]]}),
      "AK: empty polygon"),
+    (_set_geometry({"type": "MultiPolygon", "coordinates": 5}),
+     "AK: coordinates must be an array"),
+    (_set_geometry({"type": "Polygon", "coordinates": [[[0, 0], [1, 0]]]}),
+     "AK: ring must be a list of >= 3 points"),
     (_set_ring([[0, 0], [1, 0], ["a", 1], [0, 0]]), "AK: bad point ['a', 1]"),
     (_set_ring([[0, 0], [1, 0], [float("nan"), 1], [0, 0]]),
      "AK: bad point [nan, 1]"),
@@ -198,6 +221,9 @@ MALFORMED = [
                 "got 5.1e-311 and 1e-311"),
     (_set_ring([[0, 0], [1, 0], [0, 0]]),
      "AK: ring has fewer than 3 distinct points"),
+    (_inset_and(_set_ring([[0, 0], [1, 0], ["1", 1]]), 2.0),
+     "AK: bad point ['1', 1]"),
+    (_inset_and(lambda data: None, 1e308), "AK: bad point (inf, 0.0)"),
     (_set_insets({}), "insets must be an array"),
     (_set_insets([1]), "bad inset entry"),
     (_set_insets([{"code": "AK", "scale": 2.0}]),
@@ -248,6 +274,127 @@ def test_inset_for_unknown_region():
     data["insets"] = [{"code": "GU", "translate": [0, 0], "scale": 1.0}]
     with pytest.raises(UnknownRegion):
         load_atlas(json.dumps(data))
+
+
+# --- atlases built in Python -----------------------------------------------
+
+SQUARE = load_atlas(square_atlas_document())
+TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+
+
+def _edited(edits) -> dict:
+    """The square atlas's regions with each (code, rings) edit applied; rings
+    of None drop the code."""
+    regions = dict(SQUARE.regions)
+    for code, rings in edits:
+        if rings is None:
+            regions.pop(code, None)
+        else:
+            regions[code] = rings
+    return regions
+
+
+ONE_X = [(code, [[[5, i], [5, i + 1], [5, i + 2]]])
+         for i, code in enumerate(ALL_CODES)]
+# (case, edits, error, message): each is refused when the Atlas is made.
+REFUSED = [
+    ("zero width", ONE_X, AtlasParse,
+     "atlas width and height must be finite and positive, got 0 and 52"),
+    ("no TX", [("TX", None)], IncompleteAtlas, "atlas missing regions: TX"),
+    ("unknown code", [("PR", [TRIANGLE])], UnknownRegion,
+     "atlas rings for unknown region 'PR'"),
+    ("NaN point", [("AL", [[[0, 0], [1, 0], [math.nan, 1]]])], AtlasParse,
+     "AL: bad point [nan, 1]"),
+    ("bool point", [("AL", [[(0, 0), (1, 0), (True, 1)]])], AtlasParse,
+     "AL: bad point (True, 1)"),
+    ("string point", [("AL", [[[0, 0], [1, 0], ["0", 1]]])], AtlasParse,
+     "AL: bad point ['0', 1]"),
+    ("empty ring", [("AL", [[]])], AtlasParse,
+     "AL: ring must be a list of >= 3 points"),
+    ("two-point ring", [("AL", [[[0, 0], [1, 0]]])], AtlasParse,
+     "AL: ring must be a list of >= 3 points"),
+    ("two distinct points", [("AL", [[[0, 0], [1, 0], [0, 0], [1, 0]]])],
+     AtlasParse, "AL: ring has fewer than 3 distinct points"),
+    ("no rings", [("AL", [])], AtlasParse, "AL: empty geometry"),
+    ("a ring for its rings", [("AL", TRIANGLE)], AtlasParse,
+     "AL: ring must be a list of >= 3 points"),
+]
+
+
+@pytest.mark.parametrize("edits, error, message", [r[1:] for r in REFUSED],
+                         ids=[r[0] for r in REFUSED])
+def test_hand_built_atlas_is_refused_when_made(edits, error, message):
+    with pytest.raises(error) as err:
+        Atlas(_edited(edits))
+    assert str(err.value) == message
+    with pytest.raises(error):
+        SQUARE._replace(regions=_edited(edits))
+
+
+def test_atlas_works_out_its_bounds_and_holds_its_rings_read_only():
+    with pytest.raises(TypeError):
+        Atlas(SQUARE.regions, (0.0, 0.0, 1.0, 1.0))
+    with pytest.raises(AtlasParse):
+        Atlas(list(SQUARE.regions.items()))
+    far = ((200, 300), (201, 300), (200.5, 301))
+    regions = _edited([("AL", [TRIANGLE, far])])
+    atlas = Atlas(regions)
+    assert atlas.bounds == (0.0, 0.0, 201.0, 301.0)
+    assert atlas.regions["AL"] == (
+        ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)),
+        ((200.0, 300.0), (201.0, 300.0), (200.5, 301.0), (200.0, 300.0)))
+    regions["AL"] = [TRIANGLE]  # the atlas keeps its own copy
+    assert atlas.bounds == (0.0, 0.0, 201.0, 301.0)
+    assert atlas._replace(regions=regions).bounds == (0.0, 0.0, 78.0, 68.0)
+    assert Atlas(regions=SQUARE.regions) == SQUARE
+    with pytest.raises(TypeError):
+        atlas.regions["AL"] = (TRIANGLE,)
+
+
+# Up to three regions given rings of finite numbers, small or as wide as a
+# float holds, then at most one edit that may drop a region, name one that
+# is not, or give rings of anything a point might be written as.
+_COORDS = st.one_of(st.integers(-1000, 1000), st.floats(-1e3, 1e3),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_GOOD = st.lists(st.lists(st.tuples(_COORDS, _COORDS), min_size=3, max_size=6),
+                 min_size=1, max_size=3)
+_ANYTHING = st.one_of(st.integers(), st.floats(), st.booleans(),
+                      st.text(max_size=2))
+_ANY = st.lists(st.lists(st.one_of(st.tuples(_ANYTHING, _ANYTHING),
+                                   st.lists(_ANYTHING, max_size=3)),
+                         max_size=5), max_size=3)
+_EDITS = st.tuples(
+    st.lists(st.tuples(st.sampled_from(ALL_CODES), _GOOD), max_size=3),
+    st.lists(st.tuples(st.sampled_from(ALL_CODES + ("PR", "al")),
+                       st.one_of(st.none(), _ANY)), max_size=1),
+).map(lambda edits: edits[0] + edits[1])
+_CHART = ChartSpec("t", SortSpec("v"),
+                   (ColumnSpec("map"), ColumnSpec("legend"),
+                    ColumnSpec("dot", ("V",), {"value": "v"})))
+
+
+def _pin_refused(test):
+    for _, edits, _, _ in REFUSED:
+        test = example(edits)(test)
+    return test
+
+
+@given(_EDITS)
+@_pin_refused
+@example([])
+@example([("AL", [TRIANGLE])])
+@example([("AL", [[[1e-300, 0], [2e-300, 0], [1e-300, 1e-300]]])])
+@example([("AK", [[[-1e307, 0], [1e307, 0], [0, 1]]])])
+def test_edited_atlas_is_refused_when_made_or_renders(edits):
+    """An atlas is refused with a MicromapError when it is made, or a chart
+    drawn on it passes the gate and writes well-formed SVG."""
+    try:
+        atlas = Atlas(_edited(edits))
+    except MicromapError:
+        return
+    scene = compose(_CHART, full_table(), atlas)
+    check_chart(scene)
+    ET.fromstring(emit_svg(scene))
 
 
 # --- minimap tint, decided by the plan ---------------------------------------

@@ -19,7 +19,7 @@ from micromaps.compose import (
 )
 from micromaps.demos import build_demo
 from micromaps.errors import BadExtent, EmptyColumn, SpecError
-from micromaps.glyphs import TICK_STYLE
+from micromaps.glyphs import TICK_STYLE, shared_style
 from micromaps.layout import SortSpec, build_layout
 from micromaps.regions import ALL_CODES
 from micromaps.scale import linear_scale
@@ -190,6 +190,19 @@ def test_timeseries_column_composition(square_atlas):
 
 
 # --- spec validation ---------------------------------------------------------
+
+def test_row_styles_are_kept_once_whatever_the_canvas(default_atlas,
+                                                      acs_table):
+    """The legend's label style follows the row height, so it is made per
+    panel; the kept row styles do not grow with the canvas height."""
+    spec = build_demo("acs-dot")[0]
+    compose(spec, acs_table, default_atlas)
+    kept = shared_style.cache_info().currsize
+    for i in range(20):
+        compose(spec._replace(height=600.0 + 5.5 * i), acs_table,
+                default_atlas)
+    assert shared_style.cache_info().currsize == kept
+
 
 def test_spec_requires_map_column(table51):
     with pytest.raises(SpecError) as err:

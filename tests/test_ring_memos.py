@@ -41,12 +41,13 @@ MOVED = ALL_CODES[9]
 
 
 def kept_rings():
-    return [ring for entry in atlas_mod._FITS.values() for _, _, ring in entry[2]]
+    return [ring for entry in atlas_mod._FITS.values()
+            for _, _, ring in entry[1]]
 
 
 def kept_fills():
     return [fill for entry in atlas_mod._FITS.values()
-            for fill in entry[4].values()]
+            for fill in entry[3].values()]
 
 
 def kept_size():
@@ -142,11 +143,14 @@ def test_equal_bounds_different_rings_render_different_points():
         text = emit_svg(Scene(200.0, 200.0, tuple(shapes.fills)))
         assert _Writer(2).points(placed(atlas, ring)) in text
 
-    # A ring replaced in place, in the same regions dict, is placed anew,
-    # with its own bounds, text and fill polygons.
+    # No ring can be replaced in place; a copy with ``_replace`` holds new
+    # regions, so its ring is placed anew, with its own bounds, text and
+    # fill polygons.
     before = render_minimap(atlas, FRAME, ())
     ring = tuple((x + 0.25, y) for x, y in atlas.regions[MOVED][0])
-    atlas.regions[MOVED] = (ring,)
+    with pytest.raises(TypeError):
+        atlas.regions[MOVED] = (ring,)
+    atlas = atlas._replace(regions={**atlas.regions, MOVED: (ring,)})
     shapes = render_minimap(atlas, FRAME, ())
     assert region_points(shapes, MOVED) == [placed(atlas, ring)]
     assert not any(p is q for p, q in zip(before.fills, shapes.fills))
@@ -286,6 +290,10 @@ def test_demo_loop_records_only_atlas_rings_and_never_empties():
     assert glyph_polygons > 0
     assert len(seen) == len(atlas_mod._FITS)
     assert len(kept_rings()) == 55 * len(atlas_mod._FITS)
+    # An entry is (regions, rings, borders, fills), and trusts its regions
+    # by identity.
+    assert all(len(entry) == 4 and entry[0] is atlas.regions
+               for entry in atlas_mod._FITS.values())
     assert all(ring.texts.keys() == {2} for ring in kept_rings())
 
 

@@ -107,6 +107,16 @@ def test_title_escaping_and_presence():
     assert "<title>a &amp; b</title>" in text
 
 
+@pytest.mark.parametrize("title, name", [(5, "int"), (None, "NoneType"),
+                                         (b"t", "bytes")])
+def test_title_that_is_not_a_string_is_a_spec_error(title, name):
+    for embed in (True, False):
+        with pytest.raises(SpecError) as info:
+            emit_svg(Scene(10.0, 10.0, ()),
+                     SvgOptions(embed_title=embed, title=title))
+        assert str(info.value) == f"title: expected a string, got {name}"
+
+
 def test_fonts_by_generic_family_only():
     scene = Scene(10.0, 10.0, (Text(1, 1, "x", Style(font_size=10.0)),))
     text = emit_svg(scene)

@@ -3,7 +3,8 @@
 They are NamedTuples, so the tests pin what a frozen class promised:
 fields cannot be assigned, equality respects the type (tuple equality
 alone would make ``Rect(0, 0, 1, 1) == Line(0, 0, 1, 1)``), equal values
-hash equal, and the checks made at construction still run.
+hash equal, the checks made at construction still run, and every mapping
+a value holds is read-only.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from collections import namedtuple
 import pytest
 
 from micromaps.altcharts import ClassBreaks
-from micromaps.atlas import Atlas
+from micromaps.atlas import Atlas, load_default_atlas
 from micromaps.colors import Palette
 from micromaps.compose import Band, ChartPlan, ChartSpec, ColumnPlan, ColumnSpec
 from micromaps.config import RenderConfig, SeriesBinding
-from micromaps.errors import BadBreaks, CellParse
+from micromaps.demos import build_demo
+from micromaps.errors import BadBreaks, CellParse, MissingColumn
 from micromaps.glyphs import BoxStats, PanelFrame, RowBand
 from micromaps.layout import GroupPlan, LinkedLayout, SortSpec
-from micromaps.regions import BY_CODE
+from micromaps.regions import ALL_CODES, BY_CODE
 from micromaps.scale import Scale
 from micromaps.scene import (
     Circle,
@@ -43,6 +45,9 @@ SPEC = ChartSpec("t", SortSpec("v"),
 TABLE = RegionTable((Column("v"),), {"AL": {"v": 1.0}, "AK": {"v": None}})
 LAYOUT = LinkedLayout(("AL",), ("AK",), GroupPlan((1,), 0), (("AL",),))
 BAND = Band(0, False, 0.0, 10.0, (RowBand("AL", 5.0, "#D55E00"),), ())
+# One triangle per region, side by side.
+ATLAS = Atlas({code: ([(i, 0), (i + 1, 0), (i, 1)],)
+               for i, code in enumerate(ALL_CODES)})
 
 # (instance, hashable): types holding a dict or a read-only mapping cannot
 # be hashed.
@@ -72,8 +77,7 @@ VALUES = [
     (ChartPlan(SPEC, (), LAYOUT, (BAND,), 10.0, 0.0, 10.0, ("DC",), ()),
      False),
     (SvgOptions(decimal_places=1), True),
-    (Atlas({"AL": (((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),)},
-           (0.0, 0.0, 1.0, 1.0)), False),
+    (ATLAS, False),
     (BY_CODE["AL"], True),
     (Column("s", "series", ("a", "b")), True),
     (ColumnRef(Column("s", "series", ("a", "b")), 1), True),
@@ -95,7 +99,7 @@ def test_fields_cannot_be_assigned(value, hashable):
 
 @pytest.mark.parametrize("value,hashable", VALUES, ids=IDS)
 def test_equality_respects_the_type(value, hashable):
-    twin = type(value)(*value)
+    twin = type(value)._make(value)
     assert twin == value and not twin != value
     plain = tuple(value)
     assert value != plain and plain != value
@@ -112,13 +116,51 @@ def test_equality_respects_the_type(value, hashable):
 
 @pytest.mark.parametrize("value,hashable", VALUES, ids=IDS)
 def test_equal_values_hash_equal(value, hashable):
-    twin = type(value)(*value)
+    twin = type(value)._make(value)
     if hashable:
         assert hash(twin) == hash(value)
         assert {value: 1}[twin] == 1
     else:
         with pytest.raises(TypeError):
             hash(value)
+
+
+MAPPINGS = [
+    ("ChartSpec bindings", lambda: SPEC.columns[2].bindings, "value"),
+    ("ChartSpec options", lambda: SPEC.columns[2].options, "weight"),
+    ("RegionTable rows", lambda: TABLE.rows, "AL"),
+    ("RegionTable row", lambda: TABLE.rows["AL"], "v"),
+    ("parsed RegionTable rows", lambda: build_demo("acs-dot")[1].rows, "AL"),
+    ("parsed RegionTable row",
+     lambda: build_demo("acs-dot")[1].rows["AL"], "response_rate"),
+    ("bundled Atlas regions", lambda: load_default_atlas().regions, "AL"),
+    ("hand-built Atlas regions", lambda: ATLAS.regions, "AL"),
+]
+
+
+@pytest.mark.parametrize("get, key", [m[1:] for m in MAPPINGS],
+                         ids=[m[0] for m in MAPPINGS])
+def test_held_mappings_refuse_assignment_and_deletion(get, key):
+    mapping = get()
+    before = dict(mapping)
+    with pytest.raises(TypeError):
+        mapping[key] = None
+    with pytest.raises(TypeError):
+        mapping["extra"] = None
+    with pytest.raises(TypeError):
+        del mapping[key]
+    assert dict(mapping) == before
+
+
+def test_region_table_copies_the_rows_it_is_given():
+    rows = {"AL": {"v": 1.0}}
+    table = RegionTable((Column("v"),), rows)
+    rows["AL"]["v"] = math.nan
+    rows["AK"] = {"v": 2.0}
+    assert dict(table.rows) == {"AL": {"v": 1.0}}
+    # A row that is not a mapping is checked before any copy is made.
+    with pytest.raises(MissingColumn):
+        RegionTable((Column("v"),), {"AL": [1.0]})
 
 
 def test_column_spec_defaults_are_read_only():
