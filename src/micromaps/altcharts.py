@@ -12,10 +12,9 @@ from typing import NamedTuple
 from . import colors
 from .atlas import Atlas, _draw_map, _fit_transform
 from .errors import BadBreaks
-from .glyphs import PanelFrame
 from .scale import format_tick, linear_scale
-from .scene import (Line, Rect, Scene, Shape, Style, Text, check_canvas_side,
-                    clamp_scene)
+from .scene import (Line, PanelFrame, Rect, Scene, Shape, Style, Text,
+                    check_canvas_side)
 from .table import RegionTable, column_extent, scalar_values
 from .values import value_type
 
@@ -115,7 +114,7 @@ def render_barchart_alpha(table: RegionTable, column: str,
         shapes.append(Text(width / 2.0, 24.0, title,
                            Style(fill=colors.TEXT_COLOR, font_size=14.0,
                                  anchor="middle")))
-    return clamp_scene(Scene(width, height, tuple(shapes)))
+    return Scene(width, height, tuple(shapes))
 
 
 def _legend_label(breaks: ClassBreaks, index: int,
@@ -175,4 +174,4 @@ def render_choropleth(atlas: Atlas, table: RegionTable, column: str,
         shapes.append(Text(width / 2.0, 22.0, title,
                            Style(fill=colors.TEXT_COLOR, font_size=14.0,
                                  anchor="middle")))
-    return clamp_scene(Scene(width, height, tuple(shapes)))
+    return Scene(width, height, tuple(shapes))

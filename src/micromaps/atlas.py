@@ -24,9 +24,9 @@ from typing import NamedTuple, Sequence
 
 from . import colors
 from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
-from .glyphs import PanelFrame, shared_style
+from .glyphs import shared_style
 from .regions import ALL_CODES, region_lookup
-from .scene import MAX_CANVAS, Layers, PlacedRing, Polygon, Style
+from .scene import MAX_CANVAS, Layers, PanelFrame, PlacedRing, Polygon, Style
 from .values import value_type
 
 Ring = tuple[tuple[float, float], ...]
@@ -71,8 +71,11 @@ class Atlas(_AtlasFields):
         return super().__new__(cls, MappingProxyType(held), bounds)
 
     @classmethod
-    def _make(cls, fields) -> "Atlas":  # _replace checks it too
-        return cls(tuple(fields)[0])  # bounds follow the regions
+    def _make(cls, fields) -> "Atlas":  # _replace checks it, and refuses bounds
+        return cls(next(iter(fields)))
+
+    def __getnewargs__(self) -> tuple:  # for copy.copy
+        return (self.regions,)
 
 
 def _ring(raw: object, code: str) -> Ring:

@@ -1,55 +1,40 @@
-"""The pre-write gate: each region shows one color across the chart.
+"""The pre-write gate: each linked mark shows its row's color.
 
 A linked micromap ties a region's map shape, legend swatch and glyph marks
 together by one color, so that link is what the gate checks. It reads the
 emitted shapes, not the inputs that produced them, through the indices the
 composer recorded in each panel's ``PanelInfo.marks``. Among them, a shape
-whose full tag is ``region:XX`` for a member region XX of the panel shows
-XX's linked color: its fill, or its stroke when it has no fill. Each mark
-is matched to its region by one lookup of that whole tag. A scene without
-panels (a comparison baseline) has no link to check and passes.
+whose full tag is ``region:XX`` for a row XX of the panel's frame shows the
+row's color: its fill, or its stroke when it has no fill. Every panel of a
+band is drawn from the band's one set of rows, so a region that passes
+shows one color across the chart. A scene without panels (a comparison
+baseline) has no link to check and passes.
 """
 
 from .errors import MicromapError
-from .scene import PanelInfo, Scene
-
-
-def region_colors_in_panel(scene: Scene, panel: PanelInfo) -> dict[str, str]:
-    """The linked color each member region shows in the panel's marks.
-
-    Raises MicromapError when a region's marks there disagree.
-    """
-    members = {"region:" + code: code for code, _ in panel.rows}
-    colors: dict[str, str] = {}
-    for shape in scene.shapes[panel.marks.start:panel.marks.stop]:
-        code = members.get(shape.tag)
-        if code is None:
-            continue
-        fill = shape.style.fill
-        color = shape.style.stroke if fill is None or fill == "none" else fill
-        previous = colors.setdefault(code, color)
-        if previous != color:
-            raise MicromapError(
-                f"panel ({panel.kind}, group {panel.group_index}): "
-                f"{code} drawn in both {previous} and {color}")
-    return colors
+from .scene import Scene
 
 
 def check_color_linkage(scene: Scene) -> dict[str, str]:
-    """Each region must use exactly one color across all columns.
+    """Each region-tagged mark must show its row's color.
 
     Returns the region -> color mapping. Regions that never produced a
     colored mark (all values missing) are simply absent.
     """
     linked: dict[str, str] = {}
     for panel in scene.panels:
-        for code, color in region_colors_in_panel(scene, panel).items():
-            previous = linked.get(code)
-            if previous is not None and previous != color:
+        rows = {"region:" + row.region: row for row in panel.frame.rows}
+        for shape in scene.shapes[panel.marks.start:panel.marks.stop]:
+            row = rows.get(shape.tag)
+            if row is None:
+                continue
+            fill = shape.style.fill
+            color = shape.style.stroke if fill is None or fill == "none" else fill
+            if color != row.color:
                 raise MicromapError(
-                    f"{code}: color {color} in ({panel.kind}, group "
-                    f"{panel.group_index}) but {previous} elsewhere")
-            linked[code] = color
+                    f"panel ({panel.kind}, group {panel.group_index}): "
+                    f"{row.region} drawn in {color}, not its row's {row.color}")
+            linked[row.region] = color
     return linked
 
 

@@ -43,8 +43,6 @@ from .errors import (
 from .glyphs import (
     AXIS_STYLE,
     TICK_STYLE,
-    PanelFrame,
-    RowBand,
     render_arrow,
     render_bar,
     render_boxplot,
@@ -56,8 +54,8 @@ from .glyphs import (
 from .layout import ASCENDING, DESCENDING, LinkedLayout, SortSpec, build_layout
 from .regions import ALL_CODES, BY_CODE
 from .scale import Scale, format_tick, linear_scale, thin_labels
-from .scene import (Layers, Line, PanelInfo, Rect, Scene, Style, Text,
-                    check_canvas_side, clamp_scene)
+from .scene import (Layers, Line, PanelFrame, PanelInfo, Rect, RowBand, Scene,
+                    Style, Text, check_canvas_side, clamp_scene)
 from .table import (
     RegionTable,
     SERIES,
@@ -579,7 +577,7 @@ def _draw(plan: ChartPlan, atlas: Atlas) -> Scene:
     gutter = h * GUTTER_F
 
     page = Layers()
-    placed: list[tuple[ColumnPlan, Band, bool, range]] = []
+    placed: list[tuple[ColumnPlan, int, PanelFrame, bool, range]] = []
     if spec.title:
         page.labels.append(Text(w / 2.0, h * MARGIN_TOP_F + title_h * 0.62,
                                 spec.title,
@@ -615,18 +613,16 @@ def _draw(plan: ChartPlan, atlas: Atlas) -> Scene:
                                band.rows, plan.row_height)
             panel = _KINDS[col.spec.kind].draw(col, frame, y_scale, band,
                                                plan.layout, atlas)
-            placed.append((col, band, bool(panel.fills), page.add(panel)))
+            placed.append((col, band.group_index, frame, bool(panel.fills),
+                           page.add(panel)))
         page.add(_axis_shapes(col, plan.top, plan.bottom, h))
 
     # Shift each panel's linked marks from their slot to the flattened shapes.
     fills_at = len(page.guides)
     marks_at = fills_at + len(page.fills) + len(page.strokes)
-    rows = {b.group_index: tuple(row[:2] for row in b.rows) for b in bands}
     panels: list[PanelInfo] = []
-    for col, band, in_fills, marks in placed:
+    for col, group, frame, in_fills, marks in placed:
         at = fills_at if in_fills else marks_at
-        panels.append(PanelInfo(col.index, col.spec.kind, band.group_index,
-                                col.x, band.y, col.width, band.height,
-                                rows[band.group_index],
+        panels.append(PanelInfo(col.index, col.spec.kind, group, frame,
                                 range(marks.start + at, marks.stop + at)))
     return clamp_scene(Scene(w, h, page.flatten(), tuple(panels)))

@@ -18,7 +18,8 @@ from typing import Mapping, NamedTuple, Sequence
 from . import colors
 from .errors import EmptySamples, SeriesMismatch
 from .scale import Scale
-from .scene import Circle, Layers, Line, Polygon, Polyline, Rect, Shape, Style, Text
+from .scene import (Circle, Layers, Line, PanelFrame, Polygon, Polyline, Rect,
+                    RowBand, Shape, Style, Text)
 from .values import value_type
 
 ARROW_HEAD_LENGTH = 7.0
@@ -41,31 +42,6 @@ AXIS_STYLE = Style(stroke=colors.AXIS_COLOR, stroke_width=0.8)  # and whiskers
 TICK_STYLE = Style(stroke=colors.AXIS_COLOR, stroke_width=0.6)
 MEDIAN_STYLE = Style(stroke="#000000", stroke_width=1.0)
 OUTLIER_STYLE = Style(fill=colors.AXIS_COLOR)
-
-
-@value_type
-class RowBand(NamedTuple):
-    region: str
-    y: float
-    color: str
-
-
-@value_type
-class PanelFrame(NamedTuple):
-    x: float
-    y: float
-    width: float
-    height: float
-    rows: tuple[RowBand, ...]
-    row_height: float
-
-    @property
-    def right(self) -> float:
-        return self.x + self.width
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.height
 
 
 @value_type
@@ -215,13 +191,16 @@ def render_arrow(pairs: Mapping[str, tuple[float | None, float | None]],
 
 def _panel_frame_guides(frame: PanelFrame, x_scale: Scale,
                         y_scale: Scale) -> list[Shape]:
-    """The panel's border, with a tick mark at each tick of both scales."""
+    """The panel's border, with a tick mark at each tick of both scales, as
+    long as TICK_MARK or, in a smaller panel, as the panel is across."""
     shapes: list[Shape] = [Rect(frame.x, frame.y, frame.width, frame.height,
                                 FRAME_STYLE)]
+    up = max(frame.bottom - TICK_MARK, frame.y)
     for x in x_scale.positions(x_scale.ticks):
-        shapes.append(Line(x, frame.bottom, x, frame.bottom - TICK_MARK, TICK_STYLE))
+        shapes.append(Line(x, frame.bottom, x, up, TICK_STYLE))
+    right = min(frame.x + TICK_MARK, frame.right)
     for y in y_scale.positions(y_scale.ticks):
-        shapes.append(Line(frame.x, y, frame.x + TICK_MARK, y, TICK_STYLE))
+        shapes.append(Line(frame.x, y, right, y, TICK_STYLE))
     return shapes
 
 

@@ -93,23 +93,44 @@ Shape = Union[Rect, Circle, Line, Polyline, Polygon, Text]
 
 
 @value_type
-class PanelInfo(NamedTuple):
-    """Where one group's panel of one column landed, and what the checks
-    read of it: its ``rows`` (region, row center) and its ``marks``, the
-    indexes in ``Scene.shapes`` that the pre-write gate reads for the color
-    link: a map panel's fills, a legend or glyph panel's marks. Scales and
-    the median band live in the ChartPlan that the scene was drawn from.
-    """
+class RowBand(NamedTuple):
+    region: str
+    y: float
+    color: str
 
-    column_index: int
-    kind: str
-    group_index: int
+
+@value_type
+class PanelFrame(NamedTuple):
+    """A panel's box and one row per region, with the region's color."""
+
     x: float
     y: float
     width: float
     height: float
-    rows: tuple[tuple[str, float], ...] = ()
-    marks: range = range(0)
+    rows: tuple[RowBand, ...]
+    row_height: float
+
+    @property
+    def right(self) -> float:
+        return self.x + self.width
+
+    @property
+    def bottom(self) -> float:
+        return self.y + self.height
+
+
+@value_type
+class PanelInfo(NamedTuple):
+    """One group's panel of one column: the ``frame`` it was drawn in and
+    its ``marks``, the ``Scene.shapes`` indexes of a map panel's fills or
+    another panel's marks, which the gate checks against the frame's rows.
+    Scales and the median band live in the ChartPlan that was drawn."""
+
+    column_index: int
+    kind: str
+    group_index: int
+    frame: PanelFrame
+    marks: range
 
 
 class Layers:

@@ -65,9 +65,15 @@ class RegionTable(_TableFields):
                 raise MissingColumn(f"column {column.name!r} has kind "
                                     f"{column.kind!r}, not scalar or series")
             by_name[column.name] = column
+        if not isinstance(rows, Mapping):
+            raise UnknownRegion("rows must map region codes to rows, got a "
+                                f"{type(rows).__name__}")
         for code, row in rows.items():
             if code not in ALL_CODES:
                 raise UnknownRegion(f"row for unknown region {code!r}")
+            if not isinstance(row, Mapping):
+                raise MissingColumn(f"row {code} is a {type(row).__name__}, "
+                                    "not a mapping of column names to cells")
             for name in [*by_name, *row]:
                 if (name in by_name) != (name in row):
                     raise MissingColumn(

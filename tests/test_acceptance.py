@@ -9,12 +9,12 @@ from __future__ import annotations
 import random
 import warnings
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from micromaps.atlas import load_default_atlas
-from micromaps.checks import region_colors_in_panel
 from micromaps.compose import compose, plan_chart
 from micromaps.demos import build_demo
 from micromaps.glyphs import compute_box_stats
@@ -86,13 +86,24 @@ def test_criterion_2_partition_property_suite():
 def test_criterion_3_color_linkage(demo_scenes):
     spec, table, scene = demo_scenes["acs-dot"]
     layout = build_layout(table, spec.sort, spec.group_size)
-    per_kind: dict[str, dict[str, str]] = {"legend": {}, "map": {}, "dot": {}}
+    # Every color each panel's own regions show in its marks, per column
+    # kind, read from the shapes here rather than through the gate.
+    per_kind: dict[str, dict[str, set[str]]] = {
+        "legend": defaultdict(set), "map": defaultdict(set),
+        "dot": defaultdict(set)}
     for panel in scene.panels:
-        per_kind[panel.kind].update(region_colors_in_panel(scene, panel))
+        members = {row.region for row in panel.frame.rows}
+        for shape in scene.shapes[panel.marks.start:panel.marks.stop]:
+            code = (shape.tag or "").removeprefix("region:")
+            if code in members:
+                style = shape.style
+                per_kind[panel.kind][code].add(
+                    style.fill if style.fill not in (None, "none")
+                    else style.stroke)
     linked = 0
     for code in layout.ranked:
-        colors = {per_kind[kind].get(code) for kind in ("legend", "map", "dot")}
-        if len(colors) == 1 and None not in colors:
+        shown = [per_kind[kind][code] for kind in ("legend", "map", "dot")]
+        if all(shown) and len(set().union(*shown)) == 1:
             linked += 1
     report(3, "color-linkage", linked == 51, f"{linked}/51 regions")
 
@@ -191,7 +202,7 @@ def test_criterion_9_scene_structure(demo_scenes):
     counts_ok = counts == {"map": 11, "legend": 11, "dot": 11,
                            "timeseries": 11}
     median = plan_chart(spec, table).layout.plan.median_group_index
-    median_bands = {(p.y, p.height) for p in scene.panels
+    median_bands = {(p.frame.y, p.frame.height) for p in scene.panels
                     if p.group_index == median}
     report(9, "scene-structure", counts_ok and len(median_bands) == 1,
            f"panels={counts}, median bands={len(median_bands)}")

@@ -1,18 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
-from micromaps import altcharts
 from micromaps.altcharts import (
     ClassBreaks,
     equal_interval_breaks,
     render_barchart_alpha,
     render_choropleth,
 )
+from micromaps.demos import build_demo
 from micromaps.errors import BadBreaks, MissingColumn, SpecError
-from micromaps.scene import Polygon, Rect, Text, clamp_scene
+from micromaps.scene import Circle, Line, Polygon, Rect, Text, clamp_scene
 from micromaps.svg import emit_svg
 
 from conftest import make_table
@@ -202,11 +203,11 @@ def test_alt_charts_reject_a_canvas_their_margins_cannot_hold(
                               "100000")
 
 
-def test_choropleth_legend_rows_must_fit_the_height(square_atlas, table51,
-                                                    monkeypatch):
+def test_choropleth_legend_rows_must_fit_the_height(square_atlas, table51):
     """Legend rows are 18 units apart from top + 8, one per class and one
     for "no data"; a height that cannot hold them is a SpecError, and one
-    that can leaves every legend shape as drawn, untouched by the clamp."""
+    that can draws every legend shape inside the canvas, so a clamp would
+    leave each one as drawn."""
     sparse = make_table({"CA": 1.0, "TX": 2.0})  # 49 regions with no data
     for table, bound in ((table51, 132), (sparse, 150)):
         with pytest.raises(SpecError) as err:
@@ -214,13 +215,9 @@ def test_choropleth_legend_rows_must_fit_the_height(square_atlas, table51,
                               title="Title")
         assert str(err.value) == (f"height: must be above {bound} and at "
                                   "most 100000")
-    drawn = []
-    monkeypatch.setattr(altcharts, "clamp_scene",
-                        lambda scene: drawn.append(scene) or scene)
     for table, rows, height in ((table51, 5, 132.5), (sparse, 6, 150.5)):
-        render_choropleth(square_atlas, table, "v", k=5, height=height,
-                          title="Title")
-        scene = drawn.pop()
+        scene = render_choropleth(square_atlas, table, "v", k=5,
+                                  height=height, title="Title")
         legend = [i for i, s in enumerate(scene.shapes)
                   if type(s) in (Rect, Text) and s.x >= 760.0 - 150.0]
         assert len(legend) == 2 * rows
@@ -264,3 +261,51 @@ def test_alt_charts_draw_inside_their_frame_at_the_smallest_canvas(
     assert len(bars) == 51
     assert all(_inside(((b.x, b.y), (b.x + b.width, b.y + b.height)), 52.0,
                        top, width - 14.0, height - 34.0) for b in bars)
+
+
+def _anchors(shape):
+    """The points a shape is placed by: what a clamp would move."""
+    if isinstance(shape, (Rect, Text)):
+        return ((shape.x, shape.y),)
+    if isinstance(shape, Circle):
+        return ((shape.cx, shape.cy),)
+    if isinstance(shape, Line):
+        return ((shape.x1, shape.y1), (shape.x2, shape.y2))
+    return shape.points  # Polyline, Polygon
+
+
+# Sizes from the smallest to the largest the canvas rule could accept, with
+# the bounds of both charts and of the choropleth legend in between.
+_SIDES = (1.0, 66.5, 80.5, 132.5, 174.5, 560.0, 1000.0, 100000.0)
+_DEMOS = (("acs-dot", "response_rate:2022"),
+          ("acs-timeseries", "response_rate:2022"),
+          ("qcew-arrows", "over_year_change:2020Q1"),
+          ("ers-snap", "snap_change_2012_2017"),
+          ("ers-boxscatter", "insecurity_change"))
+
+
+@pytest.mark.parametrize("title", ["", "Title"])
+def test_alt_charts_draw_every_anchor_inside_the_canvas(default_atlas, title):
+    """Neither chart is clamped: on every size that its canvas rules accept,
+    over each demo's sort column, every shape's anchor lies on the canvas;
+    every other size is a SpecError at the side that is too small."""
+    accepted = {"choropleth": 0, "bars": 0}
+    for name, column in _DEMOS:
+        table = build_demo(name)[1]
+        for width, height in itertools.product(_SIDES, _SIDES):
+            for chart, render in (
+                    ("choropleth", lambda **size: render_choropleth(
+                        default_atlas, table, column, **size)),
+                    ("bars", lambda **size: render_barchart_alpha(
+                        table, column, **size))):
+                try:
+                    scene = render(width=width, height=height, title=title)
+                except SpecError as err:
+                    assert err.path in ("width", "height")
+                    continue
+                accepted[chart] += 1
+                for shape in scene.shapes:
+                    assert all(0.0 <= x <= width and 0.0 <= y <= height
+                               for x, y in _anchors(shape)), (
+                        chart, name, width, height, shape)
+    assert all(accepted.values()), accepted

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -349,6 +351,22 @@ def test_atlas_works_out_its_bounds_and_holds_its_rings_read_only():
     assert Atlas(regions=SQUARE.regions) == SQUARE
     with pytest.raises(TypeError):
         atlas.regions["AL"] = (TRIANGLE,)
+
+
+def test_atlas_copies_but_refuses_bounds_and_pickle():
+    """copy.copy rebuilds the atlas from its regions; ``bounds`` is worked
+    out, never given, so ``_replace`` refuses it; a read-only mapping
+    cannot be pickled."""
+    for atlas in (SQUARE, Atlas(_edited([("AL", [TRIANGLE])]))):
+        copied = copy.copy(atlas)
+        assert copied == atlas and type(copied) is Atlas
+        assert copied.bounds == atlas.bounds
+        with pytest.raises(ValueError, match="bounds"):
+            atlas._replace(bounds=(0.0, 0.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="bounds"):
+            atlas._replace(regions=atlas.regions, bounds=atlas.bounds)
+        with pytest.raises(TypeError):
+            pickle.dumps(atlas)
 
 
 # Up to three regions given rings of finite numbers, small or as wide as a

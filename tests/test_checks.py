@@ -82,8 +82,8 @@ def test_recolored_dot_outside_its_panel_raises(default_atlas):
     i = first(scene, Circle)
     dot = scene.shapes[i]
     panel = next(p for p in scene.panels if p.kind == "dot"
-                 and dot.tag[len("region:"):] in dict(p.rows))
-    moved = dot._replace(cx=panel.x + panel.width + 5.0,
+                 and dot.tag in {"region:" + row.region for row in p.frame.rows})
+    moved = dot._replace(cx=panel.frame.right + 5.0,
                          style=dot.style._replace(fill=WRONG))
     with pytest.raises(MicromapError, match=WRONG):
         check_chart(replaced(scene, i, moved))
@@ -141,6 +141,24 @@ def test_recolored_arrow_shaft_raises(square_atlas):
     with pytest.raises(MicromapError, match=WRONG):
         check_chart(replaced(scene, i, shaft._replace(
             style=shaft.style._replace(stroke=WRONG))))
+
+
+def test_region_recolored_the_same_in_every_panel_raises(default_atlas):
+    """Its map fill, legend swatch and dot all show one color, but not the
+    color of its row, so the chart links it to the wrong rank."""
+    scene = compose(dot_spec(), full_table(), default_atlas)
+    code = "TX"
+    color = next(row.color for panel in scene.panels
+                 for row in panel.frame.rows if row.region == code)
+    hits = {i for panel in scene.panels for i in panel.marks
+            if scene.shapes[i].tag == f"region:{code}"
+            and color in (scene.shapes[i].style.fill,
+                          scene.shapes[i].style.stroke)}
+    assert {type(scene.shapes[i]) for i in hits} == {Polygon, Rect, Circle}
+    for i in hits:
+        scene = recolored(scene, i)
+    with pytest.raises(MicromapError, match=f"{code} drawn in {WRONG}"):
+        check_chart(scene)
 
 
 # One glyph column each: (CSV header, cells of region i, kind, bindings).

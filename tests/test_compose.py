@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import warnings
 
 import pytest
@@ -23,7 +24,8 @@ from micromaps.glyphs import TICK_STYLE, shared_style
 from micromaps.layout import SortSpec, build_layout
 from micromaps.regions import ALL_CODES
 from micromaps.scale import linear_scale
-from micromaps.scene import MAX_CANVAS, Circle, Line, Rect, Text
+from micromaps.scene import (MAX_CANVAS, Circle, Line, PanelFrame, Rect, Text,
+                             clamp_scene)
 from micromaps.table import (
     SERIES,
     Column,
@@ -92,8 +94,8 @@ def test_median_separators_present(scene51, table51):
 def test_row_alignment_across_columns(scene51):
     rows_by_region: dict[str, set[float]] = {}
     for panel in scene51.panels:
-        for code, y in panel.rows:
-            rows_by_region.setdefault(code, set()).add(y)
+        for row in panel.frame.rows:
+            rows_by_region.setdefault(row.region, set()).add(row.y)
     assert len(rows_by_region) == 51
     for code, ys in rows_by_region.items():
         assert max(ys) - min(ys) <= 0.5, code
@@ -125,7 +127,7 @@ def test_unranked_regions_get_trailing_panel(square_atlas, table51):
     assert check_panel_grid(scene) == 11  # 48 ranked -> 10 groups + no-data
     trailing = [p for p in scene.panels if p.group_index == -1]
     assert len(trailing) == 3
-    assert {code for code, _ in trailing[0].rows} == {"DC", "VT", "WY"}
+    assert {row.region for row in trailing[0].frame.rows} == {"DC", "VT", "WY"}
     linked = check_color_linkage(scene)
     assert linked["DC"] == DEFAULT_PALETTE.no_data
 
@@ -461,9 +463,9 @@ def test_demo_marks_stay_inside_their_panels(default_atlas, demos, width,
             scene = compose(spec, table, default_atlas)
         eps = 1e-9 * max(width, height)  # rounding, far below 0.01
         for panel in scene.panels:
-            left, top = panel.x - eps, panel.y - eps
-            right = panel.x + panel.width + eps
-            bottom = panel.y + panel.height + eps
+            frame = panel.frame
+            left, top = frame.x - eps, frame.y - eps
+            right, bottom = frame.right + eps, frame.bottom + eps
             for i in panel.marks:
                 for x, y in _points(scene.shapes[i]):
                     assert left <= x <= right and top <= y <= bottom, (
@@ -499,6 +501,46 @@ def test_demo_axis_labels_stay_inside_the_canvas_beyond_their_ticks(
                 assert label.y > tick.y2, (spec.title, label, tick)
 
 
+def _frame_ticks(scene, frame) -> list[Line]:
+    """The tick marks a time-series or scatter panel draws on its frame:
+    up from its bottom edge, or right from its left edge."""
+    return [s for s in scene.shapes if type(s) is Line and s.style is TICK_STYLE
+            and ((s.x1 == s.x2 and s.y1 == frame.bottom
+                  and frame.x <= s.x1 <= frame.right)
+                 or (s.y1 == s.y2 and s.x1 == frame.x
+                     and frame.y <= s.y1 <= frame.bottom))]
+
+
+# Below a height of 118 a demo panel is less high than TICK_MARK (3 units);
+# frame ticks then left their panels, and at height 1 the canvas too, where
+# the clamp pinned 55-77 of them per demo to its top edge.
+@pytest.mark.parametrize("height", [1.0, 20.0, 117.0])
+def test_demos_on_short_canvases_need_no_clamp(default_atlas, demos,
+                                               monkeypatch, height):
+    """Drawn with the clamp replaced by the identity, every shape of every
+    demo lies on the canvas, so the clamp has nothing to move, and every
+    frame tick lies inside its panel."""
+    monkeypatch.setattr(sys.modules["micromaps.compose"], "clamp_scene",
+                        lambda scene: scene)
+    for spec, table in demos:
+        spec = spec._replace(width=1000.0, height=height)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scene = compose(spec, table, default_atlas)
+        assert clamp_scene(scene) is scene, spec.title
+        for panel in scene.panels:
+            if panel.kind not in ("timeseries", "scatter"):
+                continue
+            frame = panel.frame
+            ticks = _frame_ticks(scene, frame)
+            assert ticks, (spec.title, panel.kind, panel.group_index)
+            for tick in ticks:
+                assert frame.x <= min(tick.x1, tick.x2) <= frame.right
+                assert frame.x <= max(tick.x1, tick.x2) <= frame.right
+                assert frame.y <= min(tick.y1, tick.y2) <= frame.bottom
+                assert frame.y <= max(tick.y1, tick.y2) <= frame.bottom
+
+
 def test_demo_plan_is_what_was_drawn(default_atlas, demos):
     tinted = []  # per demo, the regions its maps tint
     for spec, table in demos:
@@ -512,10 +554,10 @@ def test_demo_plan_is_what_was_drawn(default_atlas, demos):
         for panel in scene.panels:
             column = plan.columns[panel.column_index]
             band = bands[panel.group_index]
-            assert panel.rows == tuple((row.region, row.y) for row in band.rows)
-            assert (panel.y, panel.height) == (band.y, band.height)
-            assert (panel.kind, panel.x, panel.width) == (
-                column.spec.kind, column.x, column.width)
+            assert panel.frame == PanelFrame(column.x, band.y, column.width,
+                                             band.height, band.rows,
+                                             plan.row_height)
+            assert panel.kind == column.spec.kind
             if panel.kind == "map":
                 tint = {scene.shapes[i].tag.removeprefix("region:")
                         for i in panel.marks

@@ -55,9 +55,9 @@ def test_all_demos_pass_the_invariant_gate(scenes):
 def test_acs_dot_top_panel_starts_with_utah(scenes):
     _, _, scene = scenes["acs-dot"]
     dot_panels = [p for p in scene.panels if p.kind == "dot"]
-    top = min(dot_panels, key=lambda p: p.y)
-    assert top.rows[0][0] == "UT"
-    assert top.rows[1][0] == "ID"
+    top = min(dot_panels, key=lambda p: p.frame.y)
+    assert top.frame.rows[0].region == "UT"
+    assert top.frame.rows[1].region == "ID"
 
 
 def test_acs_extent_max_is_utah(scenes):
@@ -79,11 +79,12 @@ def test_ers_snap_zero_lines_align_across_groups(scenes):
     assert len(bar_panels) == 11
     xs = set()
     for panel in bar_panels:
+        frame = panel.frame
         for shape in scene.shapes:
             if (isinstance(shape, Line) and shape.x1 == shape.x2
-                    and panel.x <= shape.x1 <= panel.x + panel.width
-                    and panel.y - 1 <= shape.y1
-                    and shape.y2 <= panel.y + panel.height + 1):
+                    and frame.x <= shape.x1 <= frame.right
+                    and frame.y - 1 <= shape.y1
+                    and shape.y2 <= frame.bottom + 1):
                 xs.add(shape.x1)
     assert len(xs) == 1  # one zero-line x position shared by all 11 panels
 
@@ -103,7 +104,8 @@ def test_median_band_is_visually_distinct(scenes):
         medians = [p for p in scene.panels if p.group_index == median]
         normals = [p for p in scene.panels if p.group_index != median]
         assert medians
-        assert all(m.height < min(n.height for n in normals) for m in medians)
+        assert all(m.frame.height < min(n.frame.height for n in normals)
+                   for m in medians)
 
 
 def test_scatter_panels_show_full_context(scenes):
@@ -112,11 +114,12 @@ def test_scatter_panels_show_full_context(scenes):
     scatter_panels = [p for p in scene.panels if p.kind == "scatter"]
     assert len(scatter_panels) == 11
     for panel in scatter_panels:
+        frame = panel.frame
         context = [s for s in scene.shapes
                    if isinstance(s, Circle)
                    and (s.tag or "").startswith("context:")
-                   and panel.x <= s.cx <= panel.x + panel.width
-                   and panel.y <= s.cy <= panel.y + panel.height]
+                   and frame.x <= s.cx <= frame.right
+                   and frame.y <= s.cy <= frame.bottom]
         assert len(context) == 51
 
 

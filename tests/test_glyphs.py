@@ -173,6 +173,28 @@ def test_timeseries_x_tick_marks_sit_at_the_scale_ticks():
     assert bottom_ticks == [xs.map(1.0), xs.map(3.0)]
 
 
+@pytest.mark.parametrize("kind", ["timeseries", "scatter"])
+def test_frame_ticks_stay_inside_a_panel_smaller_than_a_tick(kind):
+    """A 2 x 2 panel is less across than TICK_MARK, so each tick mark is as
+    long as the panel is across and ends on its far edge."""
+    frame = PanelFrame(10.0, 20.0, 2.0, 2.0, (RowBand("AK", 21.0, "#000"),),
+                       2.0)
+    xs = linear_scale((0.0, 2.0), (10.2, 11.8))
+    ys = linear_scale((0.0, 10.0), (0.0, 1.0)).with_range((21.8, 20.2))
+    if kind == "timeseries":
+        out = render_timeseries({"AK": (1.0, 2.0, 3.0)}, ("a", "b", "c"), xs,
+                                ys, frame)
+    else:
+        out = render_scatter({"AK": (1.0, 5.0)}, xs, ys, frame, context=())
+    ticks = [g for g in out.guides if isinstance(g, Line)]
+    assert len(ticks) == len(xs.ticks) + len(ys.ticks)
+    for tick in ticks:
+        assert all(10.0 <= x <= 12.0 for x in (tick.x1, tick.x2)), tick
+        assert all(20.0 <= y <= 22.0 for y in (tick.y1, tick.y2)), tick
+    assert {(t.y1, t.y2) for t in ticks[:len(xs.ticks)]} == {(22.0, 20.0)}
+    assert {(t.x1, t.x2) for t in ticks[len(xs.ticks):]} == {(10.0, 12.0)}
+
+
 def test_timeseries_length_mismatch():
     xs = linear_scale((0.0, 2.0), (10.0, 290.0))
     ys = linear_scale((0.0, 10.0), (0.0, 1.0))

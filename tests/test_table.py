@@ -175,8 +175,13 @@ _COLUMNS = (Column("v"), Column("s", SERIES, ("2020", "2021")))
      "'s' for UT: list, not a tuple"),
     ("UT", {"v": 1.0, "s": (1.0,)}, SeriesMismatch,
      "'s' for UT: 1 values, 2 periods"),
+    ("UT", None, MissingColumn,
+     "row UT is a NoneType, not a mapping of column names to cells"),
+    ("UT", ["v", "s"], MissingColumn,
+     "row UT is a list, not a mapping of column names to cells"),
 ], ids=["no-cell", "cell-for-no-column", "unknown-key", "string",
-        "int-too-large", "string-in-series", "list-series", "short-series"])
+        "int-too-large", "string-in-series", "list-series", "short-series",
+        "none-row", "list-row"])
 def test_direct_table_checks_keys_rows_and_cells(code, row, error, message):
     rows = _rows51()
     rows[code] = row
@@ -184,6 +189,17 @@ def test_direct_table_checks_keys_rows_and_cells(code, row, error, message):
         RegionTable(_COLUMNS, rows)
     assert str(info.value) == message
     with pytest.raises(error) as info:
+        RegionTable(_COLUMNS, _rows51())._replace(rows=rows)
+    assert str(info.value) == message
+
+
+def test_direct_table_rows_must_be_a_mapping():
+    rows = list(_rows51().items())
+    message = "rows must map region codes to rows, got a list"
+    with pytest.raises(UnknownRegion) as info:
+        RegionTable(_COLUMNS, rows)
+    assert str(info.value) == message
+    with pytest.raises(UnknownRegion) as info:
         RegionTable(_COLUMNS, _rows51())._replace(rows=rows)
     assert str(info.value) == message
 

@@ -21,17 +21,19 @@ from micromaps.compose import Band, ChartPlan, ChartSpec, ColumnPlan, ColumnSpec
 from micromaps.config import RenderConfig, SeriesBinding
 from micromaps.demos import build_demo
 from micromaps.errors import BadBreaks, CellParse, MissingColumn
-from micromaps.glyphs import BoxStats, PanelFrame, RowBand
+from micromaps.glyphs import BoxStats
 from micromaps.layout import GroupPlan, LinkedLayout, SortSpec
 from micromaps.regions import ALL_CODES, BY_CODE
 from micromaps.scale import Scale
 from micromaps.scene import (
     Circle,
     Line,
+    PanelFrame,
     PanelInfo,
     Polygon,
     Polyline,
     Rect,
+    RowBand,
     Scene,
     Style,
     Text,
@@ -59,7 +61,9 @@ VALUES = [
     (Polyline(((0.0, 0.0), (1.0, 1.0))), True),
     (Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), True),
     (Text(1.0, 2.0, "label"), True),
-    (PanelInfo(0, "dot", 1, 0.0, 0.0, 10.0, 10.0, (("AL", 5.0),)), True),
+    (PanelInfo(0, "dot", 1, PanelFrame(0.0, 0.0, 10.0, 10.0,
+                                       (RowBand("AL", 5.0, "#000"),), 10.0),
+               range(2)), True),
     (Scene(10.0, 10.0, (Rect(0.0, 0.0, 1.0, 1.0),)), True),
     (Scale((0.0, 1.0), (0.0, 100.0), (0.0, 0.5, 1.0)), True),
     (RowBand("AL", 5.0, "#D55E00"), True),
