@@ -43,6 +43,7 @@ from .errors import (
 from .glyphs import (
     AXIS_STYLE,
     TICK_STYLE,
+    box_column,
     render_arrow,
     render_bar,
     render_boxplot,
@@ -88,11 +89,13 @@ class _Kind(NamedTuple):
     series: bool = False  # each binding names a whole series
     y: str | None = None  # the binding that spans the unit y scale
     zero: bool = False  # the x extent reaches 0
+    summary: Callable[..., tuple] | None = None  # cells -> (data, extent)
 
 
 # Each column kind's bindings, the options it reads, its renderer and its
 # rules. Every binding but ``y`` spans the x scale; with none, x is the
-# period index. Each ``draw`` looks its renderer up per call, not at
+# period index. A ``summary`` reads a binding's cells once, for the renderer
+# and the x extent. Each ``draw`` looks its renderer up per call, not at
 # import, so bench/tracing.py can wrap the module global.
 _KINDS: dict[str, _Kind] = {
     MAP: _Kind((), (), lambda p, f, y, band, layout, atlas:
@@ -109,7 +112,8 @@ _KINDS: dict[str, _Kind] = {
                       render_timeseries(p.data, p.periods, p.x_scale, y, f),
                       series=True, y="series"),
     BOXPLOT: _Kind(("samples",), ("weight", "target_ticks"), lambda p, f, *_:
-                   render_boxplot(p.data, p.x_scale, f), series=True),
+                   render_boxplot(p.data, p.x_scale, f), series=True,
+                   summary=box_column),
     SCATTER: _Kind(("x", "y"), ("weight", "target_ticks"),
                    lambda p, f, y, band, layout, *_: render_scatter(
                        p.data, p.x_scale, y, f, context=layout.ranked), y="y"),
@@ -369,7 +373,9 @@ class ColumnPlan(NamedTuple):
     x_scale: Scale | None = None  # a time series' ticks are period indices
     y_base: Scale | None = None  # unit-range scale, re-ranged per band
     periods: tuple[str, ...] = ()
-    data: dict[str, Any] | None = None  # the renderer's input, per region
+    # The renderer's input per region, read once per chart: a cell, a tuple
+    # of a pair's cells, or a box column's BoxStats (None with no sample).
+    data: dict[str, Any] | None = None
     labels: tuple[str, ...] = ()  # one per x tick
     reference: float | None = None  # a dot column's reference line
     no_value: tuple[str, ...] = ()  # sorted rows drawn as "n/a" or unmarked
@@ -421,7 +427,7 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
     This is where each binding meets the table: an unknown ref, a series
     or value mismatch, no values, or a span no float holds raise SpecError
     at ``columns[i].bindings.<key>`` (or at the reference line's path).
-    Each binding's extent is column_extent's.
+    Each extent is column_extent's, or found by a box column's stats.
     """
     kind = _KINDS[column.kind]
     if not kind.bindings:
@@ -438,12 +444,14 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
                 raise SpecError(f"{at}.{key}", (
                     f"{ref!r} must name a series column" if kind.series else
                     f"{ref!r} names a whole series; use <series>:<period>"))
-            extents[key] = column_extent(table, ref)
             if kind.series:
                 name = resolved.column.name
                 cells = {code: row[name] for code, row in table.rows.items()}
             else:
                 cells = scalar_values(table, ref)
+            cells, extent = kind.summary(cells) if kind.summary else (cells, None)
+            # Unless a summary found it, column_extent's: it raises with no value.
+            extents[key] = extent or column_extent(table, ref)
         except (MissingColumn, EmptyColumn) as exc:
             raise SpecError(f"{at}.{key}", str(exc)) from None
         values.append(cells)
@@ -483,10 +491,10 @@ def _plan_column(column: ColumnSpec, index: int, x: float, width: float,
         labels = tuple(format_tick(t) for t in x_scale.ticks)
     data = values[0] if len(values) == 1 else {
         code: tuple(cells[code] for cells in values) for code in table.rows}
-    # A series has no value if no period has one; a pair, if either has none.
+    # None has no value, nor has a series with no value in any period.
     no_value = tuple(sorted({
         code for cells in values for code, cell in cells.items()
-        if (cell.count(None) == len(cell) if kind.series else cell is None)}))
+        if cell is None or kind.series and cell.count(None) == len(cell)}))
     return ColumnPlan(column, index, x, width, x_scale, y_base, periods, data,
                       labels, line, no_value)
 

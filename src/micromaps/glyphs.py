@@ -75,7 +75,7 @@ def compute_box_stats(samples: Sequence[float | None]) -> BoxStats:
     Whiskers sit on the most extreme samples inside the fences, clamped to
     the box so whisker_lo <= q1 and q3 <= whisker_hi even for lopsided data.
     """
-    data = sorted(s for s in samples if s is not None)
+    data = sorted([s for s in samples if s is not None])
     if not data:
         raise EmptySamples("no samples")
     q1 = _quantile(data, 0.25)
@@ -89,6 +89,20 @@ def compute_box_stats(samples: Sequence[float | None]) -> BoxStats:
     whisker_hi = max(data[hi - 1], q3)
     return BoxStats(q1, med, q3, whisker_lo, whisker_hi,
                     tuple(data[:lo] + data[hi:]))
+
+
+def box_column(samples: Mapping[str, Sequence[float | None]],
+               ) -> tuple[dict[str, BoxStats | None], tuple[float, float] | None]:
+    """Each region's BoxStats, None with no sample, and column_extent's
+    extent of all the samples, its first minimal and maximal cells."""
+    ordered = [sorted([s for s in cells if s is not None])
+               for cells in samples.values()]
+    stats = {code: compute_box_stats(data) if data else None
+             for code, data in zip(samples, ordered)}
+    # sorted() is stable: the first maximal cell is the first equal to the last.
+    lows = [data[0] for data in ordered if data]
+    highs = [data[bisect_left(data, data[-1])] for data in ordered if data]
+    return stats, (min(lows), max(highs)) if lows else None
 
 
 def _na_label(frame: PanelFrame, row: RowBand) -> Text:
@@ -266,15 +280,14 @@ def render_scatter(points: Mapping[str, tuple[float | None, float | None]],
     return out
 
 
-def render_boxplot(samples: Mapping[str, Sequence[float | None] | None],
-                   scale: Scale, frame: PanelFrame) -> Layers:
+def render_boxplot(boxes: Mapping[str, BoxStats | None], scale: Scale,
+                   frame: PanelFrame) -> Layers:
     """Whisker line, slot-colored IQR box, median tick, outlier dots."""
     out = Layers(guides=_row_guides(frame))
     h = frame.row_height * 0.6
     for row in frame.rows:
-        try:
-            stats = compute_box_stats(samples.get(row.region) or ())
-        except EmptySamples:
+        stats = boxes.get(row.region)
+        if stats is None:
             out.labels.append(_na_label(frame, row))
             continue
         # q1, median and q3 lie between the whiskers: their checks pass.

@@ -6,7 +6,7 @@ label per region). Cells may be explicitly missing (None); renderers decide
 how missing data is presented. A table checks when made that each key is
 one of the 51 regions, each row holds its columns and each cell is finite.
 A cell is read as ``table.rows[code][name]``. ``with_column`` is the one way
-to append a column, and ``column_extent`` the one rule for a column's span.
+to append a column, and ``column_extent`` the rule for a column's span.
 
 All values are immutable after construction: ``rows`` and each row are
 read-only mappings, and every operation returns a new table, so tables can
@@ -299,18 +299,13 @@ def column_extent(table: RegionTable, column: str) -> tuple[float, float]:
     region and every period. Raises EmptyColumn when nothing is present.
     """
     r = resolve_ref(table, column)
-    values: list[float] = []
-    for row in table.rows.values():
-        v = row[r.column.name]
-        if r.column.kind == SERIES:
-            if r.period_index is not None:
-                v = v[r.period_index]  # type: ignore[index]
-                if v is not None:
-                    values.append(v)
-            else:
-                values.extend(s for s in v if s is not None)  # type: ignore[union-attr]
-        elif v is not None:
-            values.append(v)  # type: ignore[arg-type]
+    cells = [row[r.column.name] for row in table.rows.values()]
+    if r.period_index is not None:
+        cells = [(cell[r.period_index],) for cell in cells]
+    elif r.column.kind != SERIES:
+        cells = [(cell,) for cell in cells]
+    # One pass over every region's cells: its value, or every period's.
+    values = [v for region in cells for v in region if v is not None]
     if not values:
         raise EmptyColumn(f"column {column!r} has no values")
     return (min(values), max(values))

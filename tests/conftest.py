@@ -11,7 +11,6 @@ from micromaps.atlas import Atlas, load_atlas, load_default_atlas
 from micromaps.compose import ChartPlan, ColumnPlan
 from micromaps.demos import build_demo
 from micromaps.errors import MicromapError
-from micromaps.glyphs import compute_box_stats
 from micromaps.regions import ALL_CODES, BY_CODE
 from micromaps.scene import Circle, Line, PanelInfo, Scene, Shape
 from micromaps.table import Column, RegionTable
@@ -81,10 +80,9 @@ def _drawn_and_mapped(column: ColumnPlan, shape: Shape):
     if kind == "bar":  # from zero to the value
         return [(shape.x, place(min(0.0, cell))),
                 (shape.x + shape.width, approx(place(max(0.0, cell))))]
-    if kind == "boxplot":  # from the lower to the upper quartile
-        stats = compute_box_stats(cell)
-        return [(shape.x, place(stats.q1)),
-                (shape.x + shape.width, approx(place(stats.q3)))]
+    if kind == "boxplot":  # the plan's stats: lower to upper quartile
+        return [(shape.x, place(cell.q1)),
+                (shape.x + shape.width, approx(place(cell.q3)))]
     if kind == "arrow":  # a shaft starts at start, a head's tip is at end
         if type(shape) is Line:
             return [(shape.x1, place(cell[0]))]

@@ -13,6 +13,7 @@ import pytest
 from micromaps.altcharts import render_choropleth
 from micromaps.checks import check_chart
 from micromaps.compose import ChartSpec, ColumnSpec, compose, plan_chart
+from micromaps.demos import build_demo
 from micromaps.errors import MicromapError
 from micromaps.layout import SortSpec
 from micromaps.glyphs import AXIS_STYLE, MEDIAN_STYLE, OUTLIER_STYLE
@@ -158,6 +159,31 @@ def test_region_recolored_the_same_in_every_panel_raises(default_atlas):
     for i in hits:
         scene = recolored(scene, i)
     with pytest.raises(MicromapError, match=f"{code} drawn in {WRONG}"):
+        check_chart(scene)
+
+
+def test_region_with_two_row_colors_raises(default_atlas, acs_table):
+    """UT's legend row and swatch are recolored alike, its map fill and dot
+    left in the old row color: each mark shows its own frame's row color,
+    but the region has two, so the gate names both panels."""
+    spec = build_demo("acs-dot")[0]
+    scene = compose(spec, acs_table, default_atlas)
+    code = "UT"
+    at, legend = next((k, panel) for k, panel in enumerate(scene.panels)
+                      if panel.kind == "legend" and code in
+                      {row.region for row in panel.frame.rows})
+    old = next(row.color for row in legend.frame.rows if row.region == code)
+    rows = tuple(row._replace(color=WRONG) if row.region == code else row
+                 for row in legend.frame.rows)
+    panels = list(scene.panels)
+    panels[at] = legend._replace(frame=legend.frame._replace(rows=rows))
+    swatch = next(i for i in legend.marks
+                  if scene.shapes[i].tag == f"region:{code}")
+    scene = recolored(scene, swatch)._replace(panels=tuple(panels))
+    group = legend.group_index
+    with pytest.raises(MicromapError, match=(
+            rf"^{code}: row color {WRONG} in panel \(legend, group {group}\), "
+            rf"{old} in panel \(map, group {group}\)$")):
         check_chart(scene)
 
 

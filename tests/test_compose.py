@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import sys
 import warnings
 
@@ -20,7 +21,9 @@ from micromaps.compose import (
 )
 from micromaps.demos import build_demo
 from micromaps.errors import BadExtent, EmptyColumn, SpecError
-from micromaps.glyphs import TICK_STYLE, shared_style
+from micromaps import glyphs
+from micromaps.glyphs import (TICK_STYLE, BoxStats, compute_box_stats,
+                              render_boxplot, shared_style)
 from micromaps.layout import SortSpec, build_layout
 from micromaps.regions import ALL_CODES
 from micromaps.scale import linear_scale
@@ -391,8 +394,11 @@ def _reference_box_scale(table: RegionTable):
 
 
 # Signed zeros: column_extent keeps the first of equal values, so the max
-# is -0.0 here, and a domain ending in -0.0 is kept as it is.
+# is -0.0 here, and a domain ending in -0.0 is kept as it is. In the last
+# example one region's sorted samples end in -0.0, its whisker_hi, but the
+# first maximal cell is 0.0.
 @example([(-5.0, -0.0, None), (0.0, None, None)])
+@example([(-5.0, None, None), (0.0, -0.0, None)])
 @example([(0.0, -5.0, None), (None, -0.0, None)])
 @example([(None, None, None), (None, None, None)])
 @settings(max_examples=60)
@@ -415,6 +421,75 @@ def test_box_column_scale_matches_column_extent(square_atlas, series):
     assert repr((scale.domain, scale.ticks)) == repr((expected.domain,
                                                       expected.ticks))
     check_shared_scales(scene, plan)
+
+
+def _glyph_heavy_like() -> tuple[ChartSpec, RegionTable]:
+    """Every glyph kind but bar over 51 regions, 40 box samples each with
+    gaps, three regions with no sample at all."""
+    rng = random.Random(5)
+    periods = tuple(f"s{i}" for i in range(40))
+    rows = {}
+    for i, code in enumerate(ALL_CODES):
+        cells = tuple(None if i < 3 or rng.random() < 0.1 else
+                      round(rng.gauss(50.0, 20.0), 1) for _ in periods)
+        rows[code] = {"value": float(i), "start": rng.uniform(0, 9),
+                      "end": rng.uniform(0, 9), "x": rng.uniform(0, 9),
+                      "y": rng.uniform(0, 9), "samples": cells,
+                      "trend": cells[:12]}
+    table = RegionTable((*map(Column, ("value", "start", "end", "x", "y")),
+                         Column("samples", SERIES, periods),
+                         Column("trend", SERIES, periods[:12])), rows)
+    return ChartSpec("glyphs", SortSpec("value"), (
+        ColumnSpec("map"), ColumnSpec("legend"),
+        ColumnSpec("dot", bindings={"value": "value"}),
+        ColumnSpec("arrow", bindings={"start": "start", "end": "end"}),
+        ColumnSpec("timeseries", bindings={"series": "trend"}),
+        ColumnSpec("boxplot", bindings={"samples": "samples"}),
+        ColumnSpec("scatter", bindings={"x": "x", "y": "y"}))), table
+
+
+@pytest.mark.parametrize("chart", ["ers-boxscatter", "glyph-heavy-like"])
+def test_box_column_reads_its_samples_once(monkeypatch, default_atlas, chart):
+    """The plan computes each region's stats once and takes the scale from
+    them; the panels draw those stats."""
+    spec, table = (_glyph_heavy_like() if chart == "glyph-heavy-like"
+                   else build_demo(chart))
+    at = next(i for i, c in enumerate(spec.columns) if c.kind == "boxplot")
+    ref = spec.columns[at].bindings["samples"]
+    compose_module = sys.modules["micromaps.compose"]
+    stats_calls, extent_refs, drawn = [], [], []
+
+    def compute(samples):
+        stats_calls.append(samples)
+        return compute_box_stats(samples)
+
+    def extent(table, column):
+        extent_refs.append(column)
+        return column_extent(table, column)
+
+    def render(boxes, *args):
+        drawn.append(boxes)
+        return render_boxplot(boxes, *args)
+
+    monkeypatch.setattr(glyphs, "compute_box_stats", compute)
+    monkeypatch.setattr(compose_module, "column_extent", extent)
+    monkeypatch.setattr(compose_module, "render_boxplot", render)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plan = plan_chart(spec, table)
+        sampled = [code for code, row in table.rows.items()
+                   if any(cell is not None for cell in row[ref])]
+        assert len(stats_calls) == len(sampled) > 0
+        assert ref not in extent_refs
+        assert plan.columns[at].data == {
+            code: compute_box_stats(row[ref]) if code in sampled else None
+            for code, row in table.rows.items()}
+        stats_calls.clear()
+        compose(spec, table, default_atlas)
+    assert len(stats_calls) == len(sampled)
+    assert len(drawn) == len(plan.bands)
+    assert all(type(stats) in (BoxStats, type(None))
+               for boxes in drawn for stats in boxes.values())
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from micromaps.errors import DomainOverflow, SeriesMismatch
 from micromaps.glyphs import (
     PanelFrame,
     RowBand,
+    compute_box_stats,
     render_arrow,
     render_bar,
     render_boxplot,
@@ -228,7 +229,8 @@ def test_scatter_coincident_points_are_not_jittered():
 
 def test_boxplot_marks_from_stats():
     scale = x_scale(0.0, 10.0)
-    out = render_boxplot({"AK": list(range(1, 10))}, scale, make_frame(1))
+    out = render_boxplot({"AK": compute_box_stats(range(1, 10))}, scale,
+                         make_frame(1))
     boxes = marks_of(out, Rect)
     assert len(boxes) == 1
     assert boxes[0].x == scale.map(3.0)
@@ -244,7 +246,8 @@ def test_boxplot_marks_from_stats():
 
 def test_boxplot_outlier_dots():
     scale = x_scale(0.0, 100.0)
-    out = render_boxplot({"AK": [1, 2, 3, 4, 100]}, scale, make_frame(1))
+    out = render_boxplot({"AK": compute_box_stats([1, 2, 3, 4, 100])}, scale,
+                         make_frame(1))
     dots = marks_of(out, Circle)
     assert len(dots) == 1
     assert dots[0].cx == scale.map(100.0)
@@ -252,16 +255,17 @@ def test_boxplot_outlier_dots():
 
 def test_boxplot_single_sample_degenerates():
     scale = x_scale(0.0, 10.0)
-    out = render_boxplot({"AK": [5.0]}, scale, make_frame(1))
+    out = render_boxplot({"AK": compute_box_stats([5.0])}, scale,
+                         make_frame(1))
     box = marks_of(out, Rect)[0]
     assert box.width == 0.0
     assert box.x == scale.map(5.0)
 
 
 def test_boxplot_missing_samples_annotated():
-    out = render_boxplot({"AK": []}, x_scale(), make_frame(1))
+    out = render_boxplot({"AK": None}, x_scale(), make_frame(2))
     assert not out.marks
-    assert out.labels[0].content == "n/a"
+    assert [label.content for label in out.labels] == ["n/a", "n/a"]
 
 
 def test_timeseries_region_absent_from_series_draws_nothing():
