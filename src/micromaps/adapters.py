@@ -129,19 +129,22 @@ def _samples(table: RegionTable, source: SampleSource, directory: Path,
     if not by_key:
         raise SnapshotError(name, "no sample rows")
     samples: dict[str, list[float]] = {}
-    unknown = []
+    absent, unknown = [], []
     for raw, values in by_key.items():
         try:
             code = region_lookup(raw).code
         except UnknownRegion:
-            code = None
+            unknown.append(raw)
+            continue
         if code in table.rows:
             samples.setdefault(code, []).extend(values)
         else:
-            unknown.append(raw)
-    if unknown:
-        raise SnapshotError(name, "rows for unknown regions: "
-                                  + ", ".join(sorted(unknown)))
+            absent.append(raw)
+    faults = [f"rows for {what}: " + ", ".join(sorted(raws))
+              for what, raws in (("regions not in the data file", absent),
+                                 ("unknown regions", unknown)) if raws]
+    if faults:
+        raise SnapshotError(name, "; ".join(faults))
     width = max(map(len, samples.values()))
     periods = tuple(f"c{i:03d}" for i in range(1, width + 1))
     padded = {code: tuple(values) + (None,) * (width - len(values))

@@ -207,8 +207,12 @@ def clamp_shape(shape: Shape, width: float, height: float) -> Shape:
 
 class PlacedRing(tuple):
     """A map ring's points as atlas places them, with its ``bounds`` (xmin,
-    ymin, xmax, ymax) for clamp_scene and its ``texts`` (decimal places ->
-    SVG points text) for the SVG writer; it equals and hashes as a tuple."""
+    ymin, xmax, ymax) for clamp_scene and its ``texts`` for the SVG writer:
+    decimal places -> SVG points text, and (decimal places, Style) -> the
+    whole ``<polygon>`` line written in that style. A ring placed by atlas
+    is drawn in its fills' colors and its border style only, so its lines
+    are bounded by the fills the fit record keeps plus its border. It
+    equals and hashes as a tuple."""
 
     def __new__(cls, points: Iterable[tuple[float, float]]) -> "PlacedRing":
         ring = tuple.__new__(cls, points)

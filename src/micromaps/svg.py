@@ -10,9 +10,14 @@ of a shape's numbers with one precompiled ``str.format`` (a polyline's or
 polygon's points with one per point), then tests that text once for a
 non-finite number and turns every "-0.00" in it into "0.00". One call
 formats each Style once. A polygon on a map ring (scene.PlacedRing) keeps
-its points text on the ring, one per number of decimals. Only text that
-passed the non-finite test is kept, and other points are formatted alike,
-so kept text never changes a byte. Style sizes pass the same test.
+its points text on the ring, one per number of decimals, and its whole
+``<polygon>`` line, one per number of decimals and Style, so a warm chart
+writes a kept ring's line with one lookup. Per number of decimals, a map
+ring keeps no more lines than the fill polygons the map fit record
+(atlas._FITS) keeps for it, plus its border. Only text and lines written
+without error are kept, and other points are formatted alike, so kept
+text never changes a byte. Style sizes pass the same non-finite test.
+emit_svg looks each shape's writer up by its type.
 Text and attribute values are escaped here and lose the characters XML
 1.0 forbids, so any string makes a well-formed document.
 """
@@ -31,7 +36,6 @@ from .scene import (
     Polyline,
     Rect,
     Scene,
-    Shape,
     Style,
     Text,
 )
@@ -139,26 +143,21 @@ class _Writer:
                 f' points="{self.points(s.points)}"{stroke}/>')
 
     def polygon(self, s: Polygon) -> str:
-        fill, stroke, _ = self.style(s.style)
         texts = s.points.texts if type(s.points) is PlacedRing else {}
-        text = texts.get(self.dp)
-        if text is None:
-            text = texts[self.dp] = self.points(s.points)  # raises, never kept
-        return f'<polygon{fill} points="{text}"{stroke}/>'
+        key = (self.dp, s.style)
+        line = texts.get(key)
+        if line is None:  # stores nothing if the style or a point raises
+            fill, stroke, _ = self.style(s.style)
+            text = texts.get(self.dp) or self.points(s.points)
+            line = f'<polygon{fill} points="{text}"{stroke}/>'
+            texts[self.dp] = text
+            texts[key] = line
+        return line
 
     def text(self, s: Text) -> str:
         x, y = self.numbers(self.two(s.x, s.y)).split()
         return (f'<text{self.style(s.style)[2]} x="{x}" y="{y}">'
                 f'{_escape(s.content)}</text>')
-
-    def element(self, shape: Shape) -> str:
-        write = self.by_type.get(type(shape))
-        if write is None:
-            raise TypeError(f"not a shape: {shape!r}")
-        try:
-            return write(shape)
-        except BadGeometry as exc:
-            raise BadGeometry(f"{exc} in {type(shape).__name__}") from None
 
 
 def check_decimal_places(places: object) -> int:
@@ -181,6 +180,14 @@ def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
     lines = [f'<svg height="{height}" width="{width}" xmlns="{SVG_NS}">']
     if options.embed_title and options.title:
         lines.append(f"<title>{_escape(options.title)}</title>")
-    lines.extend(map(writer.element, scene.shapes))
+    by_type = writer.by_type
+    try:
+        for shape in scene.shapes:
+            write = by_type.get(type(shape))
+            if write is None:
+                raise TypeError(f"not a shape: {shape!r}")
+            lines.append(write(shape))
+    except BadGeometry as exc:
+        raise BadGeometry(f"{exc} in {type(shape).__name__}") from None
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

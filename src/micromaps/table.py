@@ -141,26 +141,31 @@ class ColumnRef(NamedTuple):
     period_index: int | None = None
 
 
-_THOUSANDS = re.compile(r"^[+-]?\d{1,3}(,\d{3})+(\.\d*)?$")
-_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
+_THOUSANDS = re.compile(r"[+-]?\d{1,3}(,\d{3})+(\.\d*)?")
+_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)")
 
 
 def parse_number(text: str) -> float | None:
     """Parse one CSV cell: empty or "NA" is missing; "%" and thousands
     separators are stripped. Raises ValueError on anything else non-numeric
     and on a number too large for a float.
+
+    The plain form, a number with no spaces, "%" or commas (every bundled
+    snapshot cell), is tried first and read in one step.
     """
-    t = text.strip()
-    if t == "" or t == "NA":
-        return None
-    if t.endswith("%"):
-        t = t[:-1].strip()
-    if "," in t:
-        if not _THOUSANDS.match(t):
-            raise ValueError(f"bad thousands grouping: {text!r}")
-        t = t.replace(",", "")
-    if not _NUMBER.match(t):
-        raise ValueError(f"not a number: {text!r}")
+    t = text
+    if not _NUMBER.fullmatch(t):
+        t = t.strip()
+        if t == "" or t == "NA":
+            return None
+        if t.endswith("%"):
+            t = t[:-1].strip()
+        if "," in t:
+            if not _THOUSANDS.fullmatch(t):
+                raise ValueError(f"bad thousands grouping: {text!r}")
+            t = t.replace(",", "")
+        if not _NUMBER.fullmatch(t):
+            raise ValueError(f"not a number: {text!r}")
     value = float(t)
     if math.isinf(value):
         raise ValueError(f"number out of range: {text!r}")
@@ -191,24 +196,23 @@ def parse_table(csv_text: str, region_column: str) -> RegionTable:
 
     rows: dict[str, dict[str, object]] = {}
     for record in reader:
-        if not record or all(cell.strip() == "" for cell in record):
+        if not any(map(str.strip, record)):
             continue
         if len(record) > len(header):
             raise CellParse(record[region_idx], "", "row wider than header")
-        record = record + [""] * (len(header) - len(record))
-        raw_key = record[region_idx].strip()
+        record += [""] * (len(header) - len(record))
+        raw_key = record.pop(region_idx).strip()
         code = region_lookup(raw_key).code
         if code in rows:
             raise DuplicateRegion(f"duplicate row for region {code}")
-        row: dict[str, object] = {}
-        for i, name in enumerate(header):
-            if i == region_idx:
-                continue
-            try:
-                row[name] = parse_number(record[i])
-            except ValueError as exc:
-                raise CellParse(raw_key, name, str(exc)) from None
-        rows[code] = row
+        try:
+            rows[code] = dict(zip(value_names, map(parse_number, record)))
+        except ValueError:  # name the first bad cell, in header order
+            for name, cell in zip(value_names, record):
+                try:
+                    parse_number(cell)
+                except ValueError as exc:
+                    raise CellParse(raw_key, name, str(exc)) from None
 
     # parse_number never returns a non-finite number.
     return RegionTable._checked(tuple(map(Column, value_names)), rows)

@@ -8,6 +8,7 @@ import pytest
 
 from micromaps import adapters
 from micromaps.adapters import load_table, snapshot_text
+from micromaps.cli import run
 from micromaps.compose import plan_chart
 from micromaps.config import RenderConfig, parse_config
 from micromaps.demos import build_demo
@@ -152,12 +153,16 @@ def test_snapshot_env_override(tmp_path, monkeypatch):
         snapshot_text("acs_response_rates.csv")
 
 
-def _config(**data) -> RenderConfig:
+def _config_text(**data) -> str:
     """A chart config over ``main.csv``, with the given data blocks."""
-    return parse_config(json.dumps({
+    return json.dumps({
         "title": "t", "sort": {"column": "v"},
         "data": {"path": "main.csv", "region_column": "state", **data},
-        "columns": [{"kind": "map"}, {"kind": "legend"}]}))
+        "columns": [{"kind": "map"}, {"kind": "legend"}]})
+
+
+def _config(**data) -> RenderConfig:
+    return parse_config(_config_text(**data))
 
 
 def test_join_block_attaches_every_value_column(tmp_path):
@@ -213,6 +218,27 @@ def test_samples_block_resolves_region_names(tmp_path):
     assert table.rows["UT"]["s"] == (3.0, 2.0)
     assert table.rows["DC"]["s"] == (1.0, None)
     assert table.rows["AK"]["s"] == (None, None)
+
+
+@pytest.mark.parametrize("keys, detail", [
+    ("AL WY ZZ", "rows for regions not in the data file: WY; "
+                 "rows for unknown regions: ZZ"),
+    ("AL Wyoming AK", "rows for regions not in the data file: Wyoming"),
+    ("ZZ AL QQ", "rows for unknown regions: QQ, ZZ"),
+])
+def test_samples_rows_for_absent_and_unknown_regions_are_told_apart(
+        tmp_path, capsys, keys, detail):
+    (tmp_path / "long.csv").write_text(
+        "state,x\n" + "".join(f"{key},1\n" for key in keys.split()))
+    (tmp_path / "main.csv").write_text("state,v\nAL,1\nAK,2\n")
+    samples = [{"name": "s", "path": "long.csv", "column": "x"}]
+    with pytest.raises(SnapshotError) as err:
+        load_table(_config(samples=samples), "state,v\nAL,1\nAK,2\n",
+                   tmp_path)
+    assert str(err.value) == f"long.csv: {detail}"
+    (tmp_path / "chart.json").write_text(_config_text(samples=samples))
+    assert run(["validate", "--config", str(tmp_path / "chart.json")]) == 1
+    assert capsys.readouterr().err == f"micromaps: error: long.csv: {detail}\n"
 
 
 @pytest.mark.parametrize("data, path", [

@@ -1,10 +1,10 @@
 """What a process keeps of placed map rings between charts: one record per
 map fit (``atlas._FITS``), whose rings are ``scene.PlacedRing``s that carry
-their own bounds (read by ``clamp_scene``) and SVG points text (filled by
-the SVG writer), and whose fill polygons are kept per ring and color. Same
-bytes cold, warm and after clearing; no kept errors; no stale rings or
-fills; bounded size; a placed ring that crosses the canvas is still
-clamped.
+their own bounds (read by ``clamp_scene``) and SVG points text and
+``<polygon>`` lines (filled by the SVG writer), and whose fill polygons
+are kept per ring and color. Same bytes cold, warm and after clearing; no
+kept errors; no stale rings or fills; bounded size; a placed ring that
+crosses the canvas is still clamped.
 """
 
 from __future__ import annotations
@@ -181,7 +181,12 @@ def test_negative_zero_prints_as_zero_through_the_memo():
                                  SvgOptions(decimal_places=dp)).splitlines()
                 assert f'points="{expected}"' in lines[1]
                 assert f'points="{expected}"' in lines[2]
-    assert ring.texts == {2: "0.00,0.00 4.00,0.00 0.00,3.00", 0: "0,0 4,0 0,3"}
+    # Per decimal places: one points text, and one line per style.
+    texts = {2: "0.00,0.00 4.00,0.00 0.00,3.00", 0: "0,0 4,0 0,3"}
+    assert ring.texts == {**texts, **{
+        (dp, style): f'<polygon fill="{style.fill}" points="{text}"/>'
+        for dp, text in texts.items() for style in (scene.shapes[0].style,
+                                                     scene.shapes[1].style)}}
 
 
 def test_memos_stay_within_their_capacity(square_atlas):
@@ -270,6 +275,7 @@ def test_demo_loop_records_only_atlas_rings_and_never_empties():
     atlas = load_default_atlas()
     atlas_mod._FITS.clear()
     seen: dict[tuple, tuple] = {}
+    written: dict[int, set] = {}  # id(ring) -> the styles it was written in
     glyph_polygons = 0
     for _ in range(3):
         for scene in composed_demos(atlas):
@@ -283,6 +289,9 @@ def test_demo_loop_records_only_atlas_rings_and_never_empties():
                      and i not in map_fills]
             assert not any(type(s.points) is PlacedRing for s in other)
             glyph_polygons += len(other)
+            for shape in scene.shapes:
+                if type(shape) is Polygon and type(shape.points) is PlacedRing:
+                    written.setdefault(id(shape.points), set()).add(shape.style)
             # Every fit kept earlier in the loop is still there.
             assert all(atlas_mod._FITS.get(key) is entry
                        for key, entry in seen.items())
@@ -294,7 +303,66 @@ def test_demo_loop_records_only_atlas_rings_and_never_empties():
     # by identity.
     assert all(len(entry) == 4 and entry[0] is atlas.regions
                for entry in atlas_mod._FITS.values())
-    assert all(ring.texts.keys() == {2} for ring in kept_rings())
+    # Each ring keeps one points text and one line per style it was
+    # written in, all at the default two decimal places.
+    assert all(ring.texts.keys() == {2, *((2, style)
+                                          for style in written[id(ring)])}
+               for ring in kept_rings())
+
+
+def test_ring_written_in_two_styles_keeps_two_lines_and_one_points_text(
+        monkeypatch):
+    formatted = []
+    points = _Writer.points
+    monkeypatch.setattr(_Writer, "points", lambda self, ring: (
+        formatted.append(ring) or points(self, ring)))
+    ring = PlacedRing([(1.0, 1.0), (4.0, 1.0), (4.0, 3.0)])
+    fill = Style(fill="#336699")
+    border = Style(fill="none", stroke="#808080", stroke_width=0.4)
+    scene = Scene(10.0, 5.0, (Polygon(ring, fill), Polygon(ring, border)))
+    first = emit_svg(scene)
+    assert emit_svg(scene) == first
+    assert formatted == [ring]
+    text = "1.00,1.00 4.00,1.00 4.00,3.00"
+    assert ring.texts == {
+        2: text,
+        (2, fill): f'<polygon fill="#336699" points="{text}"/>',
+        (2, border): f'<polygon fill="none" points="{text}" stroke="#808080"'
+                     ' stroke-width="0.40"/>'}
+    assert first.splitlines()[1:3] == [ring.texts[2, fill],
+                                       ring.texts[2, border]]
+
+
+@pytest.mark.parametrize("width", [float("nan"), float("inf")])
+def test_non_finite_stroke_width_raises_on_every_emit_and_keeps_nothing(
+        width):
+    ring = PlacedRing([(1.0, 1.0), (4.0, 1.0), (4.0, 3.0)])
+    bad = Polygon(ring, Style(fill="none", stroke="#000000",
+                              stroke_width=width))
+    for _ in range(2):
+        with pytest.raises(BadGeometry, match="^non-finite size in Polygon$"):
+            emit_svg(Scene(10.0, 5.0, (bad,)))
+        assert ring.texts == {}
+    # The ring still writes, and keeps, a style that formats.
+    good = bad._replace(style=Style(fill="none"))
+    emit_svg(Scene(10.0, 5.0, (good,)))
+    assert ring.texts.keys() == {2, (2, good.style)}
+
+
+def test_demos_keep_no_more_lines_than_fills_plus_borders():
+    atlas_mod._FITS.clear()
+    for _ in range(2):
+        for scene in composed_demos(load_default_atlas()):
+            emit_svg(scene)
+    lines = 0
+    for entry in atlas_mod._FITS.values():
+        for _, _, ring in entry[1]:
+            kept = sum(type(key) is tuple for key in ring.texts)
+            fills = sum(fill.points is ring for fill in entry[3].values())
+            assert 0 < kept <= fills + 1  # the ring's fills and its border
+            lines += kept
+    assert 0 < lines <= len(kept_fills()) + len(kept_rings())
+    atlas_mod._FITS.clear()
 
 
 def test_every_map_ring_of_a_demo_is_a_placed_ring():

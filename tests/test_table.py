@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from micromaps.compose import ChartSpec, ColumnSpec, compose, plan_chart
@@ -104,6 +105,86 @@ def test_parse_number_forms():
                 "-" + "9" * 400):
         with pytest.raises(ValueError):
             parse_number(bad)
+
+
+_REF_THOUSANDS = re.compile(r"^[+-]?\d{1,3}(,\d{3})+(\.\d*)?$")
+_REF_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
+
+
+def reference_parse_number(text: str) -> float | None:
+    """parse_number as it was before it tried the plain form first."""
+    t = text.strip()
+    if t == "" or t == "NA":
+        return None
+    if t.endswith("%"):
+        t = t[:-1].strip()
+    if "," in t:
+        if not _REF_THOUSANDS.match(t):
+            raise ValueError(f"bad thousands grouping: {text!r}")
+        t = t.replace(",", "")
+    if not _REF_NUMBER.match(t):
+        raise ValueError(f"not a number: {text!r}")
+    value = float(t)
+    if math.isinf(value):
+        raise ValueError(f"number out of range: {text!r}")
+    return value
+
+
+def parse_outcome(parse, text: str) -> tuple[str, str]:
+    """The value's repr (which tells -0.0 from 0.0) or the error text."""
+    try:
+        return "value", repr(parse(text))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# ASCII and Unicode decimal digits (Arabic-Indic, Devanagari, fullwidth,
+# mathematical bold), signs, dots, "%", commas, spaces (no-break and tab
+# among them), and the letters of NA, inf, nan, 1e5 and 1_0.
+_CELL_CHARS = "0123456789\u0663\u096b\uff17\U0001d7d7+-.%, \t\u00a0\nNAinfaeE_"
+_SPACES = st.text(" \t\u00a0\n", max_size=2)
+_DIGITS = st.text("0123456789\u0663", min_size=1, max_size=6)
+_CELLS = st.one_of(
+    st.text(_CELL_CHARS, max_size=12),
+    st.sampled_from(["NA", " NA ", "na", "inf", "-inf", "nan", "1e5", "1_0",
+                     "Infinity", "%", ",", "."]),
+    # Numbers as they are written: grouped or not, with a fraction and a
+    # percent sign, padded with spaces.
+    st.builds(lambda pre, sign, whole, frac, pct, post:
+              f"{pre}{sign}{whole}{frac}{pct}{post}",
+              _SPACES, st.sampled_from(["", "+", "-"]),
+              st.one_of(_DIGITS, st.builds(
+                  lambda head, groups: head + "".join("," + g for g in groups),
+                  st.text("0123456789", min_size=1, max_size=3),
+                  st.lists(st.text("0123456789", min_size=2, max_size=4),
+                           min_size=1, max_size=3))),
+              st.one_of(st.just(""), st.just("."), _DIGITS.map(".".__add__)),
+              st.sampled_from(["", "%", " %"]), _SPACES),
+    # 300 to 400 digits: a float holds 10**308 but not 10**309.
+    st.builds(lambda sign, n, pct: sign + "9" * n + pct,
+              st.sampled_from(["", "-", " +"]), st.integers(300, 400),
+              st.sampled_from(["", "%"])),
+)
+
+
+@settings(max_examples=600)
+@given(_CELLS)
+@example("5\n")
+@example("\u0663.5")
+@example("1,234%")
+@example("9" * 309)
+@example("-0")
+def test_parse_number_matches_the_reference(text):
+    assert (parse_outcome(parse_number, text)
+            == parse_outcome(reference_parse_number, text))
+
+
+def test_parse_table_names_the_first_bad_cell_in_header_order():
+    for csv_text in ("state,a,b,c\nUT,1,x,y\n", "a,b,state,c\n1,x,UT,y\n"):
+        with pytest.raises(CellParse) as info:
+            parse_table(csv_text, "state")
+        assert (info.value.row, info.value.column) == ("UT", "b")
+        assert "not a number: 'x'" in str(info.value)
 
 
 def test_parse_table_names_overflowing_cell():
