@@ -194,7 +194,9 @@ def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,
 # shows that color under the fit). An entry holds its regions, read-only
 # like every Atlas's, so no other object has that id and no ring changes.
 # A call that takes the fits, rings and fill polygons past _FITS_CAPACITY
-# leaves only its own fit and that fit's rings.
+# leaves only its own fit, that fit's rings with their SVG texts dropped,
+# and the fill polygons it drew. So a ring's kept lines (svg._Writer) stay
+# within its kept fills plus its border, however many colors it shows.
 _FITS: dict[tuple, tuple] = {}
 _FITS_CAPACITY = 4096
 
@@ -240,6 +242,9 @@ def _draw_map(atlas: Atlas, fills: dict[str, str], stroke: Style,
     if len(colored) > known and _FITS_CAPACITY < sum(
             1 + len(e[1]) + len(e[3]) for e in _FITS.values()):
         _FITS.clear()
-        colored.clear()
         _FITS[key] = entry
+        colored.clear()
+        colored.update(((i, p.style.fill), p) for i, p in enumerate(out.fills))
+        for _, _, ring in entry[1]:  # lines of fills no longer kept
+            ring.texts.clear()
     return out

@@ -14,7 +14,8 @@ its points text on the ring, one per number of decimals, and its whole
 ``<polygon>`` line, one per number of decimals and Style, so a warm chart
 writes a kept ring's line with one lookup. Per number of decimals, a map
 ring keeps no more lines than the fill polygons the map fit record
-(atlas._FITS) keeps for it, plus its border. Only text and lines written
+(atlas._FITS) keeps for it, plus its border; emptying the record at its
+capacity drops the rings' lines too. Only text and lines written
 without error are kept, and other points are formatted alike, so kept
 text never changes a byte. Style sizes pass the same non-finite test.
 emit_svg looks each shape's writer up by its type.

@@ -198,7 +198,8 @@ def test_memos_stay_within_their_capacity(square_atlas):
         frame = FRAME._replace(x=float(i))
         shapes = render_minimap(square_atlas, frame, ())
         assert 0 < kept_size() <= atlas_mod._FITS_CAPACITY
-        # Emptied, it keeps only the fit just drawn and that fit's rings.
+        # Emptied, it keeps only the fit just drawn, that fit's rings and
+        # the fills it drew.
         assert len(kept_fills()) <= len(kept_rings())
     assert len(atlas_mod._FITS) < fits
     (ring,) = square_atlas.regions[MOVED]
@@ -229,6 +230,31 @@ def test_memos_stay_within_their_capacity_across_palettes(square_atlas):
                 sizes.append(kept_size())
                 assert 0 < sizes[-1] <= atlas_mod._FITS_CAPACITY
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    atlas_mod._FITS.clear()
+
+
+def test_one_fit_in_more_palettes_than_kept_keeps_lines_within_fills():
+    """Emptying the record at its capacity drops the kept rings' lines too,
+    so one fit drawn and written in ever new colors keeps, per ring, no
+    more lines than its kept fills plus its border."""
+    atlas = load_default_atlas()
+    atlas_mod._FITS.clear()
+    codes = sorted(atlas.regions)
+    rings = sum(map(len, atlas.regions.values()))
+    palettes = atlas_mod._FITS_CAPACITY // rings + 3
+    sizes = []
+    for p in range(palettes):
+        rows = tuple(RowBand(code, 10.0 + k, f"#{p:02x}{k:04x}")
+                     for k, code in enumerate(codes))
+        shapes = render_minimap(atlas, FRAME._replace(rows=rows), ())
+        emit_svg(Scene(200.0, 120.0, shapes.flatten()))
+        ((_, placed_rings, _, fills),) = atlas_mod._FITS.values()
+        for i, (_, _, ring) in enumerate(placed_rings):
+            kept = sum(type(key) is tuple for key in ring.texts)
+            shown = sum(key[0] == i for key in fills)
+            assert 0 < kept <= shown + 1  # the ring's fills and its border
+        sizes.append(len(fills))
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was emptied
     atlas_mod._FITS.clear()
 
 
