@@ -17,8 +17,8 @@ whose formats drift, and reproducible figures need frozen inputs.
 
 import csv
 import io
-import math
 import os
+from collections.abc import Iterator
 from pathlib import Path
 
 from .config import RenderConfig, SampleSource
@@ -29,7 +29,9 @@ from .table import (
     Column,
     RegionTable,
     bind_series,
+    parse_number,
     parse_table,
+    plain_numbers,
     scalar_values,
     with_column,
 )
@@ -91,6 +93,53 @@ def _join(table: RegionTable, name: str, directory: Path,
                                 for column in other.columns))
 
 
+def _plain_samples(reader: Iterator[list[str]], width: int, key: int,
+                   value: int) -> dict[str, list[float]] | None:
+    """Each region key's samples, in file order, when every row is
+    ``width`` cells wide and each region's sample cells are plain, finite
+    numbers (``table.plain_numbers``); else None."""
+    cells: dict[str, list[str]] = {}
+    for record in reader:
+        if len(record) != width:
+            if record:
+                return None
+            continue
+        cells.setdefault(record[key].strip(), []).append(record[value])
+    by_key = {}
+    for raw, texts in cells.items():
+        if (numbers := plain_numbers(texts)) is None:
+            return None
+        by_key[raw] = numbers
+    return by_key
+
+
+def _read_samples(name: str, text: str, width: int, key: int, value: int,
+                  ) -> dict[str, list[float]]:
+    """Each region key's samples, in file order, each cell read with
+    ``parse_number`` as the data CSV's cells are: an empty or NA cell is a
+    skipped sample. The first fault in the file is a SnapshotError that
+    names its line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    by_key: dict[str, list[float]] = {}
+    for record in reader:
+        if len(record) != width:
+            if not record:
+                continue
+            side = "wider" if len(record) > width else "narrower"
+            raise SnapshotError(name, f"row {side} than header "
+                                      f"at line {reader.line_num}")
+        try:
+            number = parse_number(record[value])
+        except ValueError as exc:
+            raise SnapshotError(name, f"{exc} at line {reader.line_num}"
+                                ) from None
+        found = by_key.setdefault(record[key].strip(), [])
+        if number is not None:
+            found.append(number)
+    return by_key
+
+
 def _samples(table: RegionTable, source: SampleSource, directory: Path,
              region_column: str) -> RegionTable:
     """Attach a long CSV, one sample per row, as a series column.
@@ -110,23 +159,10 @@ def _samples(table: RegionTable, source: SampleSource, directory: Path,
         raise SnapshotError(name, "duplicate header names")
     key = header.index(region_column)
     value = header.index(source.column)
-    by_key: dict[str, list[float]] = {}
-    for record in reader:
-        if len(record) != len(header):
-            if not record:
-                continue
-            side = "wider" if len(record) > len(header) else "narrower"
-            raise SnapshotError(name, f"row {side} than header "
-                                      f"at line {reader.line_num}")
-        try:
-            number = float(record[value])
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
-            raise SnapshotError(name, f"bad value {record[value].strip()!r} "
-                                      f"at line {reader.line_num}")
-        by_key.setdefault(record[key].strip(), []).append(number)
-    if not by_key:
+    by_key = _plain_samples(reader, len(header), key, value)
+    if by_key is None:
+        by_key = _read_samples(name, text, len(header), key, value)
+    if not any(by_key.values()):
         raise SnapshotError(name, "no sample rows")
     samples: dict[str, list[float]] = {}
     absent, unknown = [], []

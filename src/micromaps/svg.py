@@ -5,19 +5,27 @@ order, every coordinate is printed with a fixed number of decimals
 (round-half-to-even, never scientific notation), lines end with LF, and
 each element sits on its own line. Styling uses presentation attributes
 only and fonts are referenced by generic family, so the document is fully
-self-contained. Each shape type has its own writer. A writer formats all
-of a shape's numbers with one precompiled ``str.format`` (a polyline's or
-polygon's points with one per point), then tests that text once for a
-non-finite number and turns every "-0.00" in it into "0.00". One call
-formats each Style once. A polygon on a map ring (scene.PlacedRing) keeps
-its points text on the ring, one per number of decimals, and its whole
-``<polygon>`` line, one per number of decimals and Style, so a warm chart
-writes a kept ring's line with one lookup. Per number of decimals, a map
-ring keeps no more lines than the fill polygons the map fit record
-(atlas._FITS) keeps for it, plus its border; emptying the record at its
-capacity drops the rings' lines too. Only text and lines written
-without error are kept, and other points are formatted alike, so kept
-text never changes a byte. Style sizes pass the same non-finite test.
+self-contained. Each shape type has its own writer. A rect, circle, line
+or text is written with one %-format call, from a template made once per
+emit_svg call for its shape type and Style, with the style's attributes
+in it; a point list (a polyline's, a glyph polygon's, a map ring's first
+points text) is formatted with one template per point count. The written
+text is then tested once: a non-finite number ("nan", "inf") raises, and
+every "-0.00" becomes "0.00". A rect, circle, line or text whose line
+shows either, in a number or in its style's own text, goes through the
+exact path, which formats and tests its numbers on their own and leaves
+the style's text as it is; a text's content is added after the test.
+The %-format converts every number to float, a Decimal too. One call
+formats each Style once and keeps its templates for that call only. A
+polygon on a map ring (scene.PlacedRing) keeps its points text on the
+ring, one per number of decimals, and its whole ``<polygon>`` line, one
+per number of decimals and Style, so a warm chart writes a kept ring's
+line with one lookup. Per number of decimals, a map ring keeps no more
+lines than the fill polygons the map fit record (atlas._FITS) keeps for
+it, plus its border; emptying the record at its capacity drops the
+rings' lines too. Only text and lines written without error are kept,
+and other points are formatted alike, so kept text never changes a
+byte. Style sizes pass the same non-finite test.
 emit_svg looks each shape's writer up by its type.
 Text and attribute values are escaped here and lose the characters XML
 1.0 forbids, so any string makes a well-formed document.
@@ -25,7 +33,7 @@ Text and attribute values are escaped here and lose the characters XML
 
 import re
 from functools import cache, partial
-from itertools import starmap
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import BadGeometry, SpecError
@@ -57,7 +65,7 @@ class SvgOptions(NamedTuple):
 
 
 def _fmt(value: float, dp: int) -> str:
-    s = f"{value:.{dp}f}"
+    s = "%.*f" % (dp, value)
     if "n" in s:
         raise BadGeometry("non-finite size")
     if s.startswith("-") and float(s) == 0.0:
@@ -93,18 +101,30 @@ def _style_attrs(style: Style, dp: int) -> tuple[str, str, str]:
     return fill, stroke, text
 
 
+# The elements whose numbers a template formats: {fill}, {stroke} and
+# {text} take the parts of the shape's Style (_style_attrs), and {n[i]}
+# its i-th number, in the order its writer passes them.
+_RECT = ('<rect{fill} height="{n[0]}"{stroke} width="{n[1]}" x="{n[2]}"'
+         ' y="{n[3]}"/>')
+_CIRCLE = '<circle cx="{n[0]}" cy="{n[1]}"{fill} r="{n[2]}"{stroke}/>'
+_LINE = ('<line{fill}{stroke} x1="{n[0]}" x2="{n[1]}" y1="{n[2]}"'
+         ' y2="{n[3]}"/>')
+_TEXT = '<text{text} x="{n[0]}" y="{n[1]}">'
+
+
 class _Writer:
     """Element strings for one emit_svg call, one method per shape type."""
 
     def __init__(self, dp: int) -> None:
         self.dp = dp
-        number = f"{{:.{dp}f}}"
-        self.pair = f"{number},{number}".format
-        self.two, self.three, self.four = (" ".join([number] * n).format
-                                           for n in (2, 3, 4))
+        self.number = number = f"%.{dp}f"
+        self.pair = f"{number},{number}"
+        self.spaced = {n: " ".join([number] * n) for n in (2, 3, 4)}
         self.zero = _fmt(0.0, dp)
         self.minus_zero = "-" + self.zero
         self.style = cache(partial(_style_attrs, dp=dp))
+        self.template = cache(self._template)
+        self.point_lists: dict[int, str] = {}
         self.by_type = {Rect: self.rect, Circle: self.circle, Line: self.line,
                         Polyline: self.polyline, Polygon: self.polygon,
                         Text: self.text}
@@ -117,26 +137,45 @@ class _Writer:
             raise BadGeometry("non-finite coordinate")
         return text.replace(self.minus_zero, self.zero)
 
+    def _template(self, element: str, style: Style) -> str:
+        """``element`` in ``style``, with a %-conversion for each number."""
+        fill, stroke, text = self.style(style)
+        return element.format(fill=fill.replace("%", "%%"),
+                              stroke=stroke.replace("%", "%%"),
+                              text=text.replace("%", "%%"),
+                              n=[self.number] * 4)
+
+    def element(self, element: str, style: Style,
+                numbers: tuple[float, ...]) -> str:
+        """One shape's element line. The template's line is kept unless it
+        shows a non-finite number or minus zero, in its numbers or its
+        style's text; then the numbers are formatted, tested and fixed on
+        their own, as numbers() does, and the style's text is left as it
+        is."""
+        line = self.template(element, style) % numbers
+        if ("nan" not in line and "inf" not in line
+                and self.minus_zero not in line):
+            return line
+        fill, stroke, text = self.style(style)
+        return element.format(fill=fill, stroke=stroke, text=text, n=(
+            self.numbers(self.spaced[len(numbers)] % numbers).split()))
+
     def points(self, points: tuple[tuple[float, float], ...]) -> str:
-        return self.numbers(" ".join(starmap(self.pair, points)))
+        """An SVG points text, formatted by one template per point count."""
+        template = self.point_lists.get(len(points))
+        if template is None:
+            template = self.point_lists[len(points)] = " ".join(
+                [self.pair] * len(points))
+        return self.numbers(template % tuple(chain.from_iterable(points)))
 
     def rect(self, s: Rect) -> str:
-        fill, stroke, _ = self.style(s.style)
-        h, w, x, y = self.numbers(self.four(s.height, s.width, s.x,
-                                            s.y)).split()
-        return f'<rect{fill} height="{h}"{stroke} width="{w}" x="{x}" y="{y}"/>'
+        return self.element(_RECT, s.style, (s.height, s.width, s.x, s.y))
 
     def circle(self, s: Circle) -> str:
-        fill, stroke, _ = self.style(s.style)
-        cx, cy, r = self.numbers(self.three(s.cx, s.cy, s.r)).split()
-        return f'<circle cx="{cx}" cy="{cy}"{fill} r="{r}"{stroke}/>'
+        return self.element(_CIRCLE, s.style, (s.cx, s.cy, s.r))
 
     def line(self, s: Line) -> str:
-        fill, stroke, _ = self.style(s.style)
-        x1, x2, y1, y2 = self.numbers(self.four(s.x1, s.x2, s.y1,
-                                                s.y2)).split()
-        return (f'<line{fill}{stroke} x1="{x1}" x2="{x2}" y1="{y1}"'
-                f' y2="{y2}"/>')
+        return self.element(_LINE, s.style, (s.x1, s.x2, s.y1, s.y2))
 
     def polyline(self, s: Polyline) -> str:
         fill, stroke, _ = self.style(s.style)
@@ -156,9 +195,12 @@ class _Writer:
         return line
 
     def text(self, s: Text) -> str:
-        x, y = self.numbers(self.two(s.x, s.y)).split()
-        return (f'<text{self.style(s.style)[2]} x="{x}" y="{y}">'
-                f'{_escape(s.content)}</text>')
+        try:
+            line = self.element(_TEXT, s.style, (s.x, s.y))
+        except BadGeometry:  # a text's coordinates are tested first
+            self.numbers(self.spaced[2] % (s.x, s.y))
+            raise
+        return f"{line}{_escape(s.content)}</text>"
 
 
 def check_decimal_places(places: object) -> int:
@@ -176,8 +218,8 @@ def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
     writer = _Writer(check_decimal_places(options.decimal_places))
     if not isinstance(title := options.title, str):
         raise SpecError("title", f"expected a string, got {type(title).__name__}")
-    height, width = writer.numbers(writer.two(scene.height,
-                                              scene.width)).split()
+    height, width = writer.numbers(writer.spaced[2] % (scene.height,
+                                                      scene.width)).split()
     lines = [f'<svg height="{height}" width="{width}" xmlns="{SVG_NS}">']
     if options.embed_title and options.title:
         lines.append(f"<title>{_escape(options.title)}</title>")

@@ -143,6 +143,9 @@ class ColumnRef(NamedTuple):
 
 _THOUSANDS = re.compile(r"[+-]?\d{1,3}(,\d{3})+(\.\d*)?")
 _NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)")
+# A character that no plain number holds. float reads a run of the others
+# exactly when _NUMBER matches it, and refuses it otherwise.
+_NOT_PLAIN = re.compile(r"[^0-9.+-]")
 
 
 def parse_number(text: str) -> float | None:
@@ -170,6 +173,19 @@ def parse_number(text: str) -> float | None:
     if math.isinf(value):
         raise ValueError(f"number out of range: {text!r}")
     return value
+
+
+def plain_numbers(cells: list[str]) -> list[float] | None:
+    """The cells as parse_number reads them when each is a finite number
+    in the plain form, tested for the whole list at once; else None, and
+    the caller reads each cell with parse_number."""
+    if _NOT_PLAIN.search("".join(cells)):
+        return None
+    try:
+        numbers = list(map(float, cells))
+    except ValueError:  # such as "", "-" or "1.2.3"
+        return None
+    return numbers if math.isfinite(sum(numbers)) else None
 
 
 def parse_table(csv_text: str, region_column: str) -> RegionTable:

@@ -121,6 +121,19 @@ def test_samples_block_matches_a_dict_reader_reference():
     assert repr(build_demo("ers-boxscatter")[1]) == repr(expected)
 
 
+def test_county_file_reads_alike_in_one_pass_and_cell_by_cell():
+    """The bundled county file takes the one-pass read of plain cells; the
+    cell-by-cell read with parse_number, which any other file takes, gives
+    the same samples (repr also pins their order and every zero's sign)."""
+    text = snapshot_text(ERS_COUNTY_FILE)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    assert next(reader) == ["state", "county", "access_change_2010_2015"]
+    plain = adapters._plain_samples(reader, 3, 0, 2)
+    assert plain is not None and len(plain) == 51
+    assert repr(plain) == repr(adapters._read_samples(ERS_COUNTY_FILE, text,
+                                                      3, 0, 2))
+
+
 def test_build_demo_reads_the_county_file_on_every_call(tmp_path):
     for name in (ERS_STATE_FILE, ERS_COUNTY_FILE):
         (tmp_path / name).write_text(snapshot_text(name))
@@ -218,6 +231,64 @@ def test_samples_block_resolves_region_names(tmp_path):
     assert table.rows["UT"]["s"] == (3.0, 2.0)
     assert table.rows["DC"]["s"] == (1.0, None)
     assert table.rows["AK"]["s"] == (None, None)
+
+
+SAMPLES = [{"name": "s", "path": "long.csv", "column": "x"}]
+
+
+@pytest.mark.filterwarnings("ignore:sort column")
+def test_samples_cells_are_read_as_data_cells(tmp_path, capsys):
+    """A samples cell follows the data CSV's rule (table.parse_number):
+    an empty or NA cell is a skipped sample, "%" and thousands separators
+    are stripped, and the plain and stripped forms give the same floats."""
+    (tmp_path / "long.csv").write_text(
+        "state,x\nUT,1.5\nUT,NA\nUT,\nDC, 7 \nDC,-0\nUT,\"1,200\"\nAK,NA\n"
+        "DC,3%\n")
+    table = load_table(_config(samples=SAMPLES), "state,v\nUT,1\nDC,2\nAK,3\n",
+                       tmp_path)
+    assert table.column("s").periods == ("c001", "c002", "c003")
+    assert table.rows["UT"]["s"] == (1.5, 1200.0, None)
+    assert repr(table.rows["DC"]["s"]) == "(7.0, -0.0, 3.0)"
+    assert table.rows["AK"]["s"] == (None, None, None)
+    (tmp_path / "main.csv").write_text("state,v\nUT,1\nDC,2\nAK,3\n")
+    (tmp_path / "chart.json").write_text(_config_text(samples=SAMPLES))
+    assert run(["validate", "--config", str(tmp_path / "chart.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("cell, detail", [
+    ("1_0", "not a number: '1_0' at line 4"),
+    ("1e5", "not a number: '1e5' at line 4"),
+    ("nan", "not a number: 'nan' at line 4"),
+    ("-inf", "not a number: '-inf' at line 4"),
+    ("9" * 400, f"number out of range: '{'9' * 400}' at line 4"),
+    ('"1,2"', "bad thousands grouping: '1,2' at line 4"),
+    # A quoted cell that spans lines is told at the line where it ends.
+    ('"1\n2"', "not a number: '1\\n2' at line 5"),
+])
+def test_samples_cell_fault_names_the_file_and_line(tmp_path, capsys, cell,
+                                                    detail):
+    """A cell that parse_number refuses is its error at the cell's line."""
+    (tmp_path / "long.csv").write_text(f"state,x\nUT,1\n\nUT,{cell}\nUT,2\n")
+    with pytest.raises(SnapshotError) as err:
+        load_table(_config(samples=SAMPLES), "state,v\nUT,1\n", tmp_path)
+    assert str(err.value) == f"long.csv: {detail}"
+    (tmp_path / "main.csv").write_text("state,v\nUT,1\n")
+    (tmp_path / "chart.json").write_text(_config_text(samples=SAMPLES))
+    assert run(["validate", "--config", str(tmp_path / "chart.json")]) == 1
+    assert capsys.readouterr().err == f"micromaps: error: long.csv: {detail}\n"
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("state,x\nUT,abc\nUT,1,2\n", "not a number: 'abc' at line 2"),
+    ("state,x\nUT,1\nUT,1,2\nUT,abc\n", "row wider than header at line 3"),
+    ("state,x\nUT,NA\nUT,\n", "no sample rows"),
+])
+def test_samples_file_tells_its_first_fault(tmp_path, text, detail):
+    (tmp_path / "long.csv").write_text(text)
+    with pytest.raises(SnapshotError) as err:
+        load_table(_config(samples=SAMPLES), "state,v\nUT,1\n", tmp_path)
+    assert str(err.value) == f"long.csv: {detail}"
 
 
 @pytest.mark.parametrize("keys, detail", [

@@ -431,11 +431,16 @@ def _sixth_line(row: str):
     pytest.param(_sixth_line("AK,AK-005,-2.0,7"),
                  "row wider than header at line 6", id="extra-field"),
     pytest.param(_sixth_line("AK,AK-005,nan"),
-                 "bad value 'nan' at line 6", id="nan"),
+                 "not a number: 'nan' at line 6", id="nan"),
     pytest.param(_sixth_line("AK,AK-005,-inf"),
-                 "bad value '-inf' at line 6", id="infinite"),
-    pytest.param(_sixth_line("AK,AK-005,"),
-                 "bad value '' at line 6", id="empty-cell"),
+                 "not a number: '-inf' at line 6", id="infinite"),
+    pytest.param(_sixth_line("AK,AK-005,1_0"),
+                 "not a number: '1_0' at line 6", id="underscore"),
+    pytest.param(_sixth_line("AK,AK-005,1e5"),
+                 "not a number: '1e5' at line 6", id="exponent"),
+    pytest.param(_sixth_line("AK,AK-005," + "9" * 400),
+                 f"number out of range: '{'9' * 400}' at line 6",
+                 id="too-large"),
     pytest.param(lambda text: text.splitlines(keepends=True)[0],
                  "no sample rows", id="header-only"),
 ])
@@ -529,7 +534,7 @@ SAMPLES = {"name": "s", "path": "long.csv", "column": "x"}
 @pytest.mark.parametrize("name, text, code, detail", [
     ("long.csv", None, EXIT_IO, "not found in "),
     ("long.csv", "state,x\nUT,abc\n", EXIT_VALIDATION,
-     "bad value 'abc' at line 2"),
+     "not a number: 'abc' at line 2"),
     ("long.csv", "state,y\nUT,1\n", EXIT_VALIDATION,
      "long.csv: needs state and x columns\n"),
     ("long.csv", "state,x\n", EXIT_VALIDATION, "long.csv: no sample rows\n"),

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from decimal import Decimal
+from fractions import Fraction
+from itertools import starmap
 from xml.sax.saxutils import escape
 
 import pytest
@@ -12,6 +15,7 @@ from micromaps.errors import BadGeometry, SpecError
 from micromaps.scene import (
     Circle,
     Line,
+    PlacedRing,
     Polygon,
     Polyline,
     Rect,
@@ -223,10 +227,35 @@ def test_batched_writer_writes_minus_zero_as_zero(make, dp):
         assert emit_svg(Scene(10.0, 10.0, (make(value),)), options) == zero
 
 
+def test_decimal_and_fraction_numbers_are_written_as_floats():
+    # Decimal("1.015") rounds half to even to 1.02 as a decimal, but the
+    # float nearest it is a little below 1.015.
+    scene = Scene(10.0, 10.0, (
+        Circle(Fraction(1, 3), Decimal("1.015"), 1),
+        Polyline(((Fraction(1, 8), Decimal("-0.001")),)),
+        Line(0, 0, 1, 1, Style(stroke="#000000",
+                               stroke_width=Decimal("0.125")))))
+    assert emit_svg(scene).splitlines()[1:4] == [
+        '<circle cx="0.33" cy="1.01" r="1.00"/>',
+        '<polyline fill="none" points="0.12,0.00"/>',
+        '<line stroke="#000000" stroke-width="0.12" x1="0.00" x2="1.00"'
+        ' y1="0.00" y2="1.00"/>']
+
+
 def test_non_finite_canvas_size_rejected():
     for scene in (Scene(float("nan"), 10.0, ()), Scene(10.0, float("inf"), ())):
         with pytest.raises(BadGeometry):
             emit_svg(scene)
+
+
+@pytest.mark.parametrize("points", [((1.0, 2.0, 3.0),), ((1.0,),),
+                                    ((1.0, 2.0), (3.0, 4.0, 5.0))])
+def test_points_that_are_not_pairs_are_a_type_error(points):
+    # A point list is formatted as one run of numbers, two per point, so
+    # a list whose count of numbers is not twice its points is refused.
+    for shape in (Polyline(points), Polygon(points)):
+        with pytest.raises(TypeError):
+            emit_svg(Scene(10.0, 10.0, (shape,)))
 
 
 def test_shared_points_are_written_for_each_shape():
@@ -309,3 +338,153 @@ def test_forbidden_characters_dropped_from_title_and_style():
     assert rect.get("fill") == "#ABCDEF" and rect.get("stroke") == "#000000"
     assert text.get("text-anchor") == "middle"
     assert svg.encode("utf-8")  # no lone surrogate is left to encode
+
+
+# The element writers as they were before templates, kept as the reference:
+# each shape's numbers formatted with one str.format (a point list with one
+# per point), tested once for "n", every minus zero turned into zero.
+
+def reference_fmt(value: float, dp: int) -> str:
+    s = f"{value:.{dp}f}"
+    if "n" in s:
+        raise BadGeometry("non-finite size")
+    if s.startswith("-") and float(s) == 0.0:
+        s = s[1:]
+    return s
+
+
+def reference_style_attrs(style: Style, dp: int) -> tuple[str, str, str]:
+    fill = "" if style.fill is None else f' fill="{_escape_attr(style.fill)}"'
+    stroke = ("" if style.stroke is None
+              else f' stroke="{_escape_attr(style.stroke)}"')
+    if style.stroke_width is not None:
+        stroke += f' stroke-width="{reference_fmt(style.stroke_width, dp)}"'
+    text = f'{fill} font-family="sans-serif"'
+    if style.font_size is not None:
+        text += f' font-size="{reference_fmt(style.font_size, dp)}"'
+    text += stroke
+    if style.anchor is not None:
+        text += f' text-anchor="{_escape_attr(style.anchor)}"'
+    return fill, stroke, text
+
+
+def reference_element(s, dp: int) -> str:
+    """One shape's element line, or BadGeometry("... in <Type>")."""
+    number = f"{{:.{dp}f}}"
+    zero = reference_fmt(0.0, dp)
+
+    def numbers(text: str) -> str:
+        if "n" in text:
+            raise BadGeometry("non-finite coordinate")
+        return text.replace("-" + zero, zero)
+
+    def spaced(*values: float) -> list[str]:
+        return numbers(" ".join([number] * len(values)).format(*values)).split()
+
+    def points(pts) -> str:
+        return numbers(" ".join(starmap(f"{number},{number}".format, pts)))
+
+    try:
+        if type(s) is Text:
+            x, y = spaced(s.x, s.y)
+            return (f'<text{reference_style_attrs(s.style, dp)[2]} x="{x}"'
+                    f' y="{y}">{_escape(s.content)}</text>')
+        fill, stroke, _ = reference_style_attrs(s.style, dp)
+        if type(s) is Rect:
+            h, w, x, y = spaced(s.height, s.width, s.x, s.y)
+            return (f'<rect{fill} height="{h}"{stroke} width="{w}" x="{x}"'
+                    f' y="{y}"/>')
+        if type(s) is Circle:
+            cx, cy, r = spaced(s.cx, s.cy, s.r)
+            return f'<circle cx="{cx}" cy="{cy}"{fill} r="{r}"{stroke}/>'
+        if type(s) is Line:
+            x1, x2, y1, y2 = spaced(s.x1, s.x2, s.y1, s.y2)
+            return (f'<line{fill}{stroke} x1="{x1}" x2="{x2}" y1="{y1}"'
+                    f' y2="{y2}"/>')
+        if type(s) is Polyline:
+            fill = fill or ' fill="none"'
+            return f'<polyline{fill} points="{points(s.points)}"{stroke}/>'
+        return f'<polygon{fill} points="{points(s.points)}"{stroke}/>'
+    except BadGeometry as exc:
+        raise BadGeometry(f"{exc} in {type(s).__name__}") from None
+
+
+def element_outcome(write, shape, dp: int) -> tuple[str, str]:
+    try:
+        return "line", write(shape, dp)
+    except BadGeometry as exc:
+        return "error", str(exc)
+
+
+def emitted_element(shape, dp: int) -> str:
+    lines = emit_svg(Scene(10.0, 10.0, (shape,)),
+                     SvgOptions(decimal_places=dp)).splitlines()
+    assert len(lines) == 3
+    return lines[1]
+
+
+# Numbers that take the writer's fallback or test its formatting: minus
+# zero and numbers that round to it at some number of decimals, a number
+# of 301 digits, the smallest subnormal, and the non-finite ones.
+_EDGES = [-0.0, -0.4, -0.004, -4e-7, 0.5, 2.5, -2.5, 1.005, 1e300, -1e300,
+          5e-324, float("nan"), float("inf"), float("-inf")]
+_NUMBERS = st.one_of(st.floats(), st.sampled_from(_EDGES), st.booleans(),
+                     st.integers(-10**300, 10**300))
+# Style strings that hold a "%" (a template conversion unless escaped),
+# "nan", "inf" or minus zero (which the line test looks for).
+_STYLE_TEXT = st.one_of(
+    st.none(),
+    st.sampled_from(["#112233", "none", "middle", "50%", "%s", "%(x)s", "%%",
+                     "%.2f", "nan", "inf", "-0.00", "-0", "a-0.000001",
+                     "banana", "infinite", "#NaN"]),
+    st.text(st.sampled_from("%nafi-0.1 #\"&<"), max_size=6))
+_SIZES = st.one_of(st.none(), _NUMBERS)
+_STYLES = st.builds(Style, _STYLE_TEXT, _STYLE_TEXT, _SIZES, _SIZES,
+                    _STYLE_TEXT)
+_POINTS = st.lists(st.tuples(_NUMBERS, _NUMBERS), max_size=5).map(tuple)
+_SHAPES = st.one_of(
+    st.builds(Rect, _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS, _STYLES),
+    st.builds(Circle, _NUMBERS, _NUMBERS, _NUMBERS, _STYLES),
+    st.builds(Line, _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS, _STYLES),
+    st.builds(Text, _NUMBERS, _NUMBERS, st.sampled_from(["", "t", "nan %s"]),
+              _STYLES),
+    st.builds(Polyline, _POINTS, _STYLES),
+    st.builds(Polygon, st.one_of(_POINTS, _POINTS.map(PlacedRing)), _STYLES),
+)
+_FILL = Style(fill="#112233")
+_ODD = Style(fill="50%", stroke="%s", stroke_width=0.5, font_size=-0.0,
+             anchor="%(x)s")
+
+
+@settings(max_examples=400)
+@given(_SHAPES, st.integers(0, 6))
+# Minus zero, alone and beside a non-finite number, in each writer.
+@example(Rect(-0.0, 1.0, 2.0, -0.001, _FILL), 2)
+@example(Circle(-0.4, 1.0, 2.0), 0)
+@example(Circle(0.0, 0.0, -0.0), 0)
+@example(Line(0.0, -4e-7, 1.0, 1.0, _ODD), 6)
+@example(Text(-0.0, float("nan"), "t"), 2)
+@example(Polyline(((-0.0, 1.0), (2.0, -0.001))), 2)
+@example(Polygon(PlacedRing([(-0.0, 1.0), (2.0, 3.0)]), _FILL), 2)
+# Non-finite numbers, the style's size and the coordinates' both at fault.
+@example(Rect(float("nan"), 1.0, 2.0, 3.0, Style(stroke_width=float("inf"))),
+         2)
+@example(Text(float("nan"), 1.0, "t", Style(font_size=float("nan"))), 2)
+@example(Circle(float("-inf"), 1.0, 2.0, _ODD), 3)
+# Styles whose text holds "%", "nan", "inf" or minus zero.
+@example(Rect(1.0, 2.0, 3.0, 4.0, _ODD), 2)
+@example(Text(1.0, 2.0, "%s nan", _ODD), 2)
+@example(Circle(1.0, 2.0, 3.0, Style(fill="banana")), 2)
+@example(Line(1.0, 2.0, 3.0, 4.0, Style(stroke="infinite")), 2)
+@example(Rect(1.0, 2.0, 3.0, 4.0, Style(fill="-0.00")), 2)
+@example(Text(1.0, 2.0, "t", Style(anchor="a-0")), 0)
+@example(Polyline(((1.0, 2.0),), Style(stroke="%s")), 2)
+# Large and odd numbers.
+@example(Circle(1e300, True, 10**300), 6)
+@example(Polygon(((5e-324, -1e300), (False, 2))), 0)
+@example(Polyline(()), 2)
+def test_writer_matches_the_reference(shape, dp):
+    """Every shape type in any style, at every number of decimals, gives
+    the reference's line, or the same BadGeometry message."""
+    assert (element_outcome(emitted_element, shape, dp)
+            == element_outcome(reference_element, shape, dp))

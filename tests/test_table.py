@@ -30,6 +30,7 @@ from micromaps.table import (
     column_extent,
     parse_number,
     parse_table,
+    plain_numbers,
     resolve_ref,
     scalar_values,
     with_column,
@@ -177,6 +178,32 @@ _CELLS = st.one_of(
 def test_parse_number_matches_the_reference(text):
     assert (parse_outcome(parse_number, text)
             == parse_outcome(reference_parse_number, text))
+
+
+@settings(max_examples=300)
+@given(st.lists(_CELLS, max_size=5))
+@example(["1", "2.5", "-0", ".5", "+2."])
+@example(["1", "9" * 309])
+@example(["1\n2"])
+@example(["1", ""])
+def test_plain_numbers_declines_or_matches_parse_number(cells):
+    """plain_numbers, the one-step read of a samples file's cells, gives
+    parse_number's floats (repr tells -0.0 apart) or declines with None."""
+    numbers = plain_numbers(cells)
+    if numbers is not None:
+        assert repr(numbers) == repr([parse_number(cell) for cell in cells])
+
+
+def test_plain_numbers_reads_a_plain_column():
+    assert repr(plain_numbers(["1", "-0", ".5", "+2.", "-3.25"])) == \
+        "[1.0, -0.0, 0.5, 2.0, -3.25]"
+    assert plain_numbers([]) == []
+    # Each finite alone, but their sum is not: declined, and parse_number
+    # then reads both.
+    assert plain_numbers(["9" * 308, "9" * 308]) is None
+    for cells in (["1", "NA"], ["1", " 2"], ["1e5"], ["1_0"], ["1.2.3"],
+                  ["9" * 309], ["1", ""]):
+        assert plain_numbers(cells) is None
 
 
 def test_parse_table_names_the_first_bad_cell_in_header_order():
