@@ -1,4 +1,4 @@
-"""Planar geometry for the 51 regions, and a small-map panel painter that
+"""Planar geometry for the chart regions, and a small-map panel painter that
 knows no groups or map modes: it fills each region as it is told.
 
 The atlas interchange format is a GeoJSON-compatible FeatureCollection:
@@ -8,6 +8,9 @@ downward, matching the canvas). An optional top-level ``insets`` array of
 ``{code, translate: [dx, dy], scale: s}`` entries is applied at load time,
 so everything downstream works in final coordinates. There is no projection
 math anywhere in the engine: micromaps need recognizability, not geodesy.
+The bundled atlas's feature properties are also the region list that
+``regions.py`` reads; any document given to ``load_atlas`` is checked
+against that list.
 
 The bundled default atlas uses coarse simplified state outlines with the
 conventional Alaska/Hawaii insets and an enlarged offshore square for
@@ -18,14 +21,13 @@ import json
 import sys
 from collections.abc import Mapping
 from functools import cache
-from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from . import colors
 from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
 from .glyphs import shared_style
-from .regions import ALL_CODES, region_lookup
+from .regions import ALL_CODES, ATLAS_DOCUMENT, region_lookup
 from .scene import MAX_CANVAS, Layers, PanelFrame, PlacedRing, Polygon, Style
 from .values import value_type
 
@@ -41,8 +43,9 @@ class _AtlasFields(NamedTuple):
 
 @value_type
 class Atlas(_AtlasFields):
-    """Rings for exactly the 51 regions, checked when made (by ``._replace``
-    too) and held read-only; ``bounds`` is worked out from them."""
+    """Rings for exactly the bundled atlas's regions, checked when made (by
+    ``._replace`` too) and held read-only; ``bounds`` is worked out from
+    them."""
 
     __slots__ = ()
 
@@ -167,8 +170,7 @@ def load_atlas(document: str) -> Atlas:
 @cache
 def load_default_atlas() -> Atlas:
     """The bundled atlas, loaded once per process."""
-    path = Path(__file__).parent / "data" / "us_atlas.json"
-    return load_atlas(path.read_text("utf-8"))
+    return load_atlas(ATLAS_DOCUMENT)
 
 
 def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,

@@ -15,6 +15,7 @@ from .adapters import default_data_dir, load_table, snapshot_text
 from .compose import ChartSpec
 from .config import parse_config
 from .errors import MicromapError, SnapshotError, SpecError
+from .regions import ALL_CODES
 from .table import RegionTable
 
 DEMO_NAMES = ("acs-dot", "acs-timeseries", "acs-pew", "qcew-arrows",
@@ -48,7 +49,7 @@ def build_demo(name: str, snapshot_dir: Path | None = None,
     """A demo's spec and table, loaded from the snapshot directory.
 
     A fault in a snapshot file is a ``SnapshotError`` that names it, and
-    every snapshot covers all 51 regions.
+    every snapshot covers every region of the bundled atlas.
     """
     if name not in DEMO_NAMES:
         raise KeyError(f"unknown demo {name!r}; choose from {DEMO_NAMES}")
@@ -61,7 +62,7 @@ def build_demo(name: str, snapshot_dir: Path | None = None,
         raise
     except MicromapError as exc:
         raise SnapshotError(config.data_path, str(exc)) from None
-    if len(table.rows) != 51:
-        raise SnapshotError(config.data_path,
-                            f"expected 51 regions, got {len(table.rows)}")
+    if len(table.rows) != len(ALL_CODES):
+        raise SnapshotError(config.data_path, f"expected {len(ALL_CODES)} "
+                                              f"regions, got {len(table.rows)}")
     return config.spec, table

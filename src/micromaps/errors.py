@@ -45,7 +45,7 @@ class EmptyColumn(MicromapError):
 # --- regions and atlas -------------------------------------------------------
 
 class UnknownRegion(MicromapError):
-    """A key does not resolve to any of the 51 regions."""
+    """A key does not resolve to any region of the bundled atlas."""
 
 
 class AtlasParse(MicromapError):
@@ -53,7 +53,7 @@ class AtlasParse(MicromapError):
 
 
 class IncompleteAtlas(MicromapError):
-    """The atlas document does not cover all 51 regions."""
+    """The atlas document does not cover every region of the bundled atlas."""
 
 
 # --- layout and scales -------------------------------------------------------

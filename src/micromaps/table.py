@@ -4,9 +4,10 @@ A RegionTable maps each region to one row of named columns. Columns are
 either scalar (one number per region) or series (one number per period
 label per region). Cells may be explicitly missing (None); renderers decide
 how missing data is presented. A table checks when made that each key is
-one of the 51 regions, each row holds its columns and each cell is finite.
-A cell is read as ``table.rows[code][name]``. ``with_column`` is the one way
-to append a column, and ``column_extent`` the rule for a column's span.
+one of the bundled atlas's regions, each row holds its columns and each
+cell is finite. A cell is read as ``table.rows[code][name]``.
+``with_column`` is the one way to append a column, and ``column_extent``
+the rule for a column's span.
 
 All values are immutable after construction: ``rows`` and each row are
 read-only mappings, and every operation returns a new table, so tables can
@@ -204,11 +205,10 @@ def parse_table(csv_text: str, region_column: str) -> RegionTable:
     header = [h.strip() for h in header]
     if region_column not in header:
         raise MissingColumn(f"no column named {region_column!r}")
+    if len(set(header)) != len(header):
+        raise NameClash("duplicate header names")
     region_idx = header.index(region_column)
     value_names = [h for i, h in enumerate(header) if i != region_idx]
-    seen = set(value_names)
-    if len(seen) != len(value_names):
-        raise NameClash("duplicate header names")
 
     rows: dict[str, dict[str, object]] = {}
     for record in reader:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 import pickle
+import runpy
+import shutil
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -30,7 +34,7 @@ from micromaps.errors import (
 )
 from micromaps.glyphs import PanelFrame, RowBand
 from micromaps.layout import GroupPlan, SortSpec
-from micromaps.regions import ALL_CODES, region_lookup
+from micromaps.regions import ALL_CODES, BY_CODE, region_lookup
 from micromaps.svg import emit_svg
 
 from conftest import full_table, make_table, square_atlas_document
@@ -61,12 +65,40 @@ def drop_feature(doc: str, code: str) -> str:
 
 # --- region lookup -----------------------------------------------------------
 
+# The hand-written registry that the bundled atlas replaced: its 51 rows,
+# in FIPS order, as "code,name,fips" lines.
+REGISTRY_SHA256 = "fa1fb05d6ee8d39d0f1161c903e905373783a6d23f577636df29b949321f54de"
+
+
 def test_registry_fields_are_unique():
-    from micromaps.regions import _REGISTRY
-    assert len(_REGISTRY) == 51
+    """The regions read from the bundled atlas are that registry's rows, each
+    code, name and FIPS code unique, and each of them and the DC aliases
+    resolve to the region's row."""
+    rows = list(BY_CODE.values())
+    assert len(rows) == 51 and ALL_CODES == tuple(sorted(BY_CODE))
     for field in ("code", "name", "fips"):
-        values = [getattr(m, field) for m in _REGISTRY]
-        assert len(set(values)) == 51
+        assert len({getattr(m, field) for m in rows}) == 51
+    text = "".join(f"{m.code},{m.name},{m.fips}\n" for m in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == REGISTRY_SHA256
+    for meta in rows:
+        for key in (meta.code, meta.code.lower(), meta.name, meta.name.upper(),
+                    meta.fips):
+            assert region_lookup(key) == meta
+    for alias in ("Washington DC", "Washington D.C.", "washington, d.c."):
+        assert region_lookup(alias) == BY_CODE["DC"]
+
+
+def test_make_atlas_writes_the_bundled_atlas(tmp_path):
+    """tools/make_atlas.py, the one hand-written list of the regions' names
+    and FIPS codes, writes the bundled atlas byte for byte."""
+    root = Path(__file__).resolve().parents[1]
+    tool = tmp_path / "tools" / "make_atlas.py"
+    tool.parent.mkdir()
+    shutil.copy(root / "tools" / "make_atlas.py", tool)
+    runpy.run_path(str(tool), run_name="__main__")
+    written = tmp_path / "src" / "micromaps" / "data" / "us_atlas.json"
+    bundled = root / "src" / "micromaps" / "data" / "us_atlas.json"
+    assert written.read_bytes() == bundled.read_bytes()
 
 
 def test_lookup_code_case_insensitive():

@@ -77,6 +77,8 @@ def test_parse_unknown_region_is_hard_error():
 @pytest.mark.parametrize("text, error, message", [
     ("", MissingColumn, "empty document, no 'state' header"),
     ("state,a,a\nUT,1,2\n", NameClash, "duplicate header names"),
+    ("state,state,x\nUT,UT,1\n", NameClash, "duplicate header names"),
+    ("state,x,state\nUT,1,UT\n", NameClash, "duplicate header names"),
     ("state,a\nUT,1\nID,2,3\n", CellParse,
      "cannot parse cell (row 'ID', column ''): row wider than header"),
 ])
