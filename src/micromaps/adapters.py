@@ -21,9 +21,9 @@ import os
 from collections.abc import Iterator
 from pathlib import Path
 
+from .atlas import region_lookup
 from .config import RenderConfig, SampleSource
 from .errors import MicromapError, NameClash, SnapshotError, SpecError, UnknownRegion
-from .regions import region_lookup
 from .table import (
     SERIES,
     Column,

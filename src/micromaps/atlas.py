@@ -8,9 +8,10 @@ downward, matching the canvas). An optional top-level ``insets`` array of
 ``{code, translate: [dx, dy], scale: s}`` entries is applied at load time,
 so everything downstream works in final coordinates. There is no projection
 math anywhere in the engine: micromaps need recognizability, not geodesy.
-The bundled atlas's feature properties are also the region list that
-``regions.py`` reads; any document given to ``load_atlas`` is checked
-against that list.
+The bundled atlas's feature properties are also the region list
+(``BY_CODE``, ``ALL_CODES``, ``region_lookup``), decoded once per process
+with the rings that ``load_default_atlas`` builds; any document given to
+``load_atlas`` is checked against that list.
 
 The bundled default atlas uses coarse simplified state outlines with the
 conventional Alaska/Hawaii insets and an enlarged offshore square for
@@ -21,17 +22,60 @@ import json
 import sys
 from collections.abc import Mapping
 from functools import cache
+from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from . import colors
 from .errors import AtlasParse, IncompleteAtlas, UnknownRegion
-from .glyphs import shared_style
-from .regions import ALL_CODES, ATLAS_DOCUMENT, region_lookup
-from .scene import MAX_CANVAS, Layers, PanelFrame, PlacedRing, Polygon, Style
+from .scene import (MAX_CANVAS, Layers, PanelFrame, PlacedRing, Polygon, Style,
+                    shared_style)
 from .values import value_type
 
 Ring = tuple[tuple[float, float], ...]
+
+
+@value_type
+class RegionMeta(NamedTuple):
+    code: str
+    name: str
+    fips: str
+
+
+# Decoded once per process: the region list and load_default_atlas read it.
+_DOCUMENT = json.loads(
+    (Path(__file__).parent / "data" / "us_atlas.json").read_text("utf-8"))
+
+BY_CODE: dict[str, RegionMeta] = {meta.code: meta for meta in sorted(
+    (RegionMeta(**feature["properties"]) for feature in _DOCUMENT["features"]),
+    key=lambda meta: meta.fips)}
+
+ALL_CODES: tuple[str, ...] = tuple(sorted(BY_CODE))
+
+
+def _normalize(key: str) -> str:
+    # Punctuation-insensitive so "Washington, D.C." matches.
+    return " ".join(key.replace(".", "").replace(",", " ").lower().split())
+
+
+_LOOKUP: dict[str, RegionMeta] = {
+    key: meta for meta in BY_CODE.values()
+    for key in (_normalize(meta.code), _normalize(meta.name), meta.fips)}
+_LOOKUP[_normalize("Washington DC")] = BY_CODE["DC"]  # "Washington D.C." too
+
+
+def region_lookup(key: str) -> RegionMeta:
+    """Resolve a USPS code, full name, FIPS code or "Washington DC" (with
+    or without dots) to region metadata.
+
+    Raises UnknownRegion for anything outside the atlas's regions
+    (territories, typos, county names).
+    """
+    meta = _LOOKUP.get(_normalize(key))
+    if meta is None:
+        raise UnknownRegion(f"unknown region: {key!r}")
+    return meta
+
 
 BORDER_STYLE = Style(fill="none", stroke="#808080", stroke_width=0.4)
 
@@ -54,12 +98,12 @@ class Atlas(_AtlasFields):
             raise AtlasParse("atlas regions must map region codes to rings")
         held: dict[str, tuple[Ring, ...]] = {}
         for code, rings in regions.items():
-            if code not in ALL_CODES:
+            if code not in BY_CODE:
                 raise UnknownRegion(f"atlas rings for unknown region {code!r}")
             if type(rings) not in (list, tuple) or not rings:
                 raise AtlasParse(f"{code}: empty geometry")
             held[code] = tuple(_ring(ring, code) for ring in rings)
-        missing = sorted(set(ALL_CODES) - set(held))
+        missing = sorted(BY_CODE.keys() - held.keys())
         if missing:
             raise IncompleteAtlas(f"atlas missing regions: {', '.join(missing)}")
         xs, ys = zip(*(pt for rings in held.values() for ring in rings for pt in ring))
@@ -122,6 +166,11 @@ def load_atlas(document: str) -> Atlas:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise AtlasParse(f"not valid JSON: {exc}") from None
+    return _build_atlas(doc)
+
+
+def _build_atlas(doc: object) -> Atlas:
+    """The Atlas of a decoded atlas document, which it does not change."""
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise AtlasParse("document is not a FeatureCollection")
     features = doc.get("features")
@@ -169,8 +218,8 @@ def load_atlas(document: str) -> Atlas:
 
 @cache
 def load_default_atlas() -> Atlas:
-    """The bundled atlas, loaded once per process."""
-    return load_atlas(ATLAS_DOCUMENT)
+    """The bundled atlas, built once per process from the decoded document."""
+    return _build_atlas(_DOCUMENT)
 
 
 def _fit_transform(atlas: Atlas, frame: PanelFrame, pad: float = 0.04,

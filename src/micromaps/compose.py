@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import Any, NamedTuple
 
 from . import colors
-from .atlas import Atlas, render_minimap
+from .atlas import ALL_CODES, BY_CODE, Atlas, render_minimap
 from .colors import DEFAULT_PALETTE, Palette
 from .errors import (
     BadExtent,
@@ -50,13 +50,11 @@ from .glyphs import (
     render_dot,
     render_scatter,
     render_timeseries,
-    shared_style,
 )
 from .layout import ASCENDING, DESCENDING, LinkedLayout, SortSpec, build_layout
-from .regions import ALL_CODES, BY_CODE
 from .scale import Scale, format_tick, linear_scale, thin_labels
 from .scene import (Layers, Line, PanelFrame, PanelInfo, Rect, RowBand, Scene,
-                    Style, Text, check_canvas_side, clamp_scene)
+                    Style, Text, check_canvas_side, clamp_scene, shared_style)
 from .table import (
     RegionTable,
     SERIES,
@@ -345,7 +343,7 @@ def _build_bands(layout: LinkedLayout, palette: Palette, mode: str,
 def render_legend_column(name_style: str, frame: PanelFrame) -> Layers:
     """Color swatch plus region name, one row per row of the frame.
 
-    name_style "full" uses the registry's full names, "abbrev" the USPS
+    name_style "full" uses the atlas's full names, "abbrev" the USPS
     codes. The median row renders in the dedicated median color.
     """
     out = Layers()

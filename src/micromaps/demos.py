@@ -12,10 +12,10 @@ renders what ``micromaps render --config data/demos/X.json --data
 from pathlib import Path
 
 from .adapters import default_data_dir, load_table, snapshot_text
+from .atlas import ALL_CODES
 from .compose import ChartSpec
 from .config import parse_config
 from .errors import MicromapError, SnapshotError, SpecError
-from .regions import ALL_CODES
 from .table import RegionTable
 
 DEMO_NAMES = ("acs-dot", "acs-timeseries", "acs-pew", "qcew-arrows",
@@ -49,7 +49,7 @@ def build_demo(name: str, snapshot_dir: Path | None = None,
     """A demo's spec and table, loaded from the snapshot directory.
 
     A fault in a snapshot file is a ``SnapshotError`` that names it, and
-    every snapshot covers every region of the bundled atlas.
+    every snapshot covers every region of ``atlas.ALL_CODES``.
     """
     if name not in DEMO_NAMES:
         raise KeyError(f"unknown demo {name!r}; choose from {DEMO_NAMES}")

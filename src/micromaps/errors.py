@@ -45,7 +45,7 @@ class EmptyColumn(MicromapError):
 # --- regions and atlas -------------------------------------------------------
 
 class UnknownRegion(MicromapError):
-    """A key does not resolve to any region of the bundled atlas."""
+    """A key is none of the bundled atlas's regions (atlas.region_lookup)."""
 
 
 class AtlasParse(MicromapError):
@@ -53,7 +53,7 @@ class AtlasParse(MicromapError):
 
 
 class IncompleteAtlas(MicromapError):
-    """The atlas document does not cover every region of the bundled atlas."""
+    """The atlas document does not cover every region of atlas.ALL_CODES."""
 
 
 # --- layout and scales -------------------------------------------------------

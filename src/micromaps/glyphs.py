@@ -12,14 +12,13 @@ mark and a small "n/a" note where the row-glyph layout allows one.
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import cache
 from typing import Mapping, NamedTuple, Sequence
 
 from . import colors
 from .errors import EmptySamples, SeriesMismatch
 from .scale import Scale
 from .scene import (Circle, Layers, Line, PanelFrame, Polygon, Polyline, Rect,
-                    RowBand, Shape, Style, Text)
+                    RowBand, Shape, Style, Text, shared_style)
 from .values import value_type
 
 ARROW_HEAD_LENGTH = 7.0
@@ -30,9 +29,6 @@ CONTEXT_RADIUS = 2.0
 HIGHLIGHT_RADIUS = 3.4
 TICK_MARK = 3.0
 NA_FONT = 7.5
-# One object per fixed style and per row style (shared_style), so the SVG
-# writer's style cache hits by identity, not by comparing field by field.
-shared_style = cache(Style)
 CONTEXT_STYLE = Style(fill=colors.CONTEXT_POINT)
 NA_STYLE = Style(fill=colors.NO_DATA_COLOR, font_size=NA_FONT, anchor="start")
 GUIDE_STYLE = Style(stroke=colors.GUIDE_COLOR, stroke_width=0.6)

@@ -11,6 +11,8 @@ from typing import NamedTuple, Sequence
 from .errors import BadExtent, DomainOverflow
 from .values import value_type
 
+MAX_LABELS = 6  # time-series period labels kept by thin_labels
+
 
 @value_type
 class Scale(NamedTuple):
@@ -127,9 +129,9 @@ def format_tick(value: float) -> str:
     return f"{value:.6f}".rstrip("0").rstrip(".")
 
 
-def thin_labels(n: int, limit: int = 6) -> tuple[int, ...]:
-    """Indices of at most ``limit`` evenly stepped labels out of ``n``."""
+def thin_labels(n: int) -> tuple[int, ...]:
+    """Indices of at most MAX_LABELS evenly stepped labels out of ``n``."""
     if n <= 0:
         return ()
-    step = -(-n // limit)
+    step = -(-n // MAX_LABELS)
     return tuple(range(0, n, step))

@@ -9,6 +9,7 @@ it and never reaches the output document. Among a panel's marks,
 it has no fill, its stroke; marks drawn in a fixed style carry no such tag.
 """
 
+from functools import cache
 from math import inf
 from typing import Iterable, NamedTuple, Union
 
@@ -35,6 +36,11 @@ class Style(NamedTuple):
     stroke_width: float | None = None
     font_size: float | None = None
     anchor: str | None = None
+
+
+# One object per fixed style and per row style (shared_style), so the SVG
+# writer's style cache hits by identity, not by comparing field by field.
+shared_style = cache(Style)
 
 
 @value_type

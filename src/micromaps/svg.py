@@ -162,6 +162,8 @@ class _Writer:
 
     def points(self, points: tuple[tuple[float, float], ...]) -> str:
         """An SVG points text, formatted by one template per point count."""
+        if not set(map(len, points)) <= {2}:
+            raise TypeError(f"points must be (x, y) pairs, got {points!r}")
         template = self.point_lists.get(len(points))
         if template is None:
             template = self.point_lists[len(points)] = " ".join(

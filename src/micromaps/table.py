@@ -4,10 +4,10 @@ A RegionTable maps each region to one row of named columns. Columns are
 either scalar (one number per region) or series (one number per period
 label per region). Cells may be explicitly missing (None); renderers decide
 how missing data is presented. A table checks when made that each key is
-one of the bundled atlas's regions, each row holds its columns and each
-cell is finite. A cell is read as ``table.rows[code][name]``.
-``with_column`` is the one way to append a column, and ``column_extent``
-the rule for a column's span.
+in ``atlas.BY_CODE`` (the bundled atlas's regions), each row holds its
+columns and each cell is finite. A cell is read as
+``table.rows[code][name]``. ``with_column`` is the one way to append a
+column, and ``column_extent`` the rule for a column's span.
 
 All values are immutable after construction: ``rows`` and each row are
 read-only mappings, and every operation returns a new table, so tables can
@@ -21,6 +21,7 @@ import re
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Sequence
 
+from .atlas import BY_CODE, region_lookup
 from .errors import (
     CellParse,
     DuplicateRegion,
@@ -31,7 +32,6 @@ from .errors import (
     SeriesMismatch,
     UnknownRegion,
 )
-from .regions import ALL_CODES, region_lookup
 from .values import value_type
 
 SCALAR = "scalar"
@@ -70,7 +70,7 @@ class RegionTable(_TableFields):
             raise UnknownRegion("rows must map region codes to rows, got a "
                                 f"{type(rows).__name__}")
         for code, row in rows.items():
-            if code not in ALL_CODES:
+            if code not in BY_CODE:
                 raise UnknownRegion(f"row for unknown region {code!r}")
             if not isinstance(row, Mapping):
                 raise MissingColumn(f"row {code} is a {type(row).__name__}, "

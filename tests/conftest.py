@@ -7,11 +7,11 @@ import pytest
 from hypothesis import settings
 from pytest import approx
 
-from micromaps.atlas import Atlas, load_atlas, load_default_atlas
+from micromaps.atlas import (ALL_CODES, BY_CODE, Atlas, load_atlas,
+                             load_default_atlas)
 from micromaps.compose import ChartPlan, ColumnPlan
 from micromaps.demos import build_demo
 from micromaps.errors import MicromapError
-from micromaps.regions import ALL_CODES, BY_CODE
 from micromaps.scene import Circle, Line, PanelInfo, Scene, Shape
 from micromaps.table import Column, RegionTable
 

@@ -8,6 +8,7 @@ import pytest
 
 from micromaps import adapters
 from micromaps.adapters import load_table, snapshot_text
+from micromaps.atlas import ALL_CODES
 from micromaps.cli import run
 from micromaps.compose import plan_chart
 from micromaps.config import RenderConfig, parse_config
@@ -15,7 +16,6 @@ from micromaps.demos import build_demo
 from micromaps.errors import SnapshotError, SpecError
 from micromaps.glyphs import compute_box_stats
 from micromaps.layout import DESCENDING, SortSpec, order_regions
-from micromaps.regions import ALL_CODES
 from micromaps.table import (
     SERIES,
     Column,

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import builtins
 import copy
 import hashlib
+import io
 import json
 import math
 import pickle
@@ -14,7 +16,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from micromaps.atlas import Atlas, load_atlas, render_minimap
+from micromaps import atlas as atlas_mod
+from micromaps.atlas import (ALL_CODES, BY_CODE, Atlas, load_atlas,
+                             load_default_atlas, region_lookup, render_minimap)
 from micromaps.checks import check_chart
 from micromaps.colors import CONTEXT_FILL, CUMULATIVE_TINT, DEFAULT_PALETTE
 from micromaps.compose import (
@@ -34,7 +38,6 @@ from micromaps.errors import (
 )
 from micromaps.glyphs import PanelFrame, RowBand
 from micromaps.layout import GroupPlan, SortSpec
-from micromaps.regions import ALL_CODES, BY_CODE, region_lookup
 from micromaps.svg import emit_svg
 
 from conftest import full_table, make_table, square_atlas_document
@@ -135,6 +138,29 @@ def test_bundled_atlas_validates(default_atlas):
             for x, y in ring:
                 assert xmin <= x <= xmax
                 assert ymin <= y <= ymax
+
+
+def test_bundled_document_is_decoded_once_per_process(monkeypatch):
+    """The region list and the bundled atlas share one decoded document, read
+    at import: building the atlas again opens and decodes nothing, and gives
+    what ``load_atlas`` gives for the bundled text. The rebuilt atlas is
+    equal to the one it replaces, so later tests see the same value."""
+    cached = load_default_atlas()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bundled atlas was read or decoded again")
+
+    load_default_atlas.cache_clear()
+    for target, name in ((atlas_mod.json, "loads"),
+                         (json.JSONDecoder, "decode"), (builtins, "open"),
+                         (io, "open"), (Path, "open"), (Path, "read_text"),
+                         (Path, "read_bytes")):
+        monkeypatch.setattr(target, name, refuse)
+    rebuilt = load_default_atlas()
+    monkeypatch.undo()
+    assert rebuilt == cached and rebuilt is load_default_atlas()
+    bundled = Path(atlas_mod.__file__).parent / "data" / "us_atlas.json"
+    assert load_atlas(bundled.read_text("utf-8")) == cached
 
 
 def test_square_atlas_bounds(square_atlas):

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from micromaps.atlas import ALL_CODES
 import micromaps.cli
 import micromaps.demos
 from micromaps.adapters import snapshot_text
 from micromaps.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, run
 from micromaps.demos import PEW_FILE
-from micromaps.regions import ALL_CODES
 from micromaps.scene import Circle, Style
 from micromaps.table import parse_table
 

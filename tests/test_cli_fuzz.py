@@ -21,8 +21,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from micromaps.atlas import ALL_CODES
 from micromaps.cli import EXIT_OK, EXIT_VALIDATION, run
-from micromaps.regions import ALL_CODES
 
 CODES = ALL_CODES[:12]
 BINDINGS = {"dot": ("value",), "bar": ("value",), "arrow": ("start", "end"),

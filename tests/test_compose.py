@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from micromaps.atlas import ALL_CODES
 from micromaps.checks import check_color_linkage
 from micromaps.colors import CUMULATIVE_TINT, DEFAULT_PALETTE
 from micromaps.compose import (
@@ -25,7 +26,6 @@ from micromaps import glyphs
 from micromaps.glyphs import (TICK_STYLE, BoxStats, compute_box_stats,
                               render_boxplot, shared_style)
 from micromaps.layout import SortSpec, build_layout
-from micromaps.regions import ALL_CODES
 from micromaps.scale import linear_scale
 from micromaps.scene import (MAX_CANVAS, Circle, Line, PanelFrame, Rect, Text,
                              clamp_scene)

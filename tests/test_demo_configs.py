@@ -18,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from micromaps.atlas import ALL_CODES
 from micromaps.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, run
 from micromaps.demos import CONFIG_DIR, DEMO_NAMES, PEW_FILE, build_demo
-from micromaps.regions import ALL_CODES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "micromaps"
 DATA = PACKAGE / "data"

@@ -21,11 +21,10 @@ import hashlib
 import json
 from pathlib import Path
 
-from micromaps.atlas import load_atlas
+from micromaps.atlas import ALL_CODES, load_atlas
 from micromaps.checks import check_chart
 from micromaps.compose import ChartSpec, ColumnSpec, compose
 from micromaps.layout import SortSpec
-from micromaps.regions import ALL_CODES
 from micromaps.scene import (
     Circle,
     Line,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from micromaps.atlas import ALL_CODES
 from micromaps.colors import DEFAULT_PALETTE
 from micromaps.compose import NO_DATA_PANEL, ChartSpec, ColumnSpec, plan_chart
 from micromaps.errors import EmptySort, MissingColumn, SpecError
@@ -16,7 +17,6 @@ from micromaps.layout import (
     order_regions,
     partition_groups,
 )
-from micromaps.regions import ALL_CODES
 
 from conftest import make_table
 

@@ -15,12 +15,12 @@ import warnings
 import pytest
 
 from micromaps import atlas as atlas_mod
-from micromaps.atlas import load_atlas, load_default_atlas, render_minimap
+from micromaps.atlas import (ALL_CODES, load_atlas, load_default_atlas,
+                             render_minimap)
 from micromaps.compose import compose
 from micromaps.demos import build_demo
 from micromaps.errors import BadGeometry
 from micromaps.glyphs import PanelFrame, RowBand
-from micromaps.regions import ALL_CODES
 from micromaps.scene import (
     PlacedRing,
     Polygon,

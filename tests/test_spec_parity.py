@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from micromaps.atlas import ALL_CODES
 from micromaps.cli import EXIT_VALIDATION, run
 from micromaps.colors import DEFAULT_PALETTE, SLOT_COLORS
 from micromaps.compose import (CUMULATIVE, GROUP_ONLY, ChartSpec, ColumnSpec,
@@ -24,7 +25,6 @@ from micromaps.compose import (CUMULATIVE, GROUP_ONLY, ChartSpec, ColumnSpec,
 from micromaps.config import parse_config
 from micromaps.errors import MicromapError, SpecError, UnknownKey
 from micromaps.layout import SortSpec
-from micromaps.regions import ALL_CODES
 from micromaps.scene import Circle, Style
 
 BASE = {

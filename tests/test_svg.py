@@ -249,12 +249,14 @@ def test_non_finite_canvas_size_rejected():
 
 
 @pytest.mark.parametrize("points", [((1.0, 2.0, 3.0),), ((1.0,),),
-                                    ((1.0, 2.0), (3.0, 4.0, 5.0))])
+                                    ((1.0, 2.0), (3.0, 4.0, 5.0)),
+                                    ((1.0,), (2.0, 3.0, 4.0)),
+                                    ((2.0, 3.0, 4.0), (1.0,))])
 def test_points_that_are_not_pairs_are_a_type_error(points):
-    # A point list is formatted as one run of numbers, two per point, so
-    # a list whose count of numbers is not twice its points is refused.
+    # Every point must be a pair, even where the list's count of numbers
+    # is twice its points (one 1-number and one 3-number point).
     for shape in (Polyline(points), Polygon(points)):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="points must be"):
             emit_svg(Scene(10.0, 10.0, (shape,)))
 
 

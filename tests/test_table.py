@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from micromaps.atlas import ALL_CODES
 from micromaps.compose import ChartSpec, ColumnSpec, compose, plan_chart
 from micromaps.errors import (
     CellParse,
@@ -21,7 +22,6 @@ from micromaps.errors import (
     UnknownRegion,
 )
 from micromaps.layout import SortSpec
-from micromaps.regions import ALL_CODES
 from micromaps.table import (
     SERIES,
     Column,

@@ -15,7 +15,7 @@ from collections import namedtuple
 import pytest
 
 from micromaps.altcharts import ClassBreaks
-from micromaps.atlas import Atlas, load_default_atlas
+from micromaps.atlas import ALL_CODES, BY_CODE, Atlas, load_default_atlas
 from micromaps.colors import Palette
 from micromaps.compose import Band, ChartPlan, ChartSpec, ColumnPlan, ColumnSpec
 from micromaps.config import RenderConfig, SeriesBinding
@@ -23,7 +23,6 @@ from micromaps.demos import build_demo
 from micromaps.errors import BadBreaks, CellParse, MissingColumn
 from micromaps.glyphs import BoxStats
 from micromaps.layout import GroupPlan, LinkedLayout, SortSpec
-from micromaps.regions import ALL_CODES, BY_CODE
 from micromaps.scale import Scale
 from micromaps.scene import (
     Circle,
