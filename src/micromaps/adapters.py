@@ -96,8 +96,9 @@ def _join(table: RegionTable, name: str, directory: Path,
 def _plain_samples(reader: Iterator[list[str]], width: int, key: int,
                    value: int) -> dict[str, list[float]] | None:
     """Each region key's samples, in file order, when every row is
-    ``width`` cells wide and each region's sample cells are plain, finite
-    numbers (``table.plain_numbers``); else None."""
+    ``width`` cells wide and each region's sample cells are empty or plain,
+    finite numbers (``table.plain_numbers``); else None. An empty cell is a
+    skipped sample."""
     cells: dict[str, list[str]] = {}
     for record in reader:
         if len(record) != width:
@@ -109,7 +110,7 @@ def _plain_samples(reader: Iterator[list[str]], width: int, key: int,
     for raw, texts in cells.items():
         if (numbers := plain_numbers(texts)) is None:
             return None
-        by_key[raw] = numbers
+        by_key[raw] = [number for number in numbers if number is not None]
     return by_key
 
 

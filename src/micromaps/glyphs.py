@@ -91,14 +91,25 @@ def box_column(samples: Mapping[str, Sequence[float | None]],
                ) -> tuple[dict[str, BoxStats | None], tuple[float, float] | None]:
     """Each region's BoxStats, None with no sample, and column_extent's
     extent of all the samples, its first minimal and maximal cells."""
-    ordered = [sorted([s for s in cells if s is not None])
-               for cells in samples.values()]
-    stats = {code: compute_box_stats(data) if data else None
-             for code, data in zip(samples, ordered)}
-    # sorted() is stable: the first maximal cell is the first equal to the last.
-    lows = [data[0] for data in ordered if data]
-    highs = [data[bisect_left(data, data[-1])] for data in ordered if data]
-    return stats, (min(lows), max(highs)) if lows else None
+    stats = {code: compute_box_stats(cells)
+             if any(cell is not None for cell in cells) else None
+             for code, cells in samples.items()}
+    sampled = [(samples[code], box) for code, box in stats.items() if box]
+    if not sampled:
+        return stats, None
+    # A region's least and greatest samples: its first and last outliers
+    # when they lie past the whiskers, else the whiskers.
+    lows = [min((box.whisker_lo, *box.outliers[:1])) for _, box in sampled]
+    highs = [max((box.whisker_hi, *box.outliers[-1:])) for _, box in sampled]
+    return stats, (_first_cell(sampled, lows, min(lows)),
+                   _first_cell(sampled, highs, max(highs)))
+
+
+def _first_cell(sampled: list, ends: list[float], end: float) -> float:
+    """The first cell equal to ``end`` in the first region whose end it is,
+    as column_extent keeps it: it tells -0.0 from 0.0."""
+    cells = sampled[ends.index(end)][0]
+    return cells[cells.index(end)]
 
 
 def _na_label(frame: PanelFrame, row: RowBand) -> Text:

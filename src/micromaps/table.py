@@ -7,7 +7,13 @@ how missing data is presented. A table checks when made that each key is
 in ``atlas.BY_CODE`` (the bundled atlas's regions), each row holds its
 columns and each cell is finite. A cell is read as
 ``table.rows[code][name]``. ``with_column`` is the one way to append a
-column, and ``column_extent`` the rule for a column's span.
+column; it checks only the columns and cells it adds. ``column_extent``
+is the rule for a column's span.
+
+``parse_table`` reads a data row in one step (``plain_numbers``) when
+each of its cells is empty or a plain number, and cell by cell with
+``parse_number`` otherwise; both give the same values and the same first
+bad cell.
 
 All values are immutable after construction: ``rows`` and each row are
 read-only mappings, and every operation returns a new table, so tables can
@@ -18,8 +24,9 @@ import csv
 import io
 import math
 import re
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .atlas import BY_CODE, region_lookup
 from .errors import (
@@ -60,11 +67,7 @@ class RegionTable(_TableFields):
                 rows: Mapping[str, Mapping[str, object]]) -> "RegionTable":
         by_name: dict[str, Column] = {}
         for column in columns:
-            if column.name in by_name:
-                raise NameClash(f"column {column.name!r} already exists")
-            if column.kind not in (SCALAR, SERIES):
-                raise MissingColumn(f"column {column.name!r} has kind "
-                                    f"{column.kind!r}, not scalar or series")
+            cls._check_column(column, by_name)
             by_name[column.name] = column
         if not isinstance(rows, Mapping):
             raise UnknownRegion("rows must map region codes to rows, got a "
@@ -92,6 +95,15 @@ class RegionTable(_TableFields):
         each row read-only, so the caller keeps no other hold on them."""
         return tuple.__new__(cls, (columns, MappingProxyType(
             {code: MappingProxyType(row) for code, row in rows.items()})))
+
+    @staticmethod
+    def _check_column(column: Column, names: Collection[str]) -> None:
+        """A column's name is none of ``names``, and its kind is known."""
+        if column.name in names:
+            raise NameClash(f"column {column.name!r} already exists")
+        if column.kind not in (SCALAR, SERIES):
+            raise MissingColumn(f"column {column.name!r} has kind "
+                                f"{column.kind!r}, not scalar or series")
 
     @staticmethod
     def _check_cell(code: str, column: Column, value: Any) -> None:
@@ -176,17 +188,17 @@ def parse_number(text: str) -> float | None:
     return value
 
 
-def plain_numbers(cells: list[str]) -> list[float] | None:
-    """The cells as parse_number reads them when each is a finite number
-    in the plain form, tested for the whole list at once; else None, and
-    the caller reads each cell with parse_number."""
+def plain_numbers(cells: list[str]) -> list[float | None] | None:
+    """The cells as parse_number reads them when each is empty (None) or
+    a finite number in the plain form, tested for the whole row at once;
+    else None, and the caller reads each cell with parse_number."""
     if _NOT_PLAIN.search("".join(cells)):
         return None
     try:
-        numbers = list(map(float, cells))
-    except ValueError:  # such as "", "-" or "1.2.3"
+        numbers = [float(cell) if cell else None for cell in cells]
+    except ValueError:  # such as "-" or "1.2.3"
         return None
-    return numbers if math.isfinite(sum(numbers)) else None
+    return numbers if math.isfinite(sum(filter(None, numbers))) else None
 
 
 def parse_table(csv_text: str, region_column: str) -> RegionTable:
@@ -215,22 +227,26 @@ def parse_table(csv_text: str, region_column: str) -> RegionTable:
         if not any(map(str.strip, record)):
             continue
         if len(record) > len(header):
-            raise CellParse(record[region_idx], "", "row wider than header")
+            raise MissingColumn("row wider than header at line "
+                                f"{reader.line_num}")
         record += [""] * (len(header) - len(record))
         raw_key = record.pop(region_idx).strip()
         code = region_lookup(raw_key).code
         if code in rows:
             raise DuplicateRegion(f"duplicate row for region {code}")
-        try:
-            rows[code] = dict(zip(value_names, map(parse_number, record)))
-        except ValueError:  # name the first bad cell, in header order
-            for name, cell in zip(value_names, record):
-                try:
-                    parse_number(cell)
-                except ValueError as exc:
-                    raise CellParse(raw_key, name, str(exc)) from None
+        numbers = plain_numbers(record)
+        if numbers is None:
+            try:
+                numbers = list(map(parse_number, record))
+            except ValueError:  # name the first bad cell, in header order
+                for name, cell in zip(value_names, record):
+                    try:
+                        parse_number(cell)
+                    except ValueError as exc:
+                        raise CellParse(raw_key, name, str(exc)) from None
+        rows[code] = dict(zip(value_names, numbers))
 
-    # parse_number never returns a non-finite number.
+    # Neither read returns a non-finite number.
     return RegionTable._checked(tuple(map(Column, value_names)), rows)
 
 
@@ -265,25 +281,42 @@ def bind_series(table: RegionTable, column_names: Sequence[str],
             continue
         columns.append(c)
 
+    kept = [c.name for c in survivors]
+    keep, series = _cells_getter(kept), _cells_getter(column_names)
     rows: dict[str, dict[str, object]] = {}
     for code, row in table.rows.items():
-        new_row = {k: v for k, v in row.items() if k not in bound}
-        new_row[series_name] = tuple(row[name] for name in column_names)
-        rows[code] = new_row
+        rows[code] = new_row = dict(zip(kept, keep(row)))
+        new_row[series_name] = series(row)
     return RegionTable._checked(tuple(columns), rows)
+
+
+def _cells_getter(names: Sequence[str]) -> Callable[[Mapping], tuple]:
+    """A row's cells under ``names``, as a tuple (``itemgetter`` of one
+    name gives the bare cell)."""
+    if len(names) > 1:
+        return itemgetter(*names)
+    return lambda row: tuple(row[name] for name in names)
 
 
 def with_column(table: RegionTable,
                 *added: tuple[Column, Mapping[str, object]]) -> RegionTable:
     """Append each ``(column, values)`` pair in order, each region's cell
     from ``values``, a tuple for a series; a region without one gets None,
-    or all periods None. One new table holds and checks them all."""
-    rows = {code: dict(row) for code, row in table.rows.items()}
-    for column, values in added:
-        missing = (None,) * len(column.periods) if column.kind == SERIES else None
-        for code, row in rows.items():
-            row[column.name] = values.get(code, missing)
-    return RegionTable(table.columns + tuple(c for c, _ in added), rows)
+    or all periods None. One new table holds them all; only the added
+    columns and cells are checked, as ``RegionTable`` checks them."""
+    names = {c.name for c in table.columns}
+    for column, _ in added:
+        RegionTable._check_column(column, names)
+        names.add(column.name)
+    missing = [(None,) * len(c.periods) if c.kind == SERIES else None
+               for c, _ in added]
+    rows: dict[str, dict[str, object]] = {}
+    for code, row in table.rows.items():
+        rows[code] = row = dict(row)
+        for (column, values), empty in zip(added, missing):
+            row[column.name] = cell = values.get(code, empty)
+            RegionTable._check_cell(code, column, cell)
+    return RegionTable._checked(table.columns + tuple(c for c, _ in added), rows)
 
 
 def resolve_ref(table: RegionTable, ref: str) -> ColumnRef:

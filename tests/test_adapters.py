@@ -256,6 +256,19 @@ def test_samples_cells_are_read_as_data_cells(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_samples_of_plain_and_empty_cells_skip_the_empty_ones(tmp_path):
+    """A file of plain and empty cells is read in one step
+    (table.plain_numbers); an NA cell sends it cell by cell. Either way an
+    empty cell is a skipped sample."""
+    for last in ("", "AK,NA\n"):
+        (tmp_path / "long.csv").write_text(
+            "state,x\nUT,\nUT,1.5\nDC,-0\nUT,\nDC,\nAK,\n" + last)
+        table = load_table(_config(samples=SAMPLES),
+                           "state,v\nUT,1\nDC,2\nAK,3\n", tmp_path)
+        assert repr({code: row["s"] for code, row in table.rows.items()}) \
+            == "{'UT': (1.5,), 'DC': (-0.0,), 'AK': (None,)}"
+
+
 @pytest.mark.parametrize("cell, detail", [
     ("1_0", "not a number: '1_0' at line 4"),
     ("1e5", "not a number: '1e5' at line 4"),
@@ -283,6 +296,7 @@ def test_samples_cell_fault_names_the_file_and_line(tmp_path, capsys, cell,
     ("state,x\nUT,abc\nUT,1,2\n", "not a number: 'abc' at line 2"),
     ("state,x\nUT,1\nUT,1,2\nUT,abc\n", "row wider than header at line 3"),
     ("state,x\nUT,NA\nUT,\n", "no sample rows"),
+    ("state,x\nUT,\nUT,\n", "no sample rows"),
 ])
 def test_samples_file_tells_its_first_fault(tmp_path, text, detail):
     (tmp_path / "long.csv").write_text(text)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 from decimal import Decimal
@@ -79,8 +81,8 @@ def test_parse_unknown_region_is_hard_error():
     ("state,a,a\nUT,1,2\n", NameClash, "duplicate header names"),
     ("state,state,x\nUT,UT,1\n", NameClash, "duplicate header names"),
     ("state,x,state\nUT,1,UT\n", NameClash, "duplicate header names"),
-    ("state,a\nUT,1\nID,2,3\n", CellParse,
-     "cannot parse cell (row 'ID', column ''): row wider than header"),
+    ("state,a\nUT,1\nID,2,3\n", MissingColumn,
+     "row wider than header at line 3"),
 ])
 def test_parse_table_faults(text, error, message):
     with pytest.raises(error) as err:
@@ -112,6 +114,8 @@ def test_parse_number_forms():
 
 _REF_THOUSANDS = re.compile(r"^[+-]?\d{1,3}(,\d{3})+(\.\d*)?$")
 _REF_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
+# The plain form: ASCII digits, one optional sign and at most one dot.
+_PLAIN = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)")
 
 
 def reference_parse_number(text: str) -> float | None:
@@ -188,23 +192,31 @@ def test_parse_number_matches_the_reference(text):
 @example(["1", "9" * 309])
 @example(["1\n2"])
 @example(["1", ""])
+@example(["", ""])
+@example(["9" * 308, "9" * 308])
 def test_plain_numbers_declines_or_matches_parse_number(cells):
-    """plain_numbers, the one-step read of a samples file's cells, gives
-    parse_number's floats (repr tells -0.0 apart) or declines with None."""
+    """plain_numbers, the one-step read of a row's cells, gives
+    parse_number's values (repr tells -0.0 apart) or declines with None.
+    It declines no row whose cells are each empty or a plain number, unless
+    a value or their sum overflows."""
     numbers = plain_numbers(cells)
     if numbers is not None:
         assert repr(numbers) == repr([parse_number(cell) for cell in cells])
+    elif all(cell == "" or _PLAIN.fullmatch(cell) for cell in cells):
+        assert math.isinf(sum(float(cell) for cell in cells if cell))
 
 
 def test_plain_numbers_reads_a_plain_column():
     assert repr(plain_numbers(["1", "-0", ".5", "+2.", "-3.25"])) == \
         "[1.0, -0.0, 0.5, 2.0, -3.25]"
     assert plain_numbers([]) == []
+    # An empty cell is missing, as parse_number reads it.
+    assert plain_numbers(["", "1", ""]) == [None, 1.0, None]
     # Each finite alone, but their sum is not: declined, and parse_number
     # then reads both.
     assert plain_numbers(["9" * 308, "9" * 308]) is None
     for cells in (["1", "NA"], ["1", " 2"], ["1e5"], ["1_0"], ["1.2.3"],
-                  ["9" * 309], ["1", ""]):
+                  ["9" * 309], ["-"], ["."]):
         assert plain_numbers(cells) is None
 
 
@@ -220,6 +232,51 @@ def test_parse_table_names_overflowing_cell():
     with pytest.raises(CellParse) as info:
         parse_table("state,a,b\nUT,1,2\nID,3," + "9" * 400 + "\n", "state")
     assert (info.value.row, info.value.column) == ("ID", "b")
+
+
+_ROW_CELLS = st.sampled_from(["1", "-2.5", "", "NA", " 5 ", "1,234", "12%", "-",
+                             ".", "1e5", "nan", "9" * 309, "-0", "\u0663.5"])
+
+
+def reference_rows(rows: list[list[str]], names: list[str]):
+    """Each row read cell by cell with parse_number, a short row padded
+    with empty cells; or the CellParse of the first bad cell."""
+    out = {}
+    for code, cells in zip(ALL_CODES, rows):
+        out[code] = row = {}
+        for name, cell in zip(names, cells + [""] * len(names)):
+            try:
+                row[name] = parse_number(cell)
+            except ValueError as exc:
+                return CellParse(code, name, str(exc))
+    return out
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_ROW_CELLS, max_size=4), min_size=1, max_size=4))
+@example([["1", "9" * 309, "2"]])  # read cell by cell: out of range
+@example([["9" * 308, "9" * 308]])  # each finite, their sum is not
+@example([["1", "2", "3", "4"], ["-0"], []])  # padded with empty cells
+@example([["1", "", "NA", "x"]])
+def test_parse_table_reads_each_cell_as_parse_number(rows):
+    """Whichever way a row is read, in one step or cell by cell, the table
+    holds parse_number's values (repr tells -0.0 apart), or the first bad
+    cell is told as a cell-by-cell read tells it."""
+    names = ["a", "b", "c", "d"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["state", *names])
+    writer.writerows([code, *cells] for code, cells in zip(ALL_CODES, rows))
+    expected = reference_rows(rows, names)
+    try:
+        table = parse_table(out.getvalue(), "state")
+    except CellParse as exc:
+        assert isinstance(expected, CellParse)
+        assert (exc.row, exc.column, str(exc)) == (
+            expected.row, expected.column, str(expected))
+        return
+    assert repr({code: dict(row) for code, row in table.rows.items()}) == \
+        repr(expected)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -348,6 +405,43 @@ def test_bound_and_parsed_tables_equal_checked_tables():
     assert bound.rows["UT"] == {"b": None, "s": (3.0, 1.0)}
     with pytest.raises(MissingColumn, match="no column named 'd'"):
         bind_series(table, ["a", "d"], "s")
+
+
+def reference_bind_series(table: RegionTable, column_names: list[str],
+                          series_name: str) -> dict[str, dict[str, object]]:
+    """bind_series's rows as it once built them, key by key."""
+    bound = set(column_names)
+    rows = {}
+    for code, row in table.rows.items():
+        new_row = {k: v for k, v in row.items() if k not in bound}
+        new_row[series_name] = tuple(row[name] for name in column_names)
+        rows[code] = new_row
+    return rows
+
+
+@settings(max_examples=100)
+@given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6,
+                unique=True), st.data())
+def test_bind_series_matches_the_key_by_key_reference(names, data):
+    """Rows whose keys come in any order; a binding of one column, of some
+    or of all. Only the rows' key order may differ from the reference:
+    a row is read by column name, and tables compare rows as mappings."""
+    codes = data.draw(st.lists(st.sampled_from(ALL_CODES), min_size=1,
+                               max_size=5, unique=True))
+    cell = st.one_of(st.none(), st.sampled_from([0.0, -0.0]), st.floats(
+        allow_nan=False, allow_infinity=False))
+    rows = {code: {name: data.draw(cell)
+                   for name in data.draw(st.permutations(names))}
+            for code in codes}
+    table = RegionTable(tuple(map(Column, names)), rows)
+    binding = data.draw(st.permutations(names))
+    binding = binding[:data.draw(st.integers(1, len(binding)))]
+    bound = bind_series(table, binding, "s")
+    assert bound == RegionTable(bound.columns, bound.rows)
+    expected = reference_bind_series(table, binding, "s")
+    assert {code: repr(sorted(row.items()))
+            for code, row in bound.rows.items()} == \
+        {code: repr(sorted(row.items())) for code, row in expected.items()}
 
 
 def test_parse_quoted_fields_and_crlf():
@@ -510,6 +604,26 @@ def test_with_column_checks_what_the_table_checks(column, values, error,
     with pytest.raises(error) as err:
         with_column(table, (column, values))
     assert str(err.value) == message
+
+
+def test_with_column_checks_each_added_cell_once(monkeypatch):
+    """The table's own cells were checked when it was made; only the
+    added ones are checked again, each once."""
+    table = bind_series(parse_table("state,a,b\nUT,1,2\nID,3,4\nWY,5,\n",
+                                    "state"), ["b", "a"], "t")
+    checked = []
+    check_cell = RegionTable._check_cell
+
+    def counting(code, column, value):
+        checked.append((code, column.name))
+        check_cell(code, column, value)
+
+    monkeypatch.setattr(RegionTable, "_check_cell", staticmethod(counting))
+    extended = with_column(table, (Column("w"), {"UT": 1.0}),
+                           (Column("s", SERIES, ("p", "q")), {"ID": (2.0, None)}))
+    assert sorted(checked) == sorted((code, name) for code in ("UT", "ID", "WY")
+                                     for name in ("w", "s"))
+    assert extended.rows["WY"] == {"t": (None, 5.0), "w": None, "s": (None, None)}
 
 
 def plain_csv(table: RegionTable) -> str:
