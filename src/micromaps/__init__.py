@@ -1,32 +1,23 @@
 """Linked micromap charts for US state statistics.
 
-The pipeline: CSV -> RegionTable -> LinkedLayout -> Scene -> SVG. See the
+The pipeline: CSV -> RegionTable -> LinkedLayout -> Scene -> check gate ->
+SVG. ``__all__`` is exactly what README's Python API section imports from
+the package; every other helper is imported from its own module. See the
 README for the chart anatomy and the CLI entry points.
 """
 
 from .atlas import Atlas, load_atlas, load_default_atlas, render_minimap
-from .colors import DEFAULT_PALETTE, Palette
+from .checks import check_chart
+from .colors import Palette
 from .compose import (ChartPlan, ChartSpec, ColumnSpec, compose, plan_chart,
                       render_legend_column)
 from .errors import MicromapError
 from .glyphs import BoxStats, compute_box_stats
-from .layout import (
-    GroupPlan,
-    LinkedLayout,
-    SortSpec,
-    build_layout,
-    order_regions,
-    partition_groups,
-)
-from .scale import Scale, linear_scale
+from .layout import LinkedLayout, SortSpec
+from .scale import Scale
 from .scene import Scene
 from .svg import SvgOptions, emit_svg
-from .table import (
-    RegionTable,
-    bind_series,
-    column_extent,
-    parse_table,
-)
+from .table import RegionTable, bind_series, parse_table
 
 __all__ = [
     "Atlas",
@@ -35,8 +26,6 @@ __all__ = [
     "ChartSpec",
     "ClassBreaks",
     "ColumnSpec",
-    "DEFAULT_PALETTE",
-    "GroupPlan",
     "LinkedLayout",
     "MicromapError",
     "Palette",
@@ -46,17 +35,13 @@ __all__ = [
     "SortSpec",
     "SvgOptions",
     "bind_series",
-    "build_layout",
-    "column_extent",
+    "check_chart",
     "compose",
     "compute_box_stats",
     "emit_svg",
-    "linear_scale",
     "load_atlas",
     "load_default_atlas",
-    "order_regions",
     "parse_table",
-    "partition_groups",
     "plan_chart",
     "render_barchart_alpha",
     "render_choropleth",

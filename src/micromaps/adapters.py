@@ -5,8 +5,9 @@ series it binds, each ``data.join`` file (every value column attached by
 region) and each ``data.samples`` file (a long CSV, one sample per row).
 ``micromaps render`` and ``validate`` load through it, and so does
 ``demos.build_demo``. The join and samples files are read from the
-directory of the data file; a fault in one of them is a ``SnapshotError``
-that names the file. ``table.with_column`` appends and checks their columns.
+directory of the data file; a fault in one of them, a row for a region
+that the data file lacks among them, is a ``SnapshotError`` that names
+the file. ``table.with_column`` appends and checks their columns.
 
 The demos read frozen CSV snapshots committed under the package data
 directory (override with the MICROMAP_DATA_DIR environment variable or an
@@ -18,7 +19,7 @@ whose formats drift, and reproducible figures need frozen inputs.
 import csv
 import io
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .atlas import region_lookup
@@ -89,8 +90,32 @@ def _join(table: RegionTable, name: str, directory: Path,
         other = parse_table(text, region_column)
     except MicromapError as exc:
         raise SnapshotError(name, str(exc)) from None
+    _codes_in_table(name, table, other.rows)
     return with_column(table, *((column, scalar_values(other, column.name))
                                 for column in other.columns))
+
+
+def _codes_in_table(name: str, table: RegionTable,
+                    keys: Iterable[str]) -> dict[str, str]:
+    """Each region key of file ``name`` with its region's code. A key that
+    is no region, or whose region has no row in ``table``, is a
+    SnapshotError that lists them all."""
+    codes: dict[str, str] = {}
+    absent, unknown = [], []
+    for raw in keys:
+        try:
+            codes[raw] = code = region_lookup(raw).code
+        except UnknownRegion:
+            unknown.append(raw)
+            continue
+        if code not in table.rows:
+            absent.append(raw)
+    faults = [f"rows for {what}: " + ", ".join(sorted(raws))
+              for what, raws in (("regions not in the data file", absent),
+                                 ("unknown regions", unknown)) if raws]
+    if faults:
+        raise SnapshotError(name, "; ".join(faults))
+    return codes
 
 
 def _plain_samples(reader: Iterator[list[str]], width: int, key: int,
@@ -165,23 +190,10 @@ def _samples(table: RegionTable, source: SampleSource, directory: Path,
         by_key = _read_samples(name, text, len(header), key, value)
     if not any(by_key.values()):
         raise SnapshotError(name, "no sample rows")
+    codes = _codes_in_table(name, table, by_key)
     samples: dict[str, list[float]] = {}
-    absent, unknown = [], []
     for raw, values in by_key.items():
-        try:
-            code = region_lookup(raw).code
-        except UnknownRegion:
-            unknown.append(raw)
-            continue
-        if code in table.rows:
-            samples.setdefault(code, []).extend(values)
-        else:
-            absent.append(raw)
-    faults = [f"rows for {what}: " + ", ".join(sorted(raws))
-              for what, raws in (("regions not in the data file", absent),
-                                 ("unknown regions", unknown)) if raws]
-    if faults:
-        raise SnapshotError(name, "; ".join(faults))
+        samples.setdefault(codes[raw], []).extend(values)
     width = max(map(len, samples.values()))
     periods = tuple(f"c{i:03d}" for i in range(1, width + 1))
     padded = {code: tuple(values) + (None,) * (width - len(values))

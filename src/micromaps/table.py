@@ -138,9 +138,6 @@ class RegionTable(_TableFields):
                 return col
         raise MissingColumn(f"no column named {name!r}")
 
-    def has_column(self, name: str) -> bool:
-        return any(col.name == name for col in self.columns)
-
 
 @value_type
 class ColumnRef(NamedTuple):
@@ -321,14 +318,14 @@ def with_column(table: RegionTable,
 
 def resolve_ref(table: RegionTable, ref: str) -> ColumnRef:
     """Resolve a column reference: a column name, or "<series>:<period>"."""
-    if table.has_column(ref):
-        return ColumnRef(table.column(ref))
+    by_name = {col.name: col for col in table.columns}
+    if (col := by_name.get(ref)) is not None:
+        return ColumnRef(col)
     if ":" in ref:
         name, _, period = ref.rpartition(":")
-        if table.has_column(name):
-            col = table.column(name)
-            if col.kind == SERIES and period in col.periods:
-                return ColumnRef(col, col.periods.index(period))
+        col = by_name.get(name)
+        if col is not None and col.kind == SERIES and period in col.periods:
+            return ColumnRef(col, col.periods.index(period))
     raise MissingColumn(f"no column named {ref!r}")
 
 

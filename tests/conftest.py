@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -36,6 +37,16 @@ def square_atlas_document() -> str:
             "geometry": {"type": "Polygon", "coordinates": [ring]},
         })
     return json.dumps({"type": "FeatureCollection", "features": features})
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_api_blocks() -> list[str]:
+    """The python code blocks of README's "Python API" section, in order."""
+    text = README.read_text("utf-8")
+    section = text.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    return [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
 
 
 def make_table(values: dict[str, float | None],

@@ -188,6 +188,35 @@ def test_join_block_attaches_every_value_column(tmp_path):
     assert table.rows["DC"]["pro"] is None
 
 
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_join_rows_for_regions_not_in_the_data_file_are_refused(
+        tmp_path, monkeypatch, capsys, command):
+    """A join file's row for a region the data file lacks stops the load,
+    named by its code, as a samples file's row does; a join file that
+    covers only some of the data file's regions still loads."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "main.csv").write_text("state,v\nUT,1\nID,2\n")
+    (tmp_path / "extra.csv").write_text("state,w\nUT,3\nWyoming,4\n")
+    detail = "extra.csv: rows for regions not in the data file: WY"
+    with pytest.raises(SnapshotError) as err:
+        load_table(_config(join=[{"path": "extra.csv"}]),
+                   "state,v\nUT,1\nID,2\n", tmp_path)
+    assert str(err.value) == detail and not err.value.missing
+    (tmp_path / "chart.json").write_text(
+        _config_text(join=[{"path": "extra.csv"}]))
+    assert run([command, "--config", "chart.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"micromaps: error: {detail}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "chart.svg").exists()
+    (tmp_path / "extra.csv").write_text("state,w\nUT,3\n")
+    with pytest.warns(UserWarning, match="sort column 'v' is not shown"):
+        assert run([command, "--config", "chart.json", "--quiet"]) == 0
+    table = load_table(_config(join=[{"path": "extra.csv"}]),
+                       "state,v\nUT,1\nID,2\n", tmp_path)
+    assert (table.rows["UT"]["w"], table.rows["ID"]["w"]) == (3.0, None)
+
+
 def test_join_appends_each_file_in_one_call(tmp_path, monkeypatch):
     """One with_column call per join file, however wide, and the table it
     makes is the one that appending the columns one at a time makes."""

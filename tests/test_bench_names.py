@@ -1,19 +1,25 @@
-"""Every name the traced benchmark wraps must exist in the package.
+"""Every name the benchmark wraps or imports must exist in the package.
 
 ``bench/tracing.py`` patches each ``(module, attribute)`` of its ``SPANS``,
-``CLI_SPANS`` and ``COUNTS`` tables with a bare ``getattr``, so renaming or
-deleting one of those functions kills the traced benchmark run. This test
-reads the tables (without importing ``bench`` as a package or writing into
-it) and fails first.
+``CLI_SPANS`` and ``COUNTS`` tables with a bare ``getattr``, and
+``bench/worker.py`` and ``bench/tracedcli.py`` import from the package's
+modules, so renaming, moving or deleting one of those names kills a
+benchmark run. These tests read the tables and the import statements
+(without importing ``bench`` as a package or writing into it) and fail
+first.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import runpy
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def test_traced_names_resolve():
@@ -21,5 +27,28 @@ def test_traced_names_resolve():
     entries = tables["SPANS"] + tables["CLI_SPANS"] + tables["COUNTS"]
     assert entries
     missing = [(module, name) for module, name, _ in entries
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("script", ["worker.py", "tracedcli.py"])
+def test_bench_imports_resolve(script):
+    """Each ``import micromaps.<module>`` and ``from micromaps.<module>
+    import <name>`` in the script, at any depth, resolves."""
+    tree = ast.parse((BENCH / script).read_text("utf-8"), script)
+    modules, names = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+            names += [(node.module, alias.name) for alias in node.names]
+    modules = [name for name in modules if name.split(".")[0] == "micromaps"]
+    names = [(module, name) for module, name in names
+             if module.split(".")[0] == "micromaps"]
+    assert modules or names
+    for module in modules:
+        importlib.import_module(module)
+    missing = [(module, name) for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []

@@ -19,6 +19,8 @@ from micromaps.demos import PEW_FILE
 from micromaps.scene import Circle, Style
 from micromaps.table import parse_table
 
+from conftest import readme_api_blocks
+
 CONFIG = {
     "title": "Rates",
     "data": {"path": "rates.csv", "region_column": "state"},
@@ -259,18 +261,20 @@ def test_readme_config_example_renders(tmp_path, monkeypatch):
 
 
 def test_readme_python_api_example_runs(tmp_path, monkeypatch):
-    """The README's two Python blocks run, in order, in one namespace, on
-    the ACS 2022 response rates."""
+    """The Python blocks of README's Python API section run, in order, in
+    one namespace, on the ACS 2022 response rates, and take every name
+    from the package."""
     monkeypatch.chdir(tmp_path)
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
-    assert len(blocks) == 2
+    blocks = readme_api_blocks()
+    assert len(blocks) > 2
     table = parse_table(snapshot_text("acs_response_rates.csv"), "state")
     (tmp_path / "rates.csv").write_text("state,rate\n" + "".join(
         f"{code},{table.rows[code]['2022']}\n" for code in ALL_CODES))
     namespace: dict = {}
-    for block in blocks:
-        exec(block, namespace)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in blocks:
+            exec(block, namespace)
     ET.parse(tmp_path / "chart.svg")
     assert namespace["plan"].absent == ()
 

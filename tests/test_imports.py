@@ -12,6 +12,7 @@ baselines in `altcharts` load on first use.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ import pytest
 
 import micromaps
 from micromaps import altcharts
+
+from conftest import readme_api_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 UNWANTED = ("xml.sax", "urllib.request", "http.client", "ssl", "email",
@@ -46,8 +49,10 @@ def test_exports_resolve_after_cli_import():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     code = ("import inspect, micromaps.cli, micromaps\n"
-            "from micromaps import compose, ClassBreaks, render_choropleth\n"
+            "from micromaps import (check_chart, compose, ClassBreaks,\n"
+            "                       render_choropleth)\n"
             "assert inspect.isfunction(compose), compose\n"
+            "assert check_chart is micromaps.cli.check_chart\n"
             "assert isinstance(ClassBreaks, type), ClassBreaks\n"
             "assert inspect.isfunction(render_choropleth)\n"
             "print(' '.join(n for n in micromaps.__all__\n"
@@ -56,6 +61,35 @@ def test_exports_resolve_after_cli_import():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_all_is_what_readme_imports():
+    """``__all__`` is the set of names README's Python API section imports
+    from the package, and no block there imports a submodule."""
+    package, other = set(), []
+    for block in readme_api_blocks():
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "micromaps":
+                package.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                other.append(node.module)
+            elif isinstance(node, ast.Import):
+                other += [alias.name for alias in node.names]
+    assert sorted(micromaps.__all__) == sorted(package)
+    assert not [name for name in other if name.split(".")[0] == "micromaps"]
+
+
+@pytest.mark.parametrize("module, name", [
+    ("colors", "DEFAULT_PALETTE"), ("layout", "GroupPlan"),
+    ("layout", "build_layout"), ("table", "column_extent"),
+    ("scale", "linear_scale"), ("layout", "order_regions"),
+    ("layout", "partition_groups")])
+def test_helpers_import_from_their_own_modules(module, name):
+    """Helpers README does not document are not exported, but stay where
+    the package, the benchmark and the tests import them from."""
+    assert hasattr(importlib.import_module(f"micromaps.{module}"), name)
+    assert name not in micromaps.__all__
+    assert not hasattr(micromaps, name)
 
 
 def test_lazy_exports_resolve_in_process():
