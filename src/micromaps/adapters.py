@@ -10,15 +10,14 @@ that the data file lacks among them, is a ``SnapshotError`` that names
 the file. ``table.with_column`` appends and checks their columns.
 
 The demos read frozen CSV snapshots committed under the package data
-directory (override with the MICROMAP_DATA_DIR environment variable or an
-explicit ``snapshot_dir``); provenance is recorded in data/MANIFEST.json.
+directory (or an explicit ``snapshot_dir``, as ``demo --data DIR`` passes);
+provenance is recorded in data/MANIFEST.json.
 Nothing is fetched at runtime: the source pages serve interactive tables
 whose formats drift, and reproducible figures need frozen inputs.
 """
 
 import csv
 import io
-import os
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -39,9 +38,6 @@ from .table import (
 
 
 def default_data_dir() -> Path:
-    env = os.environ.get("MICROMAP_DATA_DIR")
-    if env:
-        return Path(env)
     return Path(__file__).parent / "data"
 
 
@@ -99,7 +95,7 @@ def _codes_in_table(name: str, table: RegionTable,
                     keys: Iterable[str]) -> dict[str, str]:
     """Each region key of file ``name`` with its region's code. A key that
     is no region, or whose region has no row in ``table``, is a
-    SnapshotError that lists them all."""
+    SnapshotError that lists them all, each unknown key by its repr."""
     codes: dict[str, str] = {}
     absent, unknown = [], []
     for raw in keys:
@@ -110,60 +106,32 @@ def _codes_in_table(name: str, table: RegionTable,
             continue
         if code not in table.rows:
             absent.append(raw)
-    faults = [f"rows for {what}: " + ", ".join(sorted(raws))
-              for what, raws in (("regions not in the data file", absent),
-                                 ("unknown regions", unknown)) if raws]
+    faults = [f"rows for {what}: " + ", ".join(map(form, sorted(raws)))
+              for what, raws, form in (
+                  ("regions not in the data file", absent, str),
+                  ("unknown regions", unknown, repr)) if raws]
     if faults:
         raise SnapshotError(name, "; ".join(faults))
     return codes
 
 
-def _plain_samples(reader: Iterator[list[str]], width: int, key: int,
-                   value: int) -> dict[str, list[float]] | None:
-    """Each region key's samples, in file order, when every row is
-    ``width`` cells wide and each region's sample cells are empty or plain,
-    finite numbers (``table.plain_numbers``); else None. An empty cell is a
-    skipped sample."""
-    cells: dict[str, list[str]] = {}
-    for record in reader:
-        if len(record) != width:
-            if record:
-                return None
-            continue
-        cells.setdefault(record[key].strip(), []).append(record[value])
-    by_key = {}
-    for raw, texts in cells.items():
-        if (numbers := plain_numbers(texts)) is None:
-            return None
-        by_key[raw] = [number for number in numbers if number is not None]
-    return by_key
-
-
-def _read_samples(name: str, text: str, width: int, key: int, value: int,
-                  ) -> dict[str, list[float]]:
-    """Each region key's samples, in file order, each cell read with
-    ``parse_number`` as the data CSV's cells are: an empty or NA cell is a
-    skipped sample. The first fault in the file is a SnapshotError that
-    names its line."""
+def _faults(name: str, text: str, width: int,
+            value: int) -> Iterator[SnapshotError]:
+    """The faults of samples file ``name``, in line order: each row that is
+    not ``width`` cells wide, and each sample cell that ``parse_number``
+    refuses, as a SnapshotError that names its line."""
     reader = csv.reader(io.StringIO(text, newline=""))
     next(reader)
-    by_key: dict[str, list[float]] = {}
     for record in reader:
-        if len(record) != width:
-            if not record:
-                continue
+        if len(record) == width:
+            try:
+                parse_number(record[value])
+            except ValueError as exc:
+                yield SnapshotError(name, f"{exc} at line {reader.line_num}")
+        elif record:
             side = "wider" if len(record) > width else "narrower"
-            raise SnapshotError(name, f"row {side} than header "
+            yield SnapshotError(name, f"row {side} than header "
                                       f"at line {reader.line_num}")
-        try:
-            number = parse_number(record[value])
-        except ValueError as exc:
-            raise SnapshotError(name, f"{exc} at line {reader.line_num}"
-                                ) from None
-        found = by_key.setdefault(record[key].strip(), [])
-        if number is not None:
-            found.append(number)
-    return by_key
 
 
 def _samples(table: RegionTable, source: SampleSource, directory: Path,
@@ -172,7 +140,9 @@ def _samples(table: RegionTable, source: SampleSource, directory: Path,
 
     Each region's samples fill the periods ``c001``, ``c002``, ... in file
     order; the series is as long as the largest sample, and the rest of
-    every shorter one is missing.
+    every shorter one is missing. A region's cells are read in one step
+    when each is empty or plain (``table.plain_numbers``), else each with
+    ``parse_number``: an empty or NA cell is a skipped sample.
     """
     name = source.path
     text = snapshot_text(name, directory).lstrip("\ufeff")
@@ -185,9 +155,22 @@ def _samples(table: RegionTable, source: SampleSource, directory: Path,
         raise SnapshotError(name, "duplicate header names")
     key = header.index(region_column)
     value = header.index(source.column)
-    by_key = _plain_samples(reader, len(header), key, value)
-    if by_key is None:
-        by_key = _read_samples(name, text, len(header), key, value)
+    # Scanned only on a fault, for the first one in the file.
+    faults = _faults(name, text, len(header), value)
+    cells: dict[str, list[str]] = {}
+    for record in reader:
+        if len(record) == len(header):
+            cells.setdefault(record[key].strip(), []).append(record[value])
+        elif record:
+            raise next(faults)
+    by_key: dict[str, list[float]] = {}
+    for raw, texts in cells.items():
+        if (numbers := plain_numbers(texts)) is None:
+            try:
+                numbers = list(map(parse_number, texts))
+            except ValueError:
+                raise next(faults) from None
+        by_key[raw] = [number for number in numbers if number is not None]
     if not any(by_key.values()):
         raise SnapshotError(name, "no sample rows")
     codes = _codes_in_table(name, table, by_key)

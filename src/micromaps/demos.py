@@ -36,7 +36,7 @@ bundled (the dataset requires registration). To run it:
      (state = USPS code or full name; value = percent, e.g. 52.1)
 
   2. Save it as {PEW_FILE} in the data directory (the bundled one,
-     $MICROMAP_DATA_DIR, or the directory passed via --data).
+     or the directory passed via --data).
 
   3. Re-run: micromaps demo acs-pew
 """

@@ -266,25 +266,18 @@ def bind_series(table: RegionTable, column_names: Sequence[str],
     if any(c.name == series_name for c in survivors):
         raise NameClash(f"column {series_name!r} already exists")
 
-    # The series column takes the slot of the first bound column in table order.
-    series_col = Column(series_name, SERIES, tuple(column_names))
-    columns: list[Column] = []
-    placed = False
-    for c in table.columns:
-        if c.name in bound:
-            if not placed:
-                columns.append(series_col)
-                placed = True
-            continue
-        columns.append(c)
-
     kept = [c.name for c in survivors]
     keep, series = _cells_getter(kept), _cells_getter(column_names)
     rows: dict[str, dict[str, object]] = {}
     for code, row in table.rows.items():
         rows[code] = new_row = dict(zip(kept, keep(row)))
         new_row[series_name] = series(row)
-    return RegionTable._checked(tuple(columns), rows)
+    # The series column takes the slot of the first bound column in table
+    # order: every column before that one survives, so the slot's index is
+    # the same among the survivors.
+    first = next(i for i, c in enumerate(table.columns) if c.name in bound)
+    survivors.insert(first, Column(series_name, SERIES, tuple(column_names)))
+    return RegionTable._checked(tuple(survivors), rows)
 
 
 def _cells_getter(names: Sequence[str]) -> Callable[[Mapping], tuple]:

@@ -19,6 +19,7 @@ from micromaps.layout import DESCENDING, SortSpec, order_regions
 from micromaps.table import (
     SERIES,
     Column,
+    parse_number,
     parse_table,
     scalar_values,
     with_column,
@@ -121,17 +122,38 @@ def test_samples_block_matches_a_dict_reader_reference():
     assert repr(build_demo("ers-boxscatter")[1]) == repr(expected)
 
 
-def test_county_file_reads_alike_in_one_pass_and_cell_by_cell():
-    """The bundled county file takes the one-pass read of plain cells; the
-    cell-by-cell read with parse_number, which any other file takes, gives
-    the same samples (repr also pins their order and every zero's sign)."""
-    text = snapshot_text(ERS_COUNTY_FILE)
+def _cell_by_cell(text: str, value: int) -> dict[str, tuple]:
+    """A samples file's samples by region key, each cell read with
+    parse_number: the reference the one-pass read is held to."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    assert next(reader) == ["state", "county", "access_change_2010_2015"]
-    plain = adapters._plain_samples(reader, 3, 0, 2)
-    assert plain is not None and len(plain) == 51
-    assert repr(plain) == repr(adapters._read_samples(ERS_COUNTY_FILE, text,
-                                                      3, 0, 2))
+    next(reader)
+    samples: dict[str, list[float]] = {}
+    for record in filter(None, reader):
+        number = parse_number(record[value])
+        found = samples.setdefault(record[0].strip(), [])
+        if number is not None:
+            found.append(number)
+    return {key: tuple(values) for key, values in samples.items()}
+
+
+def _loaded(table, name: str, keys) -> dict[str, tuple]:
+    """A loaded series column's samples for each region key, in the order
+    of ``keys``, without the missing cells that pad them."""
+    return {key: tuple(v for v in table.rows[key][name] if v is not None)
+            for key in keys}
+
+
+def test_county_file_reads_alike_in_one_pass_and_cell_by_cell():
+    """The bundled county file's loaded column is its cells read one by
+    one with parse_number (repr also pins the region order and every
+    zero's sign)."""
+    text = snapshot_text(ERS_COUNTY_FILE)
+    assert text.startswith("state,county,access_change_2010_2015\n")
+    expected = _cell_by_cell(text, 2)
+    assert len(expected) == 51
+    loaded = _loaded(build_demo("ers-boxscatter")[1], "county_access_change",
+                     expected)
+    assert repr(loaded) == repr(expected)
 
 
 def test_build_demo_reads_the_county_file_on_every_call(tmp_path):
@@ -158,12 +180,6 @@ def test_ill_formed_snapshot(tmp_path):
     with pytest.raises(SnapshotError) as err:
         build_demo("acs-dot", tmp_path)
     assert not err.value.missing
-
-
-def test_snapshot_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("MICROMAP_DATA_DIR", str(tmp_path))
-    with pytest.raises(SnapshotError):
-        snapshot_text("acs_response_rates.csv")
 
 
 def _config_text(**data) -> str:
@@ -298,6 +314,26 @@ def test_samples_of_plain_and_empty_cells_skip_the_empty_ones(tmp_path):
             == "{'UT': (1.5,), 'DC': (-0.0,), 'AK': (None,)}"
 
 
+def test_samples_of_plain_and_other_cells_read_as_cell_by_cell(
+        tmp_path, monkeypatch):
+    """UT's cells are plain and ID's are not; the file is read once, to
+    the values of the cell-by-cell reference."""
+    text = ('state,x\nUT,1\nID,NA\nUT,-0\nID, 7 \nID,"1,234"\nUT,2.5\n'
+            "ID,12%\n")
+    (tmp_path / "long.csv").write_text(text)
+    read, reader = [], csv.reader
+    monkeypatch.setattr(csv, "reader",
+                        lambda lines, **kw: read.append(lines.getvalue())
+                        or reader(lines, **kw))
+    table = load_table(_config(samples=SAMPLES), "state,v\nUT,1\nID,2\n",
+                       tmp_path)
+    assert read.count(text) == 1
+    expected = _cell_by_cell(text, 1)
+    assert repr(expected) == \
+        "{'UT': (1.0, -0.0, 2.5), 'ID': (7.0, 1234.0, 12.0)}"
+    assert repr(_loaded(table, "s", expected)) == repr(expected)
+
+
 @pytest.mark.parametrize("cell, detail", [
     ("1_0", "not a number: '1_0' at line 4"),
     ("1e5", "not a number: '1e5' at line 4"),
@@ -324,6 +360,9 @@ def test_samples_cell_fault_names_the_file_and_line(tmp_path, capsys, cell,
 @pytest.mark.parametrize("text, detail", [
     ("state,x\nUT,abc\nUT,1,2\n", "not a number: 'abc' at line 2"),
     ("state,x\nUT,1\nUT,1,2\nUT,abc\n", "row wider than header at line 3"),
+    # The first bad cell in the file is not in the first region read.
+    ("state,x\nUT,1\nID,abc\nUT,xyz\n", "not a number: 'abc' at line 3"),
+    ("state,x\nUT,1\nID,abc\nUT,1,2\n", "not a number: 'abc' at line 3"),
     ("state,x\nUT,NA\nUT,\n", "no sample rows"),
     ("state,x\nUT,\nUT,\n", "no sample rows"),
 ])
@@ -336,9 +375,9 @@ def test_samples_file_tells_its_first_fault(tmp_path, text, detail):
 
 @pytest.mark.parametrize("keys, detail", [
     ("AL WY ZZ", "rows for regions not in the data file: WY; "
-                 "rows for unknown regions: ZZ"),
+                 "rows for unknown regions: 'ZZ'"),
     ("AL Wyoming AK", "rows for regions not in the data file: Wyoming"),
-    ("ZZ AL QQ", "rows for unknown regions: QQ, ZZ"),
+    ("ZZ AL QQ", "rows for unknown regions: 'QQ', 'ZZ'"),
 ])
 def test_samples_rows_for_absent_and_unknown_regions_are_told_apart(
         tmp_path, capsys, keys, detail):

@@ -147,13 +147,6 @@ def test_demo_snapshot_that_cannot_be_read_is_io_error(tmp_path, monkeypatch,
     assert "not found" not in err and err.count("\n") == 1
 
 
-def test_demo_env_var_overrides_data_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("MICROMAP_DATA_DIR", str(tmp_path / "nowhere"))
-    assert run(["demo", "acs-dot"]) == 2
-    capsys.readouterr()
-
-
 def test_demo_pew_without_csv_prints_instructions(tmp_path, monkeypatch,
                                                   capsys):
     monkeypatch.chdir(tmp_path)
@@ -547,7 +540,10 @@ SAMPLES = {"name": "s", "path": "long.csv", "column": "x"}
     ("long.csv", "state,x,state\nUT,1,ID\n", EXIT_VALIDATION,
      "long.csv: duplicate header names\n"),
     ("long.csv", "state,x\nUT,1\nZZ,2\nQQ,3\nZZ,4\n", EXIT_VALIDATION,
-     "long.csv: rows for unknown regions: QQ, ZZ\n"),
+     "long.csv: rows for unknown regions: 'QQ', 'ZZ'\n"),
+    # An empty key and a quoted key with a comma are each named as one.
+    ("long.csv", 'state,x\n,5\n"Foo, Bar",1\nUT,1\n', EXIT_VALIDATION,
+     "long.csv: rows for unknown regions: '', 'Foo, Bar'\n"),
     ("extra.csv", None, EXIT_IO, "not found in "),
     ("extra.csv", "state,w\nZZ,1\n", EXIT_VALIDATION,
      "unknown region: 'ZZ'"),
