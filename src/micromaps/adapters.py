@@ -23,7 +23,8 @@ from pathlib import Path
 
 from .atlas import region_lookup
 from .config import RenderConfig, SampleSource
-from .errors import MicromapError, NameClash, SnapshotError, SpecError, UnknownRegion
+from .errors import (EmptyBinding, MicromapError, MissingColumn, NameClash,
+                     SnapshotError, SpecError, UnknownRegion)
 from .table import (
     SERIES,
     Column,
@@ -57,15 +58,22 @@ def snapshot_text(name: str, snapshot_dir: Path | str | None = None) -> str:
 def load_table(config: RenderConfig, text: str, directory: Path) -> RegionTable:
     """The table ``config`` describes, with ``text`` as its data file.
 
-    A fault in ``text`` raises as ``parse_table`` and ``bind_series`` raise
-    it. The join and samples files are read from ``directory``; a column
-    one of them would add that the table already has (``with_column``'s
-    ``NameClash``) is a ``SpecError`` at its ``data.join[i]`` or
-    ``data.samples[i].name``, raised after any fault in the file itself.
+    A fault in ``text`` raises as ``parse_table`` raises it. A binding
+    ``bind_series`` refuses is a ``SpecError`` at ``data.series[i].name``
+    for its name's clash, else at ``data.series[i].columns``. The join and
+    samples files are read from ``directory``; a column one of them would
+    add that the table already has (``with_column``'s ``NameClash``) is a
+    ``SpecError`` at its ``data.join[i]`` or ``data.samples[i].name``,
+    raised after any fault in the file itself.
     """
     table = parse_table(text, config.region_column)
-    for binding in config.series:
-        table = bind_series(table, list(binding.columns), binding.name)
+    for i, binding in enumerate(config.series):
+        try:
+            table = bind_series(table, list(binding.columns), binding.name)
+        except (EmptyBinding, MissingColumn, NameClash) as exc:
+            clash = str(exc) == f"column {binding.name!r} already exists"
+            path = f"data.series[{i}].{'name' if clash else 'columns'}"
+            raise SpecError(path, str(exc)) from None
     try:
         for i, name in enumerate(config.join):
             path = f"data.join[{i}]"

@@ -387,9 +387,10 @@ def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
              if k.width_f is not None}
     glyph_space = (w - 2 * margin - gap * (len(spec.columns) - 1)
                    - (fixed[MAP] + fixed[LEGEND]))
+    weights = {i: float(c.options.get("weight", 1.0))
+               for i, c in enumerate(spec.columns) if c.kind not in fixed}
     # Every weight is positive, so the total is 0 only with no glyph column.
-    total_weight = sum(float(c.options.get("weight", 1.0))
-                       for c in spec.columns if c.kind not in fixed)
+    total_weight = sum(weights.values())
     if glyph_space <= 0 and total_weight:
         raise SpecError("columns", "canvas too narrow for the column count")
 
@@ -398,12 +399,15 @@ def _column_x_layout(spec: ChartSpec) -> list[tuple[ColumnSpec, float, float]]:
     for i, column in enumerate(spec.columns):
         width = fixed.get(column.kind)
         if width is None:
-            weight = float(column.options.get("weight", 1.0))
-            width = glyph_space * weight / total_weight
+            width = glyph_space * weights[i] / total_weight
             # False for NaN, overflow, and a width too small to add to x.
             if not x < x + width <= w:
-                raise SpecError(f"columns[{i}].options.weight",
-                                f"leaves the column no room (width {width:g})")
+                # A column that sets no weight is starved by the largest.
+                at = (i if "weight" in column.options
+                      else max(weights, key=weights.__getitem__))
+                room = "the column" if at == i else f"columns[{i}]"
+                raise SpecError(f"columns[{at}].options.weight",
+                                f"leaves {room} no room (width {width:g})")
         out.append((column, x, width))
         x += width + gap
     return out

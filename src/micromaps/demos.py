@@ -58,9 +58,13 @@ def build_demo(name: str, snapshot_dir: Path | None = None,
     text = snapshot_text(config.data_path, directory)
     try:
         table = load_table(config, text, directory)
-    except (SnapshotError, SpecError):
+    except SnapshotError:
         raise
     except MicromapError as exc:
+        # A join or samples column clash keeps its path; a series binding
+        # names columns the snapshot must hold, so its fault is the file's.
+        if isinstance(exc, SpecError) and not exc.path.startswith("data.series"):
+            raise
         raise SnapshotError(config.data_path, str(exc)) from None
     if len(table.rows) != len(ALL_CODES):
         raise SnapshotError(config.data_path, f"expected {len(ALL_CODES)} "

@@ -9,9 +9,11 @@ self-contained. Each shape type has its own writer. A rect, circle, line
 or text is written with one %-format call, from a template made once per
 emit_svg call for its shape type and Style, with the style's attributes
 in it; a point list (a polyline's, a glyph polygon's, a map ring's first
-points text) is formatted with one template per point count. The written
-text is then tested once: a non-finite number ("nan", "inf") raises, and
-every "-0.00" becomes "0.00". A rect, circle, line or text whose line
+points text) is its y values formatted into a template that holds its x
+values' text, made once per run of x values, so lines and rings that
+share their x values write that text once. The written text is then
+tested once: a non-finite number ("nan", "inf") raises, and every "-0.00"
+becomes "0.00". A rect, circle, line or text whose line
 shows either, in a number or in its style's own text, goes through the
 exact path, which formats and tests its numbers on their own and leaves
 the style's text as it is; a text's content is added after the test.
@@ -33,7 +35,6 @@ Text and attribute values are escaped here and lose the characters XML
 
 import re
 from functools import cache, partial
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import BadGeometry, SpecError
@@ -118,13 +119,13 @@ class _Writer:
     def __init__(self, dp: int) -> None:
         self.dp = dp
         self.number = number = f"%.{dp}f"
-        self.pair = f"{number},{number}"
+        self.x_pair = f"{number},%{number}"  # "%.2f,%%.2f": x, then y's slot
         self.spaced = {n: " ".join([number] * n) for n in (2, 3, 4)}
         self.zero = _fmt(0.0, dp)
         self.minus_zero = "-" + self.zero
         self.style = cache(partial(_style_attrs, dp=dp))
         self.template = cache(self._template)
-        self.point_lists: dict[int, str] = {}
+        self.point_lists: dict[tuple[float, ...], str] = {}
         self.by_type = {Rect: self.rect, Circle: self.circle, Line: self.line,
                         Polyline: self.polyline, Polygon: self.polygon,
                         Text: self.text}
@@ -161,14 +162,17 @@ class _Writer:
             self.numbers(self.spaced[len(numbers)] % numbers).split()))
 
     def points(self, points: tuple[tuple[float, float], ...]) -> str:
-        """An SVG points text, formatted by one template per point count."""
+        """An SVG points text: its y values put in its x values' template."""
         if not set(map(len, points)) <= {2}:
             raise TypeError(f"points must be (x, y) pairs, got {points!r}")
-        template = self.point_lists.get(len(points))
+        xs, ys = zip(*points) if points else ((), ())
+        # Equal keys (0.0 and -0.0, 1 and True) write alike once numbers()
+        # has fixed minus zero; a NaN raises there whichever key it is.
+        template = self.point_lists.get(xs)
         if template is None:
-            template = self.point_lists[len(points)] = " ".join(
-                [self.pair] * len(points))
-        return self.numbers(template % tuple(chain.from_iterable(points)))
+            template = self.point_lists[xs] = " ".join(
+                [self.x_pair] * len(xs)) % xs
+        return self.numbers(template % ys)
 
     def rect(self, s: Rect) -> str:
         return self.element(_RECT, s.style, (s.height, s.width, s.x, s.y))

@@ -388,6 +388,33 @@ def test_data_fault_is_one_line_at_its_path_in_validate_and_render(
     assert not (workspace / "fault.svg").exists()
 
 
+@pytest.mark.parametrize("binding, line", [
+    pytest.param({"name": "t", "columns": ["rate", "rate"]},
+                 "data.series[1].columns: repeated column in series binding",
+                 id="repeated"),
+    pytest.param({"name": "t", "columns": ["zz"]},
+                 "data.series[1].columns: no column named 'zz'", id="absent"),
+    pytest.param({"name": "t", "columns": ["e1", "ss"]},
+                 "data.series[1].columns: column 'ss' is not scalar",
+                 id="not-scalar"),
+    pytest.param({"name": "t", "columns": []},
+                 "data.series[1].columns: no columns named in series binding",
+                 id="none"),
+    pytest.param({"name": "rate", "columns": ["e1", "e2"]},
+                 "data.series[1].name: column 'rate' already exists",
+                 id="name-clash"),
+])
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_series_binding_fault_is_one_line_at_its_path(
+        workspace, capsys, command, binding, line):
+    data = _write_fault_data(workspace)
+    data["series"][1] = binding
+    (workspace / "fault.json").write_text(json.dumps({**CONFIG, "data": data}))
+    assert run([command, "--config", "fault.json"]) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"micromaps: error: {line}\n")
+    assert not (workspace / "fault.svg").exists()
+
+
 def test_warning_is_one_line_on_stderr(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -4,8 +4,8 @@ Each case is one invalid value, written once as JSON for ``parse_config``
 and once as the equivalent fields of a ChartSpec, which is built with the
 constructor and with ``_replace``. Both sides must raise the same exception
 class naming the same path, so no ChartSpec holding the value exists. An
-option that its column kind ignores is also run through ``micromaps
-validate`` and ``micromaps render``.
+option that its column kind ignores, and a weight that leaves a column no
+room, are also run through ``micromaps validate`` and ``micromaps render``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,16 @@ def case(where, key, value, error, path, api=SAME):
     label = where if isinstance(where, str) else f"{where[0]}[{where[1]}]"
     return pytest.param(where, key, value, api_value, error, path,
                         id=f"{label}.{key}={value!r}")
+
+
+def weight_case(i, weight, path):
+    """Two dot columns, the one at ``columns[i]`` given ``weight``."""
+    dots = [{"kind": "dot", "bindings": {"value": "v"}} for _ in range(2)]
+    dots[i - 2]["options"] = {"weight": weight}
+    return case("top", "columns", [{"kind": "map"}, {"kind": "legend"}, *dots],
+                SpecError, path,
+                api=(ColumnSpec("map"), ColumnSpec("legend"),
+                     *(ColumnSpec(**dot) for dot in dots)))
 
 
 CASES = [
@@ -139,6 +149,11 @@ CASES = [
          api=(ColumnSpec("map"), ColumnSpec("legend"))
          + (ColumnSpec("dot", bindings={"value": "v"},
                        options={"weight": 1e308}),) * 2),
+    # A huge weight starves a column that sets none: the huge one is named,
+    # before or after it. A tiny weight starves its own column.
+    weight_case(2, 1e300, "columns[2].options.weight"),
+    weight_case(3, 1e300, "columns[3].options.weight"),
+    weight_case(2, 1e-300, "columns[2].options.weight"),
     # A part of the wrong type raised AttributeError in the API.
     case("top", "sort", "v", SpecError, "sort"),
     case("top", "palette", "#000", SpecError, "palette",
@@ -309,4 +324,31 @@ def test_oversized_canvas_is_rejected_by_cli(tmp_path, monkeypatch, capsys,
         assert (captured.out, captured.err) == (
             "", f"micromaps: error: output.{key}: must be above 0 and at "
                 "most 100000\n")
+    assert not (tmp_path / "chart.svg").exists()
+
+
+@pytest.mark.parametrize("i, weight, line", [
+    (2, 1e300, "columns[2].options.weight: leaves columns[3] no room"),
+    (3, 1e300, "columns[3].options.weight: leaves columns[2] no room"),
+    (2, 1e-300, "columns[2].options.weight: leaves the column no room"),
+])
+def test_starving_weight_is_named_alike_by_api_and_cli(
+        tmp_path, monkeypatch, capsys, i, weight, line):
+    """A huge weight is blamed, not the column it squeezes; a tiny weight
+    is its own column's fault."""
+    doc = copy.deepcopy(BASE)
+    doc["columns"].append(copy.deepcopy(doc["columns"][2]))
+    doc["columns"][i]["options"] = {"weight": weight}
+    with pytest.raises(SpecError) as info:
+        parse_config(json.dumps(doc))
+    message = str(info.value)
+    assert message.startswith(line + " (width ")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("state,v\n" + "\n".join(
+        f"{code},{i}" for i, code in enumerate(ALL_CODES)))
+    (tmp_path / "chart.json").write_text(json.dumps(doc))
+    for command in ("validate", "render"):
+        assert run([command, "--config", "chart.json"]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"micromaps: error: {message}\n")
     assert not (tmp_path / "chart.svg").exists()

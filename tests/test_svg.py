@@ -1,10 +1,10 @@
 from __future__ import annotations
 
+import math
 import re
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
-from itertools import starmap
 from xml.sax.saxutils import escape
 
 import pytest
@@ -384,7 +384,11 @@ def reference_element(s, dp: int) -> str:
         return numbers(" ".join([number] * len(values)).format(*values)).split()
 
     def points(pts) -> str:
-        return numbers(" ".join(starmap(f"{number},{number}".format, pts)))
+        if any(len(p) != 2 for p in pts):
+            raise TypeError("points must be (x, y) pairs")
+        # Each number as the float nearest it, a Decimal's or Fraction's too.
+        return numbers(" ".join(f"{number},{number}".format(float(x), float(y))
+                                for x, y in pts))
 
     try:
         if type(s) is Text:
@@ -490,3 +494,91 @@ def test_writer_matches_the_reference(shape, dp):
     the reference's line, or the same BadGeometry message."""
     assert (element_outcome(emitted_element, shape, dp)
             == element_outcome(reference_element, shape, dp))
+
+
+def equal_twins(x) -> list:
+    """``x`` and numbers of other types that compare equal to it, so a dict
+    finds each under the other's key: minus zero, an int, a bool, a float,
+    a Decimal and a Fraction."""
+    twins = [x]
+    if x == x and abs(x) != math.inf:
+        twins += [Decimal(x), Fraction(x)]
+        if x == int(x):
+            twins.append(int(x))
+        if float(x) == x:
+            twins += [float(x), -float(x)] if x == 0 else [float(x)]
+        if x in (0, 1):
+            twins.append(bool(x))
+    return twins
+
+
+@st.composite
+def shared_x_scenes(draw) -> tuple:
+    """Polylines and polygons, on plain tuples and on placed rings, whose
+    x values come from a few runs. A tuple's x is itself or an equal twin;
+    a placed ring's is itself, as atlas places no Decimal."""
+    runs = draw(st.lists(st.lists(_NUMBERS, max_size=5), min_size=1,
+                         max_size=3))
+    shapes = []
+    for _ in range(draw(st.integers(1, 6))):
+        make = draw(st.sampled_from([Polyline, Polygon, PlacedRing]))
+        xs = draw(st.sampled_from(runs))
+        if make is not PlacedRing:
+            xs = [draw(st.sampled_from(equal_twins(x))) for x in xs]
+        ys = draw(st.lists(_NUMBERS, min_size=len(xs), max_size=len(xs)))
+        points, style = tuple(zip(xs, ys)), draw(_STYLES)
+        shapes.append(Polygon(PlacedRing(points), style) if make is PlacedRing
+                      else make(points, style))
+    return tuple(shapes)
+
+
+def scene_outcome(shapes, dp: int, write) -> tuple:
+    """Each shape's line, or the first shape's BadGeometry message, or
+    whether a point that is not a pair was refused."""
+    try:
+        return "lines", write(shapes, dp)
+    except BadGeometry as exc:
+        return "error", str(exc)
+    except TypeError as exc:
+        return "not pairs", str(exc).startswith("points must be (x, y) pairs")
+
+
+def emitted_lines(shapes, dp: int) -> list[str]:
+    return emit_svg(Scene(10.0, 10.0, shapes),
+                    SvgOptions(decimal_places=dp)).splitlines()[1:-1]
+
+
+def reference_lines(shapes, dp: int) -> list[str]:
+    return [reference_element(shape, dp) for shape in shapes]
+
+
+_NAN = float("nan")
+
+
+@settings(max_examples=300)
+@given(shared_x_scenes(), st.integers(0, 6))
+# 0.0 and -0.0 are one key: each writes the other's template, in each order.
+@example((Polyline(((-0.0, 1.0), (2.0, 3.0))),
+          Polygon(((0.0, -0.0), (2.0, 3.0)), _FILL),
+          Polyline(((-0.0, 5.0), (2.0, 3.0)))), 2)
+@example((Polyline(((0.0, 1.0),)), Polyline(((-0.0, 1.0),))), 0)
+# Five types of one x, each writing "1.00".
+@example(tuple(Polyline(((x, 2.0), (3, y))) for x, y in (
+    (1, 4), (1.0, -0.0), (True, 5), (Decimal(1), Fraction(1, 3)),
+    (Fraction(1), 6))), 2)
+# A NaN x reused: the one object is one key, and it raises every time.
+@example((Polyline(((_NAN, 1.0),)), Polygon(PlacedRing([(_NAN, 2.0)]))), 2)
+@example((Polygon(((1.0, 2.0),), Style(stroke_width=_NAN)),
+          Polyline(((_NAN, 1.0),))), 2)
+# An empty point list, in each form, next to a one-point list.
+@example((Polyline(()), Polygon(()), Polygon(PlacedRing(())),
+          Polyline(((1.0, 2.0),))), 2)
+# A mixed 2- and 3-length point list, after one of pairs with its x run.
+@example((Polyline(((1.0, 2.0), (3.0, 4.0))),
+          Polyline(((1.0, 2.0), (3.0, 4.0, 5.0)))), 2)
+def test_shapes_sharing_x_runs_match_the_reference(shapes, dp):
+    """A scene's point lists that share runs of x values, written with the
+    templates one emit_svg call keeps per run, give the reference's lines,
+    or the same first error."""
+    assert (scene_outcome(shapes, dp, emitted_lines)
+            == scene_outcome(shapes, dp, reference_lines))
