@@ -54,7 +54,10 @@ from .glyphs import (
 from .layout import ASCENDING, DESCENDING, LinkedLayout, SortSpec, build_layout
 from .scale import Scale, format_tick, linear_scale, thin_labels
 from .scene import (Layers, Line, PanelFrame, PanelInfo, Rect, RowBand, Scene,
-                    Style, Text, check_canvas_side, clamp_scene, shared_style)
+                    Style, Text, check_canvas_side, shared_style)
+# clamp_scene is not called here: bench/tracing.py wraps it in this module,
+# and tests/test_bench_names.py requires the name.
+from .scene import clamp_scene  # noqa: F401
 from .table import (
     RegionTable,
     SERIES,
@@ -357,8 +360,10 @@ def render_legend_column(name_style: str, frame: PanelFrame) -> Layers:
                               shared_style(fill=row.color),
                               tag=f"region:{row.region}"))
         name = row.region if name_style == "abbrev" else BY_CODE[row.region].name
-        out.labels.append(Text(frame.x + size + 7.0, row.y + font * 0.35, name,
-                               label_style, tag=f"region:{row.region}"))
+        # A column narrower than the label's offset keeps it at its edge.
+        out.labels.append(Text(min(frame.x + size + 7.0, frame.right),
+                               row.y + font * 0.35, name, label_style,
+                               tag=f"region:{row.region}"))
     return out
 
 
@@ -635,4 +640,4 @@ def _draw(plan: ChartPlan, atlas: Atlas) -> Scene:
         at = fills_at if in_fills else marks_at
         panels.append(PanelInfo(col.index, col.spec.kind, group, frame,
                                 range(marks.start + at, marks.stop + at)))
-    return clamp_scene(Scene(w, h, page.flatten(), tuple(panels)))
+    return Scene(w, h, page.flatten(), tuple(panels))

@@ -113,7 +113,9 @@ def _first_cell(sampled: list, ends: list[float], end: float) -> float:
 
 
 def _na_label(frame: PanelFrame, row: RowBand) -> Text:
-    return Text(frame.x + 2.0, row.y + NA_FONT * 0.35, "n/a", NA_STYLE,
+    """The row's "n/a" note, its anchor kept inside a narrow or short panel."""
+    return Text(min(frame.x + 2.0, frame.right),
+                min(row.y + NA_FONT * 0.35, frame.bottom), "n/a", NA_STYLE,
                 tag=f"region:{row.region}")
 
 

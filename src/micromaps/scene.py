@@ -2,9 +2,11 @@
 
 Shape order is paint order. Coordinates are in abstract canvas units with
 the origin at the top-left; serialization to SVG happens elsewhere, with
-one writer per shape type, and clamp_shape has one branch per type. The
-optional ``tag`` on a shape records which region (or chart part) produced
-it and never reaches the output document. Among a panel's marks,
+one writer per shape type. The composer places every shape on its canvas
+itself; clamp_shape, with one branch per type, and clamp_scene are kept
+for callers and tests; no module of the package calls them. The optional ``tag`` on
+a shape records which region (or chart part) produced it and never
+reaches the output document. Among a panel's marks,
 ``region:XX`` means the shape shows XX's linked color, in its fill or, when
 it has no fill, its stroke; marks drawn in a fixed style carry no such tag.
 """
@@ -213,12 +215,12 @@ def clamp_shape(shape: Shape, width: float, height: float) -> Shape:
 
 class PlacedRing(tuple):
     """A map ring's points as atlas places them, with its ``bounds`` (xmin,
-    ymin, xmax, ymax) for clamp_scene and its ``texts`` for the SVG writer:
-    decimal places -> SVG points text, and (decimal places, Style) -> the
-    whole ``<polygon>`` line written in that style. A ring placed by atlas
-    is drawn in its fills' colors and its border style only, so its lines
-    are bounded by the fills the fit record keeps plus its border. It
-    equals and hashes as a tuple."""
+    ymin, xmax, ymax), which only clamp_scene reads, and its ``texts`` for
+    the SVG writer: decimal places -> SVG points text, and (decimal places,
+    Style) -> the whole ``<polygon>`` line written in that style. A ring
+    placed by atlas is drawn in its fills' colors and its border style
+    only, so its lines are bounded by the fills the fit record keeps plus
+    its border. It equals and hashes as a tuple."""
 
     def __new__(cls, points: Iterable[tuple[float, float]]) -> "PlacedRing":
         ring = tuple.__new__(cls, points)
@@ -235,7 +237,8 @@ def clamp_scene(scene: Scene) -> Scene:
     """Clamp every shape into the canvas with clamp_shape, rebuilding only
     shapes that cross an edge; the scene itself is returned when none does.
     A polygon or polyline on a PlacedRing is tested by the ring's bounds;
-    clamp_shape decides for any type not tested here.
+    clamp_shape decides for any type not tested here. ``compose`` does not
+    run it: a composed scene is returned as itself at every canvas size.
     """
     w, h = scene.width, scene.height
     clamped: list[Shape] | None = None

@@ -27,12 +27,15 @@ lines than the fill polygons the map fit record (atlas._FITS) keeps for
 it, plus its border; emptying the record at its capacity drops the
 rings' lines too. Only text and lines written without error are kept,
 and other points are formatted alike, so kept text never changes a
-byte. Style sizes pass the same non-finite test.
+byte. Style sizes pass the same non-finite test. A signaling NaN Decimal,
+which neither hashes nor converts to float, raises the BadGeometry a NaN
+raises in its place.
 emit_svg looks each shape's writer up by its type.
 Text and attribute values are escaped here and lose the characters XML
 1.0 forbids, so any string makes a well-formed document.
 """
 
+import math
 import re
 from functools import cache, partial
 from typing import NamedTuple
@@ -219,8 +222,37 @@ def check_decimal_places(places: object) -> int:
     return places
 
 
+def _quiet(value: object) -> object:
+    """``value`` with each signaling NaN Decimal in it, in tuples at any
+    depth, made a float NaN; ``value`` itself if it holds none. A Decimal
+    is known by its ``is_snan``, so ``decimal`` is not imported."""
+    if hasattr(value, "is_snan") and value.is_snan():
+        return math.nan
+    if isinstance(value, tuple):
+        items = [_quiet(item) for item in value]
+        if any(new is not old for new, old in zip(items, value)):
+            return (value._make(items) if hasattr(value, "_make")
+                    else tuple(items))
+    return value
+
+
 def emit_svg(scene: Scene, options: SvgOptions = SvgOptions()) -> str:
     """Serialize a scene to a self-contained SVG document."""
+    try:
+        return _document(scene, options)
+    except (TypeError, ValueError) as exc:
+        # A signaling NaN raises these where it is hashed or formatted; as
+        # a NaN, the scene raises the BadGeometry that names its shape.
+        quiet = _quiet(scene)
+        if quiet is scene:
+            raise
+        try:
+            return _document(quiet, options)
+        except (TypeError, ValueError):
+            raise exc from None  # a fault of its own: a point not a pair
+
+
+def _document(scene: Scene, options: SvgOptions) -> str:
     writer = _Writer(check_decimal_places(options.decimal_places))
     if not isinstance(title := options.title, str):
         raise SpecError("title", f"expected a string, got {type(title).__name__}")

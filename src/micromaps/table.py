@@ -120,8 +120,8 @@ class RegionTable(_TableFields):
             try:
                 if v is None or math.isfinite(v):
                     continue
-            except (TypeError, OverflowError):  # not a number; too large
-                pass
+            except (TypeError, OverflowError, ValueError):
+                pass  # not a number; too large; a signaling NaN Decimal
             where = f"{column.name}:{column.periods[i]}" if series else column.name
             raise CellParse(code, where, f"not a finite number: {v!r}")
 

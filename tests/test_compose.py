@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import ast
 import random
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from micromaps.atlas import ALL_CODES
-from micromaps.checks import check_color_linkage
+from micromaps.atlas import ALL_CODES, load_atlas
+from micromaps.checks import check_chart, check_color_linkage
 from micromaps.colors import CUMULATIVE_TINT, DEFAULT_PALETTE
 from micromaps.compose import (
     AXIS_LABEL_STYLE,
@@ -38,13 +40,17 @@ from micromaps.table import (
     parse_table,
 )
 
+import test_glyph_pins as glyph_pins
 from conftest import (
     check_panel_grid,
     check_shared_scales,
     full_table,
     make_table,
     panels_by_column,
+    square_atlas_document,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "micromaps"
 
 
 def minimal_spec(**overrides) -> ChartSpec:
@@ -516,6 +522,36 @@ _WIDTH = st.floats(0.0, MAX_CANVAS, exclude_min=True)
 _HEIGHT = st.floats(1.0, MAX_CANVAS)
 
 
+@pytest.fixture(scope="module")
+def charts(default_atlas, demos):
+    """(spec, table, atlas) of the five demos and of the glyph-pin chart,
+    which draws "n/a" rows, unranked regions, a diamond and box outliers,
+    on the square atlas it is pinned on."""
+    square = load_atlas(square_atlas_document())
+    return ([(spec, table, default_atlas) for spec, table in demos]
+            + [(glyph_pins.SPEC, glyph_pins.synthetic_table(), square)])
+
+
+def _region_labels(scene, plan) -> list[tuple[int, Text]]:
+    """Each Text tagged ``region:XX``, with the index of the column that
+    drew it. A legend name is known by its style. Labels are painted a
+    column at a time, each glyph column's axis labels after its panels',
+    so an "n/a" note is drawn by the column under the next axis label."""
+    legend = next(c.index for c in plan.columns if c.spec.kind == "legend")
+    out, column = [], None
+    for shape in reversed(scene.shapes):
+        if type(shape) is not Text:
+            continue
+        if shape.style == AXIS_LABEL_STYLE:
+            column = next(c.index for c in plan.columns
+                          if c.x_scale is not None
+                          and c.x <= shape.x <= c.x + c.width)
+        elif (shape.tag or "").startswith("region:"):
+            out.append((column if shape.style == glyphs.NA_STYLE else legend,
+                        shape))
+    return out
+
+
 # Sizes where arrow heads, or scatter points under a vertical pad larger
 # than half the band, used to leave their panels; at widths of 30 and 60,
 # legend swatches and arrow heads longer than their column's room did.
@@ -524,28 +560,48 @@ _HEIGHT = st.floats(1.0, MAX_CANVAS)
 @example(1000.0, 150.0)
 @example(5000.0, 300.0)
 @example(1000.0, 20.0)
+# Sizes where the clamp moved labels that it no longer draws: legend names
+# past a narrow column's right edge (up to 9.25 wide), and "n/a" notes
+# past a narrow column (up to 18.25) or below a short row (up to 20 high).
+@example(9.25, 1300.0)
+@example(18.25, 700.0)
+@example(900.0, 20.0)
 @settings(max_examples=20)
 @given(_WIDTH, _HEIGHT)
-def test_demo_marks_stay_inside_their_panels(default_atlas, demos, width,
-                                            height):
-    for spec, table in demos:
+def test_demo_marks_stay_inside_their_panels(charts, width, height):
+    """Every linked mark, and every legend name and "n/a" note, lies in
+    the panel of its column that holds its region, so the scene has nothing
+    for the clamp to move."""
+    for spec, table, atlas in charts:
         try:
             spec = spec._replace(width=width, height=height)
         except SpecError:  # a column of no width: not a size it accepts
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scene = compose(spec, table, default_atlas)
+            scene = compose(spec, table, atlas)
+            plan = plan_chart(spec, table)
+        assert clamp_scene(scene) is scene, spec.title
         eps = 1e-9 * max(width, height)  # rounding, far below 0.01
+        inside = {}  # (column, region) -> the box of its panel's frame
         for panel in scene.panels:
             frame = panel.frame
-            left, top = frame.x - eps, frame.y - eps
-            right, bottom = frame.right + eps, frame.bottom + eps
+            box = (frame.x - eps, frame.y - eps, frame.right + eps,
+                   frame.bottom + eps)
+            inside.update(((panel.column_index, row.region), box)
+                          for row in frame.rows)
+            left, top, right, bottom = box
             for i in panel.marks:
                 for x, y in _points(scene.shapes[i]):
                     assert left <= x <= right and top <= y <= bottom, (
                         spec.title, panel.kind, panel.group_index,
                         scene.shapes[i])
+        labels = _region_labels(scene, plan)
+        assert labels, spec.title
+        for column, label in labels:
+            left, top, right, bottom = inside[column, label.tag[7:]]
+            assert left <= label.x <= right and top <= label.y <= bottom, (
+                spec.title, column, label)
 
 
 # Below a height of 546.875 the 17.5 units that the bottom labels need
@@ -590,13 +646,9 @@ def _frame_ticks(scene, frame) -> list[Line]:
 # frame ticks then left their panels, and at height 1 the canvas too, where
 # the clamp pinned 55-77 of them per demo to its top edge.
 @pytest.mark.parametrize("height", [1.0, 20.0, 117.0])
-def test_demos_on_short_canvases_need_no_clamp(default_atlas, demos,
-                                               monkeypatch, height):
-    """Drawn with the clamp replaced by the identity, every shape of every
-    demo lies on the canvas, so the clamp has nothing to move, and every
-    frame tick lies inside its panel."""
-    monkeypatch.setattr(sys.modules["micromaps.compose"], "clamp_scene",
-                        lambda scene: scene)
+def test_demos_on_short_canvases_need_no_clamp(default_atlas, demos, height):
+    """Every shape of every demo lies on the canvas, so the clamp has
+    nothing to move, and every frame tick lies inside its panel."""
     for spec, table in demos:
         spec = spec._replace(width=1000.0, height=height)
         with warnings.catch_warnings():
@@ -614,6 +666,25 @@ def test_demos_on_short_canvases_need_no_clamp(default_atlas, demos,
                 assert frame.x <= max(tick.x1, tick.x2) <= frame.right
                 assert frame.y <= min(tick.y1, tick.y2) <= frame.bottom
                 assert frame.y <= max(tick.y1, tick.y2) <= frame.bottom
+
+
+def test_compose_calls_no_clamp(charts, monkeypatch):
+    """The composer keeps every shape on its canvas, so no module calls
+    clamp_scene: the demos and the glyph-pin chart draw with it raising."""
+    def clamp(scene):
+        raise AssertionError("clamp_scene was called")
+
+    monkeypatch.setattr(sys.modules["micromaps.compose"], "clamp_scene", clamp)
+    for spec, table, atlas in charts:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            check_chart(compose(spec, table, atlas))
+    calls = [(path.name, node.lineno) for path in SRC.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "clamp_scene"]
+    assert calls == []
 
 
 def test_demo_plan_is_what_was_drawn(default_atlas, demos):

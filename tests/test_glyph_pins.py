@@ -4,7 +4,7 @@ The bundled demos never draw several glyph edge cases, so this chart does:
 a series with gaps and a one-period run, a zero-length arrow (a diamond),
 box plots with outliers next to a region whose samples are all missing, a
 scatter point with one coordinate missing, and regions without a sort
-value. ``compose`` clamps every position into the canvas, so no composed
+value. ``compose`` places every shape on the canvas, so no composed
 coordinate is negative; shapes whose coordinates round to minus zero are
 appended to the checked scene, one per writer: one for each type of
 ``scene.Shape``. The SVG is pinned at 0, 2 and 3 decimal places. If an intentional rendering change breaks this,

@@ -1,10 +1,11 @@
 """What a process keeps of placed map rings between charts: one record per
 map fit (``atlas._FITS``), whose rings are ``scene.PlacedRing``s that carry
-their own bounds (read by ``clamp_scene``) and SVG points text and
-``<polygon>`` lines (filled by the SVG writer), and whose fill polygons
-are kept per ring and color. Same bytes cold, warm and after clearing; no
-kept errors; no stale rings or fills; bounded size; a placed ring that
-crosses the canvas is still clamped.
+their own bounds (read by ``clamp_scene``, which ``compose`` no longer
+runs) and SVG points text and ``<polygon>`` lines (filled by the SVG
+writer), and whose fill polygons are kept per ring and color. Same bytes
+cold, warm and after clearing; no kept errors; no stale rings or fills;
+bounded size; ``clamp_scene`` still clamps a placed ring that crosses the
+canvas.
 """
 
 from __future__ import annotations

@@ -344,10 +344,15 @@ def test_forbidden_characters_dropped_from_title_and_style():
 
 # The element writers as they were before templates, kept as the reference:
 # each shape's numbers formatted with one str.format (a point list with one
-# per point), tested once for "n", every minus zero turned into zero.
+# per point), tested once for "n", every minus zero turned into zero. A
+# signaling NaN Decimal is read as the NaN it is.
+
+def reference_number(value: float) -> float:
+    return math.nan if isinstance(value, Decimal) and value.is_snan() else value
+
 
 def reference_fmt(value: float, dp: int) -> str:
-    s = f"{value:.{dp}f}"
+    s = f"{reference_number(value):.{dp}f}"
     if "n" in s:
         raise BadGeometry("non-finite size")
     if s.startswith("-") and float(s) == 0.0:
@@ -381,14 +386,16 @@ def reference_element(s, dp: int) -> str:
         return text.replace("-" + zero, zero)
 
     def spaced(*values: float) -> list[str]:
-        return numbers(" ".join([number] * len(values)).format(*values)).split()
+        return numbers(" ".join([number] * len(values)).format(
+            *map(reference_number, values))).split()
 
     def points(pts) -> str:
         if any(len(p) != 2 for p in pts):
             raise TypeError("points must be (x, y) pairs")
         # Each number as the float nearest it, a Decimal's or Fraction's too.
-        return numbers(" ".join(f"{number},{number}".format(float(x), float(y))
-                                for x, y in pts))
+        return numbers(" ".join(f"{number},{number}".format(
+            float(reference_number(x)), float(reference_number(y)))
+            for x, y in pts))
 
     try:
         if type(s) is Text:
@@ -458,6 +465,7 @@ _SHAPES = st.one_of(
     st.builds(Polygon, st.one_of(_POINTS, _POINTS.map(PlacedRing)), _STYLES),
 )
 _FILL = Style(fill="#112233")
+_SNAN = Decimal("sNaN")
 _ODD = Style(fill="50%", stroke="%s", stroke_width=0.5, font_size=-0.0,
              anchor="%(x)s")
 
@@ -489,6 +497,21 @@ _ODD = Style(fill="50%", stroke="%s", stroke_width=0.5, font_size=-0.0,
 @example(Circle(1e300, True, 10**300), 6)
 @example(Polygon(((5e-324, -1e300), (False, 2))), 0)
 @example(Polyline(()), 2)
+# A signaling NaN Decimal, which neither hashes nor converts to float, in
+# each writer's numbers and in a style's sizes: the BadGeometry of a NaN.
+@example(Polyline(((_SNAN, 1.0), (2.0, 3.0))), 2)
+@example(Polyline(((1.0, _SNAN),)), 2)
+@example(Polygon(PlacedRing([(1.0, _SNAN)]), _FILL), 2)
+@example(Rect(1.0, 2.0, _SNAN, 4.0), 2)
+@example(Circle(_SNAN, 1.0, 2.0), 2)
+@example(Line(0.0, 1.0, 2.0, _SNAN), 2)
+@example(Text(_SNAN, 1.0, "t"), 2)
+@example(Line(1.0, 2.0, 3.0, 4.0, Style(stroke="#000000", stroke_width=_SNAN)),
+         2)
+@example(Text(1.0, 2.0, "t", Style(font_size=_SNAN)), 2)
+# A text's coordinates are tested before its style's size.
+@example(Text(float("nan"), 1.0, "t", Style(font_size=_SNAN)), 2)
+@example(Text(_SNAN, 1.0, "t", Style(font_size=float("nan"))), 2)
 def test_writer_matches_the_reference(shape, dp):
     """Every shape type in any style, at every number of decimals, gives
     the reference's line, or the same BadGeometry message."""
@@ -576,6 +599,11 @@ _NAN = float("nan")
 # A mixed 2- and 3-length point list, after one of pairs with its x run.
 @example((Polyline(((1.0, 2.0), (3.0, 4.0))),
           Polyline(((1.0, 2.0), (3.0, 4.0, 5.0)))), 2)
+# A signaling NaN x, which cannot be a template's key, after its run; and
+# one in a point that is not a pair, still a TypeError.
+@example((Polyline(((1.0, 2.0),)), Polyline(((_SNAN, 2.0),))), 2)
+@example((Polygon(((_SNAN, 2.0), (3.0, 4.0))), Polyline(((1.0, _SNAN),))), 2)
+@example((Polyline(((1.0, 2.0), (_SNAN,))),), 2)
 def test_shapes_sharing_x_runs_match_the_reference(shapes, dp):
     """A scene's point lists that share runs of x values, written with the
     templates one emit_svg call keeps per run, give the reference's lines,

@@ -279,7 +279,8 @@ def test_parse_table_reads_each_cell_as_parse_number(rows):
         repr(expected)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 Decimal("sNaN")])
 def test_table_rejects_non_finite_cells(bad):
     with pytest.raises(CellParse) as info:
         make_table({"UT": 1.0, "ID": bad})
@@ -292,7 +293,8 @@ def test_table_rejects_non_finite_cells(bad):
     assert (info.value.row, info.value.column) == ("UT", "s:2021")
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 Decimal("sNaN")])
 def test_new_column_cells_are_checked_and_named(bad):
     table = make_table({"UT": 1.0, "ID": 2.0})
     with pytest.raises(CellParse) as info:
